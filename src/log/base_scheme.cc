@@ -37,13 +37,11 @@ BaseScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     switch (_ctx.cfg.mutation) {
       case MutationKind::DropUndoLog:
         // Seeded bug: data reaches PM with no undo record at all.
-        // silo-lint: allow(wal-ordering) seeded DropUndoLog mutation: the unordered flush is the bug the checker/fuzzer must catch
         _ctx.hierarchy.flushLine(core, lineAlign(addr), false,
                                  [this, core] { opFinished(core); });
         break;
       case MutationKind::ReorderLogData:
         // Seeded bug: the flush races ahead of its log record.
-        // silo-lint: allow(wal-ordering) seeded ReorderLogData mutation: the flush deliberately races its log record
         _ctx.hierarchy.flushLine(core, lineAlign(addr), false, [] {});
         writeLogWithRetry(core, rec,
                           [this, core] { opFinished(core); });
@@ -92,7 +90,6 @@ BaseScheme::finishCommit(unsigned core)
     cs.pendingCommit = nullptr;
     if (_ctx.cfg.mutation == MutationKind::SkipCommitMarker) {
         // Seeded bug: Tx_end completes without a durable commit marker.
-        // silo-lint: allow(commit-marker-protocol) seeded SkipCommitMarker mutation: truncating without a marker is the bug under test
         _ctx.logs.truncate(core);
         cs.lastCommitted = true;
         done();
@@ -105,7 +102,7 @@ BaseScheme::finishCommit(unsigned core)
         _ctx.logs.truncate(core);
         _cores[core].lastCommitted = true;
         done();
-    }, /*gated=*/false);
+    });
 }
 
 void

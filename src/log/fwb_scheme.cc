@@ -40,7 +40,6 @@ FwbScheme::walk()
         ++_walkerWritebacks;
         unsigned owner = addr_map::inDataRegion(line)
                              ? addr_map::dataArenaOwner(line) : 0;
-        // silo-lint: allow(wal-ordering) the epoch walker only writes back lines whose undo records were accepted at store() time; per-line durable ordering is the log admission queue's job, not the walk's
         _ctx.hierarchy.flushLine(owner, line, false, [this, step] {
             _ctx.eq.scheduleAfter(4, [step] { (*step)(); },
                                   EventQueue::prioDefault,
@@ -110,7 +109,7 @@ FwbScheme::finishCommit(unsigned core)
                                      done = std::move(done)] {
         _cores[core].lastCommitted = true;
         done();
-    }, /*gated=*/false);
+    });
 }
 
 void

@@ -192,7 +192,6 @@ LadScheme::commitPhase1(unsigned core, std::vector<Addr> lines,
     maybeRelieve();
     bool held = !_cores[core].undoLogged.count(line) ||
                 _cores[core].relieving.count(line);
-    // silo-lint: allow(wal-ordering) LAD phase-1 flush: unlogged lines go out held (revocable in the MC buffer) and slow-mode lines already have durable undo records; ordering is carried by the held bit, not a callback
     _ctx.hierarchy.flushLine(core, line, held,
                              [this, core, lines = std::move(lines),
                               next, done = std::move(done)]() mutable {
@@ -216,7 +215,6 @@ LadScheme::commitPhase2(unsigned core, std::function<void()> done)
             _ctx.mc.releaseHeld(line);
     }
     // Undo logs of slow-mode lines are obsolete after commit.
-    // silo-lint: allow(commit-marker-protocol) LAD has no commit marker: commit *is* the phase-2 release of held lines after the phase-1 flush callbacks, and only then is the undo log obsolete
     _ctx.logs.truncate(core);
     cs.open = false;
     cs.lastCommitted = true;

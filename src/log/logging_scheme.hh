@@ -200,18 +200,18 @@ class LoggingScheme
      * The record is tracked until accepted so a crash mid-retry still
      * finds it (it sits in the MC's ADR-domain log path).
      *
-     * @p gated: whether the completion may be held by the segmented
-     * lifecycle's admission backpressure. Commit-path appends (markers)
-     * pass false — stalling a commit under a full log is a
-     * self-deadlock (commits are what free log space: truncation and
-     * cleaner deadness both hinge on them), and deferring the
-     * scheme's commit bookkeeping past the already-durable marker
-     * would let a crash in the window diverge from recovery, which
-     * rightly treats a durable marker as committed.
+     * Under the segmented lifecycle the completion is held by its
+     * admission backpressure unless @p record is a commit marker.
+     * Stalling a commit under a full log is a self-deadlock (commits
+     * are what free log space: truncation and cleaner deadness both
+     * hinge on them), and deferring the scheme's commit bookkeeping
+     * past the already-durable marker would let a crash in the window
+     * diverge from recovery, which rightly treats a durable marker as
+     * committed.
      */
     void
     writeLogWithRetry(unsigned tid, LogRecord record,
-                      std::function<void()> done, bool gated = true)
+                      std::function<void()> done)
     {
         Addr addr = _ctx.logs.allocate(tid, record.sizeBytes());
         ++_stats.logWrites;
@@ -222,7 +222,7 @@ class LoggingScheme
             // completion the scheme observes, after the record is
             // accepted.
             _ctx.lifecycle->noteAppend(tid, record.sizeBytes());
-            if (gated) {
+            if (record.kind != LogRecord::Kind::Commit) {
                 done = [lc = _ctx.lifecycle, tid,
                         inner = std::move(done)]() mutable {
                     lc->gate(tid, std::move(inner));

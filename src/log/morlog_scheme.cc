@@ -106,7 +106,7 @@ MorLogScheme::commitFlushFinished(unsigned core)
                                      done = std::move(done)] {
         _cores[core].lastCommitted = true;
         done();
-    }, /*gated=*/false);
+    });
 }
 
 void

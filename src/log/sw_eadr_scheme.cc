@@ -20,8 +20,7 @@ SwEadrScheme::txBegin(unsigned core, std::uint16_t txid)
 
 void
 SwEadrScheme::writeLogThroughCache(unsigned core, LogRecord record,
-                                   std::function<void()> done,
-                                   bool gated)
+                                   std::function<void()> done)
 {
     Addr rec_addr = _ctx.logs.allocate(core, record.sizeBytes());
     ++_stats.logWrites;
@@ -34,7 +33,7 @@ SwEadrScheme::writeLogThroughCache(unsigned core, LogRecord record,
         // only open a window where the crash oracle and recovery
         // disagree about the transaction's outcome.
         _ctx.lifecycle->noteAppend(core, record.sizeBytes());
-        if (gated) {
+        if (record.kind != LogRecord::Kind::Commit) {
             done = [lc = _ctx.lifecycle, core,
                     inner = std::move(done)]() mutable {
                 lc->gate(core, std::move(inner));
@@ -87,8 +86,7 @@ SwEadrScheme::txEnd(unsigned core, std::function<void()> done)
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = std::uint8_t(core);
     marker.txid = cs.txid;
-    writeLogThroughCache(core, marker, std::move(done),
-                         /*gated=*/false);
+    writeLogThroughCache(core, marker, std::move(done));
     // The marker became durable in the persistent cache the moment it
     // was written (inside writeLogThroughCache): if a crash lands
     // before done() fires, recovery will — correctly — treat the

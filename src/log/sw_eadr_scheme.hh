@@ -59,12 +59,11 @@ class SwEadrScheme : public LoggingScheme
      * Write @p record at a fresh log address *through the cache*:
      * durable immediately (persistent cache), but the log line
      * competes for cache capacity and later writes back to PM.
-     * @p gated as in LoggingScheme::writeLogWithRetry (commit markers
-     * bypass the segmented lifecycle's admission backpressure).
+     * Commit markers bypass the segmented lifecycle's admission
+     * backpressure, as in LoggingScheme::writeLogWithRetry.
      */
     void writeLogThroughCache(unsigned core, LogRecord record,
-                              std::function<void()> done,
-                              bool gated = true);
+                              std::function<void()> done);
 
     std::vector<CoreState> _cores;
     std::uint64_t _contentStamp = 1;

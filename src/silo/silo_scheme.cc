@@ -66,7 +66,6 @@ void
 SiloScheme::writeWordWithRetry(Addr addr, Word value,
                                std::function<void()> on_accept)
 {
-    // silo-lint: allow(wal-ordering) Silo's in-place path writes only committed values (drainCommitted gates on e.committed) and custody of uncommitted data is the flush bit + battery, not a per-record durable callback (§III-E)
     if (_ctx.mc.tryWriteWord(addr, value)) {
         on_accept();
         return;
@@ -347,7 +346,6 @@ SiloScheme::txEnd(unsigned core, std::function<void()> done)
         cs2.lastCommitted = true;
         // Overflowed undo logs of this transaction are obsolete: the
         // log truncates via the on-chip head register (no PM write).
-        // silo-lint: allow(commit-marker-protocol) Silo commit is the on-chip ACK (validation pipeline), not a PM marker; the ID tuple is already durable in the log buffer and truncation is a head-register update
         _ctx.logs.truncate(core);
         drainCommitted(core);
         done();

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "workload/trace_gen.hh"
@@ -40,6 +42,21 @@ constexpr SweepPoint sweepPoints[] = {
     {"two_mcs", 20, 64, 256, 32, 2},
     {"stress_combo", 3, 12, 64, 2, 2},
 };
+
+/**
+ * gtest's fallback printer dumps the raw bytes, `label` pointer
+ * included, and gtest_discover_tests folds that dump into the ctest
+ * name — so the names changed with every ASLR layout. Print the
+ * geometry instead, short enough to keep the names under 100 chars:
+ * log-buffer entries / WPQ entries / on-PM line bytes x lines / MCs.
+ */
+void
+PrintTo(const SweepPoint &pt, std::ostream *os)
+{
+    *os << pt.logBufferEntries << '/' << pt.wpqEntries << '/'
+        << pt.onPmBufferLineBytes << 'x' << pt.onPmBufferLines << '/'
+        << pt.numMemControllers;
+}
 
 class ConfigSweep : public ::testing::TestWithParam<SweepPoint>
 {

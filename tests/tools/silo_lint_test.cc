@@ -1,18 +1,16 @@
 /**
  * @file
- * silo-lint's own tests: every rule R1–R14 gets a positive fixture
+ * silo-lint's own tests: every rule R1–R10 gets a positive fixture
  * (violations found, golden silo-lint-v1 JSON byte-matched), a
  * negative fixture (clean code stays clean) and a suppressed fixture
  * (a reasoned allow() turns the error into a counted suppression),
- * plus S0 coverage of the suppression grammar itself (multi-rule
- * lists, CRLF endings, trailing-whitespace reasons, last-line
- * directives), SARIF 2.1.0 golden output, the --changed finding
- * filter (including rename/delete name-status parsing), call-graph
- * parse edge cases (default-argument lambdas, nested template
- * argument lists, out-of-line members, labeled callback edges), the
- * static/dynamic mutation cross-check, and — the gate that matters
- * day-to-day — a self-run asserting the repository lints clean with
- * zero unsuppressed findings.
+ * R14 gets a positive fixture, plus S0 coverage of the suppression
+ * grammar itself (multi-rule lists, CRLF endings, trailing-whitespace
+ * reasons, last-line directives), SARIF 2.1.0 golden output, the
+ * --changed finding filter (including rename/delete name-status
+ * parsing), and — the gate that matters day-to-day — a self-run
+ * asserting the repository lints clean with zero unsuppressed
+ * findings.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "silo-lint/callgraph.hh"
 #include "silo-lint/driver.hh"
 
 namespace silo::lint
@@ -77,7 +74,8 @@ expectMatchesSarifGolden(const Result &result, const std::string &name)
 
 TEST(SiloLintRules, CatalogueCoversR1ToR14)
 {
-    ASSERT_EQ(ruleCatalogue().size(), 14u);
+    // R11–R13 are retired; their codes and slugs stay unassigned.
+    ASSERT_EQ(ruleCatalogue().size(), 11u);
     EXPECT_EQ(slugForRule("R1"), "nondet-iteration");
     EXPECT_EQ(slugForRule("nondet-iteration"), "nondet-iteration");
     EXPECT_EQ(slugForRule("R5"), "stats-names");
@@ -88,11 +86,10 @@ TEST(SiloLintRules, CatalogueCoversR1ToR14)
     EXPECT_EQ(slugForRule("R10"), "suppression-hygiene");
     EXPECT_EQ(slugForRule("suppression-hygiene"),
               "suppression-hygiene");
-    EXPECT_EQ(slugForRule("R11"), "wal-ordering");
-    EXPECT_EQ(slugForRule("R12"), "commit-marker-protocol");
-    EXPECT_EQ(slugForRule("R13"), "crash-path-purity");
+    EXPECT_EQ(slugForRule("R11"), "");
+    EXPECT_EQ(slugForRule("R13"), "");
+    EXPECT_EQ(slugForRule("wal-ordering"), "");
     EXPECT_EQ(slugForRule("R14"), "enum-exhaustiveness");
-    EXPECT_EQ(slugForRule("wal-ordering"), "wal-ordering");
     EXPECT_EQ(slugForRule("not-a-rule"), "");
 }
 
@@ -552,86 +549,7 @@ TEST(SiloLintSarif, StructureRulesAndSuppressions)
     expectMatchesSarifGolden(s, "r7_suppressed");
 }
 
-// --- R11–R14: interprocedural protocol rules -----------------------
-
-/** Lint one protocol fixture's broken scheme TU. */
-Result
-lintProtocolFixture(const std::string &name)
-{
-    return lintFixture("protocol/" + name,
-                       {"src/log/broken_scheme.cc"});
-}
-
-TEST(SiloLintR11, DropUndoLogFlushWithoutAnyLogRecord)
-{
-    Result r = lintProtocolFixture("drop-undo-log");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "wal-ordering");
-    expectMatchesGolden(r, "protocol_drop_undo_log");
-    expectMatchesSarifGolden(r, "protocol_drop_undo_log");
-}
-
-TEST(SiloLintR11, ReorderLogDataFlushBesideItsRecord)
-{
-    Result r = lintProtocolFixture("reorder-log-data");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "wal-ordering");
-    expectMatchesGolden(r, "protocol_reorder_log_data");
-    expectMatchesSarifGolden(r, "protocol_reorder_log_data");
-}
-
-TEST(SiloLintR12, SkipCommitMarkerTruncatesOutsideMarkerCallback)
-{
-    Result r = lintProtocolFixture("skip-commit-marker");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "commit-marker-protocol");
-    expectMatchesGolden(r, "protocol_skip_commit_marker");
-    expectMatchesSarifGolden(r, "protocol_skip_commit_marker");
-}
-
-TEST(SiloLintR12, GatedCommitMarkerDeadlocksUnderBackpressure)
-{
-    Result r = lintProtocolFixture("gated-commit-marker");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "commit-marker-protocol");
-    EXPECT_NE(r.findings[0].message.find("admission-gated"),
-              std::string::npos);
-    expectMatchesGolden(r, "protocol_gated_commit_marker");
-    expectMatchesSarifGolden(r, "protocol_gated_commit_marker");
-}
-
-TEST(SiloLintR13, SkipCrashUndoFlushNeverFlushesInFlightLogs)
-{
-    Result r = lintProtocolFixture("skip-crash-undo-flush");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "crash-path-purity");
-    expectMatchesGolden(r, "protocol_skip_crash_undo_flush");
-    expectMatchesSarifGolden(r, "protocol_skip_crash_undo_flush");
-}
-
-TEST(SiloLintR13, CrashPathSchedulingIsCaughtThroughHelpers)
-{
-    // The scheduleAfter lives in a helper the crash handler calls —
-    // the finding requires the interprocedural subtree walk.
-    Result r = lintProtocolFixture("crash-schedules");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "crash-path-purity");
-    EXPECT_NE(r.findings[0].message.find("schedules simulator work"),
-              std::string::npos);
-    expectMatchesGolden(r, "protocol_crash_schedules");
-    expectMatchesSarifGolden(r, "protocol_crash_schedules");
-}
-
-TEST(SiloLintR13, CrashMutatingRecoveryReadBookkeeping)
-{
-    Result r = lintProtocolFixture("crash-bookkeeping-write");
-    ASSERT_EQ(r.errors, 1u);
-    EXPECT_EQ(r.findings[0].rule, "crash-path-purity");
-    EXPECT_NE(r.findings[0].message.find("_cores[].lastCommitted"),
-              std::string::npos);
-    expectMatchesGolden(r, "protocol_crash_bookkeeping_write");
-    expectMatchesSarifGolden(r, "protocol_crash_bookkeeping_write");
-}
+// --- R14: enum exhaustiveness ------------------------------------
 
 TEST(SiloLintR14, MissingEnumeratorAndBareDefault)
 {
@@ -645,56 +563,6 @@ TEST(SiloLintR14, MissingEnumeratorAndBareDefault)
               std::string::npos);
     expectMatchesGolden(r, "protocol_enum_switch");
     expectMatchesSarifGolden(r, "protocol_enum_switch");
-}
-
-TEST(SiloLintProtocol, CleanSchemeStaysClean)
-{
-    Result r = lintFixture("protocol/negative",
-                           {"src/log/good_scheme.cc"});
-    EXPECT_EQ(r.errors, 0u);
-    EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(SiloLintProtocol, ReasonedAllowSuppressesTheProtocolFinding)
-{
-    Result r = lintProtocolFixture("suppressed");
-    EXPECT_EQ(r.errors, 0u);
-    ASSERT_EQ(r.suppressed, 1u);
-    EXPECT_TRUE(r.findings[0].suppressed);
-    expectMatchesGolden(r, "protocol_suppressed");
-    expectMatchesSarifGolden(r, "protocol_suppressed");
-}
-
-/**
- * The static/dynamic cross-check: every checker mutation kind that is
- * expressible as a static ordering violation has a committed
- * broken-scheme fixture, and the protocol rules flag each one. The
- * remaining mutation kinds are dynamic-only — DropHeldRelease (a
- * missing releaseHeld call changes MC buffer *state*, not call
- * structure), StaleFlushBit and DoubleInPlace (both corrupt data
- * values the lexer cannot see) — and stay the litmus fuzzer's job.
- */
-TEST(SiloLintProtocol, StaticDynamicMutationCrossCheck)
-{
-    struct CrossCheck
-    {
-        const char *mutation;  //!< MutationKind (or PR 9 bug class)
-        const char *fixture;
-        const char *code;
-    };
-    const CrossCheck table[] = {
-        {"DropUndoLog", "drop-undo-log", "R11"},
-        {"ReorderLogData", "reorder-log-data", "R11"},
-        {"SkipCommitMarker", "skip-commit-marker", "R12"},
-        {"gated-commit-marker (FWB, PR 9)", "gated-commit-marker",
-         "R12"},
-        {"SkipCrashUndoFlush", "skip-crash-undo-flush", "R13"},
-    };
-    for (const CrossCheck &c : table) {
-        Result r = lintProtocolFixture(c.fixture);
-        ASSERT_EQ(r.errors, 1u) << c.mutation;
-        EXPECT_EQ(r.findings[0].code, c.code) << c.mutation;
-    }
 }
 
 /**
@@ -715,156 +583,6 @@ TEST(SiloLintSelfRun, RepositoryHasZeroUnsuppressedFindings)
                           << " " << f.rule << "] " << f.message;
     }
     EXPECT_EQ(r.errors, 0u);
-}
-
-// --- call graph: the parse shapes the protocol rules lean on -------
-
-/** Lex @p src into the SourceFile shape the matchers consume. */
-SourceFile
-sourceFromString(const std::string &path, const std::string &src)
-{
-    SourceFile f;
-    f.path = path;
-    f.tokens = lex(src);
-    for (const Token &t : f.tokens)
-        if (t.kind != TokKind::Comment)
-            f.code.push_back(t);
-    return f;
-}
-
-const CgNode *
-namedNode(const CallGraph &g, const std::string &name)
-{
-    for (const CgNode &n : g.nodes)
-        if (n.name == name)
-            return &n;
-    return nullptr;
-}
-
-TEST(SiloLintCallGraph, LambdaInDefaultArgumentDoesNotConfuseDefs)
-{
-    CallGraph g = buildCallGraph({sourceFromString("src/w.hh", R"(
-struct W
-{
-    void run(Callback cb = [] { return 1; })
-    {
-        helper();
-    }
-    void helper() { }
-};
-)")});
-    const CgNode *run = namedNode(g, "run");
-    const CgNode *helper = namedNode(g, "helper");
-    ASSERT_NE(run, nullptr);
-    ASSERT_NE(helper, nullptr);
-    ASSERT_EQ(run->calls.size(), 1u);
-    EXPECT_EQ(run->calls[0].callee, "helper");
-    // The default-argument lambda is its own node, outside run's
-    // body, so it must not become run's child or swallow its calls.
-    std::size_t lambdas = 0;
-    for (const CgNode &n : g.nodes)
-        if (n.name.empty()) {
-            ++lambdas;
-            EXPECT_EQ(n.parent, CgNode::npos);
-        }
-    EXPECT_EQ(lambdas, 1u);
-    bool callEdge = false;
-    for (const CgEdge &e : g.edges)
-        if (e.kind == CallEdgeKind::Call &&
-            &g.nodes[e.to] == helper)
-            callEdge = true;
-    EXPECT_TRUE(callEdge);
-}
-
-TEST(SiloLintCallGraph, NestedTemplateArgumentsDoNotBreakDefs)
-{
-    CallGraph g = buildCallGraph({sourceFromString("src/m.hh", R"(
-struct M
-{
-    std::map<int, std::vector<std::pair<int, int>>> table()
-    {
-        build();
-        return {};
-    }
-    void build() { }
-};
-)")});
-    // `>>>` lexes as three '>' tokens; the definition scan must still
-    // anchor table() and attribute its build() call.
-    const CgNode *table = namedNode(g, "table");
-    ASSERT_NE(table, nullptr);
-    ASSERT_EQ(table->calls.size(), 1u);
-    EXPECT_EQ(table->calls[0].callee, "build");
-    EXPECT_NE(namedNode(g, "build"), nullptr);
-}
-
-TEST(SiloLintCallGraph, OutOfLineMembersAndCtorInitLists)
-{
-    CallGraph g = buildCallGraph({sourceFromString("src/foo.cc", R"(
-Foo::Foo(int n) : _a(n), _b{n}
-{
-    setup();
-}
-
-void Foo::bar()
-{
-    baz();
-}
-
-void Foo::baz() { }
-)")});
-    const CgNode *ctor = namedNode(g, "Foo");
-    ASSERT_NE(ctor, nullptr);
-    EXPECT_EQ(ctor->qualName, "Foo::Foo");
-    ASSERT_EQ(ctor->calls.size(), 1u);
-    EXPECT_EQ(ctor->calls[0].callee, "setup");
-    const CgNode *bar = namedNode(g, "bar");
-    ASSERT_NE(bar, nullptr);
-    EXPECT_EQ(bar->qualName, "Foo::bar");
-    bool barToBaz = false;
-    for (const CgEdge &e : g.edges)
-        if (&g.nodes[e.from] == bar &&
-            g.nodes[e.to].name == "baz")
-            barToBaz = true;
-    EXPECT_TRUE(barToBaz);
-}
-
-TEST(SiloLintCallGraph, CallbackEdgesCarryDurableBeforeLabels)
-{
-    CallGraph g = buildCallGraph({sourceFromString(
-        "src/log/label_scheme.cc", R"(
-struct S
-{
-    void go(unsigned core)
-    {
-        LogRecord marker;
-        marker.kind = LogRecord::Kind::Commit;
-        writeLogWithRetry(core, marker, [this] { done(); }, false);
-        _eq.schedule([this] { tick(); });
-    }
-    void done() { }
-    void tick() { }
-};
-)")});
-    std::size_t commitDurable = 0, deferred = 0;
-    for (const CgEdge &e : g.edges) {
-        if (e.kind == CallEdgeKind::CommitDurable)
-            ++commitDurable;
-        if (e.kind == CallEdgeKind::Deferred)
-            ++deferred;
-    }
-    EXPECT_EQ(commitDurable, 1u);
-    EXPECT_EQ(deferred, 1u);
-    const CgNode *go = namedNode(g, "go");
-    ASSERT_NE(go, nullptr);
-    bool sawMarker = false;
-    for (const CallSiteRef &c : go->calls)
-        if (c.callee == "writeLogWithRetry") {
-            EXPECT_TRUE(c.commitMarker);
-            EXPECT_TRUE(c.gatedFalse);
-            sawMarker = true;
-        }
-    EXPECT_TRUE(sawMarker);
 }
 
 // --- --changed: git name-status parsing ----------------------------

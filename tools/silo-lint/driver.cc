@@ -352,7 +352,6 @@ runLint(const Options &opts)
     runEnvDocParity(files, build_files, docs, findings);
     runLayering(files, findings);
     runStatsRegistration(files, findings);
-    runProtocolRules(files, findings);
     runEnumExhaustiveness(files, findings);
     runSuppressionHygiene(files, directives, findings);
 

@@ -4,8 +4,8 @@
  *
  * The driver walks the scanned tree (src/, bench/ and tests/ under
  * the root by default, or an explicit file list), lexes every C++
- * source, runs the R1–R14 matchers (rules.hh; R11–R14 are the
- * interprocedural protocol rules over the call graph), applies the
+ * source, runs the R1–R10 and R14 matchers (rules.hh, protocol.hh;
+ * R11–R13 are retired codes that are never reused), applies the
  * suppression grammar and serializes the result as a human report,
  * the `silo-lint-v1` JSON document, or SARIF 2.1.0.
  *

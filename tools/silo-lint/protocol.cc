@@ -1,20 +1,15 @@
 #include "silo-lint/protocol.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
 #include <map>
 #include <set>
-#include <sstream>
-
-#include "silo-lint/callgraph.hh"
 
 namespace silo::lint
 {
 namespace
 {
 
-constexpr std::size_t npos = CgNode::npos;
+constexpr std::size_t npos = std::string::npos;
 
 bool isPunct(const Token &t, const char *s)
 {
@@ -43,14 +38,6 @@ std::size_t matchFwd(const std::vector<Token> &t, std::size_t i,
     return npos;
 }
 
-std::string lowered(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        c = char(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
 Finding make(const std::string &file, int line, const char *code,
              const char *rule, std::string msg)
 {
@@ -61,218 +48,6 @@ Finding make(const std::string &file, int line, const char *code,
     f.rule = rule;
     f.message = std::move(msg);
     return f;
-}
-
-/**
- * A scheme translation unit: where the durable-before obligations
- * live. src/log/ and src/silo/ files named *_scheme* — the LoggingScheme
- * base, the six scheme implementations and the lifecycle decorator.
- */
-bool isSchemeTu(const std::string &path)
-{
-    if (path.find("src/log/") == std::string::npos &&
-        path.find("src/silo/") == std::string::npos)
-        return false;
-    std::size_t slash = path.find_last_of('/');
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    return base.find("_scheme") != std::string::npos;
-}
-
-/**
- * Entry points that run at or after the crash boundary: everything
- * they do is by definition not ordered by durable-completion
- * callbacks, so they never seed the R11/R12 taint.
- */
-bool isExemptRoot(const std::string &name)
-{
-    std::string low = lowered(name);
-    return low.find("recover") != std::string::npos ||
-           low.find("crash") != std::string::npos ||
-           low.find("shutdown") != std::string::npos ||
-           name == "flushInFlightLogs";
-}
-
-/** Is this call a direct store to PM media (R11's sinks)? */
-bool isMediaWrite(const CallSiteRef &c)
-{
-    if (c.callee == "flushLine" || c.callee == "tryWriteWord")
-        return true;
-    if (c.callee == "store")
-        for (const std::string &link : c.chain)
-            if (link == "media")
-                return true;
-    return false;
-}
-
-/** Is this call a log truncation/reclaim (R12's sinks)? */
-bool isTruncation(const CallSiteRef &c)
-{
-    return c.callee == "truncate" || c.callee == "dropRecord" ||
-           c.callee == "reclaimSegment";
-}
-
-std::string callDisplay(const CallSiteRef &c)
-{
-    std::string out;
-    for (const std::string &link : c.chain)
-        out += link + ".";
-    return out + c.callee + "()";
-}
-
-/** Nearest named ancestor's qualified name ("<lambda>" fallback). */
-std::string ownerName(const CallGraph &g, std::size_t ni)
-{
-    while (ni != npos && g.nodes[ni].name.empty())
-        ni = g.nodes[ni].parent;
-    return ni == npos ? std::string("<lambda>") : g.nodes[ni].qualName;
-}
-
-/**
- * Propagate reachability from @p roots over edges whose kind passes
- * @p follow. The stop-set encodes the durable-before boundary.
- */
-template <typename FollowEdge>
-std::vector<bool> propagate(const CallGraph &g,
-                            const std::vector<std::size_t> &roots,
-                            FollowEdge follow)
-{
-    std::vector<bool> mark(g.nodes.size(), false);
-    std::vector<std::size_t> work;
-    for (std::size_t r : roots)
-        if (!mark[r])
-        {
-            mark[r] = true;
-            work.push_back(r);
-        }
-    while (!work.empty())
-    {
-        std::size_t ni = work.back();
-        work.pop_back();
-        for (std::size_t ei : g.out[ni])
-        {
-            const CgEdge &e = g.edges[ei];
-            if (!follow(e.kind) || mark[e.to])
-                continue;
-            mark[e.to] = true;
-            work.push_back(e.to);
-        }
-    }
-    return mark;
-}
-
-/** All nodes reachable from @p root over every edge kind. */
-std::vector<std::size_t> subtreeOf(const CallGraph &g, std::size_t root)
-{
-    std::vector<std::size_t> roots = {root};
-    auto mark = propagate(g, roots, [](CallEdgeKind) { return true; });
-    std::vector<std::size_t> out;
-    for (std::size_t ni = 0; ni < mark.size(); ++ni)
-        if (mark[ni])
-            out.push_back(ni);
-    return out;
-}
-
-/** One volatile-bookkeeping mutation found in a node body. */
-struct MemberWrite
-{
-    std::string root;   //!< the `_`-member the chain starts at
-    std::string display; //!< full written chain for the message
-    int line = 0;
-};
-
-bool isAssignTail(const std::vector<Token> &t, std::size_t y)
-{
-    if (y >= t.size())
-        return false;
-    if (isPunct(t[y], "=") &&
-        (y + 1 >= t.size() || !isPunct(t[y + 1], "=")))
-        return true;
-    static const char *compound = "+-*/%&|^";
-    if (t[y].kind == TokKind::Punct && t[y].text.size() == 1 &&
-        std::strchr(compound, t[y].text[0]) && y + 1 < t.size() &&
-        isPunct(t[y + 1], "="))
-        return true;
-    if (y + 1 < t.size() &&
-        ((isPunct(t[y], "+") && isPunct(t[y + 1], "+")) ||
-         (isPunct(t[y], "-") && isPunct(t[y + 1], "-"))))
-        return true;
-    return false;
-}
-
-/**
- * Scan a node body for writes to `_`-rooted member chains, resolving
- * `Type &alias = _member[...]` aliases, and (optionally) collect
- * every `_`-member identifier that is read.
- */
-void scanMemberAccess(const std::vector<Token> &t, const CgNode &n,
-                      std::vector<MemberWrite> *writes,
-                      std::set<std::string> *reads)
-{
-    std::map<std::string, std::string> alias;
-    for (std::size_t x = n.bodyOpen + 1; x < n.bodyClose; ++x)
-    {
-        if (t[x].kind != TokKind::Identifier)
-            continue;
-        // `CoreState &cs = _cores[core]` / `auto &cs = _cores[...]`.
-        if (isPunct(t[x > 0 ? x - 1 : 0], "&") && x + 2 < n.bodyClose &&
-            isPunct(t[x + 1], "=") &&
-            t[x + 2].kind == TokKind::Identifier &&
-            !t[x + 2].text.empty() && t[x + 2].text[0] == '_')
-        {
-            alias[t[x].text] = t[x + 2].text;
-            continue;
-        }
-        std::string root;
-        if (!t[x].text.empty() && t[x].text[0] == '_')
-            root = t[x].text;
-        else if (auto it = alias.find(t[x].text); it != alias.end())
-            root = it->second;
-        else
-            continue;
-        if (reads)
-            reads->insert(root);
-        if (!writes)
-            continue;
-        // Walk the access chain to the operator after it.
-        std::size_t y = x + 1;
-        std::string display = t[x].text;
-        while (y < n.bodyClose)
-        {
-            if (isPunct(t[y], ".") && y + 1 < n.bodyClose &&
-                t[y + 1].kind == TokKind::Identifier)
-            {
-                display += "." + t[y + 1].text;
-                y += 2;
-            }
-            else if (isPunct(t[y], "-") && y + 1 < n.bodyClose &&
-                     isPunct(t[y + 1], ">") && y + 2 < n.bodyClose &&
-                     t[y + 2].kind == TokKind::Identifier)
-            {
-                display += "->" + t[y + 2].text;
-                y += 3;
-            }
-            else if (isPunct(t[y], "["))
-            {
-                std::size_t close = matchFwd(t, y, "[", "]");
-                if (close == npos)
-                    break;
-                display += "[]";
-                y = close + 1;
-            }
-            else
-            {
-                break;
-            }
-        }
-        bool written = isAssignTail(t, y);
-        if (!written && x >= 2 &&
-            ((isPunct(t[x - 1], "+") && isPunct(t[x - 2], "+")) ||
-             (isPunct(t[x - 1], "-") && isPunct(t[x - 2], "-"))))
-            written = true;  // prefix ++_x / --_x
-        if (written)
-            writes->push_back({root, display, t[x].line});
-    }
 }
 
 void harvestEnums(const std::vector<SourceFile> &files,
@@ -342,167 +117,6 @@ bool hasCommentNear(const SourceFile &f, int line)
 }
 
 } // namespace
-
-void runProtocolRules(const std::vector<SourceFile> &files,
-                      std::vector<Finding> &out)
-{
-    CallGraph g = buildCallGraph(files);
-
-    std::vector<bool> schemeTu(files.size(), false);
-    for (std::size_t fi = 0; fi < files.size(); ++fi)
-        schemeTu[fi] = isSchemeTu(files[fi].path);
-
-    // Taint roots: the scheme API surface — named definitions in
-    // scheme TUs nothing in the same file calls — minus the entry
-    // points that run at/after the crash boundary.
-    std::vector<std::size_t> roots;
-    for (std::size_t ni = 0; ni < g.nodes.size(); ++ni)
-    {
-        const CgNode &n = g.nodes[ni];
-        if (!schemeTu[n.fileIndex] || n.name.empty())
-            continue;
-        if (g.inDegree[ni] != 0 || isExemptRoot(n.name))
-            continue;
-        roots.push_back(ni);
-    }
-
-    // R11 taint stops at any durable-completion boundary; R12 taint
-    // stops only at a *commit-marker* durable callback (a data
-    // record's durability does not license truncation).
-    auto taintR11 = propagate(g, roots, [](CallEdgeKind k) {
-        return k != CallEdgeKind::Durable &&
-               k != CallEdgeKind::CommitDurable;
-    });
-    auto taintR12 = propagate(g, roots, [](CallEdgeKind k) {
-        return k != CallEdgeKind::CommitDurable;
-    });
-
-    for (std::size_t ni = 0; ni < g.nodes.size(); ++ni)
-    {
-        const CgNode &n = g.nodes[ni];
-        for (const CallSiteRef &c : n.calls)
-        {
-            if (taintR11[ni] && isMediaWrite(c))
-                out.push_back(make(
-                    n.file, c.line, "R11", "wal-ordering",
-                    "PM media write '" + callDisplay(c) + "' in '" +
-                        ownerName(g, ni) +
-                        "' is reachable outside a durable-completion "
-                        "callback; the covering log record must be "
-                        "durable before data reaches PM (WAL)"));
-            if (taintR12[ni] && isTruncation(c))
-                out.push_back(make(
-                    n.file, c.line, "R12", "commit-marker-protocol",
-                    "log truncation '" + callDisplay(c) + "' in '" +
-                        ownerName(g, ni) +
-                        "' is reachable outside a commit-marker "
-                        "durable callback; records may only be "
-                        "dropped once the commit marker is durable"));
-            // R12b: commit markers must bypass admission gating.
-            if (schemeTu[n.fileIndex] && c.commitMarker &&
-                !c.gatedFalse)
-                out.push_back(make(
-                    n.file, c.line, "R12", "commit-marker-protocol",
-                    "commit marker written by '" + ownerName(g, ni) +
-                        "' is admission-gated; markers must bypass "
-                        "log admission (pass gated=false) or commit "
-                        "deadlocks under backpressure"));
-        }
-    }
-
-    // R13: crash/drain handlers in scheme TUs.
-    std::set<std::pair<std::size_t, int>> seenSchedule;
-    for (std::size_t ri = 0; ri < g.nodes.size(); ++ri)
-    {
-        const CgNode &root = g.nodes[ri];
-        if (!schemeTu[root.fileIndex] || root.name.empty())
-            continue;
-        std::string low = lowered(root.name);
-        bool crashy = low.find("crash") != std::string::npos ||
-                      low.find("shutdown") != std::string::npos ||
-                      root.name == "persistAllInFlight" ||
-                      root.name == "drainAll";
-        if (!crashy)
-            continue;
-        auto subtree = subtreeOf(g, ri);
-
-        // R13a: the crash path must complete without the scheduler.
-        for (std::size_t ni : subtree)
-            for (const CallSiteRef &c : g.nodes[ni].calls)
-                if ((c.callee == "schedule" ||
-                     c.callee == "scheduleAfter") &&
-                    seenSchedule.insert({ni, c.line}).second)
-                    out.push_back(make(
-                        g.nodes[ni].file, c.line, "R13",
-                        "crash-path-purity",
-                        "crash/drain path '" + root.qualName +
-                            "' schedules simulator work ('" +
-                            c.callee + "'); crash handlers must "
-                            "complete synchronously at the crash "
-                            "boundary"));
-
-        // R13b: a crash handler must flush in-flight logs (directly
-        // or by delegating to a crash/crashFlush helper).
-        if (root.name == "crash")
-        {
-            bool flushes = false;
-            for (std::size_t ni : subtree)
-                for (const CallSiteRef &c : g.nodes[ni].calls)
-                    if (c.callee == "flushInFlightLogs" ||
-                        c.callee == "crash" ||
-                        c.callee == "crashFlush")
-                        flushes = true;
-            if (!flushes)
-                out.push_back(make(
-                    root.file, root.line, "R13", "crash-path-purity",
-                    "crash handler '" + root.qualName +
-                        "' never flushes in-flight logs (no "
-                        "flushInFlightLogs/crashFlush call in its "
-                        "subtree); accepted log records would be "
-                        "lost at the crash boundary"));
-        }
-
-        // R13c: no mutation of volatile bookkeeping the same file's
-        // recovery path reads.
-        std::set<std::string> recoveryReads;
-        for (std::size_t qi = 0; qi < g.nodes.size(); ++qi)
-        {
-            const CgNode &q = g.nodes[qi];
-            if (q.fileIndex != root.fileIndex || q.name.empty())
-                continue;
-            std::string qlow = lowered(q.name);
-            if (qlow.find("recover") == std::string::npos &&
-                q.name != "lastTxCommittedAtCrash")
-                continue;
-            for (std::size_t ni : subtreeOf(g, qi))
-                scanMemberAccess(files[g.nodes[ni].fileIndex].code,
-                                 g.nodes[ni], nullptr, &recoveryReads);
-        }
-        std::string rootLow = lowered(root.name);
-        bool isRecoveryRoot =
-            rootLow.find("recover") != std::string::npos ||
-            root.name == "lastTxCommittedAtCrash";
-        if (!recoveryReads.empty() && !isRecoveryRoot)
-        {
-            for (std::size_t ni : subtree)
-            {
-                std::vector<MemberWrite> writes;
-                scanMemberAccess(files[g.nodes[ni].fileIndex].code,
-                                 g.nodes[ni], &writes, nullptr);
-                for (const MemberWrite &w : writes)
-                    if (recoveryReads.count(w.root))
-                        out.push_back(make(
-                            g.nodes[ni].file, w.line, "R13",
-                            "crash-path-purity",
-                            "crash path '" + root.qualName +
-                                "' mutates '" + w.display +
-                                "', which the recovery path reads; "
-                                "recovery must observe pre-crash "
-                                "bookkeeping"));
-            }
-        }
-    }
-}
 
 void runEnumExhaustiveness(const std::vector<SourceFile> &files,
                            std::vector<Finding> &out)

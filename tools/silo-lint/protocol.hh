@@ -1,35 +1,11 @@
 /**
  * @file
- * The per-scheme protocol-obligation rules (R11–R14) evaluated over
- * the call graph in callgraph.hh.
- *
- * The obligations mirror the dynamic persistency checker's invariants
- * (src/check/), so a protocol bug a crash sweep would trip is flagged
- * before a single simulation runs:
- *
- *  - R11 wal-ordering: a store to PM media (`flushLine`,
- *    `tryWriteWord`, `...media().store`) in a scheme translation unit
- *    must be dominated by the durable-completion callback of the log
- *    record covering it. Statically: the call site must not be
- *    reachable from a scheme entry point without crossing a
- *    Durable/CommitDurable callback edge.
- *  - R12 commit-marker-protocol: log truncation (`truncate`,
- *    `dropRecord`, `reclaimSegment`) must be reachable only from a
- *    commit-marker durable callback, and a commit marker must never
- *    be admission-gated (the FWB bug class: pass gated=false).
- *  - R13 crash-path-purity: the call subtree under crash/drain
- *    handlers must not schedule simulator work, must flush in-flight
- *    logs, and must not mutate volatile bookkeeping the recovery path
- *    reads.
- *  - R14 enum-exhaustiveness: switches over the protocol enums
- *    (SchemeKind, MutationKind, LogDropReason, ViolationKind) cover
- *    every enumerator or carry a default with a reason comment.
- *
- * R11–R13 scope to scheme translation units (files under src/log/ or
- * src/silo/ whose name contains "_scheme"); recovery/crash entry
- * points are exempt taint roots because they run strictly after or at
- * the crash boundary. R14 is corpus-wide. DESIGN.md §4k documents the
- * obligation table and the model's limits.
+ * R14 enum-exhaustiveness: switches over the protocol enums
+ * (SchemeKind, MutationKind, LogDropReason, ViolationKind) cover every
+ * enumerator or carry a default with a reason comment, so adding a
+ * scheme, mutation, drop reason or violation kind cannot silently
+ * fall into an old branch. Corpus-wide: enumerators are harvested
+ * from every scanned file. DESIGN.md §4k documents the rule.
  */
 
 #ifndef SILO_LINT_PROTOCOL_HH
@@ -41,10 +17,6 @@
 
 namespace silo::lint
 {
-
-/** R11–R13 over the corpus call graph (scheme TUs only). */
-void runProtocolRules(const std::vector<SourceFile> &files,
-                      std::vector<Finding> &out);
 
 /** R14: exhaustiveness of switches over the protocol enums. */
 void runEnumExhaustiveness(const std::vector<SourceFile> &files,

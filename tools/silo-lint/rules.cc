@@ -147,16 +147,6 @@ ruleCatalogue()
         {"R10", "suppression-hygiene",
          "suppression directives are deduplicated, correctly scoped "
          "and allowfile() precedes the first code of its file"},
-        {"R11", "wal-ordering",
-         "PM media writes in scheme TUs are dominated by the "
-         "durable-completion callback of the covering log record"},
-        {"R12", "commit-marker-protocol",
-         "log truncation is reachable only from a commit-marker "
-         "durable callback, and commit markers bypass admission "
-         "gating"},
-        {"R13", "crash-path-purity",
-         "crash/drain handlers never schedule simulator work, flush "
-         "in-flight logs, and leave recovery-read bookkeeping intact"},
         {"R14", "enum-exhaustiveness",
          "switches over the protocol enums cover every enumerator or "
          "carry a default with a reason comment"},

@@ -1,10 +1,9 @@
 # Nightly output-contract check (driven by the lint_schema_validate
 # ctest): run silo_lint over the repository, then validate the fresh
 # silo-lint-v1 JSON and SARIF documents — and every checked-in golden
-# — against the schemas in tools/silo-lint/schemas/. The perf formats
-# ride along: the committed BENCH_PR8.json and the silo-prof fixture
-# documents must validate against the silo-selfperf-v2 and
-# silo-prof-v1 schemas.
+# — against the schemas in tools/silo-lint/schemas/. The profiler
+# format rides along: the silo-prof fixture documents must validate
+# against the silo-prof-v1 schema.
 #
 # Usage:
 #   cmake -DLINT=<silo_lint exe> -DROOT=<repo root> -DPY=<python3>
@@ -46,15 +45,6 @@ execute_process(
     RESULT_VARIABLE sarif_rc)
 if(NOT sarif_rc EQUAL 0)
     message(FATAL_ERROR "SARIF schema validation failed")
-endif()
-
-execute_process(
-    COMMAND "${PY}" "${TOOL_DIR}/check_schema.py"
-            "${TOOL_DIR}/schemas/silo-selfperf-v2.schema.json"
-            "${ROOT}/BENCH_PR8.json"
-    RESULT_VARIABLE selfperf_rc)
-if(NOT selfperf_rc EQUAL 0)
-    message(FATAL_ERROR "silo-selfperf-v2 schema validation failed")
 endif()
 
 file(GLOB prof_fixtures "${ROOT}/tests/tools/fixtures/report/prof-*.json")

@@ -7,9 +7,11 @@
 #include "fuzz/fixture.hh"
 #include "fuzz/fuzz_runner.hh"
 #include "fuzz/shrink.hh"
+#include "harness/profiling.hh"
 #include "harness/sweep.hh"
 #include "harness/walltime.hh"
 #include "sim/logging.hh"
+#include "sim/profiler.hh"
 
 namespace silo::fuzz
 {
@@ -30,28 +32,6 @@ jsonEscape(const std::string &s)
         out += c;
     }
     return out;
-}
-
-/** Phase-A/B cell: run one case against the cached traces. */
-harness::CellSpec
-litmusCell(const std::string &text, unsigned threads,
-           const std::string &label, const FuzzCaseConfig &case_cfg,
-           FuzzCaseResult *slot)
-{
-    harness::CellSpec spec;
-    spec.trace.kind = workload::WorkloadKind::Litmus;
-    spec.trace.numThreads = threads;
-    spec.trace.options.litmus = text;
-    spec.sim = litmusSimConfig(threads, case_cfg.scheme,
-                               case_cfg.mutation, case_cfg.segmented);
-    spec.label = label;
-    spec.runner = [threads, case_cfg, slot](
-                      const SimConfig &,
-                      const workload::WorkloadTraces &traces) {
-        *slot = runLitmusCase(traces, threads, case_cfg);
-        return harness::SimReport{};
-    };
-    return spec;
 }
 
 /** @return pointer to the first violation of @p kind, or nullptr. */
@@ -149,6 +129,10 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
     FuzzCampaignResult result;
     const double start = harness::wallSeconds();
     Rng rng(opts.seed);
+    // SILO_PROF: the campaign fans out on its own, not through
+    // Sweep::run(), so it installs the profiler itself.
+    harness::profilerFromEnv();
+    const unsigned jobs = harness::Sweep::defaultJobs();
 
     for (std::uint64_t index = 0;; ++index) {
         if (opts.maxPrograms != 0 && index >= opts.maxPrograms)
@@ -163,30 +147,39 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
         label << "fuzz-" << opts.seed << "-" << index;
         LitmusProgram program =
             generateLitmus(rng, opts.gen, label.str());
-        const std::string text = workload::serializeLitmus(program);
         const unsigned threads = unsigned(program.threads.size());
         ++result.programsRun;
 
-        // Phase A: completion run per scheme (bounds the crash sweep).
-        harness::Sweep phase_a({0, /*progress=*/false});
-        std::vector<FuzzCaseResult> completions(schemes.size());
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            FuzzCaseConfig cc;
-            cc.scheme = schemes[s];
-            cc.mutation = opts.mutation;
-            cc.segmented = opts.segmented;
-            phase_a.add(litmusCell(
-                text, threads,
-                program.name + "/" + schemeName(schemes[s]) +
-                    "/complete",
-                cc, &completions[s]));
+        // One compile per program; every case below reads it.
+        workload::WorkloadTraces traces;
+        {
+            prof::TimedScope scope(prof::currentThreadProfile(),
+                                   prof::Tag::TraceCompile);
+            traces = workload::litmusTraces(program);
         }
-        phase_a.run();
+        auto run_case = [&](SchemeKind scheme, std::uint64_t crash) {
+            FuzzCaseConfig cc;
+            cc.scheme = scheme;
+            cc.mutation = opts.mutation;
+            cc.crashIndex = crash;
+            cc.segmented = opts.segmented;
+            prof::TimedScope scope(prof::currentThreadProfile(),
+                                   prof::Tag::Simulate);
+            return runLitmusCase(traces, threads, cc);
+        };
+
+        // Phase A: completion run per scheme (bounds the crash sweep).
+        // Each case writes only its own pre-sized slot, so results do
+        // not depend on the job count.
+        std::vector<FuzzCaseResult> completions(schemes.size());
+        harness::Sweep::parallelFor(
+            schemes.size(), jobs, [&](std::size_t s) {
+                completions[s] = run_case(schemes[s], 0);
+            });
         result.casesRun += schemes.size();
 
         // Phase B: crash at every (strided) event index of every
         // scheme whose completion run was still clean.
-        harness::Sweep phase_b({0, /*progress=*/false});
         std::vector<std::pair<std::size_t, std::uint64_t>> cases;
         for (std::size_t s = 0; s < schemes.size(); ++s) {
             if (!completions[s].clean())
@@ -197,19 +190,11 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
                 cases.emplace_back(s, k);
         }
         std::vector<FuzzCaseResult> crashed(cases.size());
-        for (std::size_t c = 0; c < cases.size(); ++c) {
-            FuzzCaseConfig cc;
-            cc.scheme = schemes[cases[c].first];
-            cc.mutation = opts.mutation;
-            cc.crashIndex = cases[c].second;
-            cc.segmented = opts.segmented;
-            phase_b.add(litmusCell(
-                text, threads,
-                program.name + "/" + schemeName(cc.scheme) +
-                    "/crash:" + std::to_string(cc.crashIndex),
-                cc, &crashed[c]));
-        }
-        phase_b.run();
+        harness::Sweep::parallelFor(
+            cases.size(), jobs, [&](std::size_t c) {
+                crashed[c] =
+                    run_case(schemes[cases[c].first], cases[c].second);
+            });
         result.casesRun += cases.size();
         result.crashCases += cases.size();
 
@@ -217,7 +202,7 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
             *log << "fuzz: " << program.name << ": " << threads
                  << " thread(s), " << program.txCount() << " tx, "
                  << program.opCount() << " ops, " << cases.size()
-                 << " crash cell(s), E=[";
+                 << " crash case(s), E=[";
             for (std::size_t s = 0; s < schemes.size(); ++s) {
                 *log << (s ? " " : "") << schemeName(schemes[s]) << ":"
                      << completions[s].executedEvents;

@@ -6,12 +6,13 @@
  * reached:
  *
  *  1. generate a tiny adversarial litmus program from the seeded
- *     stream (litmus_gen.hh);
+ *     stream (litmus_gen.hh) and compile it once;
  *  2. phase A — run it to completion on every scheme under test
- *     (parallel, via the harness sweep engine), collecting each run's
- *     executed-event count E;
+ *     (in parallel on Sweep::parallelFor, $SILO_JOBS workers),
+ *     collecting each run's executed-event count E;
  *  3. phase B — sweep a crash at EVERY event index k in [1, E] (or a
- *     stride of it) of every scheme, each crash followed by recovery
+ *     stride of it) of every scheme, fanned out the same way, each
+ *     crash followed by recovery
  *     and validated by the persistency checker (invariants 1–5 + crash
  *     closure);
  *  4. for the first failing case per (program, scheme), shrink the
@@ -21,8 +22,9 @@
  *
  * Determinism contract: with a fixed seed and program count (no
  * wall-clock budget), the campaign — programs, case order, findings,
- * fixture bytes, summary JSON — is byte-for-byte reproducible; the
- * budget only decides whether to start the next program. Seeded
+ * fixture bytes, summary JSON — is byte-for-byte reproducible at any
+ * job count; the budget only decides whether to start the next
+ * program. Seeded
  * MutationKind bugs turn the campaign into a self-test: the fuzzer
  * must find and shrink every mutant (tests/fuzz/fuzz_test.cc).
  */
@@ -91,9 +93,9 @@ struct FuzzFinding
 struct FuzzCampaignResult
 {
     std::uint64_t programsRun = 0;
-    /** Simulated cases (completion + crash cells + shrink oracles). */
+    /** Simulated cases (completion + crash cases + shrink oracles). */
     std::uint64_t casesRun = 0;
-    /** Crash-injection cells swept (subset of casesRun). */
+    /** Crash-injection cases swept (subset of casesRun). */
     std::uint64_t crashCases = 0;
     std::vector<FuzzFinding> findings;
     /** True when the wall-clock budget stopped the campaign. */

@@ -154,10 +154,16 @@ class Sweep
     /** Resolve the job count: $SILO_JOBS, else hardware concurrency. */
     static unsigned defaultJobs();
 
+    /**
+     * Run @p body(i) for i in [0, n) on @p jobs work-stealing workers;
+     * jobs <= 1 runs them in order on the calling thread. The first
+     * exception a body throws is rethrown once every worker joined.
+     * Bodies must write only state owned by their index.
+     */
+    static void parallelFor(std::size_t n, unsigned jobs,
+                            const std::function<void(std::size_t)> &body);
+
   private:
-    /** Run @p body(i) for i in [0, n) on @p jobs stealing workers. */
-    void parallelFor(std::size_t n, unsigned jobs,
-                     const std::function<void(std::size_t)> &body);
     void runOne(std::size_t index);
     void noteCellDone(std::size_t index, double wall_seconds);
 

@@ -9,7 +9,7 @@ namespace silo::harness
 
 System::System(const SimConfig &cfg,
                const workload::WorkloadTraces &traces)
-    : _cfg(cfg), _traces(traces)
+    : _cfg(cfg), _threads(traces.threads)
 {
     // The SILO_LOG_* knobs win over the programmatic config (each is
     // a no-op when unset), so every surface that builds a System —
@@ -17,7 +17,7 @@ System::System(const SimConfig &cfg,
     // segmented log lifecycle straight from the environment.
     applyLogLifecycleEnv(_cfg);
     _cfg.validate();
-    if (_traces.threads.size() < _cfg.numCores)
+    if (_threads.size() < _cfg.numCores)
         fatal("trace has fewer threads than configured cores");
 
     // Host-time profiling: attach the constructing thread's slab (the
@@ -33,10 +33,10 @@ System::System(const SimConfig &cfg,
         _eq.setTracer(_tracer.get());
     }
 
-    _values.loadImage(_traces.initialMemory);
+    _values.loadImage(traces.initialMemory);
     _logs = std::make_unique<log::LogRegionStore>(_cfg.numCores);
     _pm = std::make_unique<nvm::PmDevice>(_eq, _cfg);
-    _pm->media().loadImage(_traces.initialMemory);
+    _pm->media().loadImage(traces.initialMemory);
     _mc = std::make_unique<mc::McRouter>(_eq, _cfg, *_pm, *_logs);
 
     auto value_of = [this](Addr a) { return _values.load(a); };
@@ -77,7 +77,7 @@ System::System(const SimConfig &cfg,
     for (unsigned c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<core::ReplayCore>(
             c, _eq, _cfg, *_hierarchy, *_scheme, _values,
-            _traces.threads[c], [this] {
+            _threads[c], [this] {
                 // Periodic machinery (e.g., FWB's walker) keeps the
                 // event queue alive forever; stop once every core has
                 // retired its trace. drainToMedia() settles leftovers.

@@ -141,8 +141,12 @@ class System
 
   private:
     SimConfig _cfg;
-    /** Own a copy: replay cores reference into it for the whole run. */
-    workload::WorkloadTraces _traces;
+    /**
+     * Own a copy of the per-thread traces only: replay cores reference
+     * into it for the whole run. The initial image is loaded straight
+     * from the constructor argument, and the final image is never read.
+     */
+    std::vector<workload::ThreadTrace> _threads;
     /**
      * Exists only when _cfg.tracePath is set; attached to _eq before
      * any component is constructed so their ctors can register tracks.

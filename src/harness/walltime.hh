@@ -6,7 +6,7 @@
  * rule R2 (ambient-entropy) bans wall-clock reads everywhere except
  * here. Callers that need real time for progress/ETA lines or
  * self-performance measurement take it from wallSeconds(); nothing
- * read from this shim may flow into a SimReport, results/*.json or a
+ * read from this shim may flow into a SimReport, results/<bench>.json or a
  * golden digest.
  */
 

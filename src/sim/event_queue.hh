@@ -12,20 +12,24 @@
  * not a binary heap: almost every event in this simulator lands within a
  * few thousand cycles of now (cache latencies, WPQ drains, PM
  * programming pulses), so hashing events into per-tick buckets makes
- * schedule() an append and pop a short bitmap scan instead of O(log n)
- * heap churn. Far-future events (e.g. FWB's multi-million-cycle walker
- * period) fall back to a lazily sorted overflow list and are promoted
- * into the wheel once the cursor comes within one horizon of them. The
- * pop order is *exactly* the old heap's (when, priority, sequence)
- * order — DESIGN.md §4e documents the tiebreak contract, and
- * tests/sim/event_queue_diff_test.cc proves equivalence against a
- * reference std::priority_queue over a million randomized operations.
+ * schedule() a list push and pop a short bitmap scan instead of
+ * O(log n) heap churn. Events live in one slab; each bucket is a
+ * singly linked list threaded through the slab, so an empty queue
+ * costs a few small arrays, not one container per tick. Far-future
+ * events (e.g. FWB's multi-million-cycle walker period) fall back to a
+ * lazily sorted overflow list and are promoted into the wheel once the
+ * cursor comes within one horizon of them. The pop order is *exactly*
+ * the old heap's (when, priority, sequence) order — DESIGN.md §4e
+ * documents the tiebreak contract, and tests/sim/event_queue_diff_test.cc
+ * proves equivalence against a reference std::priority_queue over a
+ * million randomized operations.
  *
  * Invariants:
  *  - every wheel event's tick lies in [_cursor, _cursor + wheelSize),
  *    so a bucket only ever holds events of one tick;
  *  - every overflow event's tick is >= _cursor + wheelSize;
- *  - _cursor <= the earliest pending event's tick.
+ *  - _cursor <= the earliest pending event's tick;
+ *  - _head[b] is meaningful only while bucket b's _occupied bit is set.
  * schedule() below now() clamps to now(); scheduling below the cursor
  * (legal between run phases, e.g. post-crash settling) rewinds the
  * cursor and demotes wheel events that fell out of the shrunk horizon.
@@ -59,6 +63,16 @@ class EventQueue
 {
   public:
     using Callback = std::function<void()>;
+
+    /**
+     * User-provided so that value-initialization (`EventQueue{}`,
+     * `std::make_unique<EventQueue>()`) does not zero-fill the bucket
+     * heads: a fresh queue costs only what its members initialize.
+     */
+    EventQueue() noexcept {}
+    /** Scheduled callbacks capture component pointers: never copied. */
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
 
     /** Event priorities; lower runs first within a tick. */
     enum Priority : int
@@ -156,15 +170,21 @@ class EventQueue
     {
         if (!findNext())
             return false;
-        std::vector<Scheduled> &bucket = _wheel[_peekBucket];
-        Scheduled ev = std::move(bucket[_peekIndex]);
-        // Swap-remove: bucket order is irrelevant, the pop path always
-        // scans the (single-tick) bucket for the (priority, seq) min.
-        if (_peekIndex + 1 != bucket.size())
-            bucket[_peekIndex] = std::move(bucket.back());
-        bucket.pop_back();
-        if (bucket.empty())
+        // Unlink the peeked slot. Bucket order is irrelevant: the pop
+        // path always scans the (single-tick) bucket for the
+        // (priority, seq) min.
+        const std::uint32_t slot = _peekSlot;
+        if (_peekPrev != noSlot) {
+            _next[_peekPrev] = _next[slot];
+        } else if (_next[slot] != noSlot) {
+            _head[_peekBucket] = _next[slot];
+        } else {
             clearOccupied(_peekBucket);
+        }
+        // Move out before the callback runs: it may schedule, which can
+        // reuse the slot or grow the slab.
+        Scheduled ev = std::move(_slab[slot]);
+        freeSlot(slot);
         --_wheelCount;
         --_size;
         _peekValid = false;
@@ -239,8 +259,9 @@ class EventQueue
     void
     reset()
     {
-        for (std::vector<Scheduled> &bucket : _wheel)
-            bucket.clear();
+        _slab.clear();
+        _next.clear();
+        _freeHead = noSlot;
         _occupied.fill(0);
         _occupiedSummary.fill(0);
         _overflow.clear();
@@ -277,13 +298,53 @@ class EventQueue
     static constexpr Tick wheelMask = wheelSize - 1;
     static constexpr std::size_t occWords = wheelSize / 64;
 
+    /** Slab index terminating a bucket list or the free list. */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
+    /** Store @p ev in a free slab slot (reused first). */
+    std::uint32_t
+    allocSlot(Scheduled &&ev)
+    {
+        if (_freeHead != noSlot) {
+            std::uint32_t slot = _freeHead;
+            _freeHead = _next[slot];
+            _slab[slot] = std::move(ev);
+            return slot;
+        }
+        _slab.push_back(std::move(ev));
+        _next.push_back(noSlot);
+        return std::uint32_t(_slab.size() - 1);
+    }
+
+    /** Return @p slot, already moved from, to the free list. */
+    void
+    freeSlot(std::uint32_t slot)
+    {
+        _next[slot] = _freeHead;
+        _freeHead = slot;
+    }
+
+    bool
+    isOccupied(std::size_t b) const
+    {
+        return (_occupied[b >> 6] >> (b & 63)) & 1;
+    }
+
     void
     placeInWheel(Scheduled ev)
     {
         auto b = std::size_t(ev.when & wheelMask);
-        if (_wheel[b].empty())
+        std::uint32_t slot = allocSlot(std::move(ev));
+        if (isOccupied(b)) {
+            // Push at the head; a peeked old head gains a predecessor.
+            _next[slot] = _head[b];
+            if (_peekValid && _peekBucket == b && _peekPrev == noSlot)
+                _peekPrev = slot;
+        } else {
+            _next[slot] = noSlot;
             setOccupied(b);
-        _wheel[b].push_back(std::move(ev));
+        }
+        _head[b] = slot;
         ++_wheelCount;
     }
 
@@ -323,16 +384,19 @@ class EventQueue
                 auto b = (w << 6) +
                          std::size_t(std::countr_zero(bits));
                 bits &= bits - 1;
-                std::vector<Scheduled> &bucket = _wheel[b];
-                if (bucket.front().when < end)
+                std::uint32_t slot = _head[b];
+                const Tick when = _slab[slot].when;
+                if (when < end)
                     continue;   // buckets are single-tick: all stay
-                _overflowMin =
-                    std::min(_overflowMin, bucket.front().when);
-                _wheelCount -= bucket.size();
-                for (Scheduled &ev : bucket)
-                    _overflow.push_back(std::move(ev));
+                _overflowMin = std::min(_overflowMin, when);
+                while (slot != noSlot) {
+                    std::uint32_t next = _next[slot];
+                    _overflow.push_back(std::move(_slab[slot]));
+                    freeSlot(slot);
+                    --_wheelCount;
+                    slot = next;
+                }
                 _overflowSorted = false;
-                bucket.clear();
                 clearOccupied(b);
             }
         }
@@ -397,7 +461,7 @@ class EventQueue
 
     /**
      * Locate the next event — advance the cursor to its tick and cache
-     * its (bucket, index, when, priority) for runNext().
+     * its (bucket, slot, predecessor, when, priority) for runNext().
      * @return false if the queue is empty.
      */
     bool
@@ -415,25 +479,41 @@ class EventQueue
         }
         std::size_t b =
             nextOccupiedBucket(std::size_t(_cursor & wheelMask));
-        const std::vector<Scheduled> &bucket = _wheel[b];
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < bucket.size(); ++i) {
-            if (bucket[i].priority < bucket[best].priority ||
-                (bucket[i].priority == bucket[best].priority &&
-                 bucket[i].seq < bucket[best].seq)) {
-                best = i;
+        std::uint32_t best = _head[b];
+        std::uint32_t best_prev = noSlot;
+        for (std::uint32_t prev = best, slot = _next[best];
+             slot != noSlot; prev = slot, slot = _next[slot]) {
+            const Scheduled &ev = _slab[slot];
+            const Scheduled &min = _slab[best];
+            if (ev.priority < min.priority ||
+                (ev.priority == min.priority && ev.seq < min.seq)) {
+                best = slot;
+                best_prev = prev;
             }
         }
         _cursor += (Tick(b) - _cursor) & wheelMask;
         _peekBucket = b;
-        _peekIndex = best;
-        _peekWhen = bucket[best].when;
-        _peekPriority = bucket[best].priority;
+        _peekSlot = best;
+        _peekPrev = best_prev;
+        _peekWhen = _slab[best].when;
+        _peekPriority = _slab[best].priority;
         _peekValid = true;
         return true;
     }
 
-    std::array<std::vector<Scheduled>, wheelSize> _wheel;
+    /** Every wheel event, in slots recycled through _freeHead. */
+    std::vector<Scheduled> _slab;
+    /** Per slot: next slot of its bucket list, or of the free list. */
+    std::vector<std::uint32_t> _next;
+    std::uint32_t _freeHead = noSlot;
+    /**
+     * First slot of each bucket's list. Deliberately uninitialized and
+     * inline: it is read only while the bucket's _occupied bit is set,
+     * so a fresh queue never touches its 64 KiB. A per-queue heap
+     * array would instead make every short-lived System grow and trim
+     * the heap top.
+     */
+    std::uint32_t _head[wheelSize];
     std::array<std::uint64_t, occWords> _occupied{};
     std::array<std::uint64_t, occWords / 64> _occupiedSummary{};
     /** Events beyond the horizon, sorted descending on demand. */
@@ -448,7 +528,9 @@ class EventQueue
     /// @{
     bool _peekValid = false;
     std::size_t _peekBucket = 0;
-    std::size_t _peekIndex = 0;
+    std::uint32_t _peekSlot = 0;
+    /** Slot before _peekSlot in its bucket list, or noSlot at the head. */
+    std::uint32_t _peekPrev = noSlot;
     Tick _peekWhen = 0;
     int _peekPriority = 0;
     /// @}

@@ -247,7 +247,7 @@ class StatGroup
  * Components register under slash-separated paths ("mc/0", "cache/l1d0",
  * "core/3"); writeJson() nests the path segments into one JSON tree
  * under the versioned "silo-stats-v1" schema, which the sweep engine
- * embeds per cell in results/*.json. Paths are kept sorted, so the
+ * embeds per cell in results/<bench>.json. Paths are kept sorted, so the
  * serialization is deterministic regardless of registration order.
  *
  * Like StatGroup, the registry holds raw pointers: the registered

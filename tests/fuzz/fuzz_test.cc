@@ -3,14 +3,19 @@
  * End-to-end tests of the litmus fuzz campaign: generator
  * well-formedness and determinism, the mutation self-test (a seeded
  * checker bug must be found and shrunk to a replayable reproducer),
- * and byte-for-byte reproducibility from the seed.
+ * and byte-for-byte reproducibility from the seed and across job
+ * counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "fuzz/campaign.hh"
 #include "fuzz/fuzz_runner.hh"
 #include "fuzz/litmus_gen.hh"
+#include "harness/experiment.hh"
 #include "sim/rng.hh"
 
 namespace silo::fuzz
@@ -124,6 +129,35 @@ TEST(FuzzCampaign, SummaryIsReproducibleFromSeed)
     EXPECT_EQ(a.summaryJson(opts), b.summaryJson(opts));
     EXPECT_EQ(a.casesRun, b.casesRun);
     EXPECT_FALSE(a.budgetExhausted);
+}
+
+TEST(FuzzCampaign, SummaryIsIdenticalAcrossJobCounts)
+{
+    // The campaign fans each phase out over $SILO_JOBS workers; every
+    // case writes its own slot, so findings, shrinking and the summary
+    // must not depend on the worker count.
+    FuzzOptions opts;
+    opts.seed = 42;
+    opts.maxPrograms = 2;
+    opts.crashStride = 3;
+    opts.mutation = MutationKind::SkipCommitMarker;
+
+    const std::string saved = harness::envStrOr("SILO_JOBS", "");
+    auto run_at = [&](const char *jobs) {
+        EXPECT_EQ(setenv("SILO_JOBS", jobs, 1), 0);   // NOLINT(concurrency-mt-unsafe)
+        return runFuzzCampaign(opts);
+    };
+    FuzzCampaignResult serial = run_at("1");
+    FuzzCampaignResult parallel = run_at("4");
+    if (saved.empty())
+        unsetenv("SILO_JOBS");   // NOLINT(concurrency-mt-unsafe)
+    else
+        setenv("SILO_JOBS", saved.c_str(), 1);   // NOLINT(concurrency-mt-unsafe)
+
+    EXPECT_FALSE(serial.findings.empty())
+        << "the mutant must be found, or shrinking goes untested";
+    EXPECT_EQ(serial.casesRun, parallel.casesRun);
+    EXPECT_EQ(serial.summaryJson(opts), parallel.summaryJson(opts));
 }
 
 TEST(FuzzCampaign, CleanSchemesProduceNoFindings)

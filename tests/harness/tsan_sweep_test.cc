@@ -12,16 +12,20 @@
  *
  * The byte-identity assertion doubles as a determinism check under
  * instrumentation: TSan's scheduler perturbation is exactly the kind
- * of timing shift that would expose completion-order leakage.
+ * of timing shift that would expose completion-order leakage. A short
+ * litmus campaign covers the fuzzer's own fan-out the same way.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fuzz/campaign.hh"
+#include "harness/experiment.hh"
 #include "harness/sweep.hh"
 
 namespace silo::harness
@@ -105,6 +109,33 @@ TEST(TsanSweep, ParallelSweepRunsRaceFreeAndStaysDeterministic)
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, slurp(serial_json))
         << "TSan-instrumented parallel JSON diverged from serial";
+}
+
+TEST(TsanSweep, FuzzCampaignFansOutRaceFree)
+{
+    // One program on all six schemes, crashed at every other event:
+    // phase A and phase B each fan out over $SILO_JOBS workers that
+    // share the program's compiled traces read-only.
+    fuzz::FuzzOptions opts;
+    opts.seed = 11;
+    opts.maxPrograms = 1;
+    opts.crashStride = 2;
+    EXPECT_GE(Sweep::defaultJobs(), 2u)
+        << "tsan_sweep must run with parallel workers (SILO_JOBS)";
+    fuzz::FuzzCampaignResult parallel = fuzz::runFuzzCampaign(opts);
+    EXPECT_EQ(parallel.programsRun, 1u);
+    EXPECT_GT(parallel.crashCases, 0u);
+    for (const auto &f : parallel.findings)
+        ADD_FAILURE() << "unexpected violation: " << f.original.toJson();
+
+    const std::string saved = envStrOr("SILO_JOBS", "");
+    ASSERT_EQ(setenv("SILO_JOBS", "1", 1), 0);   // NOLINT(concurrency-mt-unsafe)
+    fuzz::FuzzCampaignResult serial = fuzz::runFuzzCampaign(opts);
+    if (saved.empty())
+        unsetenv("SILO_JOBS");   // NOLINT(concurrency-mt-unsafe)
+    else
+        setenv("SILO_JOBS", saved.c_str(), 1);   // NOLINT(concurrency-mt-unsafe)
+    EXPECT_EQ(parallel.summaryJson(opts), serial.summaryJson(opts));
 }
 
 } // namespace

@@ -6,9 +6,10 @@
  * — across a million seeded-random schedule/pop operations covering
  * same-cycle bursts, zero-delay self-reschedules, tombstoned
  * ("cancelled") events, far-future overflow-list residents and their
- * promotion back into the wheel, and cursor rewinds (scheduling below
- * a peeked-but-unpopped tick). Runs under ASan via the san_smoke_test
- * wiring in tests/CMakeLists.txt.
+ * promotion back into the wheel, cursor rewinds (scheduling below a
+ * peeked-but-unpopped tick), and reset() with events pending followed
+ * by reuse of the recycled slab slots. Runs under ASan via the
+ * san_smoke_test wiring in tests/CMakeLists.txt.
  */
 
 // silo-lint: allowfile(handler-hygiene) test callbacks run synchronously within the enclosing scope; [&] over stack locals is safe here
@@ -109,6 +110,15 @@ class LockstepDriver
         return _popped.back() == expect.id;
     }
 
+    /** Drop every pending event from both queues; time restarts. */
+    void
+    resetBoth()
+    {
+        _q.reset();
+        _model = {};
+        _nextSeq = 0;
+    }
+
     std::mt19937_64 &rng() { return _rng; }
     EventQueue &queue() { return _q; }
     bool modelEmpty() const { return _model.empty(); }
@@ -189,6 +199,40 @@ TEST(EventQueueDiff, MillionRandomOpsMatchReferenceHeap)
         }
     }
     // Drain everything left.
+    while (!d.modelEmpty())
+        ASSERT_TRUE(d.popBoth());
+    EXPECT_FALSE(d.queue().runNext());
+}
+
+TEST(EventQueueDiff, ResetWithPendingEventsThenReuseMatchesReferenceHeap)
+{
+    // reset() with events still pending, at random depths, then keep
+    // going: the recycled slab slots and free list must not leak stale
+    // bucket links into the reused queue's pop order.
+    LockstepDriver d(0x5EEDFACE);
+    auto &rng = d.rng();
+#ifdef SILO_DIFF_UNDER_ASAN
+    constexpr std::size_t ops = 60'000;
+#else
+    constexpr std::size_t ops = 300'000;
+#endif
+    std::size_t resets = 0;
+    for (std::size_t i = 0; i < ops; ++i) {
+        if (rng() % 4096 == 0) {
+            d.resetBoth();
+            ++resets;
+            EXPECT_TRUE(d.queue().empty());
+            EXPECT_EQ(d.queue().now(), 0u);
+            continue;
+        }
+        if (d.modelEmpty() || rng() % 5 < 3) {
+            Tick when = d.queue().now() + randomDelay(rng);
+            d.scheduleBoth(when, randomPriority(rng), rng() % 16 == 0);
+        } else {
+            ASSERT_TRUE(d.popBoth()) << "at op " << i;
+        }
+    }
+    EXPECT_GT(resets, 5u);
     while (!d.modelEmpty())
         ASSERT_TRUE(d.popBoth());
     EXPECT_FALSE(d.queue().runNext());

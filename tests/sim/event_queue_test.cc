@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -108,6 +109,49 @@ TEST(EventQueue, ResetClearsEverything)
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_EQ(eq.executedEvents(), 0u);
     EXPECT_FALSE(eq.stopRequested());
+}
+
+TEST(EventQueue, PendingCallbacksAreReleased)
+{
+    // Wheel residents, same-tick neighbours and an overflow resident
+    // all hold a reference until the queue drops them.
+    auto token = std::make_shared<int>(0);
+    auto schedule_four = [&](EventQueue &eq) {
+        eq.schedule(eq.now() + 5, [token] {});
+        eq.schedule(eq.now() + 5, [token] {});
+        eq.schedule(eq.now() + 9, [token] {});
+        eq.schedule(eq.now() + (Tick(1) << 20), [token] {});
+    };
+    {
+        EventQueue eq;
+        schedule_four(eq);
+        EXPECT_EQ(token.use_count(), 5);
+        // A run callback is released too, not parked in a free slot.
+        ASSERT_TRUE(eq.runNext());
+        EXPECT_EQ(token.use_count(), 4);
+    }
+    EXPECT_EQ(token.use_count(), 1) << "destruction must release";
+
+    EventQueue eq;
+    schedule_four(eq);
+    ASSERT_TRUE(eq.runNext());
+    eq.reset();
+    EXPECT_EQ(token.use_count(), 1) << "reset() must release";
+    // The reset queue is reusable: slots recycle and order holds.
+    std::vector<int> order;
+    eq.schedule(3, [&] { order.push_back(2); });
+    eq.schedule(3, [&] { order.push_back(1); }, EventQueue::prioDevice);
+    eq.schedule(1, [&] { order.push_back(0); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, FootprintDoesNotScaleWithWheelBuckets)
+{
+    // Every System embeds one queue, and the fuzzer builds ~10^4
+    // Systems per second: a per-bucket container (16,384 of them)
+    // would zero and destroy ~384 KiB per machine.
+    EXPECT_LT(sizeof(EventQueue), std::size_t(128) * 1024);
 }
 
 TEST(EventQueue, ExecutedEventsCounts)

@@ -45,8 +45,9 @@ expectMatchesOracle(const WordStore &store,
     bool first = true;
     std::size_t seen = 0;
     for (const auto &[addr, value] : store) {
-        if (!first)
+        if (!first) {
             ASSERT_LT(prev, addr) << "iteration must ascend";
+        }
         first = false;
         prev = addr;
         auto it = oracle.find(addr);

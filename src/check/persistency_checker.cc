@@ -132,7 +132,7 @@ PersistencyChecker::openTxOf(unsigned core)
     return &it->second;
 }
 
-// --- Scheme-side events -------------------------------------------------
+// --- Transaction and crash events ---------------------------------------
 
 void
 PersistencyChecker::onTxBegin(unsigned core, std::uint16_t txid)
@@ -677,7 +677,7 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 
 void
 PersistencyChecker::onRecoveryComplete(const WordStore &media,
-                                       const log::LoggingScheme &inner)
+                                       const log::LoggingScheme &scheme)
 {
     if (_cfg.scheme == SchemeKind::None)
         return;
@@ -697,7 +697,7 @@ PersistencyChecker::onRecoveryComplete(const WordStore &media,
         const TxShadow &tx = it->second;
         if (tx.committed || !tx.endRequested)
             continue;
-        if (inner.lastTxCommittedAtCrash(core)) {
+        if (scheme.lastTxCommittedAtCrash(core)) {
             for (const auto &[addr, vals] : tx.writes)
                 expected[addr] = vals.second;
         }

@@ -144,19 +144,28 @@ class PersistencyChecker : public log::PersistEventSink
   public:
     PersistencyChecker(const SimConfig &cfg, const EventQueue &eq);
 
-    /** @name Scheme-side events (CheckedScheme and scheme hooks) */
+    /** @name Transaction events (replay cores) */
     /// @{
-    void onTxBegin(unsigned core, std::uint16_t txid);
-    void onStore(unsigned core, Addr addr, Word old_val, Word new_val);
-    void onTxEndRequested(unsigned core);
-    void onTxEndComplete(unsigned core);
+    void onTxBegin(unsigned core, std::uint16_t txid) override;
+    void onStore(unsigned core, Addr addr, Word old_val,
+                 Word new_val) override;
+    void onTxEndRequested(unsigned core) override;
+    void onTxEndComplete(unsigned core) override;
+    /// @}
+
+    /** @name Crash and recovery (harness::System) */
+    /// @{
+    /** The crash began: runs before any battery or ADR flush. */
     void onCrashBegin();
     /** The battery died: scheme-internal shadow coverage is gone. */
     void onBatteryDead();
     /** Recovery finished: validate @p media against the oracle. */
     void onRecoveryComplete(const WordStore &media,
-                            const log::LoggingScheme &inner);
+                            const log::LoggingScheme &scheme);
+    /// @}
 
+    /** @name Scheme-side coverage notes */
+    /// @{
     /** Silo appended an undo entry to the battery-backed log buffer. */
     void noteBatteryUndo(unsigned core, std::uint16_t txid, Addr addr,
                          Word old_val) override;

@@ -9,11 +9,14 @@ using workload::TxOp;
 
 ReplayCore::ReplayCore(unsigned id, EventQueue &eq, const SimConfig &cfg,
                        mem::CacheHierarchy &hierarchy,
-                       log::LoggingScheme &scheme, WordStore &values,
+                       log::LoggingScheme &scheme,
+                       log::PersistEventSink *checker,
+                       log::LogLifecycle *lifecycle, WordStore &values,
                        const workload::ThreadTrace &trace,
                        std::function<void()> on_finished)
     : _id(id), _eq(eq), _cfg(cfg), _hierarchy(hierarchy),
-      _scheme(scheme), _values(values), _trace(trace),
+      _scheme(scheme), _checker(checker), _lifecycle(lifecycle),
+      _values(values), _trace(trace),
       _onFinished(std::move(on_finished)),
       _statGroup("core" + std::to_string(id))
 {
@@ -56,6 +59,8 @@ ReplayCore::step()
         _inTx = true;
         ++_txid;
         _txStart = _eq.now();
+        if (_checker)
+            _checker->onTxBegin(_id, _txid);
         _scheme.txBegin(_id, _txid);
         advanceAfter(0);
         break;
@@ -94,6 +99,8 @@ ReplayCore::doStore(const TxOp &op)
         Word old_val = _values.load(addr);
         _values.store(addr, new_val);
         Tick hook_start = _eq.now();
+        if (_checker)
+            _checker->onStore(_id, addr, old_val, new_val);
         _scheme.store(_id, addr, old_val, new_val,
                       [this, hook_start] {
             _storeStalls += _eq.now() - hook_start;
@@ -114,7 +121,16 @@ ReplayCore::doTxEnd()
     Tick commit_start = _eq.now();
     if (auto *tr = _eq.tracer())
         tr->completeSpan(_track, "execute", _txStart, commit_start);
+    if (_checker)
+        _checker->onTxEndRequested(_id);
     _scheme.txEnd(_id, [this, commit_start] {
+        // Durable now: the lifecycle engine may retire the records
+        // (redo data stays pinned until a checkpoint flushes it), then
+        // the checker validates the commit.
+        if (_lifecycle)
+            _lifecycle->onTxCommitted(_id, _txid);
+        if (_checker)
+            _checker->onTxEndComplete(_id);
         _commitStalls += _eq.now() - commit_start;
         _commitStallDist.sample(_eq.now() - commit_start);
         if (auto *tr = _eq.tracer()) {

@@ -8,6 +8,10 @@
  * architectural value store up to date — because threads never share
  * lines, the store order per word equals trace order, so old-value
  * capture for the log generator is exact.
+ *
+ * The core is the only caller of the scheme's transaction hooks, so it
+ * also reports each transaction boundary and store to the persistency
+ * checker, and each commit to the segmented-log lifecycle engine.
  */
 
 #ifndef SILO_CORE_REPLAY_CORE_HH
@@ -30,9 +34,16 @@ namespace silo::core
 class ReplayCore
 {
   public:
+    /**
+     * @p checker and @p lifecycle are nullable: the persistency
+     * checker (SimConfig::checker) and the segmented-log lifecycle
+     * engine (SimConfig::logSegmented).
+     */
     ReplayCore(unsigned id, EventQueue &eq, const SimConfig &cfg,
                mem::CacheHierarchy &hierarchy,
-               log::LoggingScheme &scheme, WordStore &values,
+               log::LoggingScheme &scheme,
+               log::PersistEventSink *checker,
+               log::LogLifecycle *lifecycle, WordStore &values,
                const workload::ThreadTrace &trace,
                std::function<void()> on_finished);
 
@@ -85,6 +96,8 @@ class ReplayCore
     const SimConfig &_cfg;
     mem::CacheHierarchy &_hierarchy;
     log::LoggingScheme &_scheme;
+    log::PersistEventSink *_checker;
+    log::LogLifecycle *_lifecycle;
     WordStore &_values;
     const workload::ThreadTrace &_trace;
     std::function<void()> _onFinished;

@@ -41,23 +41,6 @@ envStrOr(const char *name, const std::string &fallback)
     return value;
 }
 
-void
-applyLogLifecycleEnv(SimConfig &cfg)
-{
-    cfg.logSegmented = envOr("SILO_LOG_SEGMENTED",
-                             cfg.logSegmented ? 1 : 0) != 0;
-    cfg.logSegmentBytes =
-        envOr("SILO_LOG_SEGMENT_BYTES", cfg.logSegmentBytes);
-    cfg.logSegmentsPerThread = unsigned(
-        envOr("SILO_LOG_SEGMENTS", cfg.logSegmentsPerThread));
-    cfg.logCleanReserve =
-        unsigned(envOr("SILO_LOG_CLEAN_RESERVE", cfg.logCleanReserve));
-    cfg.logCheckpointBytes =
-        envOr("SILO_LOG_CKPT_BYTES", cfg.logCheckpointBytes);
-    cfg.logLifecycleTickCycles =
-        envOr("SILO_LOG_TICK_CYCLES", cfg.logLifecycleTickCycles);
-}
-
 std::string
 TraceCache::key(const workload::TraceGenConfig &cfg)
 {

@@ -40,16 +40,6 @@ std::uint64_t envOr(const char *name, std::uint64_t fallback);
  */
 std::string envStrOr(const char *name, const std::string &fallback);
 
-/**
- * Apply the segmented-log lifecycle knobs (DESIGN.md §4j) from the
- * environment onto @p cfg: SILO_LOG_SEGMENTED enables segmentation and
- * SILO_LOG_SEGMENT_BYTES / SILO_LOG_SEGMENTS / SILO_LOG_CLEAN_RESERVE /
- * SILO_LOG_CKPT_BYTES / SILO_LOG_TICK_CYCLES override the geometry,
- * defaulting to the current cfg values. Shared by the bench binaries
- * and the litmus tool so every entry point spells the knobs once.
- */
-void applyLogLifecycleEnv(SimConfig &cfg);
-
 /** Trace cache keyed on generation parameters (shared by schemes). */
 class TraceCache
 {

@@ -51,6 +51,30 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/**
+ * Apply the segmented-log lifecycle knobs (DESIGN.md §4j) from the
+ * environment onto @p cfg: SILO_LOG_SEGMENTED enables segmentation and
+ * SILO_LOG_SEGMENT_BYTES / SILO_LOG_SEGMENTS / SILO_LOG_CLEAN_RESERVE /
+ * SILO_LOG_CKPT_BYTES / SILO_LOG_TICK_CYCLES override the geometry,
+ * defaulting to the current cfg values.
+ */
+void
+applyLogLifecycleEnv(SimConfig &cfg)
+{
+    cfg.logSegmented = envOr("SILO_LOG_SEGMENTED",
+                             cfg.logSegmented ? 1 : 0) != 0;
+    cfg.logSegmentBytes =
+        envOr("SILO_LOG_SEGMENT_BYTES", cfg.logSegmentBytes);
+    cfg.logSegmentsPerThread = unsigned(
+        envOr("SILO_LOG_SEGMENTS", cfg.logSegmentsPerThread));
+    cfg.logCleanReserve =
+        unsigned(envOr("SILO_LOG_CLEAN_RESERVE", cfg.logCleanReserve));
+    cfg.logCheckpointBytes =
+        envOr("SILO_LOG_CKPT_BYTES", cfg.logCheckpointBytes);
+    cfg.logLifecycleTickCycles =
+        envOr("SILO_LOG_TICK_CYCLES", cfg.logLifecycleTickCycles);
+}
+
 } // namespace
 
 unsigned
@@ -197,10 +221,14 @@ Sweep::runOne(std::size_t index)
         _hooks.onCellStart(index);
     const CellSpec &spec = _specs[index];
     const workload::WorkloadTraces &traces = _cache.get(spec.trace);
+    // The SILO_LOG_* knobs win over the cell's config (each is a no-op
+    // when unset), so every bench can run under the segmented log
+    // lifecycle straight from the environment.
+    SimConfig sim = spec.sim;
+    applyLogLifecycleEnv(sim);
     // SILO_TRACE turns on timeline tracing for the cells it selects:
     // every cell by default, or just #SILO_TRACE_CELL when that is set.
     // Each traced cell writes its own file (see tracePathFor).
-    SimConfig sim = spec.sim;
     if (std::string base = envStrOr("SILO_TRACE", ""); !base.empty()) {
         std::uint64_t only =
             envOr("SILO_TRACE_CELL", ~std::uint64_t(0));

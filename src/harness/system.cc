@@ -1,9 +1,5 @@
 #include "harness/system.hh"
 
-#include "check/checked_scheme.hh"
-#include "harness/experiment.hh"
-#include "log/lifecycle_scheme.hh"
-
 namespace silo::harness
 {
 
@@ -11,11 +7,6 @@ System::System(const SimConfig &cfg,
                const workload::WorkloadTraces &traces)
     : _cfg(cfg), _threads(traces.threads)
 {
-    // The SILO_LOG_* knobs win over the programmatic config (each is
-    // a no-op when unset), so every surface that builds a System —
-    // benches, examples, the fuzzer, ctest — can opt into the
-    // segmented log lifecycle straight from the environment.
-    applyLogLifecycleEnv(_cfg);
     _cfg.validate();
     if (_threads.size() < _cfg.numCores)
         fatal("trace has fewer threads than configured cores");
@@ -48,8 +39,8 @@ System::System(const SimConfig &cfg,
                            value_of, set_value};
     if (_cfg.checker) {
         // Shadow the whole persist path: the checker observes log
-        // persists, WPQ accepts/releases/discards, and media writes,
-        // and the scheme is wrapped so tx boundaries reach it too.
+        // persists, WPQ accepts/releases/discards, and media writes;
+        // the cores report tx boundaries and stores to it.
         _checker = std::make_unique<check::PersistencyChecker>(_cfg, _eq);
         _logs->setEventSink(_checker.get());
         _mc->setCheckSink(_checker.get());
@@ -61,23 +52,12 @@ System::System(const SimConfig &cfg,
             _eq, _cfg, *_mc, *_logs, _checker.get());
         ctx.lifecycle = _lifecycle.get();
     }
-    // Decorator stack (inside out): concrete scheme, then the lifecycle
-    // wrapper (commit notifications + crash flush of migration copies),
-    // then the checker wrapper so it observes every tx boundary first.
     _scheme = log::makeScheme(ctx);
-    if (_lifecycle) {
-        _scheme = std::make_unique<log::LifecycleScheme>(
-            ctx, std::move(_scheme), *_lifecycle);
-    }
-    if (_checker) {
-        _scheme = std::make_unique<check::CheckedScheme>(
-            ctx, std::move(_scheme), *_checker);
-    }
 
     for (unsigned c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<core::ReplayCore>(
-            c, _eq, _cfg, *_hierarchy, *_scheme, _values,
-            _threads[c], [this] {
+            c, _eq, _cfg, *_hierarchy, *_scheme, _checker.get(),
+            _lifecycle.get(), _values, _threads[c], [this] {
                 // Periodic machinery (e.g., FWB's walker) keeps the
                 // event queue alive forever; stop once every core has
                 // retired its trace. drainToMedia() settles leftovers.
@@ -164,13 +144,22 @@ System::crash()
     if (_crashed)
         panic("double crash");
     _crashed = true;
-    // 1. Battery-backed selective flush (Silo §III-G; no-op for
+    if (_checker)
+        _checker->onCrashBegin();
+    // 1. The lifecycle engine's migration copies and checkpoint marker
+    //    sit in the MC's ADR log path: they persist like a scheme's
+    //    in-flight records.
+    if (_lifecycle)
+        _lifecycle->crashFlush();
+    // 2. Battery-backed selective flush (Silo §III-G; no-op for
     //    schemes without battery-backed structures).
     _scheme->crash();
-    // 2. ADR: the WPQ and on-PM buffer drain to media; LAD's held
+    if (_checker)
+        _checker->onBatteryDead();
+    // 3. ADR: the WPQ and on-PM buffer drain to media; LAD's held
     //    (uncommitted) entries are discarded.
     _mc->crashDrain();
-    // 3. Volatile caches lose everything.
+    // 4. Volatile caches lose everything.
     _hierarchy->invalidateAll();
 }
 
@@ -180,6 +169,8 @@ System::recover()
     if (!_crashed)
         panic("recover() without a crash");
     _scheme->recover(_pm->media());
+    if (_checker)
+        _checker->onRecoveryComplete(_pm->media(), *_scheme);
 }
 
 void

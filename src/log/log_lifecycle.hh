@@ -95,8 +95,8 @@ class LogLifecycle
     LogLifecycle(EventQueue &eq, const SimConfig &cfg, mc::McRouter &mc,
                  LogRegionStore &logs, PersistEventSink *checker);
 
-    /** @name Scheme-side hooks (via the LifecycleScheme decorator and
-     *  LoggingScheme::writeLogWithRetry) */
+    /** @name Hooks (appends from LoggingScheme::writeLogWithRetry,
+     *  commits from the replay cores, the crash from harness::System) */
     /// @{
 
     /** A record of @p bytes was appended to @p tid 's log area

@@ -174,8 +174,7 @@ class LoggingScheme
         return false;
     }
 
-    /** Virtual so decorators (check::CheckedScheme) can forward. */
-    virtual const SchemeStats &schemeStats() const { return _stats; }
+    const SchemeStats &schemeStats() const { return _stats; }
 
     /**
      * Total entries currently buffered on-chip by the scheme (Silo /

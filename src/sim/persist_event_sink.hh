@@ -2,13 +2,14 @@
  * @file
  * The persistency-event observer interface.
  *
- * The memory controller, PM device, log region, and logging schemes
- * report durability-relevant events (domain transitions plus the
- * scheme-internal coverage notes) through this interface so the
- * persistency checker (src/check) can shadow the memory system without
- * any of those components depending on it. The interface lives in the
- * sim layer — the bottom of the module DAG (DESIGN.md §4g) — precisely
- * so every producer below src/check can include it. Every hook has an
+ * The replay cores, memory controller, PM device, log region, and
+ * logging schemes report durability-relevant events (transaction
+ * boundaries, domain transitions, and the scheme-internal coverage
+ * notes) through this interface so the persistency checker (src/check)
+ * can shadow the whole machine without any of those components
+ * depending on it. The interface lives in the sim layer — the bottom
+ * of the module DAG (DESIGN.md §4g) — precisely so every producer
+ * below src/check can include it. Every hook has an
  * empty default body and every producer guards its sink pointer, so a
  * disabled checker costs one null check per event.
  *
@@ -46,6 +47,33 @@ class PersistEventSink
 {
   public:
     virtual ~PersistEventSink() = default;
+
+    /** @name Transactions (replay cores) */
+    /// @{
+
+    /** @p core executed Tx_begin of transaction @p txid. */
+    virtual void onTxBegin(unsigned core, std::uint16_t txid)
+    {
+        (void)core;
+        (void)txid;
+    }
+
+    /** A store retired in @p core 's L1D; the scheme sees it next. */
+    virtual void onStore(unsigned core, Addr addr, Word old_val,
+                         Word new_val)
+    {
+        (void)core;
+        (void)addr;
+        (void)old_val;
+        (void)new_val;
+    }
+
+    /** @p core executed Tx_end; the scheme now works to commit. */
+    virtual void onTxEndRequested(unsigned core) { (void)core; }
+
+    /** The scheme completed @p core 's Tx_end: the tx is durable. */
+    virtual void onTxEndComplete(unsigned core) { (void)core; }
+    /// @}
 
     /** @name ADR domain (memory controller WPQ) */
     /// @{

@@ -160,6 +160,36 @@ TEST(FuzzCampaign, SummaryIsIdenticalAcrossJobCounts)
     EXPECT_EQ(serial.summaryJson(opts), parallel.summaryJson(opts));
 }
 
+TEST(FuzzCase, IgnoresLogLifecycleEnv)
+{
+    // A case runs exactly litmusSimConfig(): segmentation is the
+    // case's own `segmented` flag, never SILO_LOG_SEGMENTED, so a
+    // fixture replays the machine the fuzzer ran.
+    Rng rng(7);
+    LitmusProgram program = generateLitmus(rng, LitmusGenConfig{}, "p");
+    FuzzCaseConfig cc;
+    cc.scheme = SchemeKind::Base;
+    cc.mutation = MutationKind::SkipCommitMarker;
+
+    FuzzCaseResult plain = runLitmusCase(program, cc);
+    const std::string saved = harness::envStrOr("SILO_LOG_SEGMENTED", "");
+    ASSERT_EQ(setenv("SILO_LOG_SEGMENTED", "1", 1), 0);   // NOLINT(concurrency-mt-unsafe)
+    FuzzCaseResult with_env = runLitmusCase(program, cc);
+    if (saved.empty())
+        unsetenv("SILO_LOG_SEGMENTED");   // NOLINT(concurrency-mt-unsafe)
+    else
+        setenv("SILO_LOG_SEGMENTED", saved.c_str(), 1);   // NOLINT(concurrency-mt-unsafe)
+
+    EXPECT_FALSE(plain.clean()) << "the mutant gives violations to compare";
+    EXPECT_EQ(plain.executedEvents, with_env.executedEvents);
+    EXPECT_EQ(plain.commits, with_env.commits);
+    ASSERT_EQ(plain.violations.size(), with_env.violations.size());
+    for (std::size_t i = 0; i < plain.violations.size(); ++i) {
+        EXPECT_EQ(plain.violations[i].toJson(),
+                  with_env.violations[i].toJson());
+    }
+}
+
 TEST(FuzzCampaign, CleanSchemesProduceNoFindings)
 {
     // A quick true-negative pass: one program, every scheme, stride 3.

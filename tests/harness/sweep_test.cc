@@ -215,6 +215,27 @@ TEST(SweepStats, StatsJsonEmbeddedPerCellAndRemovableViaEnv)
     EXPECT_LT(without.size(), with.size());
 }
 
+TEST(SweepStats, LogLifecycleEnvReachesBenchCells)
+{
+    // The sweep engine is where the benches read SILO_LOG_*: a cell
+    // run with SILO_LOG_SEGMENTED=1 builds the lifecycle engine, whose
+    // stat group exists only when segmentation is on.
+    const std::string saved = envStrOr("SILO_LOG_SEGMENTED", "");
+    ASSERT_EQ(setenv("SILO_LOG_SEGMENTED", "1", 1), 0);   // NOLINT(concurrency-mt-unsafe)
+    Sweep sweep({.jobs = 1, .progress = false});
+    sweep.add(smallMatrix().front());
+    sweep.run();
+    if (saved.empty())
+        unsetenv("SILO_LOG_SEGMENTED");   // NOLINT(concurrency-mt-unsafe)
+    else
+        setenv("SILO_LOG_SEGMENTED", saved.c_str(), 1);   // NOLINT(concurrency-mt-unsafe)
+
+    ASSERT_EQ(sweep.results().size(), 1u);
+    EXPECT_NE(sweep.results()[0].report.statsJson.find(
+                  "\"log_lifecycle\""),
+              std::string::npos);
+}
+
 TEST(TracePath, InsertsCellCoordinatesBeforeExtension)
 {
     CellSpec spec;

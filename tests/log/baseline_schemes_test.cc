@@ -90,16 +90,23 @@ TEST(FwbMechanisms, LogsEveryStoreIncludingRepeats)
 
 TEST(FwbMechanisms, WalkerCleansDirtyLines)
 {
-    SimConfig cfg = oneCore(SchemeKind::Fwb);
-    cfg.fwbIntervalCycles = 200;
-    auto traces = traceOf({begin(), st(base, 7), end(),
-                           begin(), st(base + 4096, 8), end()});
-    harness::System sys(cfg, traces);
-    sys.run();
-    auto &scheme = dynamic_cast<FwbScheme &>(sys.scheme());
-    EXPECT_GT(scheme.walkerWritebacks(), 0u);
-    sys.mc().drainAll();
-    EXPECT_EQ(sys.pm().media().load(base), 7u);
+    // System::scheme() is the concrete scheme in every config, the
+    // checked and segmented one included.
+    for (bool instrumented : {false, true}) {
+        SCOPED_TRACE(instrumented ? "checker + segmented" : "plain");
+        SimConfig cfg = oneCore(SchemeKind::Fwb);
+        cfg.fwbIntervalCycles = 200;
+        cfg.checker = instrumented;
+        cfg.logSegmented = instrumented;
+        auto traces = traceOf({begin(), st(base, 7), end(),
+                               begin(), st(base + 4096, 8), end()});
+        harness::System sys(cfg, traces);
+        sys.run();
+        auto &scheme = dynamic_cast<FwbScheme &>(sys.scheme());
+        EXPECT_GT(scheme.walkerWritebacks(), 0u);
+        sys.mc().drainAll();
+        EXPECT_EQ(sys.pm().media().load(base), 7u);
+    }
 }
 
 TEST(MorLogMechanisms, MergesAndSkipsSilentStores)

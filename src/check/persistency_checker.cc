@@ -1,10 +1,10 @@
 #include "check/persistency_checker.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "log/logging_scheme.hh"
 #include "sim/address_map.hh"
+#include "sim/json.hh"
 
 namespace silo::check
 {
@@ -44,35 +44,6 @@ violationKindFromName(const std::string &name)
     }
     fatal("unknown violation kind: " + name);
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 Violation::toJson() const

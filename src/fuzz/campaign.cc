@@ -10,6 +10,7 @@
 #include "harness/profiling.hh"
 #include "harness/sweep.hh"
 #include "harness/walltime.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/profiler.hh"
 
@@ -20,19 +21,6 @@ using workload::LitmusProgram;
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 /** @return pointer to the first violation of @p kind, or nullptr. */
 const check::Violation *

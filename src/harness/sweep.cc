@@ -16,6 +16,7 @@
 
 #include "harness/profiling.hh"
 #include "harness/walltime.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::harness
@@ -28,27 +29,6 @@ double
 nowSeconds()
 {
     return wallSeconds();
-}
-
-/** Round-trippable, locale-independent double formatting. */
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /**
@@ -308,9 +288,6 @@ Sweep::writeJson(const std::string &path,
     if (!os)
         fatal("cannot open JSON results file " + path);
 
-    // SILO_STATS_JSON=0 drops the per-cell "stats" blocks, restoring
-    // the pre-observability file byte-for-byte.
-    bool embed_stats = envOr("SILO_STATS_JSON", 1) != 0;
     // Host timing is nondeterministic, so the per-cell "perf" block
     // only exists when the run opted into profiling: goldens and the
     // cross-job byte-identity guarantee see SILO_PROF unset.
@@ -362,7 +339,7 @@ Sweep::writeJson(const std::string &path,
         os << "        \"wpq_accepted_writes\": "
            << r.wpqAcceptedWrites << ",\n";
         os << "        \"wpq_accepted_bytes\": " << r.wpqAcceptedBytes;
-        if (embed_stats && !r.statsJson.empty()) {
+        if (!r.statsJson.empty()) {
             // The registry document is already valid JSON; splice it
             // in verbatim so the schema stays "silo-stats-v1" inside.
             os << ",\n        \"stats\": " << r.statsJson << "\n";

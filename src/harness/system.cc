@@ -1,5 +1,7 @@
 #include "harness/system.hh"
 
+#include "log/wal_recovery.hh"
+
 namespace silo::harness
 {
 
@@ -146,11 +148,12 @@ System::crash()
     _crashed = true;
     if (_checker)
         _checker->onCrashBegin();
-    // 1. The lifecycle engine's migration copies and checkpoint marker
-    //    sit in the MC's ADR log path: they persist like a scheme's
-    //    in-flight records.
+    // 1. The MC's ADR log path completes: the lifecycle engine's
+    //    migration copies and checkpoint marker and the scheme's
+    //    records still waiting for a WPQ slot persist.
     if (_lifecycle)
         _lifecycle->crashFlush();
+    _scheme->flushInFlightLogs();
     // 2. Battery-backed selective flush (Silo §III-G; no-op for
     //    schemes without battery-backed structures).
     _scheme->crash();
@@ -168,7 +171,7 @@ System::recover()
 {
     if (!_crashed)
         panic("recover() without a crash");
-    _scheme->recover(_pm->media());
+    log::walRecover(*_logs, _cfg.numCores, _pm->media());
     if (_checker)
         _checker->onRecoveryComplete(_pm->media(), *_scheme);
 }

@@ -85,7 +85,7 @@ class System
      */
     void crash();
 
-    /** Recover the PM image using the scheme's recovery procedure. */
+    /** Recover the PM image from the durable logs (walRecover()). */
     void recover();
 
     /**

@@ -1,20 +1,11 @@
 #include "log/base_scheme.hh"
 
-#include "log/wal_recovery.hh"
-
 namespace silo::log
 {
 
 BaseScheme::BaseScheme(SchemeContext ctx)
     : LoggingScheme(std::move(ctx)), _cores(_ctx.cfg.numCores)
 {
-}
-
-void
-BaseScheme::txBegin(unsigned core, std::uint16_t txid)
-{
-    _cores[core].txid = txid;
-    _cores[core].lastCommitted = false;
 }
 
 void
@@ -27,7 +18,7 @@ BaseScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
     rec.tid = std::uint8_t(core);
-    rec.txid = cs.txid;
+    rec.txid = txidOf(core);
     rec.dataAddr = addr;
     rec.oldData = old_val;
     rec.newData = new_val;
@@ -81,26 +72,19 @@ void
 BaseScheme::finishCommit(unsigned core)
 {
     CoreState &cs = _cores[core];
-    LogRecord marker;
-    marker.kind = LogRecord::Kind::Commit;
-    marker.tid = std::uint8_t(core);
-    marker.txid = cs.txid;
-
     auto done = std::move(cs.pendingCommit);
     cs.pendingCommit = nullptr;
     if (_ctx.cfg.mutation == MutationKind::SkipCommitMarker) {
         // Seeded bug: Tx_end completes without a durable commit marker.
         _ctx.logs.truncate(core);
-        cs.lastCommitted = true;
         done();
         return;
     }
-    writeLogWithRetry(core, marker, [this, core,
-                                     done = std::move(done)] {
+    writeLogWithRetry(core, commitMarker(core), [this, core,
+                                                 done = std::move(done)] {
         // All data and logs are durable: the log can truncate (a
         // head-pointer update, no PM write).
         _ctx.logs.truncate(core);
-        _cores[core].lastCommitted = true;
         done();
     });
 }
@@ -112,18 +96,6 @@ BaseScheme::txEnd(unsigned core, std::function<void()> done)
     cs.pendingCommit = std::move(done);
     if (cs.outstanding == 0)
         finishCommit(core);
-}
-
-bool
-BaseScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-BaseScheme::recover(WordStore &media)
-{
-    walRecover(_ctx.logs, _ctx.cfg.numCores, media);
 }
 
 } // namespace silo::log

@@ -25,12 +25,9 @@ class BaseScheme : public LoggingScheme
 
     const char *name() const override { return "Base"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
   private:
     /** Cap on in-flight log+flush pairs before stores stall. */
@@ -38,13 +35,11 @@ class BaseScheme : public LoggingScheme
 
     struct CoreState
     {
-        std::uint16_t txid = 0;
         unsigned outstanding = 0;
         /** Stores waiting because outstanding hit the cap. */
         std::deque<std::function<void()>> stalledStores;
         /** Commit completion waiting for outstanding == 0. */
         std::function<void()> pendingCommit;
-        bool lastCommitted = false;
     };
 
     void opFinished(unsigned core);

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <vector>
-#include "log/wal_recovery.hh"
 
 namespace silo::log
 {
@@ -50,13 +49,6 @@ FwbScheme::walk()
 }
 
 void
-FwbScheme::txBegin(unsigned core, std::uint16_t txid)
-{
-    _cores[core].txid = txid;
-    _cores[core].lastCommitted = false;
-}
-
-void
 FwbScheme::logAccepted(unsigned core)
 {
     CoreState &cs = _cores[core];
@@ -78,7 +70,7 @@ FwbScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
     rec.tid = std::uint8_t(core);
-    rec.txid = cs.txid;
+    rec.txid = txidOf(core);
     rec.dataAddr = addr;
     rec.oldData = old_val;
     rec.newData = new_val;
@@ -99,17 +91,9 @@ void
 FwbScheme::finishCommit(unsigned core)
 {
     CoreState &cs = _cores[core];
-    LogRecord marker;
-    marker.kind = LogRecord::Kind::Commit;
-    marker.tid = std::uint8_t(core);
-    marker.txid = cs.txid;
     auto done = std::move(cs.pendingCommit);
     cs.pendingCommit = nullptr;
-    writeLogWithRetry(core, marker, [this, core,
-                                     done = std::move(done)] {
-        _cores[core].lastCommitted = true;
-        done();
-    });
+    writeLogWithRetry(core, commitMarker(core), std::move(done));
 }
 
 void
@@ -121,18 +105,6 @@ FwbScheme::txEnd(unsigned core, std::function<void()> done)
     cs.pendingCommit = std::move(done);
     if (cs.postedLogs == 0)
         finishCommit(core);
-}
-
-bool
-FwbScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-FwbScheme::recover(WordStore &media)
-{
-    walRecover(_ctx.logs, _ctx.cfg.numCores, media);
 }
 
 } // namespace silo::log

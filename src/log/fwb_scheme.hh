@@ -29,12 +29,9 @@ class FwbScheme : public LoggingScheme
 
     const char *name() const override { return "FWB"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
     std::uint64_t walkerWritebacks() const
     {
@@ -47,8 +44,6 @@ class FwbScheme : public LoggingScheme
 
     struct CoreState
     {
-        std::uint16_t txid = 0;
-        bool lastCommitted = false;
         unsigned postedLogs = 0;
         /** Stores stalled on the posted-log queue being full. */
         std::deque<std::function<void()>> stalledStores;

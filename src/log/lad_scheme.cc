@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "log/wal_recovery.hh"
-
 namespace silo::log
 {
 
@@ -52,12 +50,10 @@ LadScheme::lineIsUncommitted(Addr line) const
 }
 
 void
-LadScheme::txBegin(unsigned core, std::uint16_t txid)
+LadScheme::beginTx(unsigned core)
 {
     CoreState &cs = _cores[core];
-    cs.txid = txid;
     cs.open = true;
-    cs.lastCommitted = false;
     cs.txLines.clear();
     cs.undoImage.clear();
     cs.undoLogged.clear();
@@ -84,7 +80,7 @@ LadScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
         LogRecord rec;
         rec.kind = LogRecord::Kind::Undo;
         rec.tid = std::uint8_t(core);
-        rec.txid = cs.txid;
+        rec.txid = txidOf(core);
         rec.dataAddr = addr;
         rec.oldData = old_val;
         writeLogWithRetry(core, rec, [] {});
@@ -130,7 +126,7 @@ LadScheme::relieveLine(unsigned core, Addr line)
             LogRecord rec;
             rec.kind = LogRecord::Kind::Undo;
             rec.tid = std::uint8_t(core);
-            rec.txid = cs2.txid;
+            rec.txid = txidOf(core);
             rec.dataAddr = addr;
             rec.oldData = old_val;
             writeLogWithRetry(core, rec,
@@ -217,7 +213,6 @@ LadScheme::commitPhase2(unsigned core, std::function<void()> done)
     // Undo logs of slow-mode lines are obsolete after commit.
     _ctx.logs.truncate(core);
     cs.open = false;
-    cs.lastCommitted = true;
     cs.txLines.clear();
     cs.undoImage.clear();
     cs.undoLogged.clear();
@@ -231,37 +226,6 @@ LadScheme::txEnd(unsigned core, std::function<void()> done)
     CoreState &cs = _cores[core];
     std::vector<Addr> lines(cs.txLines.begin(), cs.txLines.end());
     commitPhase1(core, std::move(lines), 0, std::move(done));
-}
-
-void
-LadScheme::crash()
-{
-    // Held (uncommitted) MC entries are dropped by the ADR drain. The
-    // only state to complete is slow-mode undo records still waiting
-    // for a WPQ slot inside the MC's ADR log path.
-    flushInFlightLogs();
-}
-
-bool
-LadScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-LadScheme::recover(WordStore &media)
-{
-    // Only slow-mode undo records can be live (commit truncates them):
-    // revoke the partial updates of uncommitted transactions.
-    for (unsigned t = 0; t < _ctx.cfg.numCores; ++t) {
-        auto records = orderedLiveRecords(_ctx.logs, t);
-        for (auto it = records.rbegin(); it != records.rend(); ++it) {
-            const LogRecord &rec = it->second;
-            if (rec.kind == LogRecord::Kind::Undo)
-                media.store(rec.dataAddr, rec.oldData);
-        }
-        _ctx.logs.truncate(t);
-    }
 }
 
 } // namespace silo::log

@@ -35,13 +35,9 @@ class LadScheme : public LoggingScheme
 
     const char *name() const override { return "LAD"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    void crash() override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
     /** An open transaction's lines are revocable only by discard. */
     bool dropAtShutdown(Addr line) const override
@@ -59,12 +55,13 @@ class LadScheme : public LoggingScheme
         return &_ladStats;
     }
 
+  protected:
+    void beginTx(unsigned core) override;
+
   private:
     struct CoreState
     {
-        std::uint16_t txid = 0;
         bool open = false;
-        bool lastCommitted = false;
         /** Dirty lines of the open transaction. */
         std::set<Addr> txLines;
         /** First-store old value per word (slow-mode undo data). */

@@ -95,7 +95,7 @@ class LogLifecycle
     LogLifecycle(EventQueue &eq, const SimConfig &cfg, mc::McRouter &mc,
                  LogRegionStore &logs, PersistEventSink *checker);
 
-    /** @name Hooks (appends from LoggingScheme::writeLogWithRetry,
+    /** @name Hooks (appends from LoggingScheme::appendLog,
      *  commits from the replay cores, the crash from harness::System) */
     /// @{
 

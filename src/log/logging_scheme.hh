@@ -4,11 +4,17 @@
  *
  * A scheme plugs into the memory system at the points the paper's
  * designs differ: transaction boundaries, completed stores (where the
- * log generator captures old+new data), commit gating, and the two
- * rare cases — crash (battery-backed selective flush) and recovery.
+ * log generator captures old+new data), commit gating, and the
+ * battery-backed flush at a crash. The protocol every scheme shares
+ * lives here: the per-core txid and commit point, the log-append path
+ * (allocate, admission gate, ADR log path, WPQ retry) and the crash
+ * flush of that path. Recovery is one routine for all schemes
+ * (walRecover(), log/wal_recovery.hh): the records they write describe
+ * themselves.
  *
  * Concrete schemes: BaseScheme, FwbScheme, MorLogScheme, LadScheme
- * (§VI-A's comparison points) and SiloScheme (§III).
+ * (§VI-A's comparison points), SwEadrScheme (the §II-C ablation) and
+ * SiloScheme (§III).
  */
 
 #ifndef SILO_LOG_LOGGING_SCHEME_HH
@@ -18,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <vector>
 
 #include "log/log_lifecycle.hh"
 #include "mc/mc_router.hh"
@@ -53,8 +60,8 @@ struct SchemeContext
      *  src/check in the module DAG (DESIGN.md §4g). */
     PersistEventSink *checker = nullptr;
     /** Segmented-log lifecycle engine (DESIGN.md §4j), or nullptr when
-     *  SimConfig::logSegmented is off. writeLogWithRetry() reports
-     *  appends to it and routes completions through its admission
+     *  SimConfig::logSegmented is off. appendLog() reports appends to
+     *  it and admitted() routes completions through its admission
      *  gate. */
     LogLifecycle *lifecycle = nullptr;
 };
@@ -90,17 +97,25 @@ struct SchemeStats
 class LoggingScheme
 {
   public:
-    explicit LoggingScheme(SchemeContext ctx) : _ctx(std::move(ctx)) {}
+    explicit LoggingScheme(SchemeContext ctx)
+        : _ctx(std::move(ctx)), _txs(_ctx.cfg.numCores)
+    {
+    }
     virtual ~LoggingScheme() = default;
 
     /** Display name matching the paper's figures. */
     virtual const char *name() const = 0;
 
-    /** A core executed Tx_begin. */
-    virtual void txBegin(unsigned core, std::uint16_t txid)
+    /**
+     * A core executed Tx_begin: its new, not yet committed transaction
+     * is @p txid (Fig. 6's 16-bit field) until the core's next
+     * Tx_begin. The scheme's beginTx() hook runs last.
+     */
+    void
+    txBegin(unsigned core, std::uint16_t txid)
     {
-        (void)core;
-        (void)txid;
+        _txs[core] = CoreTx{txid, false};
+        beginTx(core);
     }
 
     /**
@@ -131,31 +146,39 @@ class LoggingScheme
     }
 
     /**
-     * System crash: the battery-backed flush. Runs after the event
-     * loop stops and before the ADR drain; may write log records
-     * directly into the log region (battery power, no timing).
-     *
-     * The default completes the in-flight log writes: a record handed
-     * to writeLogWithRetry() lives in the memory controller's
-     * ADR-domain log path while it waits for a WPQ slot, so it is
-     * durable even if the crash interleaves with the retries.
-     * Overrides must call flushInFlightLogs().
+     * System crash: the battery-backed flush of the scheme's own
+     * on-chip structures, written with persistAtCrash(). Runs after
+     * the event loop stops and flushInFlightLogs() completed the MC's
+     * ADR log path, and before the ADR drain.
      */
-    virtual void crash() { flushInFlightLogs(); }
+    virtual void crash() {}
+
+    /**
+     * Crash path: complete every appended record still waiting for a
+     * WPQ slot. It lives in the memory controller's ADR-domain log
+     * path, so it is durable even if the crash interleaves with the
+     * retries. System::crash() calls this before crash().
+     */
+    void
+    flushInFlightLogs()
+    {
+        for (const auto &[addr, record] : _inFlightLogs)
+            _ctx.logs.persist(addr, record);
+        _inFlightLogs.clear();
+    }
 
     /**
      * @return true if @p core 's latest transaction must be treated as
-     * committed by recovery (used by the crash oracle when a commit
-     * was in flight at the crash instant).
+     * committed by recovery although its Tx_end has not completed (the
+     * crash oracle's question): its commit marker entered the
+     * persistent domain, so recovery replays it. Silo and LAD write no
+     * marker; they complete Tx_end in the same event as their commit
+     * point, so they have no such window.
      */
-    virtual bool lastTxCommittedAtCrash(unsigned core) const
+    bool lastTxCommittedAtCrash(unsigned core) const
     {
-        (void)core;
-        return false;
+        return _txs[core].committed;
     }
-
-    /** Post-crash recovery: restore atomic durability in @p media. */
-    virtual void recover(WordStore &media) { (void)media; }
 
     /**
      * @return true if a clean shutdown must DROP @p line instead of
@@ -194,71 +217,111 @@ class LoggingScheme
     }
 
   protected:
+    /** Scheme hook: @p core began transaction txidOf(core). */
+    virtual void beginTx(unsigned core) { (void)core; }
+
+    /** The txid of @p core 's latest Tx_begin. */
+    std::uint16_t txidOf(unsigned core) const { return _txs[core].txid; }
+
+    /** The commit marker of @p core 's latest transaction. */
+    LogRecord
+    commitMarker(unsigned core) const
+    {
+        LogRecord marker;
+        marker.kind = LogRecord::Kind::Commit;
+        marker.tid = std::uint8_t(core);
+        marker.txid = txidOf(core);
+        return marker;
+    }
+
     /**
-     * Persist @p record via the MC, retrying while the WPQ is full.
-     * The record is tracked until accepted so a crash mid-retry still
-     * finds it (it sits in the MC's ADR-domain log path).
-     *
-     * Under the segmented lifecycle the completion is held by its
-     * admission backpressure unless @p record is a commit marker.
-     * Stalling a commit under a full log is a self-deadlock (commits
-     * are what free log space: truncation and cleaner deadness both
-     * hinge on them), and deferring the scheme's commit bookkeeping
-     * past the already-durable marker would let a crash in the window
-     * diverge from recovery, which rightly treats a durable marker as
-     * committed.
+     * Append @p record to thread @p tid 's log: allocate its address,
+     * count it and report it to the lifecycle engine. The caller makes
+     * it durable in the same event (persistLog() or a persistent
+     * cache), so a commit marker commits the core's transaction here:
+     * a crash from now on recovers it as committed.
+     * @return the record's log address.
      */
-    void
-    writeLogWithRetry(unsigned tid, LogRecord record,
-                      std::function<void()> done)
+    Addr
+    appendLog(unsigned tid, const LogRecord &record)
     {
         Addr addr = _ctx.logs.allocate(tid, record.sizeBytes());
         ++_stats.logWrites;
         _stats.logBytes += record.sizeBytes();
-        if (_ctx.lifecycle) {
-            // Allocation and the MC's ADR log path are never deferred
-            // (durability first); backpressure only gates the
-            // completion the scheme observes, after the record is
-            // accepted.
+        if (_ctx.lifecycle)
             _ctx.lifecycle->noteAppend(tid, record.sizeBytes());
-            if (record.kind != LogRecord::Kind::Commit) {
-                done = [lc = _ctx.lifecycle, tid,
-                        inner = std::move(done)]() mutable {
-                    lc->gate(tid, std::move(inner));
-                };
-            }
-        }
-        _inFlightLogs[addr] = record;
-        noteInFlightLog(addr, record);
-        tryPersist(addr, record, _ctx.eq.now(), std::move(done));
+        if (record.kind == LogRecord::Kind::Commit)
+            _txs[tid].committed = true;
+        return addr;
     }
 
     /**
-     * Tell the checker a record entered the MC's ADR log path (it is
-     * durable from this point even though no WPQ slot accepted it yet).
+     * @return @p done behind the segmented lifecycle's admission
+     * backpressure, which holds the completion the scheme observes
+     * (never the record's durability) while thread @p tid 's log is
+     * full. A commit marker bypasses it: stalling a commit under a full
+     * log is a self-deadlock (commits are what free log space:
+     * truncation and cleaner deadness both hinge on them), and the
+     * already-durable marker has committed the transaction.
      */
-    void
-    noteInFlightLog(Addr addr, const LogRecord &record)
+    std::function<void()>
+    admitted(unsigned tid, const LogRecord &record,
+             std::function<void()> done)
     {
-        if (_ctx.checker)
-            _ctx.checker->onLogInFlight(addr, record);
+        if (!_ctx.lifecycle || record.kind == LogRecord::Kind::Commit)
+            return done;
+        return [lc = _ctx.lifecycle, tid,
+                inner = std::move(done)]() mutable {
+            lc->gate(tid, std::move(inner));
+        };
     }
 
-    /** Crash path: make every in-flight log record durable. */
+    /**
+     * Hand the appended @p record to the MC's ADR log path, where it is
+     * durable, and run @p done once a WPQ slot accepts it, retrying
+     * while the WPQ is full. Until then a crash completes it
+     * (flushInFlightLogs()).
+     */
     void
-    flushInFlightLogs()
+    persistLog(Addr addr, const LogRecord &record,
+               std::function<void()> done)
     {
-        for (const auto &[addr, record] : _inFlightLogs)
-            _ctx.logs.persist(addr, record);
-        _inFlightLogs.clear();
+        _inFlightLogs[addr] = record;
+        if (_ctx.checker)
+            _ctx.checker->onLogInFlight(addr, record);
+        tryPersist(addr, record, _ctx.eq.now(), std::move(done));
+    }
+
+    /** Append @p record and persist it via the MC, admission-gated. */
+    void
+    writeLogWithRetry(unsigned tid, const LogRecord &record,
+                      std::function<void()> done)
+    {
+        Addr addr = appendLog(tid, record);
+        persistLog(addr, record, admitted(tid, record, std::move(done)));
+    }
+
+    /** Battery flush at a crash: write @p record straight to its log. */
+    void
+    persistAtCrash(const LogRecord &record)
+    {
+        Addr addr = _ctx.logs.allocate(record.tid, record.sizeBytes());
+        _ctx.logs.persist(addr, record);
+        _stats.crashFlushBytes += record.sizeBytes();
     }
 
     SchemeContext _ctx;
     SchemeStats _stats;
-    /** Allocated-but-unaccepted records (durable in the MC log path). */
-    std::map<Addr, LogRecord> _inFlightLogs;
 
   private:
+    /** Per-core transaction state every scheme shares. */
+    struct CoreTx
+    {
+        std::uint16_t txid = 0;
+        /** The transaction's commit marker is durable. */
+        bool committed = false;
+    };
+
     void
     tryPersist(Addr addr, LogRecord record, Tick started,
                std::function<void()> done)
@@ -278,6 +341,10 @@ class LoggingScheme
                 tryPersist(addr, record, started, std::move(done));
             });
     }
+
+    std::vector<CoreTx> _txs;
+    /** Appended-but-unaccepted records (durable in the MC log path). */
+    std::map<Addr, LogRecord> _inFlightLogs;
 };
 
 /** No durability mechanism: raw memory system (calibration runs). */

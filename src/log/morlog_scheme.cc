@@ -1,7 +1,5 @@
 #include "log/morlog_scheme.hh"
 
-#include "log/wal_recovery.hh"
-
 namespace silo::log
 {
 
@@ -10,16 +8,8 @@ MorLogScheme::MorLogScheme(SchemeContext ctx)
 {
 }
 
-void
-MorLogScheme::txBegin(unsigned core, std::uint16_t txid)
-{
-    _cores[core].txid = txid;
-    _cores[core].lastCommitted = false;
-}
-
-void
-MorLogScheme::flushEntry(unsigned core, BufEntry entry,
-                         std::function<void()> on_accept)
+LogRecord
+MorLogScheme::record(unsigned core, const BufEntry &entry)
 {
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
@@ -28,7 +18,7 @@ MorLogScheme::flushEntry(unsigned core, BufEntry entry,
     rec.dataAddr = entry.addr;
     rec.oldData = entry.oldData;
     rec.newData = entry.newData;
-    writeLogWithRetry(core, rec, std::move(on_accept));
+    return rec;
 }
 
 void
@@ -49,6 +39,7 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
                     Word new_val, std::function<void()> done)
 {
     CoreState &cs = _cores[core];
+    std::uint16_t txid = txidOf(core);
 
     // MorLog's morphing eliminates unnecessary log data: a store that
     // does not change the word needs no log at all.
@@ -60,7 +51,7 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
     // Merge with an existing entry of the same word in this tx —
     // morphing away the intermediate redo data.
     for (auto &e : cs.buffer) {
-        if (e.txid == cs.txid && e.addr == addr && !e.flushing) {
+        if (e.txid == txid && e.addr == addr && !e.flushing) {
             e.newData = new_val;
             ++_merged;
             done();
@@ -76,16 +67,17 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
             if (!e.flushing) {
                 e.flushing = true;
                 BufEntry copy = e;
-                flushEntry(core, copy, [this, core, copy] {
+                writeLogWithRetry(core, record(core, copy),
+                                  [this, core, copy] {
                     eraseEntry(core, copy);
                 });
                 break;
             }
         }
     }
-    cs.buffer.push_back(BufEntry{cs.txid, addr, old_val, new_val});
+    cs.buffer.push_back(BufEntry{txid, addr, old_val, new_val});
     if (_ctx.checker)
-        _ctx.checker->noteAdrUndo(core, cs.txid, addr, old_val);
+        _ctx.checker->noteAdrUndo(core, txid, addr, old_val);
     done();
 }
 
@@ -96,17 +88,9 @@ MorLogScheme::commitFlushFinished(unsigned core)
     if (--cs.commitOutstanding > 0)
         return;
 
-    LogRecord marker;
-    marker.kind = LogRecord::Kind::Commit;
-    marker.tid = std::uint8_t(core);
-    marker.txid = cs.txid;
     auto done = std::move(cs.pendingCommit);
     cs.pendingCommit = nullptr;
-    writeLogWithRetry(core, marker, [this, core,
-                                     done = std::move(done)] {
-        _cores[core].lastCommitted = true;
-        done();
-    });
+    writeLogWithRetry(core, commitMarker(core), std::move(done));
 }
 
 void
@@ -119,8 +103,9 @@ MorLogScheme::txEnd(unsigned core, std::function<void()> done)
     // be in the PM log region before the commit completes. Entries
     // stay in the ADR buffer until each write is accepted.
     std::vector<BufEntry> to_flush;
+    std::uint16_t txid = txidOf(core);
     for (auto &e : cs.buffer) {
-        if (e.txid == cs.txid && !e.flushing) {
+        if (e.txid == txid && !e.flushing) {
             e.flushing = true;
             to_flush.push_back(e);
         }
@@ -128,7 +113,8 @@ MorLogScheme::txEnd(unsigned core, std::function<void()> done)
 
     cs.commitOutstanding = unsigned(to_flush.size()) + 1;
     for (const auto &entry : to_flush) {
-        flushEntry(core, entry, [this, core, entry] {
+        writeLogWithRetry(core, record(core, entry),
+                          [this, core, entry] {
             eraseEntry(core, entry);
             commitFlushFinished(core);
         });
@@ -139,37 +125,13 @@ MorLogScheme::txEnd(unsigned core, std::function<void()> done)
 void
 MorLogScheme::crash()
 {
-    flushInFlightLogs();
     // The MC log buffer is in the ADR domain: its entries flush to the
     // log region on power failure.
     for (unsigned core = 0; core < _cores.size(); ++core) {
-        CoreState &cs = _cores[core];
-        for (const auto &e : cs.buffer) {
-            LogRecord rec;
-            rec.kind = LogRecord::Kind::UndoRedo;
-            rec.tid = std::uint8_t(core);
-            rec.txid = e.txid;
-            rec.dataAddr = e.addr;
-            rec.oldData = e.oldData;
-            rec.newData = e.newData;
-            Addr addr = _ctx.logs.allocate(core, rec.sizeBytes());
-            _ctx.logs.persist(addr, rec);
-            _stats.crashFlushBytes += rec.sizeBytes();
-        }
-        cs.buffer.clear();
+        for (const auto &e : _cores[core].buffer)
+            persistAtCrash(record(core, e));
+        _cores[core].buffer.clear();
     }
-}
-
-bool
-MorLogScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-MorLogScheme::recover(WordStore &media)
-{
-    walRecover(_ctx.logs, _ctx.cfg.numCores, media);
 }
 
 } // namespace silo::log

@@ -30,13 +30,10 @@ class MorLogScheme : public LoggingScheme
 
     const char *name() const override { return "MorLog"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
     void crash() override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
     std::uint64_t mergedLogs() const { return _merged.value(); }
 
@@ -58,16 +55,13 @@ class MorLogScheme : public LoggingScheme
 
     struct CoreState
     {
-        std::uint16_t txid = 0;
         std::deque<BufEntry> buffer;   //!< ADR-domain, survives crash
         unsigned commitOutstanding = 0;
         std::function<void()> pendingCommit;
-        bool lastCommitted = false;
     };
 
-    /** Write one entry's record to the PM log region. */
-    void flushEntry(unsigned core, BufEntry entry,
-                    std::function<void()> on_accept);
+    /** The undo+redo log record of @p core 's buffer @p entry. */
+    static LogRecord record(unsigned core, const BufEntry &entry);
     /** Remove a flushed entry from the ADR buffer (post-accept). */
     void eraseEntry(unsigned core, const BufEntry &entry);
     void commitFlushFinished(unsigned core);

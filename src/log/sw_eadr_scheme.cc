@@ -1,45 +1,20 @@
 #include "log/sw_eadr_scheme.hh"
 
-#include "log/wal_recovery.hh"
-
 namespace silo::log
 {
 
 SwEadrScheme::SwEadrScheme(SchemeContext ctx)
-    : LoggingScheme(std::move(ctx)), _cores(_ctx.cfg.numCores)
+    : LoggingScheme(std::move(ctx))
 {
     _stats.crashFlushBytes.reset();
 }
 
 void
-SwEadrScheme::txBegin(unsigned core, std::uint16_t txid)
-{
-    _cores[core].txid = txid;
-    _cores[core].lastCommitted = false;
-}
-
-void
-SwEadrScheme::writeLogThroughCache(unsigned core, LogRecord record,
+SwEadrScheme::writeLogThroughCache(unsigned core,
+                                   const LogRecord &record,
                                    std::function<void()> done)
 {
-    Addr rec_addr = _ctx.logs.allocate(core, record.sizeBytes());
-    ++_stats.logWrites;
-    _stats.logBytes += record.sizeBytes();
-    if (_ctx.lifecycle) {
-        // Durability (the persist below) is never deferred; admission
-        // backpressure only gates the store's completion. Commit
-        // markers bypass the gate (see writeLogWithRetry): the marker
-        // is already durable, so deferring the commit completion would
-        // only open a window where the crash oracle and recovery
-        // disagree about the transaction's outcome.
-        _ctx.lifecycle->noteAppend(core, record.sizeBytes());
-        if (record.kind != LogRecord::Kind::Commit) {
-            done = [lc = _ctx.lifecycle, core,
-                    inner = std::move(done)]() mutable {
-                lc->gate(core, std::move(inner));
-            };
-        }
-    }
+    Addr rec_addr = appendLog(core, record);
 
     // The persistent cache is the durability point: the record is
     // durable the moment its store completes.
@@ -55,18 +30,18 @@ SwEadrScheme::writeLogThroughCache(unsigned core, LogRecord record,
     // One cache write per entry: this is the pollution the paper
     // describes — appended logs always land in fresh lines.
     ++_logCacheWrites;
-    _ctx.hierarchy.access(core, rec_addr, true, std::move(done));
+    _ctx.hierarchy.access(core, rec_addr, true,
+                          admitted(core, record, std::move(done)));
 }
 
 void
 SwEadrScheme::store(unsigned core, Addr addr, Word old_val,
                     Word new_val, std::function<void()> done)
 {
-    CoreState &cs = _cores[core];
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
     rec.tid = std::uint8_t(core);
-    rec.txid = cs.txid;
+    rec.txid = txidOf(core);
     rec.dataAddr = addr;
     rec.oldData = old_val;
     rec.newData = new_val;
@@ -80,24 +55,14 @@ void
 SwEadrScheme::txEnd(unsigned core, std::function<void()> done)
 {
     // Logs and data are already persistent in the eADR cache; the
-    // commit record makes the transaction's outcome durable.
-    CoreState &cs = _cores[core];
-    LogRecord marker;
-    marker.kind = LogRecord::Kind::Commit;
-    marker.tid = std::uint8_t(core);
-    marker.txid = cs.txid;
-    writeLogThroughCache(core, marker, std::move(done));
-    // The marker became durable in the persistent cache the moment it
-    // was written (inside writeLogThroughCache): if a crash lands
-    // before done() fires, recovery will — correctly — treat the
-    // transaction as committed.
-    cs.lastCommitted = true;
+    // commit record makes the transaction's outcome durable the moment
+    // it is written.
+    writeLogThroughCache(core, commitMarker(core), std::move(done));
 }
 
 void
 SwEadrScheme::crash()
 {
-    flushInFlightLogs();
     // eADR: the platform battery flushes every dirty cacheline to PM
     // (Table IV's eADR flush). Data lines carry their architectural
     // values; log lines' records are already in the log region store.
@@ -110,18 +75,6 @@ SwEadrScheme::crash()
             _ctx.pm.media().store(a, _ctx.valueOf(a));
         }
     }
-}
-
-bool
-SwEadrScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-SwEadrScheme::recover(WordStore &media)
-{
-    walRecover(_ctx.logs, _ctx.cfg.numCores, media);
 }
 
 } // namespace silo::log

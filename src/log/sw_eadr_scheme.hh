@@ -19,8 +19,6 @@
 #ifndef SILO_LOG_SW_EADR_SCHEME_HH
 #define SILO_LOG_SW_EADR_SCHEME_HH
 
-#include <vector>
-
 #include "log/logging_scheme.hh"
 
 namespace silo::log
@@ -34,13 +32,10 @@ class SwEadrScheme : public LoggingScheme
 
     const char *name() const override { return "SW-eADR"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
     void crash() override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
     /** Cache accesses spent writing log entries (pollution metric). */
     std::uint64_t logCacheWrites() const
@@ -49,23 +44,14 @@ class SwEadrScheme : public LoggingScheme
     }
 
   private:
-    struct CoreState
-    {
-        std::uint16_t txid = 0;
-        bool lastCommitted = false;
-    };
-
     /**
      * Write @p record at a fresh log address *through the cache*:
      * durable immediately (persistent cache), but the log line
      * competes for cache capacity and later writes back to PM.
-     * Commit markers bypass the segmented lifecycle's admission
-     * backpressure, as in LoggingScheme::writeLogWithRetry.
      */
-    void writeLogThroughCache(unsigned core, LogRecord record,
+    void writeLogThroughCache(unsigned core, const LogRecord &record,
                               std::function<void()> done);
 
-    std::vector<CoreState> _cores;
     std::uint64_t _contentStamp = 1;
     stats::Scalar _logCacheWrites{"sweadr_log_cache_writes",
         "cache write accesses performed for log entries"};

@@ -41,19 +41,21 @@ orderedLiveRecords(const LogRegionStore &logs, unsigned tid)
 void
 walRecover(LogRegionStore &logs, unsigned threads, WordStore &media)
 {
+    using Kind = LogRecord::Kind;
     for (unsigned t = 0; t < threads; ++t) {
         auto records = orderedLiveRecords(logs, t);
 
-        // Pass 1: find the committed transactions of this thread.
+        // Pass 1: the committed transactions of this thread, named by
+        // a commit marker or an ID tuple.
         std::set<std::uint16_t> committed;
         for (const auto &[addr, rec] : records) {
-            if (rec.kind == LogRecord::Kind::Commit)
+            if (rec.kind == Kind::Commit || rec.kind == Kind::IdTuple)
                 committed.insert(rec.txid);
         }
 
         // Pass 2: redo committed transactions in log (write) order.
         for (const auto &[addr, rec] : records) {
-            if (rec.kind == LogRecord::Kind::UndoRedo &&
+            if ((rec.kind == Kind::UndoRedo || rec.kind == Kind::Redo) &&
                 committed.count(rec.txid)) {
                 media.store(rec.dataAddr, rec.newData);
             }
@@ -63,7 +65,7 @@ walRecover(LogRegionStore &logs, unsigned threads, WordStore &media)
         // word's oldest old-value lands last.
         for (auto it = records.rbegin(); it != records.rend(); ++it) {
             const auto &rec = it->second;
-            if (rec.kind == LogRecord::Kind::UndoRedo &&
+            if ((rec.kind == Kind::UndoRedo || rec.kind == Kind::Undo) &&
                 !committed.count(rec.txid)) {
                 media.store(rec.dataAddr, rec.oldData);
             }

@@ -1,12 +1,19 @@
 /**
  * @file
- * Shared write-ahead-log recovery for the "log as backup" baselines
- * (Base, FWB, MorLog).
+ * Post-crash recovery, one routine for every scheme.
  *
- * These schemes persist undo+redo records during execution and a
- * commit marker at Tx_end. Recovery replays the redo data of committed
- * transactions in log order and revokes uncommitted transactions with
- * their undo data in reverse log order.
+ * A log record describes itself (Fig. 6: tid, txid, kind), so one
+ * rule recovers every scheme: a transaction is committed iff its
+ * thread's log holds a commit marker (the write-ahead-log schemes Base,
+ * FWB, MorLog and SW-eADR write one at Tx_end) or an ID tuple (Silo's
+ * crash flush, §III-G) naming its txid. Recovery replays the new data
+ * of committed transactions in log order and revokes the rest with
+ * their old data in reverse log order. The WAL schemes write undo+redo
+ * records; Silo writes undo records (overflow evictions, and the crash
+ * flush of uncommitted entries) and, at the crash, redo records of
+ * committed ones; LAD's slow mode writes undo records only (its commit
+ * truncates them). So the rule is each scheme's own recovery
+ * procedure.
  *
  * Segmented mode (DESIGN.md §4j): the cleaner migrates records to new
  * addresses, so address order is no longer write order, and a crash
@@ -14,7 +21,7 @@
  * one record. orderedLiveRecords() restores write order by sorting on
  * the LSN (the original append address, preserved across migration),
  * drops duplicate LSNs, and filters the lifecycle's checkpoint
- * markers; every recovery procedure scans through it.
+ * markers; walRecover() scans through it.
  */
 
 #ifndef SILO_LOG_WAL_RECOVERY_HH
@@ -38,8 +45,8 @@ std::vector<std::pair<Addr, LogRecord>>
 orderedLiveRecords(const LogRegionStore &logs, unsigned tid);
 
 /**
- * Recover @p media from the live undo+redo records of @p threads
- * threads in @p logs, then truncate the log.
+ * Recover @p media from the live records of @p threads threads in
+ * @p logs, then truncate the log.
  */
 void walRecover(LogRegionStore &logs, unsigned threads,
                 WordStore &media);

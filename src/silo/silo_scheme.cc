@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "log/wal_recovery.hh"
-
 namespace silo::silo_scheme
 {
 
@@ -26,12 +24,10 @@ SiloScheme::coreTrack(unsigned core)
 }
 
 void
-SiloScheme::txBegin(unsigned core, std::uint16_t txid)
+SiloScheme::beginTx(unsigned core)
 {
     CoreState &cs = _cores[core];
-    cs.txid = txid;
     cs.open = true;
-    cs.lastCommitted = false;
     cs.txStart = _ctx.eq.now();
     cs.txTotalLogs = 0;
     cs.txAppends = 0;
@@ -77,23 +73,6 @@ SiloScheme::writeWordWithRetry(Addr addr, Word value,
 }
 
 void
-SiloScheme::persistThen(Addr addr, LogRecord record,
-                        std::function<void()> after)
-{
-    // A crash may interleave with the retries: the record stays in
-    // _inFlightLogs so the battery can complete it.
-    if (_ctx.mc.tryWriteLog(addr, record)) {
-        _inFlightLogs.erase(addr);
-        after();
-        return;
-    }
-    _ctx.mc.requestWriteSlot(addr, [this, addr, record,
-                              after = std::move(after)]() mutable {
-        persistThen(addr, record, std::move(after));
-    });
-}
-
-void
 SiloScheme::handleOverflow(unsigned core)
 {
     CoreState &cs = _cores[core];
@@ -132,13 +111,7 @@ SiloScheme::handleOverflow(unsigned core)
         undo.oldData = entry.oldData;
 
         bool write_data = !entry.flushBit;
-        Addr rec_addr = _ctx.logs.allocate(core, undo.sizeBytes());
-        ++_stats.logWrites;
-        _stats.logBytes += undo.sizeBytes();
-        if (_ctx.lifecycle)
-            _ctx.lifecycle->noteAppend(core, undo.sizeBytes());
-        _inFlightLogs[rec_addr] = undo;
-        noteInFlightLog(rec_addr, undo);
+        Addr rec_addr = appendLog(core, undo);
         // The new data stays in the battery domain (pendingInPlace)
         // until the WPQ accepts it — "they are not lost in the log
         // buffer" (§III-F) — so a crash after the commit but before
@@ -164,8 +137,8 @@ SiloScheme::handleOverflow(unsigned core)
             }
         }
         Addr data_addr = entry.addr;
-        persistThen(rec_addr, undo, [this, core, write_data,
-                                     data_addr] {
+        persistLog(rec_addr, undo, [this, core, write_data,
+                                    data_addr] {
             if (write_data)
                 issueInPlace(core, data_addr);
         });
@@ -177,6 +150,7 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
                   std::function<void()> done)
 {
     CoreState &cs = _cores[core];
+    std::uint16_t txid = txidOf(core);
     ++cs.txTotalLogs;
 
     // Log ignorance: a store that does not change the word produces no
@@ -191,7 +165,7 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     // every entry in parallel (§III-C).
     if (_ctx.cfg.siloLogMerging) {
         for (auto &e : cs.buffer) {
-            if (!e.committed && e.txid == cs.txid && e.addr == addr) {
+            if (!e.committed && e.txid == txid && e.addr == addr) {
                 e.newData = new_val;
                 // The merged value supersedes whatever an earlier
                 // eviction delivered: a set flush-bit would make the
@@ -206,14 +180,14 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     }
 
     LogBufferEntry entry;
-    entry.txid = cs.txid;
+    entry.txid = txid;
     entry.addr = addr;
     entry.oldData = old_val;
     entry.newData = new_val;
     cs.buffer.push_back(entry);
     ++cs.txAppends;
     if (_ctx.checker)
-        _ctx.checker->noteBatteryUndo(core, cs.txid, addr, old_val);
+        _ctx.checker->noteBatteryUndo(core, txid, addr, old_val);
 
     if (cs.buffer.size() > _ctx.cfg.logBufferEntries)
         handleOverflow(core);
@@ -338,12 +312,12 @@ SiloScheme::txEnd(unsigned core, std::function<void()> done)
             tr->completeSpan(coreTrack(core), "validate",
                              commit_request, _ctx.eq.now());
         }
+        std::uint16_t txid = txidOf(core);
         for (auto &e : cs2.buffer) {
-            if (e.txid == cs2.txid)
+            if (e.txid == txid)
                 e.committed = true;
         }
         cs2.open = false;
-        cs2.lastCommitted = true;
         // Overflowed undo logs of this transaction are obsolete: the
         // log truncates via the on-chip head register (no PM write).
         _ctx.logs.truncate(core);
@@ -357,6 +331,18 @@ SiloScheme::crash()
 {
     // Battery-backed selective log flushing (§III-G).
     std::set<std::pair<std::uint8_t, std::uint16_t>> committed_ids;
+    auto flush_redo = [&](unsigned core, std::uint16_t txid, Addr addr,
+                          Word new_data) {
+        LogRecord redo;
+        redo.kind = LogRecord::Kind::Redo;
+        redo.tid = std::uint8_t(core);
+        redo.txid = txid;
+        redo.flushBit = false;
+        redo.dataAddr = addr;
+        redo.newData = new_data;
+        persistAtCrash(redo);
+        committed_ids.insert({std::uint8_t(core), txid});
+    };
 
     for (unsigned core = 0; core < _cores.size(); ++core) {
         CoreState &cs = _cores[core];
@@ -375,23 +361,11 @@ SiloScheme::crash()
                 undo.flushBit = true;
                 undo.dataAddr = e.addr;
                 undo.oldData = e.oldData;
-                Addr a = _ctx.logs.allocate(core, undo.sizeBytes());
-                _ctx.logs.persist(a, undo);
-                _stats.crashFlushBytes += undo.sizeBytes();
+                persistAtCrash(undo);
             } else if (!e.flushBit) {
                 // Committed but not yet in-place updated: flush the
                 // redo log so recovery can replay it.
-                LogRecord redo;
-                redo.kind = LogRecord::Kind::Redo;
-                redo.tid = std::uint8_t(core);
-                redo.txid = e.txid;
-                redo.flushBit = false;
-                redo.dataAddr = e.addr;
-                redo.newData = e.newData;
-                Addr a = _ctx.logs.allocate(core, redo.sizeBytes());
-                _ctx.logs.persist(a, redo);
-                _stats.crashFlushBytes += redo.sizeBytes();
-                committed_ids.insert({std::uint8_t(core), e.txid});
+                flush_redo(core, e.txid, e.addr, e.newData);
             }
         }
         cs.buffer.clear();
@@ -400,22 +374,10 @@ SiloScheme::crash()
         // accepted: committed transactions need a redo flush; for
         // uncommitted ones (overflow path) the undo log covers
         // atomicity and the new data is simply discarded.
+        std::uint16_t txid = txidOf(core);
         for (const auto &p : cs.pendingInPlace) {
-            bool committed = p.txid < cs.txid ||
-                             (p.txid == cs.txid && !cs.open);
-            if (!committed)
-                continue;
-            LogRecord redo;
-            redo.kind = LogRecord::Kind::Redo;
-            redo.tid = std::uint8_t(core);
-            redo.txid = p.txid;
-            redo.flushBit = false;
-            redo.dataAddr = p.addr;
-            redo.newData = p.newData;
-            Addr a = _ctx.logs.allocate(core, redo.sizeBytes());
-            _ctx.logs.persist(a, redo);
-            _stats.crashFlushBytes += redo.sizeBytes();
-            committed_ids.insert({std::uint8_t(core), p.txid});
+            if (p.txid < txid || (p.txid == txid && !cs.open))
+                flush_redo(core, p.txid, p.addr, p.newData);
         }
         cs.pendingInPlace.clear();
     }
@@ -426,56 +388,7 @@ SiloScheme::crash()
         tuple.kind = LogRecord::Kind::IdTuple;
         tuple.tid = tid;
         tuple.txid = txid;
-        Addr a = _ctx.logs.allocate(tid, tuple.sizeBytes());
-        _ctx.logs.persist(a, tuple);
-        _stats.crashFlushBytes += tuple.sizeBytes();
-    }
-
-    // Overflow undo records whose MC write was still in flight are
-    // durable in the MC's ADR log path; complete them.
-    flushInFlightLogs();
-}
-
-bool
-SiloScheme::lastTxCommittedAtCrash(unsigned core) const
-{
-    return _cores[core].lastCommitted;
-}
-
-void
-SiloScheme::recover(WordStore &media)
-{
-    for (unsigned t = 0; t < _ctx.cfg.numCores; ++t) {
-        auto records = log::orderedLiveRecords(_ctx.logs, t);
-
-        // The ID tuples name the committed transactions (§III-G).
-        std::set<std::uint16_t> committed;
-        for (const auto &[addr, rec] : records) {
-            if (rec.kind == LogRecord::Kind::IdTuple)
-                committed.insert(rec.txid);
-        }
-
-        // Committed: replay redo logs (flush-bit 0) in write order.
-        // Overflowed undo logs of committed transactions carry
-        // flush-bit 1 and are discarded.
-        for (const auto &[addr, rec] : records) {
-            if (committed.count(rec.txid) && !rec.flushBit &&
-                rec.kind == LogRecord::Kind::Redo) {
-                media.store(rec.dataAddr, rec.newData);
-            }
-        }
-
-        // Uncommitted: revoke partial updates with the undo logs, in
-        // reverse write order so the oldest value lands last.
-        for (auto it = records.rbegin(); it != records.rend(); ++it) {
-            const LogRecord &rec = it->second;
-            if (!committed.count(rec.txid) &&
-                rec.kind == LogRecord::Kind::Undo) {
-                media.store(rec.dataAddr, rec.oldData);
-            }
-        }
-
-        _ctx.logs.truncate(t);
+        persistAtCrash(tuple);
     }
 }
 

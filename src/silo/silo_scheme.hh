@@ -86,13 +86,10 @@ class SiloScheme : public log::LoggingScheme
 
     const char *name() const override { return "Silo"; }
 
-    void txBegin(unsigned core, std::uint16_t txid) override;
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
     void crash() override;
-    bool lastTxCommittedAtCrash(unsigned core) const override;
-    void recover(WordStore &media) override;
 
     const LogReductionStats &reductionStats() const
     {
@@ -119,6 +116,9 @@ class SiloScheme : public log::LoggingScheme
         return &_reduction.group;
     }
 
+  protected:
+    void beginTx(unsigned core) override;
+
   private:
     /** A committed new-data word on its way to the data region. */
     struct PendingUpdate
@@ -131,9 +131,7 @@ class SiloScheme : public log::LoggingScheme
 
     struct CoreState
     {
-        std::uint16_t txid = 0;
         bool open = false;
-        bool lastCommitted = false;
         Tick txStart = 0;   //!< trace: start of the speculate span
         std::deque<LogBufferEntry> buffer;   //!< battery-backed FIFO
         /**
@@ -177,15 +175,6 @@ class SiloScheme : public log::LoggingScheme
     /** Write @p value at @p addr via the MC, retrying on a full WPQ. */
     void writeWordWithRetry(Addr addr, Word value,
                             std::function<void()> on_accept);
-
-    /**
-     * Persist a log record via the MC (retrying on a full WPQ), run
-     * @p after once it is durable. The record is remembered until
-     * accepted so the battery can still flush it if a crash
-     * interleaves with the retries.
-     */
-    void persistThen(Addr addr, log::LogRecord record,
-                     std::function<void()> after);
 
     /** The MC eviction hook: set flush-bits of matching entries. */
     void onCachelineEvicted(Addr line);

@@ -1,10 +1,10 @@
 #include "sim/profiler.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::prof
@@ -14,15 +14,6 @@ namespace
 {
 
 std::atomic<Profiler *> g_profiler{nullptr};
-
-/** Round-trippable, locale-independent double formatting. */
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 } // namespace
 

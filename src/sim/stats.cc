@@ -1,40 +1,14 @@
 #include "sim/stats.hh"
 
-#include <cstdio>
 #include <functional>
 #include <iomanip>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::stats
 {
-
-namespace
-{
-
-/** Round-trippable, locale-independent double formatting. */
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::uint64_t
 Distribution::percentile(double frac) const

@@ -1,41 +1,15 @@
 #include "sim/tracer.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::trace
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-/** Locale-independent, round-trippable number formatting. */
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 Tracer::TrackId
 Tracer::track(const std::string &process, const std::string &thread)
@@ -136,14 +110,14 @@ Tracer::writeJson(std::ostream &os) const
           case Kind::Instant: os << 'i'; break;
         }
         os << "\",\"pid\":" << tr.pid << ",\"tid\":" << e.track + 1
-           << ",\"ts\":" << num(double(e.ts) / _ticksPerUs)
+           << ",\"ts\":" << jsonNum(double(e.ts) / _ticksPerUs)
            << ",\"name\":\"" << jsonEscape(e.name) << "\"";
         switch (e.kind) {
           case Kind::Complete:
-            os << ",\"dur\":" << num(double(e.dur) / _ticksPerUs);
+            os << ",\"dur\":" << jsonNum(double(e.dur) / _ticksPerUs);
             break;
           case Kind::Counter:
-            os << ",\"args\":{\"value\":" << num(e.value) << "}";
+            os << ",\"args\":{\"value\":" << jsonNum(e.value) << "}";
             break;
           case Kind::Instant:
             os << ",\"s\":\"t\"";

@@ -131,6 +131,23 @@ TEST(FuzzCampaign, SummaryIsReproducibleFromSeed)
     EXPECT_FALSE(a.budgetExhausted);
 }
 
+TEST(FuzzCampaign, SummaryEscapesControlCharactersInFixturePath)
+{
+    // The fixture path embeds the user's --out directory, which may
+    // hold any byte: the summary must stay valid JSON.
+    FuzzFinding finding;
+    finding.programName = "p0";
+    finding.fixturePath = "out\tdir/p0\n.litmus";
+    FuzzCampaignResult result;
+    result.findings.push_back(finding);
+
+    std::string json = result.summaryJson(FuzzOptions{});
+    EXPECT_NE(json.find("\"fixture\": \"out\\tdir/p0\\n.litmus\""),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+}
+
 TEST(FuzzCampaign, SummaryIsIdenticalAcrossJobCounts)
 {
     // The campaign fans each phase out over $SILO_JOBS workers; every

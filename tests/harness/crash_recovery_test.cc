@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_map>
 
 #include "harness/system.hh"
@@ -42,6 +43,69 @@ caseName(const ::testing::TestParamInfo<CrashCase> &info)
     return name;
 }
 
+/**
+ * Run @p workload (2 threads x 25 tx, @p seed) on @p cfg, crash after
+ * @p crash_events events, recover, and check the media against the
+ * oracle — and the checker's verdict when cfg.checker is on.
+ */
+void
+checkCrashAt(SimConfig cfg, workload::WorkloadKind workload,
+             std::uint64_t crash_events, std::uint64_t seed)
+{
+    workload::TraceGenConfig tg;
+    tg.kind = workload;
+    tg.numThreads = 2;
+    tg.transactionsPerThread = 25;
+    tg.seed = seed;
+    auto traces = workload::generateTraces(tg);
+
+    cfg.numCores = 2;
+    // A small log buffer provokes Silo overflow paths too.
+    cfg.logBufferEntries = 12;
+
+    System sys(cfg, traces);
+    bool more = sys.runEvents(crash_events);
+    sys.crash();
+    sys.recover();
+
+    // Oracle: initial image + all stores of durably committed
+    // transactions, in trace order per thread. A commit that was
+    // in flight at the crash counts if the scheme durably
+    // recorded it (its done() just had not fired yet).
+    WordStore expected = traces.initialMemory;
+    for (unsigned t = 0; t < 2; ++t) {
+        std::size_t upto = sys.coreAt(t).committedOpIndex();
+        if (sys.scheme().lastTxCommittedAtCrash(t))
+            upto = std::max(upto,
+                            sys.coreAt(t).commitRequestedOpIndex());
+        for (std::size_t i = 0; i < upto; ++i) {
+            const auto &op = traces.threads[t].ops[i];
+            if (op.kind == workload::TxOp::Kind::Store)
+                expected[op.addr] = op.value;
+        }
+    }
+
+    std::uint64_t checked = 0;
+    for (const auto &[addr, value] : expected) {
+        ASSERT_EQ(sys.pm().media().load(addr), value)
+            << "addr 0x" << std::hex << addr << std::dec
+            << " after crash at " << crash_events << " events"
+            << " (committed: t0="
+            << sys.coreAt(0).committedTx() << ", t1="
+            << sys.coreAt(1).committedTx() << ")";
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+    if (cfg.checker) {
+        std::ostringstream report;
+        sys.checker()->report(report);
+        EXPECT_TRUE(sys.checker()->clean())
+            << "crash at " << crash_events << " events:\n"
+            << report.str();
+    }
+    (void)more;
+}
+
 class CrashRecovery : public ::testing::TestWithParam<CrashCase>
 {
   protected:
@@ -49,53 +113,9 @@ class CrashRecovery : public ::testing::TestWithParam<CrashCase>
     void
     crashAndCheck(std::uint64_t crash_events, std::uint64_t seed)
     {
-        workload::TraceGenConfig tg;
-        tg.kind = GetParam().workload;
-        tg.numThreads = 2;
-        tg.transactionsPerThread = 25;
-        tg.seed = seed;
-        auto traces = workload::generateTraces(tg);
-
         SimConfig cfg;
-        cfg.numCores = 2;
         cfg.scheme = GetParam().scheme;
-        // A small log buffer provokes Silo overflow paths too.
-        cfg.logBufferEntries = 12;
-
-        System sys(cfg, traces);
-        bool more = sys.runEvents(crash_events);
-        sys.crash();
-        sys.recover();
-
-        // Oracle: initial image + all stores of durably committed
-        // transactions, in trace order per thread. A commit that was
-        // in flight at the crash counts if the scheme durably
-        // recorded it (its done() just had not fired yet).
-        WordStore expected = traces.initialMemory;
-        for (unsigned t = 0; t < 2; ++t) {
-            std::size_t upto = sys.coreAt(t).committedOpIndex();
-            if (sys.scheme().lastTxCommittedAtCrash(t))
-                upto = std::max(upto,
-                                sys.coreAt(t).commitRequestedOpIndex());
-            for (std::size_t i = 0; i < upto; ++i) {
-                const auto &op = traces.threads[t].ops[i];
-                if (op.kind == workload::TxOp::Kind::Store)
-                    expected[op.addr] = op.value;
-            }
-        }
-
-        std::uint64_t checked = 0;
-        for (const auto &[addr, value] : expected) {
-            ASSERT_EQ(sys.pm().media().load(addr), value)
-                << "addr 0x" << std::hex << addr << std::dec
-                << " after crash at " << crash_events << " events"
-                << " (committed: t0="
-                << sys.coreAt(0).committedTx() << ", t1="
-                << sys.coreAt(1).committedTx() << ")";
-            ++checked;
-        }
-        EXPECT_GT(checked, 0u);
-        (void)more;
+        checkCrashAt(cfg, GetParam().workload, crash_events, seed);
     }
 };
 
@@ -141,6 +161,25 @@ INSTANTIATE_TEST_SUITE_P(
         CrashCase{SchemeKind::SwEadr, workload::WorkloadKind::Bank},
         CrashCase{SchemeKind::SwEadr, workload::WorkloadKind::Hash}),
     caseName);
+
+TEST(CrashSemantics, CommitMarkerInAdrLogPathCommits)
+{
+    // A 4-entry WPQ keeps commit markers waiting for a slot in the
+    // MC's ADR log path, where they are already durable: a crash there
+    // commits the transaction although its Tx_end never completed, so
+    // the oracle and the checker must count it as committed.
+    for (SchemeKind scheme : {SchemeKind::Base, SchemeKind::MorLog}) {
+        SimConfig cfg;
+        cfg.scheme = scheme;
+        cfg.wpqEntries = 4;
+        cfg.checker = true;
+        for (std::uint64_t k = 60; k <= 160; ++k) {
+            SCOPED_TRACE(std::string(schemeName(scheme)) + " crash at " +
+                         std::to_string(k));
+            checkCrashAt(cfg, workload::WorkloadKind::Bank, k, 5);
+        }
+    }
+}
 
 TEST(CrashSemantics, CrashAfterFullRunPreservesEverything)
 {

@@ -185,7 +185,7 @@ TEST(SweepTraceCache, SharedConfigIsGeneratedOnceAndPointerShared)
         << "the engine must generate each unique config exactly once";
 }
 
-TEST(SweepStats, StatsJsonEmbeddedPerCellAndRemovableViaEnv)
+TEST(SweepStats, StatsJsonEmbeddedPerCell)
 {
     Sweep sweep({.jobs = 2, .progress = false});
     for (auto &spec : smallMatrix())
@@ -197,22 +197,11 @@ TEST(SweepStats, StatsJsonEmbeddedPerCellAndRemovableViaEnv)
                   std::string::npos);
     }
 
-    std::string with_path = ::testing::TempDir() + "sweep_stats.json";
-    std::string without_path =
-        ::testing::TempDir() + "sweep_nostats.json";
-    sweep.writeJson(with_path, "sweep_test");
-    ASSERT_EQ(setenv("SILO_STATS_JSON", "0", 1), 0);   // NOLINT(concurrency-mt-unsafe)
-    sweep.writeJson(without_path, "sweep_test");
-    unsetenv("SILO_STATS_JSON");   // NOLINT(concurrency-mt-unsafe)
-
-    std::string with = slurp(with_path);
-    std::string without = slurp(without_path);
-    ASSERT_FALSE(with.empty());
-    ASSERT_FALSE(without.empty());
-    EXPECT_NE(with.find("\"stats\": {"), std::string::npos);
-    EXPECT_EQ(without.find("\"stats\": {"), std::string::npos)
-        << "SILO_STATS_JSON=0 must omit the per-cell stats blocks";
-    EXPECT_LT(without.size(), with.size());
+    std::string path = ::testing::TempDir() + "sweep_stats.json";
+    sweep.writeJson(path, "sweep_test");
+    std::string json = slurp(path);
+    ASSERT_FALSE(json.empty());
+    EXPECT_NE(json.find("\"stats\": {"), std::string::npos);
 }
 
 TEST(SweepStats, LogLifecycleEnvReachesBenchCells)

@@ -60,15 +60,7 @@ main(int argc, char **argv)
     sys.recover();
 
     // Oracle: initial image plus the stores of committed transactions.
-    WordStore expected = traces.initialMemory;
-    for (unsigned t = 0; t < sys.numCores(); ++t) {
-        std::size_t upto = sys.coreAt(t).committedOpIndex();
-        for (std::size_t i = 0; i < upto; ++i) {
-            const auto &op = traces.threads[t].ops[i];
-            if (op.kind == workload::TxOp::Kind::Store)
-                expected[op.addr] = op.value;
-        }
-    }
+    WordStore expected = harness::committedPrefixImage(sys, traces);
     std::uint64_t mismatches = 0;
     for (const auto &[addr, value] : expected) {
         if (sys.pm().media().load(addr) != value)

@@ -31,30 +31,6 @@ nowSeconds()
     return wallSeconds();
 }
 
-/**
- * Apply the segmented-log lifecycle knobs (DESIGN.md §4j) from the
- * environment onto @p cfg: SILO_LOG_SEGMENTED enables segmentation and
- * SILO_LOG_SEGMENT_BYTES / SILO_LOG_SEGMENTS / SILO_LOG_CLEAN_RESERVE /
- * SILO_LOG_CKPT_BYTES / SILO_LOG_TICK_CYCLES override the geometry,
- * defaulting to the current cfg values.
- */
-void
-applyLogLifecycleEnv(SimConfig &cfg)
-{
-    cfg.logSegmented = envOr("SILO_LOG_SEGMENTED",
-                             cfg.logSegmented ? 1 : 0) != 0;
-    cfg.logSegmentBytes =
-        envOr("SILO_LOG_SEGMENT_BYTES", cfg.logSegmentBytes);
-    cfg.logSegmentsPerThread = unsigned(
-        envOr("SILO_LOG_SEGMENTS", cfg.logSegmentsPerThread));
-    cfg.logCleanReserve =
-        unsigned(envOr("SILO_LOG_CLEAN_RESERVE", cfg.logCleanReserve));
-    cfg.logCheckpointBytes =
-        envOr("SILO_LOG_CKPT_BYTES", cfg.logCheckpointBytes);
-    cfg.logLifecycleTickCycles =
-        envOr("SILO_LOG_TICK_CYCLES", cfg.logLifecycleTickCycles);
-}
-
 } // namespace
 
 unsigned
@@ -201,11 +177,12 @@ Sweep::runOne(std::size_t index)
         _hooks.onCellStart(index);
     const CellSpec &spec = _specs[index];
     const workload::WorkloadTraces &traces = _cache.get(spec.trace);
-    // The SILO_LOG_* knobs win over the cell's config (each is a no-op
-    // when unset), so every bench can run under the segmented log
-    // lifecycle straight from the environment.
+    // SILO_LOG_SEGMENTED wins over the cell's config (a no-op when
+    // unset), so every bench can run under the segmented log lifecycle
+    // (DESIGN.md §4j) straight from the environment.
     SimConfig sim = spec.sim;
-    applyLogLifecycleEnv(sim);
+    sim.logSegmented =
+        envOr("SILO_LOG_SEGMENTED", sim.logSegmented ? 1 : 0) != 0;
     // SILO_TRACE turns on timeline tracing for the cells it selects:
     // every cell by default, or just #SILO_TRACE_CELL when that is set.
     // Each traced cell writes its own file (see tracePathFor).

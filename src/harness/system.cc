@@ -1,5 +1,7 @@
 #include "harness/system.hh"
 
+#include <algorithm>
+
 #include "log/wal_recovery.hh"
 
 namespace silo::harness
@@ -148,12 +150,10 @@ System::crash()
     _crashed = true;
     if (_checker)
         _checker->onCrashBegin();
-    // 1. The MC's ADR log path completes: the lifecycle engine's
-    //    migration copies and checkpoint marker and the scheme's
-    //    records still waiting for a WPQ slot persist.
-    if (_lifecycle)
-        _lifecycle->crashFlush();
-    _scheme->flushInFlightLogs();
+    // 1. The MCs' ADR log paths complete: every log record still
+    //    waiting for a WPQ slot (a scheme's or the lifecycle
+    //    engine's) persists.
+    _mc->flushLogPath();
     // 2. Battery-backed selective flush (Silo §III-G; no-op for
     //    schemes without battery-backed structures).
     _scheme->crash();
@@ -281,6 +281,23 @@ System::report() const
     r.wpqAcceptedWrites = _mc->acceptedWrites();
     r.wpqAcceptedBytes = _mc->acceptedBytes();
     return r;
+}
+
+WordStore
+committedPrefixImage(System &sys, const workload::WorkloadTraces &traces)
+{
+    WordStore image = traces.initialMemory;
+    for (unsigned t = 0; t < sys.numCores(); ++t) {
+        std::size_t upto = sys.coreAt(t).committedOpIndex();
+        if (sys.scheme().lastTxCommittedAtCrash(t))
+            upto = std::max(upto, sys.coreAt(t).commitRequestedOpIndex());
+        for (std::size_t i = 0; i < upto; ++i) {
+            const auto &op = traces.threads[t].ops[i];
+            if (op.kind == workload::TxOp::Kind::Store)
+                image[op.addr] = op.value;
+        }
+    }
+    return image;
 }
 
 } // namespace silo::harness

@@ -171,6 +171,17 @@ class System
     bool _traceWritten = false;
 };
 
+/**
+ * The committed-prefix oracle of a crashed @p sys run on @p traces:
+ * the initial image plus, per core in trace order, the stores of every
+ * durably committed transaction — including one whose Tx_end had not
+ * completed when its commit became durable
+ * (LoggingScheme::lastTxCommittedAtCrash()). Recovery must reproduce
+ * it on media for every word it holds.
+ */
+WordStore committedPrefixImage(System &sys,
+                               const workload::WorkloadTraces &traces);
+
 } // namespace silo::harness
 
 #endif // SILO_HARNESS_SYSTEM_HH

@@ -16,36 +16,32 @@ void
 FwbScheme::scheduleWalk()
 {
     _ctx.eq.scheduleAfter(_ctx.cfg.fwbIntervalCycles, [this] {
-        walk();
+        // Force-write-back every line dirty now. Undo data in the logs
+        // keeps atomicity even when uncommitted lines reach PM.
+        walk(std::make_shared<const std::vector<Addr>>(
+                 _ctx.hierarchy.allDirtyLines()),
+             0);
         scheduleWalk();
     }, EventQueue::prioDefault, prof::Tag::LogScheme);
 }
 
 void
-FwbScheme::walk()
+FwbScheme::walk(std::shared_ptr<const std::vector<Addr>> lines,
+                std::size_t next)
 {
-    // Force-write-back every dirty line, paced one line at a time so
-    // the walker shares the WPQ with demand traffic instead of
-    // flooding it in one burst. Undo data in the logs keeps atomicity
-    // even when uncommitted lines reach PM.
-    auto lines = std::make_shared<std::vector<Addr>>(
-        _ctx.hierarchy.allDirtyLines());
-    auto next = std::make_shared<std::size_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, lines, next, step] {
-        if (*next >= lines->size())
-            return;
-        Addr line = (*lines)[(*next)++];
-        ++_walkerWritebacks;
-        unsigned owner = addr_map::inDataRegion(line)
-                             ? addr_map::dataArenaOwner(line) : 0;
-        _ctx.hierarchy.flushLine(owner, line, false, [this, step] {
-            _ctx.eq.scheduleAfter(4, [step] { (*step)(); },
-                                  EventQueue::prioDefault,
-                                  prof::Tag::LogScheme);
-        });
-    };
-    (*step)();
+    // Paced one line at a time so the walker shares the WPQ with
+    // demand traffic instead of flooding it in one burst.
+    if (next >= lines->size())
+        return;
+    Addr line = (*lines)[next];
+    ++_walkerWritebacks;
+    unsigned owner = addr_map::inDataRegion(line)
+                         ? addr_map::dataArenaOwner(line) : 0;
+    _ctx.hierarchy.flushLine(owner, line, false, [this, lines, next] {
+        _ctx.eq.scheduleAfter(4, [this, lines, next] {
+            walk(lines, next + 1);
+        }, EventQueue::prioDefault, prof::Tag::LogScheme);
+    });
 }
 
 void

@@ -14,6 +14,7 @@
 #define SILO_LOG_FWB_SCHEME_HH
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "log/logging_scheme.hh"
@@ -55,7 +56,9 @@ class FwbScheme : public LoggingScheme
     void finishCommit(unsigned core);
 
     void scheduleWalk();
-    void walk();
+    /** Write back @p lines from index @p next on, one line at a time. */
+    void walk(std::shared_ptr<const std::vector<Addr>> lines,
+              std::size_t next);
 
     std::vector<CoreState> _cores;
     stats::Scalar _walkerWritebacks{"fwb_writebacks",

@@ -1,5 +1,6 @@
 #include "log/log_lifecycle.hh"
 
+#include <map>
 #include <string>
 #include <utility>
 
@@ -70,17 +71,6 @@ void
 LogLifecycle::onTxCommitted(unsigned core, std::uint16_t txid)
 {
     _committed.insert(txKey(core, txid));
-}
-
-void
-LogLifecycle::crashFlush()
-{
-    // In-flight migration copies and checkpoint markers sit in the MC's
-    // ADR log path: the crash drain makes them durable, exactly like a
-    // scheme's in-flight records.
-    for (const auto &[addr, rec] : _inFlight)
-        _logs.persist(addr, rec);
-    _inFlight.clear();
 }
 
 void
@@ -175,18 +165,10 @@ LogLifecycle::migrate(unsigned tid, Addr old_addr, const LogRecord &rec)
 {
     // The copy keeps the original's LSN (stamped at first persist), so
     // a crash while both copies are durable replays the record once.
-    LogRecord copy = rec;
-    Addr new_addr = _logs.allocate(tid, copy.sizeBytes());
-    _inFlight[new_addr] = copy;
-    if (_checker)
-        _checker->onLogInFlight(new_addr, copy);
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, tid, old_addr, new_addr, copy, attempt] {
-        if (!_mc.tryWriteLog(new_addr, copy)) {
-            _mc.requestWriteSlot(new_addr, *attempt);
-            return;
-        }
-        _inFlight.erase(new_addr);
+    // It is durable from the hand-off to the MC's ADR log path on; the
+    // original is dropped only once the WPQ accepted the copy.
+    Addr new_addr = _logs.allocate(tid, rec.sizeBytes());
+    _mc.writeLog(new_addr, rec, [this, tid, old_addr, new_addr] {
         if (_logs.dropRecord(old_addr, LogDropReason::Migrated)) {
             ++_stats.recordsMigrated;
         } else {
@@ -199,8 +181,7 @@ LogLifecycle::migrate(unsigned tid, Addr old_addr, const LogRecord &rec)
         _eq.scheduleAfter(_cfg.logCleanPerRecordCycles,
                           [this, tid] { cleanStep(tid); },
                           EventQueue::prioDefault, prof::Tag::LogScheme);
-    };
-    (*attempt)();
+    });
 }
 
 void
@@ -275,18 +256,17 @@ LogLifecycle::ckptStep(unsigned tid)
         return;
     }
     const CkptWord &w = ts.ckptWords[ts.ckptIdx];
-    if (!_mc.tryWriteWord(w.addr, w.value)) {
-        _mc.requestWriteSlot(w.addr, [this, tid] { ckptStep(tid); });
-        return;
-    }
-    // The word was accepted into the ADR domain: durable now.
-    if (_checker)
-        _checker->onCheckpointWord(w.addr, w.value);
-    ++_stats.checkpointWords;
-    ++ts.ckptIdx;
-    _eq.scheduleAfter(_cfg.logCheckpointPerWordCycles,
-                      [this, tid] { ckptStep(tid); },
-                      EventQueue::prioDefault, prof::Tag::LogScheme);
+    _mc.writeWord(w.addr, w.value, [this, tid] {
+        // The word was accepted into the ADR domain: durable now.
+        ThreadState &ts2 = _threads[tid];
+        const CkptWord &w2 = ts2.ckptWords[ts2.ckptIdx++];
+        if (_checker)
+            _checker->onCheckpointWord(w2.addr, w2.value);
+        ++_stats.checkpointWords;
+        _eq.scheduleAfter(_cfg.logCheckpointPerWordCycles,
+                          [this, tid] { ckptStep(tid); },
+                          EventQueue::prioDefault, prof::Tag::LogScheme);
+    });
 }
 
 void
@@ -304,16 +284,7 @@ LogLifecycle::finishCheckpoint(unsigned tid)
     marker.kind = LogRecord::Kind::Checkpoint;
     marker.tid = std::uint8_t(tid);
     Addr maddr = _logs.allocate(tid, marker.sizeBytes());
-    _inFlight[maddr] = marker;
-    if (_checker)
-        _checker->onLogInFlight(maddr, marker);
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, tid, maddr, marker, attempt] {
-        if (!_mc.tryWriteLog(maddr, marker)) {
-            _mc.requestWriteSlot(maddr, *attempt);
-            return;
-        }
-        _inFlight.erase(maddr);
+    _mc.writeLog(maddr, marker, [this, tid] {
         ThreadState &ts2 = _threads[tid];
         while (_logs.headSegment(tid) < _logs.activeSegment(tid) &&
                _logs.recordsInSegment(tid,
@@ -337,8 +308,7 @@ LogLifecycle::finishCheckpoint(unsigned tid)
         ts2.ckptDrops.clear();
         ts2.busy = false;
         releaseGated(tid, false);
-    };
-    (*attempt)();
+    });
 }
 
 void

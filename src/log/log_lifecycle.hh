@@ -25,11 +25,14 @@
  * Durability is never weakened by backpressure: records are allocated
  * and enter the MC's ADR log path immediately (so invariant 1's
  * in-flight coverage holds exactly as in the unsegmented log); only
- * the completion visible to the scheme is deferred. A stalled append
- * that waits out the overrun window is released anyway (counted in
- * ring_overruns) so adversarial programs — e.g. one giant uncommitted
- * transaction — cannot livelock the simulation; the ring bound is a
- * capacity model, not a correctness invariant.
+ * the completion visible to the scheme is deferred. The engine's own
+ * migration copies and checkpoint markers take the same path
+ * (mc::MemController::writeLog()), so the MC persists them at a crash
+ * and the engine has no crash hook. A stalled append that waits out
+ * the overrun window is released anyway (counted in ring_overruns) so
+ * adversarial programs — e.g. one giant uncommitted transaction —
+ * cannot livelock the simulation; the ring bound is a capacity model,
+ * not a correctness invariant.
  */
 
 #ifndef SILO_LOG_LOG_LIFECYCLE_HH
@@ -38,7 +41,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -96,7 +98,7 @@ class LogLifecycle
                  LogRegionStore &logs, PersistEventSink *checker);
 
     /** @name Hooks (appends from LoggingScheme::appendLog,
-     *  commits from the replay cores, the crash from harness::System) */
+     *  commits from the replay cores) */
     /// @{
 
     /** A record of @p bytes was appended to @p tid 's log area
@@ -115,13 +117,6 @@ class LogLifecycle
     /** A transaction of @p core committed (its records became dead for
      *  the cleaner; redo data stays pinned until checkpointed). */
     void onTxCommitted(unsigned core, std::uint16_t txid);
-
-    /**
-     * Crash: persist in-flight migration copies and the in-flight
-     * checkpoint marker (they sit in the MC's ADR log path, which is
-     * battery/ADR-durable exactly like a scheme's in-flight records).
-     */
-    void crashFlush();
     /// @}
 
     /** @name Observability */
@@ -202,9 +197,6 @@ class LogLifecycle
     std::vector<ThreadState> _threads;
     /** Committed transactions (core << 16 | txid). */
     std::set<std::uint32_t> _committed;
-    /** In-flight migration copies / checkpoint markers: addr -> record
-     *  (durable in the MC log path; crashFlush() persists them). */
-    std::map<Addr, LogRecord> _inFlight;
 
     LifecycleStats _stats;
     /** Force-release window for stalled completions, in cycles. */

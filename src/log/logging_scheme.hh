@@ -6,9 +6,10 @@
  * designs differ: transaction boundaries, completed stores (where the
  * log generator captures old+new data), commit gating, and the
  * battery-backed flush at a crash. The protocol every scheme shares
- * lives here: the per-core txid and commit point, the log-append path
- * (allocate, admission gate, ADR log path, WPQ retry) and the crash
- * flush of that path. Recovery is one routine for all schemes
+ * lives here: the per-core txid and commit point and the log-append
+ * path (allocate, admission gate, hand-off to the memory controller's
+ * ADR log path, which owns the WPQ wait and the crash flush of the
+ * records still waiting). Recovery is one routine for all schemes
  * (walRecover(), log/wal_recovery.hh): the records they write describe
  * themselves.
  *
@@ -21,7 +22,6 @@
 #define SILO_LOG_LOGGING_SCHEME_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -148,24 +148,11 @@ class LoggingScheme
     /**
      * System crash: the battery-backed flush of the scheme's own
      * on-chip structures, written with persistAtCrash(). Runs after
-     * the event loop stops and flushInFlightLogs() completed the MC's
-     * ADR log path, and before the ADR drain.
+     * the event loop stops and the memory controllers persisted their
+     * ADR log paths (McRouter::flushLogPath()), and before the ADR
+     * drain.
      */
     virtual void crash() {}
-
-    /**
-     * Crash path: complete every appended record still waiting for a
-     * WPQ slot. It lives in the memory controller's ADR-domain log
-     * path, so it is durable even if the crash interleaves with the
-     * retries. System::crash() calls this before crash().
-     */
-    void
-    flushInFlightLogs()
-    {
-        for (const auto &[addr, record] : _inFlightLogs)
-            _ctx.logs.persist(addr, record);
-        _inFlightLogs.clear();
-    }
 
     /**
      * @return true if @p core 's latest transaction must be treated as
@@ -278,18 +265,22 @@ class LoggingScheme
 
     /**
      * Hand the appended @p record to the MC's ADR log path, where it is
-     * durable, and run @p done once a WPQ slot accepts it, retrying
-     * while the WPQ is full. Until then a crash completes it
-     * (flushInFlightLogs()).
+     * durable at once, and run @p done once a WPQ slot accepts it
+     * (mc::MemController::writeLog()).
      */
     void
     persistLog(Addr addr, const LogRecord &record,
                std::function<void()> done)
     {
-        _inFlightLogs[addr] = record;
-        if (_ctx.checker)
-            _ctx.checker->onLogInFlight(addr, record);
-        tryPersist(addr, record, _ctx.eq.now(), std::move(done));
+        if (trace::Tracer *tr = _ctx.eq.tracer()) {
+            done = [this, tr, started = _ctx.eq.now(),
+                    inner = std::move(done)] {
+                tr->completeSpan(tr->track("scheme", name()),
+                                 "log-persist", started, _ctx.eq.now());
+                inner();
+            };
+        }
+        _ctx.mc.writeLog(addr, record, std::move(done));
     }
 
     /** Append @p record and persist it via the MC, admission-gated. */
@@ -322,29 +313,7 @@ class LoggingScheme
         bool committed = false;
     };
 
-    void
-    tryPersist(Addr addr, LogRecord record, Tick started,
-               std::function<void()> done)
-    {
-        if (_ctx.mc.tryWriteLog(addr, record)) {
-            if (auto *tr = _ctx.eq.tracer()) {
-                tr->completeSpan(tr->track("scheme", name()),
-                                 "log-persist", started, _ctx.eq.now());
-            }
-            _inFlightLogs.erase(addr);
-            done();
-            return;
-        }
-        _ctx.mc.requestWriteSlot(
-            addr, [this, addr, record, started,
-                   done = std::move(done)]() mutable {
-                tryPersist(addr, record, started, std::move(done));
-            });
-    }
-
     std::vector<CoreTx> _txs;
-    /** Appended-but-unaccepted records (durable in the MC log path). */
-    std::map<Addr, LogRecord> _inFlightLogs;
 };
 
 /** No durability mechanism: raw memory system (calibration runs). */

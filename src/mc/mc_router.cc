@@ -95,6 +95,13 @@ McRouter::setEvictionObserver(std::function<void(Addr)> observer)
 }
 
 void
+McRouter::flushLogPath()
+{
+    for (auto &mc : _mcs)
+        mc->flushLogPath();
+}
+
+void
 McRouter::crashDrain()
 {
     for (auto &mc : _mcs)

@@ -52,16 +52,19 @@ class McRouter
             .tryWriteLine(line_addr, values, evicted, held);
     }
 
-    bool
-    tryWriteWord(Addr word_addr, Word value)
+    void
+    writeWord(Addr word_addr, Word value, std::function<void()> done)
     {
-        return controllerFor(word_addr).tryWriteWord(word_addr, value);
+        controllerFor(word_addr)
+            .writeWord(word_addr, value, std::move(done));
     }
 
-    bool
-    tryWriteLog(Addr rec_addr, const log::LogRecord &record)
+    void
+    writeLog(Addr rec_addr, const log::LogRecord &record,
+             std::function<void()> done)
     {
-        return controllerFor(rec_addr).tryWriteLog(rec_addr, record);
+        controllerFor(rec_addr).writeLog(rec_addr, record,
+                                         std::move(done));
     }
 
     /** Wait for a slot on the controller owning @p addr. */
@@ -104,6 +107,7 @@ class McRouter
             mc->setCheckSink(sink);
     }
 
+    void flushLogPath();
     void crashDrain();
     void drainAll();
     void printStats(std::ostream &os);

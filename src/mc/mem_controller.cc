@@ -142,6 +142,59 @@ MemController::tryWriteLog(Addr rec_addr, const log::LogRecord &record)
 }
 
 void
+MemController::writeWord(Addr word_addr, Word value,
+                         std::function<void()> done)
+{
+    if (tryWriteWord(word_addr, value)) {
+        done();
+        return;
+    }
+    requestWriteSlot([this, word_addr, value,
+                      done = std::move(done)]() mutable {
+        writeWord(word_addr, value, std::move(done));
+    });
+}
+
+void
+MemController::writeLog(Addr rec_addr, const log::LogRecord &record,
+                        std::function<void()> done)
+{
+    if (_check)
+        _check->onLogInFlight(rec_addr, record);
+    // Try first: the common case never touches the log path's map.
+    if (tryWriteLog(rec_addr, record)) {
+        done();
+        return;
+    }
+    _logPath.emplace(rec_addr, record);
+    retryLog(rec_addr, std::move(done));
+}
+
+void
+MemController::retryLog(Addr rec_addr, std::function<void()> done)
+{
+    requestWriteSlot([this, rec_addr, done = std::move(done)]() mutable {
+        auto it = _logPath.find(rec_addr);
+        if (it == _logPath.end())
+            return;   // a crash already persisted it (flushLogPath)
+        if (!tryWriteLog(rec_addr, it->second)) {
+            retryLog(rec_addr, std::move(done));
+            return;
+        }
+        _logPath.erase(it);
+        done();
+    });
+}
+
+void
+MemController::flushLogPath()
+{
+    for (const auto &[addr, record] : _logPath)
+        _logs.persist(addr, record);
+    _logPath.clear();
+}
+
+void
 MemController::requestWriteSlot(std::function<void()> cb)
 {
     _writeWaiters.push_back(std::move(cb));
@@ -261,15 +314,7 @@ MemController::crashDrain()
 {
     if (auto *tr = _eq.tracer())
         tr->instant(_track, "adr-crash-drain", _eq.now());
-    for (const auto &e : _wpq) {
-        if (!e.held)
-            applyEntry(e);
-        else if (_check)
-            _check->onHeldDiscard(e.key);
-    }
-    _wpq.clear();
-    _heldCount = 0;
-    _pm.drainAll();
+    drainAll();
 }
 
 void

@@ -10,6 +10,12 @@
  * producers wait in FIFO order — this back-pressure is what couples a
  * scheme's write traffic to its transaction throughput.
  *
+ * The controller also owns the ADR log path (the log controller sits
+ * in the MC, §III-D): every log record, a scheme's or the segmented
+ * lifecycle's, enters it through writeLog() and is durable from then
+ * on, whether the WPQ takes it at once or it waits for a slot; a
+ * crash persists whatever still waits (flushLogPath()).
+ *
  * LAD support: entries can be enqueued "held" — durable but not
  * drainable (LAD's in-MC buffering of uncommitted cachelines); commit
  * releases them and a crash discards them.
@@ -21,6 +27,7 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <map>
 
 #include "nvm/pm_device.hh"
 #include "sim/config.hh"
@@ -45,11 +52,11 @@ class MemController
                   nvm::PmDevice &pm, log::LogRegionStore &logs,
                   std::string name = "mc");
 
-    /** @name Write producers (all return false when the WPQ is full) */
+    /** @name Write producers */
     /// @{
 
     /**
-     * Accept a full 64 B cacheline write.
+     * Accept a full 64 B cacheline write; false when the WPQ is full.
      * @param line_addr 64 B-aligned address.
      * @param values The line's eight words.
      * @param evicted True on the cacheline-eviction path (CE) — fires
@@ -60,17 +67,24 @@ class MemController
                       const std::array<Word, wordsPerLine> &values,
                       bool evicted, bool held = false);
 
-    /** Accept an 8 B in-place word update (Silo's log-as-data path). */
+    /** Accept an 8 B word update; false when the WPQ is full. */
     bool tryWriteWord(Addr word_addr, Word value);
 
+    /** Write an 8 B word, waiting FIFO while the WPQ is full; @p done
+     *  runs at acceptance (Silo's in-place updates, checkpoints). */
+    void writeWord(Addr word_addr, Word value, std::function<void()> done);
+
     /**
-     * Accept a log-region record write of record.sizeBytes() bytes at
-     * @p rec_addr; the record becomes durable at acceptance.
+     * Enter @p record at @p rec_addr into the ADR log path, durable
+     * from now on; it waits there, retrying on each freed slot, while
+     * the WPQ is full. @p done runs at acceptance.
      */
-    bool tryWriteLog(Addr rec_addr, const log::LogRecord &record);
+    void writeLog(Addr rec_addr, const log::LogRecord &record,
+                  std::function<void()> done);
     /// @}
 
-    /** FIFO wait for WPQ space; @p cb runs once when a slot frees. */
+    /** FIFO wait for WPQ space; @p cb runs once when a slot frees (for
+     *  writebacks, which re-read their line at each attempt). */
     void requestWriteSlot(std::function<void()> cb);
 
     unsigned freeWpqSlots() const
@@ -105,6 +119,9 @@ class MemController
      * any scheme observer runs.
      */
     void setCheckSink(log::PersistEventSink *sink) { _check = sink; }
+
+    /** Crash: persist every record waiting in the ADR log path. */
+    void flushLogPath();
 
     /**
      * Crash: ADR drains every non-held entry into the media and the
@@ -156,8 +173,14 @@ class MemController
         }
     };
 
-    /** Core accept path shared by the tryWrite* entry points. */
+    /** Core accept path shared by the write entry points. */
     bool enqueue(WpqEntry &&entry);
+
+    /** Accept a log record into the WPQ; false when it is full. */
+    bool tryWriteLog(Addr rec_addr, const log::LogRecord &record);
+
+    /** Wait for a slot, then retry the record parked at @p rec_addr. */
+    void retryLog(Addr rec_addr, std::function<void()> done);
 
     /** Drain the oldest drainable entry; reschedules itself. */
     void drainOne();
@@ -174,6 +197,8 @@ class MemController
 
     std::deque<WpqEntry> _wpq;
     std::deque<std::function<void()>> _writeWaiters;
+    /** ADR log path: records waiting for a WPQ slot, already durable. */
+    std::map<Addr, log::LogRecord> _logPath;
     std::function<void(Addr)> _evictionObserver;
     log::PersistEventSink *_check = nullptr;
     unsigned _heldCount = 0;

@@ -59,20 +59,6 @@ SiloScheme::onCachelineEvicted(Addr line)
 }
 
 void
-SiloScheme::writeWordWithRetry(Addr addr, Word value,
-                               std::function<void()> on_accept)
-{
-    if (_ctx.mc.tryWriteWord(addr, value)) {
-        on_accept();
-        return;
-    }
-    _ctx.mc.requestWriteSlot(addr, [this, addr, value,
-                              on_accept = std::move(on_accept)]() mutable {
-        writeWordWithRetry(addr, value, std::move(on_accept));
-    });
-}
-
-void
 SiloScheme::handleOverflow(unsigned core)
 {
     CoreState &cs = _cores[core];
@@ -259,7 +245,7 @@ SiloScheme::issueInPlace(unsigned core, Addr addr)
     if (it == staged.end())
         return;   // a crash cleared the stage
     Word value = it->newData;
-    writeWordWithRetry(addr, value, [this, core, addr, value] {
+    _ctx.mc.writeWord(addr, value, [this, core, addr, value] {
         auto &staged2 = _cores[core].pendingInPlace;
         auto it2 = std::find_if(staged2.begin(), staged2.end(),
                                 [addr](const PendingUpdate &p) {

@@ -172,10 +172,6 @@ class SiloScheme : public log::LoggingScheme
     /** Issue (or reissue) the staged update for @p addr, if any. */
     void issueInPlace(unsigned core, Addr addr);
 
-    /** Write @p value at @p addr via the MC, retrying on a full WPQ. */
-    void writeWordWithRetry(Addr addr, Word value,
-                            std::function<void()> on_accept);
-
     /** The MC eviction hook: set flush-bits of matching entries. */
     void onCachelineEvicted(Addr line);
 

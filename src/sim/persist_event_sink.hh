@@ -16,8 +16,9 @@
  * Domain model (§II / §III of the paper): a word moves
  *   volatile cache -> ADR WPQ -> on-PM buffer -> media,
  * and becomes durable at WPQ acceptance (the ADR persist point). Log
- * records additionally pass through the MC's ADR log path while they
- * retry for a WPQ slot (in-flight records are durable too).
+ * records become durable earlier, when they enter the MC's ADR log
+ * path (mc::MemController::writeLog(), the only caller of
+ * onLogInFlight()); they wait there while the WPQ is full.
  */
 
 #ifndef SILO_SIM_PERSIST_EVENT_SINK_HH

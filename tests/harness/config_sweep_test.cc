@@ -115,18 +115,7 @@ TEST_P(ConfigSweep, SiloCrashRecoveryStaysCorrect)
     sys.crash();
     sys.recover();
 
-    WordStore expected = traces.initialMemory;
-    for (unsigned t = 0; t < 2; ++t) {
-        std::size_t upto = sys.coreAt(t).committedOpIndex();
-        if (sys.scheme().lastTxCommittedAtCrash(t))
-            upto = std::max(upto,
-                            sys.coreAt(t).commitRequestedOpIndex());
-        for (std::size_t i = 0; i < upto; ++i) {
-            const auto &op = traces.threads[t].ops[i];
-            if (op.kind == workload::TxOp::Kind::Store)
-                expected[op.addr] = op.value;
-        }
-    }
+    WordStore expected = committedPrefixImage(sys, traces);
     for (const auto &[addr, value] : expected) {
         ASSERT_EQ(sys.pm().media().load(addr), value)
             << pt.label << " addr 0x" << std::hex << addr;
@@ -208,18 +197,7 @@ TEST(SeedSensitivity, DifferentSeedsDifferentTracesBothRecover)
         sys.crash();
         sys.recover();
 
-        WordStore expected = traces.initialMemory;
-        for (unsigned t = 0; t < 2; ++t) {
-            std::size_t upto = sys.coreAt(t).committedOpIndex();
-            if (sys.scheme().lastTxCommittedAtCrash(t))
-                upto = std::max(
-                    upto, sys.coreAt(t).commitRequestedOpIndex());
-            for (std::size_t i = 0; i < upto; ++i) {
-                const auto &op = traces.threads[t].ops[i];
-                if (op.kind == workload::TxOp::Kind::Store)
-                    expected[op.addr] = op.value;
-            }
-        }
+        WordStore expected = committedPrefixImage(sys, traces);
         for (const auto &[addr, value] : expected) {
             ASSERT_EQ(sys.pm().media().load(addr), value)
                 << "seed " << seed << " addr 0x" << std::hex << addr;

@@ -69,21 +69,8 @@ checkCrashAt(SimConfig cfg, workload::WorkloadKind workload,
     sys.recover();
 
     // Oracle: initial image + all stores of durably committed
-    // transactions, in trace order per thread. A commit that was
-    // in flight at the crash counts if the scheme durably
-    // recorded it (its done() just had not fired yet).
-    WordStore expected = traces.initialMemory;
-    for (unsigned t = 0; t < 2; ++t) {
-        std::size_t upto = sys.coreAt(t).committedOpIndex();
-        if (sys.scheme().lastTxCommittedAtCrash(t))
-            upto = std::max(upto,
-                            sys.coreAt(t).commitRequestedOpIndex());
-        for (std::size_t i = 0; i < upto; ++i) {
-            const auto &op = traces.threads[t].ops[i];
-            if (op.kind == workload::TxOp::Kind::Store)
-                expected[op.addr] = op.value;
-        }
-    }
+    // transactions, in trace order per thread.
+    WordStore expected = committedPrefixImage(sys, traces);
 
     std::uint64_t checked = 0;
     for (const auto &[addr, value] : expected) {

@@ -60,8 +60,10 @@ TEST(McRouter, WritesLandOnTheRoutedController)
     nvm::PmDevice pm(eq, cfg);
     McRouter router(eq, cfg, pm, logs);
 
-    ASSERT_TRUE(router.tryWriteWord(addr_map::dataArenaBase(0), 1));
-    ASSERT_TRUE(router.tryWriteWord(addr_map::dataArenaBase(1), 2));
+    unsigned accepted = 0;
+    router.writeWord(addr_map::dataArenaBase(0), 1, [&] { ++accepted; });
+    router.writeWord(addr_map::dataArenaBase(1), 2, [&] { ++accepted; });
+    ASSERT_EQ(accepted, 2u);
     EXPECT_EQ(router.controllerAt(0).acceptedWrites() +
                   router.controllerAt(1).acceptedWrites(),
               2u);
@@ -112,18 +114,7 @@ TEST_P(MultiMcSystem, CrashRecoveryHoldsWithTwoControllers)
     sys.crash();
     sys.recover();
 
-    WordStore expected = traces.initialMemory;
-    for (unsigned t = 0; t < 4; ++t) {
-        std::size_t upto = sys.coreAt(t).committedOpIndex();
-        if (sys.scheme().lastTxCommittedAtCrash(t))
-            upto = std::max(upto,
-                            sys.coreAt(t).commitRequestedOpIndex());
-        for (std::size_t i = 0; i < upto; ++i) {
-            const auto &op = traces.threads[t].ops[i];
-            if (op.kind == workload::TxOp::Kind::Store)
-                expected[op.addr] = op.value;
-        }
-    }
+    WordStore expected = harness::committedPrefixImage(sys, traces);
     for (const auto &[addr, value] : expected)
         ASSERT_EQ(sys.pm().media().load(addr), value)
             << "addr 0x" << std::hex << addr;

@@ -89,12 +89,56 @@ TEST(MemController, LogWriteIsDurableAtAccept)
     rec.newData = 2;
 
     Addr addr = f.logs.allocate(3, rec.sizeBytes());
-    ASSERT_TRUE(f.mc->tryWriteLog(addr, rec));
+    bool accepted = false;
+    f.mc->writeLog(addr, rec, [&] { accepted = true; });
+    ASSERT_TRUE(accepted);
     // Durable immediately — visible even before any drain.
     auto live = f.logs.liveRecords(3);
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].second.txid, 9);
     EXPECT_EQ(live[0].second.newData, 2u);
+}
+
+TEST(MemController, FullWpqParksLogRecordInAdrLogPath)
+{
+    log::LogRecord rec;
+    rec.kind = log::LogRecord::Kind::Undo;
+    rec.tid = 1;
+    rec.txid = 4;
+    rec.dataAddr = 0x3000;
+    rec.oldData = 5;
+
+    // Crash while the record waits: the log path persists it.
+    {
+        Fixture f(2);
+        ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(0), false));
+        ASSERT_TRUE(f.mc->tryWriteLine(0x2000, lineOf(0), false));
+        Addr addr = f.logs.allocate(1, rec.sizeBytes());
+        bool accepted = false;
+        f.mc->writeLog(addr, rec, [&] { accepted = true; });
+        EXPECT_FALSE(accepted);
+        EXPECT_TRUE(f.logs.liveRecords(1).empty());
+
+        f.mc->flushLogPath();
+        auto live = f.logs.liveRecords(1);
+        ASSERT_EQ(live.size(), 1u);
+        EXPECT_EQ(live[0].first, addr);
+        EXPECT_EQ(live[0].second.oldData, 5u);
+        EXPECT_FALSE(accepted);
+    }
+    // No crash: the WPQ accepts it once a slot frees.
+    {
+        Fixture f(2);
+        ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(0), false));
+        ASSERT_TRUE(f.mc->tryWriteLine(0x2000, lineOf(0), false));
+        Addr addr = f.logs.allocate(1, rec.sizeBytes());
+        unsigned accepted = 0;
+        f.mc->writeLog(addr, rec, [&] { ++accepted; });
+        EXPECT_EQ(accepted, 0u);
+        f.eq.run();
+        EXPECT_EQ(accepted, 1u);
+        EXPECT_EQ(f.logs.liveRecords(1).size(), 1u);
+    }
 }
 
 TEST(MemController, EvictionObserverFiresOnEvictedLines)

@@ -9,8 +9,6 @@
  * relations, self+children==total — never absolute durations.
  */
 
-// silo-lint: allowfile(callback-lifetime) test callbacks run synchronously within the enclosing scope; [&] over stack locals is safe here
-
 #include <gtest/gtest.h>
 
 #include <set>

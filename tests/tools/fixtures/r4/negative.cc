@@ -1,6 +1,6 @@
 // silo-lint test fixture: R4 negative — explicit captures and a
 // non-negative delay. The counter lives at file scope so the
-// explicit by-ref capture is lifetime-safe (no R7 either).
+// explicit by-ref capture is lifetime-safe.
 struct Queue
 {
     template <typename F>

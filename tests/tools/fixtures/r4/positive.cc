@@ -1,7 +1,7 @@
 // silo-lint test fixture: R4 positives — a negative delay (Tick is
 // unsigned and wraps) and a default-capture deferred callback. The
-// captured counter lives at file scope so only R4 fires (a local
-// would also trip R7 callback-lifetime).
+// captured counter lives at file scope so the fixture itself stays
+// lifetime-safe (a local would dangle once its frame returns).
 struct Queue
 {
     template <typename F>

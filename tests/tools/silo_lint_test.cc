@@ -1,6 +1,7 @@
 /**
  * @file
- * silo-lint's own tests: every rule R1–R10 gets a positive fixture
+ * silo-lint's own tests: every rule R1–R10 (R7 retired) gets a
+ * positive fixture
  * (violations found, golden silo-lint-v1 JSON byte-matched), a
  * negative fixture (clean code stays clean) and a suppressed fixture
  * (a reasoned allow() turns the error into a counted suppression),
@@ -74,13 +75,15 @@ expectMatchesSarifGolden(const Result &result, const std::string &name)
 
 TEST(SiloLintRules, CatalogueCoversR1ToR14)
 {
-    // R11–R13 are retired; their codes and slugs stay unassigned.
-    ASSERT_EQ(ruleCatalogue().size(), 11u);
+    // R7 and R11–R13 are retired; their codes and slugs stay
+    // unassigned.
+    ASSERT_EQ(ruleCatalogue().size(), 10u);
     EXPECT_EQ(slugForRule("R1"), "nondet-iteration");
     EXPECT_EQ(slugForRule("nondet-iteration"), "nondet-iteration");
     EXPECT_EQ(slugForRule("R5"), "stats-names");
     EXPECT_EQ(slugForRule("R6"), "module-layering");
-    EXPECT_EQ(slugForRule("R7"), "callback-lifetime");
+    EXPECT_EQ(slugForRule("R7"), "");
+    EXPECT_EQ(slugForRule("callback-lifetime"), "");
     EXPECT_EQ(slugForRule("R8"), "float-determinism");
     EXPECT_EQ(slugForRule("R9"), "stats-registration");
     EXPECT_EQ(slugForRule("R10"), "suppression-hygiene");
@@ -299,39 +302,6 @@ TEST(SiloLintR6, SuppressedTransitionalIncludeIsAllowed)
               "sim next release");
 }
 
-TEST(SiloLintR7, PositiveFindsLocalAndParamByRefCaptures)
-{
-    Result r = lintFixture("r7", {"positive.cc"});
-    EXPECT_EQ(r.errors, 2u);
-    bool local = false, param = false;
-    for (const Finding &f : r.findings) {
-        EXPECT_EQ(f.rule, "callback-lifetime");
-        if (f.message.find("'pending'") != std::string::npos)
-            local = true;
-        if (f.message.find("'budget'") != std::string::npos)
-            param = true;
-    }
-    EXPECT_TRUE(local) << "local captured by ref not flagged";
-    EXPECT_TRUE(param) << "parameter captured by ref not flagged";
-    expectMatchesGolden(r, "r7_positive");
-}
-
-TEST(SiloLintR7, NegativeMemberAndByValueCapturesStayClean)
-{
-    Result r = lintFixture("r7", {"negative.cc"});
-    EXPECT_EQ(r.errors, 0u);
-    EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(SiloLintR7, SuppressedDrainedQueueIsAllowed)
-{
-    Result r = lintFixture("r7", {"suppressed.cc"});
-    EXPECT_EQ(r.errors, 0u);
-    ASSERT_EQ(r.suppressed, 1u);
-    EXPECT_EQ(r.findings[0].reason,
-              "q.drain() below completes every event before hits dies");
-}
-
 TEST(SiloLintR8, PositiveFindsUnorderedWorkerAndParallelSums)
 {
     Result r = lintFixture("r8", {"positive.cc"});
@@ -532,21 +502,21 @@ TEST(SiloLintJson, SchemaAndEscaping)
 
 TEST(SiloLintSarif, StructureRulesAndSuppressions)
 {
-    Result r = lintFixture("r7", {"positive.cc"});
+    Result r = lintFixture("r1", {"positive.cc"});
     std::string sarif = toSarif(r);
     EXPECT_NE(sarif.find("sarif-2.1.0"), std::string::npos);
-    EXPECT_NE(sarif.find("\"ruleId\": \"R7\""), std::string::npos);
+    EXPECT_NE(sarif.find("\"ruleId\": \"R1\""), std::string::npos);
     EXPECT_NE(sarif.find("\"startLine\""), std::string::npos);
     // An all-error run carries no suppressions blocks.
     EXPECT_EQ(sarif.find("\"suppressions\""), std::string::npos);
-    expectMatchesSarifGolden(r, "r7_positive");
+    expectMatchesSarifGolden(r, "r1_positive");
 
-    Result s = lintFixture("r7", {"suppressed.cc"});
+    Result s = lintFixture("r1", {"suppressed.cc"});
     std::string ssarif = toSarif(s);
     EXPECT_NE(ssarif.find("\"suppressions\""), std::string::npos);
     EXPECT_NE(ssarif.find("\"kind\": \"inSource\""),
               std::string::npos);
-    expectMatchesSarifGolden(s, "r7_suppressed");
+    expectMatchesSarifGolden(s, "r1_suppressed");
 }
 
 // --- R14: enum exhaustiveness ------------------------------------

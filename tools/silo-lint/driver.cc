@@ -345,7 +345,6 @@ runLint(const Options &opts)
         runAmbientEntropy(f, findings);
         runHandlerHygiene(f, findings);
         runStatsNames(f, findings);
-        runCallbackLifetime(f, findings);
         runFloatDeterminism(f, findings);
         parseDirectives(f, directives);
     }

@@ -12,30 +12,6 @@ isPunct(const Token &t, const char *text)
     return t.kind == TokKind::Punct && t.text == text;
 }
 
-/** Keywords that start a statement but never a declared name's type. */
-const std::set<std::string> &
-badDeclPrev()
-{
-    static const std::set<std::string> kw = {
-        "return", "case",  "goto",   "throw",    "new",
-        "delete", "else",  "do",     "operator", "sizeof",
-        "typedef", "using", "co_return", "co_yield", "co_await"};
-    return kw;
-}
-
-/** Built-in type-ish words that are never a parameter's *name*. */
-const std::set<std::string> &
-typeWords()
-{
-    static const std::set<std::string> kw = {
-        "void",   "bool",     "char",   "short",   "int",
-        "long",   "signed",   "unsigned", "float", "double",
-        "auto",   "const",    "constexpr", "volatile", "mutable",
-        "static", "typename", "class",  "struct",  "union",
-        "enum",   "noexcept", "override", "final"};
-    return kw;
-}
-
 } // namespace
 
 std::vector<IncludeDirective>
@@ -51,165 +27,6 @@ collectIncludes(const SourceFile &file)
         }
     }
     return out;
-}
-
-std::size_t
-ScopeModel::matchBackward(std::size_t close, const char *opener,
-                          const char *closer) const
-{
-    int depth = 0;
-    for (std::size_t i = close + 1; i-- > 0;) {
-        if (_code[i].kind != TokKind::Punct)
-            continue;
-        if (_code[i].text == closer)
-            ++depth;
-        else if (_code[i].text == opener && --depth == 0)
-            return i;
-    }
-    return std::string::npos;
-}
-
-std::size_t
-ScopeModel::enclosingFunctionBody(std::size_t idx) const
-{
-    // Open braces enclosing idx, outermost first.
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < idx && i < _code.size(); ++i) {
-        if (isPunct(_code[i], "{"))
-            stack.push_back(i);
-        else if (isPunct(_code[i], "}") && !stack.empty())
-            stack.pop_back();
-    }
-
-    // Walk outside-in: skip namespace/class/enum bodies; the first
-    // other brace is either a function (or lambda) body — prefixed by
-    // a parameter list or a capture list — or something we don't
-    // model (control block or brace initializer at namespace scope),
-    // in which case there is no recognizable enclosing function.
-    for (std::size_t b : stack) {
-        if (b == 0)
-            return std::string::npos;
-        const Token &prev = _code[b - 1];
-        if (isPunct(prev, ")")) {
-            std::size_t open = matchBackward(b - 1, "(", ")");
-            if (open != std::string::npos && open > 0 &&
-                _code[open - 1].kind == TokKind::Identifier) {
-                const std::string &kw = _code[open - 1].text;
-                if (kw == "if" || kw == "for" || kw == "while" ||
-                    kw == "switch" || kw == "catch")
-                    return std::string::npos;   // control block
-            }
-            return b;   // function definition (or lambda with params)
-        }
-        if (isPunct(prev, "]"))
-            return b;   // lambda body without a parameter list
-        if (prev.kind == TokKind::Identifier &&
-            (prev.text == "do" || prev.text == "else" ||
-             prev.text == "try"))
-            return std::string::npos;   // control block
-        // Aggregate scope? Scan back through the head of the
-        // declaration for class/struct/namespace/enum/union.
-        bool aggregate = false;
-        for (std::size_t k = b; k-- > 0;) {
-            const Token &h = _code[k];
-            if (h.kind == TokKind::Punct &&
-                (h.text == ";" || h.text == "}" || h.text == "{" ||
-                 h.text == ")"))
-                break;
-            if (h.kind == TokKind::Identifier &&
-                (h.text == "class" || h.text == "struct" ||
-                 h.text == "namespace" || h.text == "enum" ||
-                 h.text == "union")) {
-                aggregate = true;
-                break;
-            }
-            if (h.kind == TokKind::String) {
-                aggregate = true;   // extern "C" { ... }
-                break;
-            }
-        }
-        if (!aggregate)
-            return std::string::npos;   // initializer braces etc.
-    }
-    return std::string::npos;
-}
-
-bool
-ScopeModel::isLocalAt(std::size_t idx, const std::string &name) const
-{
-    std::size_t fb = enclosingFunctionBody(idx);
-    if (fb == std::string::npos || fb == 0)
-        return false;
-
-    // Parameters (or lambda captures, which scope like locals).
-    if (isPunct(_code[fb - 1], ")")) {
-        std::size_t open = matchBackward(fb - 1, "(", ")");
-        if (open != std::string::npos) {
-            int depth = 0;
-            for (std::size_t k = open; k < fb - 1; ++k) {
-                if (_code[k].kind == TokKind::Punct) {
-                    const std::string &p = _code[k].text;
-                    if (p == "(" || p == "[" || p == "{")
-                        ++depth;
-                    else if (p == ")" || p == "]" || p == "}")
-                        --depth;
-                    continue;
-                }
-                if (depth != 1 || _code[k].kind != TokKind::Identifier ||
-                    _code[k].text != name || typeWords().count(name))
-                    continue;
-                const std::string &next = _code[k + 1].text;
-                if (next == "," || next == ")" || next == "=")
-                    return true;
-            }
-        }
-    } else if (isPunct(_code[fb - 1], "]")) {
-        std::size_t open = matchBackward(fb - 1, "[", "]");
-        if (open != std::string::npos) {
-            for (std::size_t k = open + 1; k < fb - 1; ++k) {
-                if (_code[k].kind == TokKind::Identifier &&
-                    _code[k].text == name &&
-                    !isPunct(_code[k - 1], "&"))
-                    return true;   // by-value capture acts as a local
-            }
-        }
-    }
-
-    // Local declarations between the body opener and the query point:
-    //   <type-ish> [*&>] name  followed by  = ; { or the range-for :
-    for (std::size_t k = fb + 1; k + 1 < idx; ++k) {
-        if (_code[k].kind != TokKind::Identifier || _code[k].text != name)
-            continue;
-        const Token &prev = _code[k - 1];
-        const std::string &next = _code[k + 1].text;
-        if (next != "=" && next != ";" && next != "{" && next != ":")
-            continue;
-        if (prev.kind == TokKind::Identifier) {
-            if (!badDeclPrev().count(prev.text))
-                return true;
-        } else if (isPunct(prev, ">")) {
-            return true;   // std::vector<T> name
-        } else if (isPunct(prev, "&") || isPunct(prev, "*")) {
-            // Require a statement-shaped head before the type token so
-            // `a = b * c;` is not read as a declaration of c.
-            if (k < 2 || _code[k - 1 - 1].kind != TokKind::Identifier)
-                continue;
-            if (k < 3)
-                return true;
-            const Token &head = _code[k - 3];
-            bool stmt_start =
-                (head.kind == TokKind::Punct &&
-                 (head.text == ";" || head.text == "{" ||
-                  head.text == "}" || head.text == "(" ||
-                  head.text == "," || head.text == ">" ||
-                  head.text == "::")) ||
-                (head.kind == TokKind::Identifier &&
-                 typeWords().count(head.text));
-            if (stmt_start)
-                return true;
-        }
-    }
-    return false;
 }
 
 std::set<std::string>

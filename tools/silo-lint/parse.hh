@@ -1,20 +1,17 @@
 /**
  * @file
- * The lightweight semantic layer under the v2 rules (R6–R8).
+ * The lightweight semantic layer under rules R6 and R8.
  *
  * silo-lint deliberately has no real C++ frontend; this header adds
- * the three narrow views the semantic rules need on top of the raw
- * token stream:
+ * the two narrow views those rules need on top of the raw token
+ * stream:
  *
  *  - collectIncludes(): the quoted `#include` directives of a file,
  *    feeding the include-graph / module-DAG rule (R6).
- *  - ScopeModel: a heuristic brace/paren scope model answering one
- *    question — "is this name a local or parameter of the enclosing
- *    function?" — for the callback-lifetime rule (R7).
  *  - collectFloatNames(): names declared with type float/double, for
  *    the float-determinism rule (R8).
  *
- * All three are conservative pattern matchers, not parsers: they are
+ * Both are conservative pattern matchers, not parsers: they are
  * documented in DESIGN.md §4g together with their known blind spots,
  * and every rule built on them accepts the standard suppression
  * grammar for the residual false positives.
@@ -23,7 +20,6 @@
 #ifndef SILO_LINT_PARSE_HH
 #define SILO_LINT_PARSE_HH
 
-#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,42 +42,6 @@ struct IncludeDirective
  * project headers.
  */
 std::vector<IncludeDirective> collectIncludes(const SourceFile &file);
-
-/**
- * Heuristic declaration/scope model of one file.
- *
- * Built once per file from the comment-free token stream; queries walk
- * the brace structure around a token index, classify the enclosing
- * braces (namespace/class bodies vs function bodies vs control
- * blocks), and look for declaration-shaped token patterns between the
- * function-body opener and the query point.
- */
-class ScopeModel
-{
-  public:
-    explicit ScopeModel(const SourceFile &file) : _code(file.code) {}
-
-    /**
-     * True when @p name looks like a parameter or local variable of
-     * the function whose body encloses code-token index @p idx.
-     * False when @p idx is not inside a recognizable function body —
-     * the caller gets no finding rather than a speculative one.
-     */
-    bool isLocalAt(std::size_t idx, const std::string &name) const;
-
-  private:
-    /** Opener index matching the closer at @p close, or npos. */
-    std::size_t matchBackward(std::size_t close, const char *opener,
-                              const char *closer) const;
-
-    /**
-     * Code index of the `{` opening the outermost function body that
-     * encloses @p idx (skipping namespace/class braces), or npos.
-     */
-    std::size_t enclosingFunctionBody(std::size_t idx) const;
-
-    const std::vector<Token> &_code;
-};
 
 /**
  * Names declared with type `float` or `double` anywhere in @p file

@@ -135,9 +135,6 @@ ruleCatalogue()
         {"R6", "module-layering",
          "quoted includes follow the module DAG (sim at the bottom, "
          "harness on top) and the include graph is acyclic"},
-        {"R7", "callback-lifetime",
-         "no function-local captured by reference in a deferred "
-         "schedule()/scheduleAfter() callback"},
         {"R8", "float-determinism",
          "no float accumulation inside unordered, parallel or "
          "worker-indexed iteration"},
@@ -755,52 +752,6 @@ runLayering(const std::vector<SourceFile> &files,
     for (const SourceFile &f : files)
         if (!done.count(f.path))
             dfs(f.path);
-}
-
-// --- R7: callback lifetime -----------------------------------------
-
-void
-runCallbackLifetime(const SourceFile &file, std::vector<Finding> &out)
-{
-    const std::vector<Token> &t = file.code;
-    ScopeModel scopes(file);
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier ||
-            (t[i].text != "schedule" && t[i].text != "scheduleAfter") ||
-            t[i + 1].text != "(")
-            continue;
-        std::size_t close = matchDelim(t, i + 1, "(", ")");
-        for (std::size_t j = i + 2; j < close; ++j) {
-            if (t[j].kind != TokKind::Punct || t[j].text != "[")
-                continue;
-            const std::string &prev = t[j - 1].text;
-            if (prev != "(" && prev != ",")
-                continue;   // subscript, not a lambda introducer
-            std::size_t cap_close = matchDelim(t, j, "[", "]");
-            if (cap_close >= close)
-                continue;
-            for (std::size_t k = j + 1; k + 1 < cap_close + 1; ++k) {
-                if (k >= cap_close)
-                    break;
-                if (t[k].kind != TokKind::Punct || t[k].text != "&" ||
-                    k + 1 >= cap_close ||
-                    t[k + 1].kind != TokKind::Identifier)
-                    continue;
-                const std::string &name = t[k + 1].text;
-                if (!scopes.isLocalAt(j, name))
-                    continue;
-                out.push_back(make(
-                    file, t[k + 1].line, "R7", "callback-lifetime",
-                    "deferred " + t[i].text +
-                        "() callback captures local '" + name +
-                        "' by reference — the enclosing frame can be "
-                        "gone when the event dispatches; capture by "
-                        "value or through an owning object"));
-            }
-            j = cap_close;
-        }
-        i = close;
-    }
 }
 
 // --- R8: float accumulation under nondeterministic order -----------

@@ -1,11 +1,12 @@
 /**
  * @file
- * The silo-lint rule catalogue (R1–R10) and per-rule matchers.
+ * The silo-lint rule catalogue (R1–R10 and R14; R7 and R11–R13 are
+ * retired) and per-rule matchers.
  *
  * Each rule is a pattern matcher over the token stream of one source
- * file (R1/R2/R4/R5/R7/R8) or over the whole scanned corpus plus the
- * docs (R3/R6/R9). The semantic rules (R6–R8) additionally lean on
- * the lightweight declaration/scope layer in parse.hh. Matchers emit
+ * file (R1/R2/R4/R5/R8) or over the whole scanned corpus plus the
+ * docs (R3/R6/R9). R6 and R8 additionally lean on the include and
+ * float-name collectors in parse.hh. Matchers emit
  * Findings; the driver owns suppression handling (`// silo-lint:
  * allow(rule) reason`), the directive-hygiene rule R10, sorting and
  * serialization.
@@ -99,14 +100,6 @@ void runEnvDocParity(const std::vector<SourceFile> &files,
  */
 void runLayering(const std::vector<SourceFile> &files,
                  std::vector<Finding> &out);
-
-/**
- * R7: no function-local or parameter captured by reference in a
- * lambda handed to schedule()/scheduleAfter() — the frame is gone by
- * dispatch time.
- */
-void runCallbackLifetime(const SourceFile &file,
-                         std::vector<Finding> &out);
 
 /**
  * R8: no float/double accumulation (+=, -=) inside iteration whose

@@ -218,13 +218,13 @@ LogLifecycle::startCheckpoint(unsigned tid)
     // will make redundant (all records of committed transactions and
     // stale checkpoint markers).
     std::map<Addr, std::pair<std::uint64_t, Word>> latest;
-    for (const auto &[addr, rec] : _logs.liveRecords(tid)) {
+    _logs.forEachLive(tid, [&](Addr addr, const LogRecord &rec) {
         if (rec.kind == LogRecord::Kind::Checkpoint) {
             ts.ckptDrops.push_back(addr);
-            continue;
+            return;
         }
         if (!_committed.count(txKey(rec.tid, rec.txid)))
-            continue;
+            return;
         ts.ckptDrops.push_back(addr);
         if (rec.kind == LogRecord::Kind::Redo ||
             rec.kind == LogRecord::Kind::UndoRedo) {
@@ -232,7 +232,7 @@ LogLifecycle::startCheckpoint(unsigned tid)
             if (rec.lsn >= entry.first)
                 entry = {rec.lsn, rec.newData};
         }
-    }
+    });
     for (const auto &[addr, lsn_value] : latest)
         ts.ckptWords.push_back(CkptWord{addr, lsn_value.second});
 
@@ -287,8 +287,7 @@ LogLifecycle::finishCheckpoint(unsigned tid)
     _mc.writeLog(maddr, marker, [this, tid] {
         ThreadState &ts2 = _threads[tid];
         while (_logs.headSegment(tid) < _logs.activeSegment(tid) &&
-               _logs.recordsInSegment(tid,
-                                      _logs.headSegment(tid)).empty()) {
+               _logs.segmentEmpty(tid, _logs.headSegment(tid))) {
             _logs.reclaimSegment(tid, _logs.headSegment(tid));
             ++_stats.segmentsReclaimed;
         }

@@ -15,13 +15,21 @@
  * truncates them). So the rule is each scheme's own recovery
  * procedure.
  *
+ * Recovery walks each thread's records in place, in the store's
+ * address order, which is write (LSN) order for every record that was
+ * appended where it lies: one forward walk fills a flat committed
+ * table indexed by txid, a second replays redo, and a backward walk
+ * revokes undo.
+ *
  * Segmented mode (DESIGN.md §4j): the cleaner migrates records to new
- * addresses, so address order is no longer write order, and a crash
+ * addresses, keeping their LSN (the original append address), so a
+ * copy's address no longer says when it was written, and a crash
  * between "copy durable" and "original dropped" leaves two copies of
- * one record. orderedLiveRecords() restores write order by sorting on
- * the LSN (the original append address, preserved across migration),
- * drops duplicate LSNs, and filters the lifecycle's checkpoint
- * markers; walRecover() scans through it.
+ * one record. The walk sorts only those copies by LSN and merges them
+ * in, which gives exactly the order of a stable sort of the whole log
+ * by LSN; of each run of equal LSNs it keeps the first, and it skips
+ * the lifecycle's checkpoint markers. orderedLiveRecords() and
+ * walRecover() share that one walk.
  */
 
 #ifndef SILO_LOG_WAL_RECOVERY_HH
@@ -38,8 +46,9 @@ namespace silo::log
 /**
  * Thread @p tid 's live records in write (LSN) order, with duplicate
  * LSNs (in-flight migrations) deduplicated and lifecycle checkpoint
- * markers dropped. Multi-segment by construction: the scan covers
- * every non-clean segment from head to tail.
+ * markers dropped: a copy of the sequence walRecover() walks.
+ * Multi-segment by construction: the walk covers every non-clean
+ * segment from head to tail.
  */
 std::vector<std::pair<Addr, LogRecord>>
 orderedLiveRecords(const LogRegionStore &logs, unsigned tid);

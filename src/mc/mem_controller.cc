@@ -128,7 +128,8 @@ MemController::tryWriteLog(Addr rec_addr, const log::LogRecord &record)
     entry.pmLine = pmLineAlign(rec_addr);
     entry.logRegion = true;
     entry.bytes = record.sizeBytes();
-    // Mark every word the record's byte extent touches.
+    // Mark every word the record's byte extent touches (the values are
+    // placeholders: LogRegionStore keeps the record).
     Addr first = wordAlign(rec_addr);
     Addr last = wordAlign(rec_addr + record.sizeBytes() - 1);
     for (Addr a = first; a <= last; a += wordBytes)

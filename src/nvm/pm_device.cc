@@ -83,7 +83,7 @@ PmDevice::applyToMedia(const BufferLine &line)
         Addr word_addr = line.base + Addr(idx) * wordBytes;
         if (line.logRegion) {
             // Log appends are fresh content; every dirty word writes.
-            _media.store(word_addr, value);
+            // Counted only: log::LogRegionStore keeps the log's contents.
             ++changed;
             ++_logWordWrites;
         } else if (_media.load(word_addr) != value) {

@@ -72,7 +72,11 @@ class PmDevice
      */
     void drainAll();
 
-    /** The media image (word values actually persisted). */
+    /**
+     * The media image: the data-region words actually persisted. Log
+     * words are counted but not stored; log::LogRegionStore keeps the
+     * log's contents.
+     */
     WordStore &media() { return _media; }
     const WordStore &media() const { return _media; }
 

@@ -6,8 +6,20 @@
  * monotonically increasing addresses (tracked by the per-core head and
  * tail registers of Table I). Appends never straddle an on-PM buffer
  * line, matching the batched layout of §III-F. Records become durable
- * when their write is accepted into the ADR domain; recovery iterates
- * the live records in address order.
+ * when their write is accepted into the ADR domain; recovery walks the
+ * live records in address order.
+ *
+ * Storage follows the hardware: one append-ordered record array per
+ * thread, in fixed-size chunks allocated on first append (ERMIA's
+ * append-only segment allocation). allocate() hands out addresses in
+ * order, so a persist almost always appends; a record that waited in
+ * the MC's ADR log path while a later one was accepted is inserted a
+ * few slots from the end. Dropping a record clears its live bit,
+ * truncation pops the [head, tail) suffix, and chunks wholly below the
+ * head are freed. A record that becomes durable below its thread's
+ * head (Silo: accepted after the commit truncated past it) is kept
+ * apart, in address order: hasRecord() and liveRecordCount() see it,
+ * but liveRecords() and recovery cover [head, tail) only.
  *
  * Segmented mode (DESIGN.md §4j): setSegmentation() divides each area
  * into fixed-size segments. Addresses stay monotonic (they double as
@@ -21,8 +33,10 @@
 #ifndef SILO_SIM_LOG_REGION_HH
 #define SILO_SIM_LOG_REGION_HH
 
+#include <algorithm>
+#include <bitset>
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/address_map.hh"
@@ -37,12 +51,11 @@ namespace silo::log
 class LogRegionStore
 {
   public:
-    explicit LogRegionStore(unsigned num_threads)
-        : _tail(num_threads), _head(num_threads)
+    explicit LogRegionStore(unsigned num_threads) : _areas(num_threads)
     {
         for (unsigned t = 0; t < num_threads; ++t) {
-            _tail[t] = addr_map::logAreaBase(t);
-            _head[t] = _tail[t];
+            _areas[t].tail = addr_map::logAreaBase(t);
+            _areas[t].head = _areas[t].tail;
         }
     }
 
@@ -55,30 +68,37 @@ class LogRegionStore
     Addr
     allocate(unsigned tid, unsigned bytes)
     {
-        Addr addr = _tail.at(tid);
+        Area &area = _areas.at(tid);
+        Addr addr = area.tail;
         if (pmLineAlign(addr) != pmLineAlign(addr + bytes - 1))
             addr = pmLineAlign(addr) + pmBufferLineBytes;
         if (_segmentBytes != 0 &&
             segmentOf(tid, addr) != segmentOf(tid, addr + bytes - 1)) {
             addr = segmentBase(tid, segmentOf(tid, addr) + 1);
         }
-        _tail[tid] = addr + bytes;
-        if (_tail[tid] >= addr_map::logAreaBase(tid) +
-                          addr_map::logAreaBytes) {
+        area.tail = addr + bytes;
+        if (area.tail >= addr_map::logAreaBase(tid) +
+                         addr_map::logAreaBytes) {
             fatal("log area exhausted; raise logAreaBytes");
         }
         return addr;
     }
 
     /**
-     * Make @p record durable at @p addr (called at WPQ accept). Stamps
-     * the record's LSN with its first append address; a migrated copy
-     * arrives with the LSN already set and keeps it.
+     * Make @p record durable at @p addr, an address allocate() handed
+     * out (called at WPQ accept). Stamps the record's LSN with its
+     * first append address; a migrated copy arrives with the LSN
+     * already set and keeps it.
      */
     void
     persist(Addr addr, const LogRecord &record)
     {
-        LogRecord &stored = _records[addr];
+        std::size_t tid = ownerOf(addr);
+        if (tid == _areas.size() || addr >= _areas[tid].tail)
+            panic("log record persisted at an unallocated address");
+        Area &area = _areas[tid];
+        LogRecord &stored = addr < area.head ? area.belowHeadAt(addr)
+                                             : area.slotAt(addr);
         stored = record;
         if (stored.lsn == 0)
             stored.lsn = addr;
@@ -93,43 +113,87 @@ class LogRegionStore
     void
     truncate(unsigned tid)
     {
-        Addr head = _head.at(tid);
-        Addr tail = _tail.at(tid);
+        Area &area = _areas.at(tid);
         if (_sink)
-            _sink->onLogTruncate(tid, head, tail);
-        _records.erase(_records.lower_bound(head),
-                       _records.lower_bound(tail));
-        _head[tid] = tail;
+            _sink->onLogTruncate(tid, area.head, area.tail);
+        // Every record at or above the head lies in [head, tail), and
+        // every slot below it is dead: the whole array goes.
+        area.clear();
+        area.head = area.tail;
     }
 
     /** Register the persistency checker (nullptr when disabled). */
     void setEventSink(PersistEventSink *sink) { _sink = sink; }
+
+    /**
+     * Visit thread @p tid 's live records in ascending address order,
+     * in place: @p fn (Addr, const LogRecord &) must not modify the
+     * store.
+     */
+    template <typename Fn>
+    void
+    forEachLive(unsigned tid, Fn &&fn) const
+    {
+        for (const Chunk &chunk : _areas.at(tid).chunks) {
+            for (std::size_t i = 0; i < chunk.slots.size(); ++i) {
+                if (chunk.live[i])
+                    fn(chunk.slots[i].addr, chunk.slots[i].rec);
+            }
+        }
+    }
+
+    /** forEachLive() in descending address order. */
+    template <typename Fn>
+    void
+    forEachLiveBackward(unsigned tid, Fn &&fn) const
+    {
+        const auto &chunks = _areas.at(tid).chunks;
+        for (auto chunk = chunks.rbegin(); chunk != chunks.rend();
+             ++chunk) {
+            for (std::size_t i = chunk->slots.size(); i-- > 0;) {
+                if (chunk->live[i])
+                    fn(chunk->slots[i].addr, chunk->slots[i].rec);
+            }
+        }
+    }
 
     /** Live records of thread @p tid in ascending address order. */
     std::vector<std::pair<Addr, LogRecord>>
     liveRecords(unsigned tid) const
     {
         std::vector<std::pair<Addr, LogRecord>> out;
-        Addr lo = _head.at(tid);
-        Addr hi = _tail.at(tid);
-        for (auto it = _records.lower_bound(lo);
-             it != _records.end() && it->first < hi; ++it) {
-            out.push_back(*it);
-        }
+        forEachLive(tid, [&](Addr addr, const LogRecord &rec) {
+            out.emplace_back(addr, rec);
+        });
         return out;
     }
 
-    /** Total number of live records (test hook). */
-    std::size_t liveRecordCount() const { return _records.size(); }
+    /** Total number of durable records, below the heads too (test hook). */
+    std::size_t
+    liveRecordCount() const
+    {
+        std::size_t n = 0;
+        for (const Area &area : _areas) {
+            n += area.belowHead.size();
+            for (const Chunk &chunk : area.chunks)
+                n += chunk.live.count();
+        }
+        return n;
+    }
 
     /** @return true if a durable record exists at @p addr. */
-    bool hasRecord(Addr addr) const { return _records.count(addr) != 0; }
+    bool
+    hasRecord(Addr addr) const
+    {
+        std::size_t tid = ownerOf(addr);
+        return tid < _areas.size() && _areas[tid].find(addr) != nullptr;
+    }
 
     /** Current tail of thread @p tid 's area (test hook). */
-    Addr tail(unsigned tid) const { return _tail.at(tid); }
+    Addr tail(unsigned tid) const { return _areas.at(tid).tail; }
 
     /** Current head of thread @p tid 's area (test hook). */
-    Addr head(unsigned tid) const { return _head.at(tid); }
+    Addr head(unsigned tid) const { return _areas.at(tid).head; }
 
     /** @name Segmented lifecycle (DESIGN.md §4j) */
     /// @{
@@ -160,13 +224,13 @@ class LogRegionStore
     /** Oldest non-clean segment (the head's segment). */
     std::uint64_t headSegment(unsigned tid) const
     {
-        return segmentOf(tid, _head.at(tid));
+        return segmentOf(tid, _areas.at(tid).head);
     }
 
     /** The active (append) segment: the tail's segment. */
     std::uint64_t activeSegment(unsigned tid) const
     {
-        return segmentOf(tid, _tail.at(tid));
+        return segmentOf(tid, _areas.at(tid).tail);
     }
 
     /**
@@ -184,7 +248,8 @@ class LogRegionStore
     std::uint64_t
     activeSegmentRemaining(unsigned tid) const
     {
-        return segmentBase(tid, activeSegment(tid) + 1) - _tail.at(tid);
+        return segmentBase(tid, activeSegment(tid) + 1) -
+               _areas.at(tid).tail;
     }
 
     /** Live records inside segment @p seg of thread @p tid. */
@@ -192,13 +257,21 @@ class LogRegionStore
     recordsInSegment(unsigned tid, std::uint64_t seg) const
     {
         std::vector<std::pair<Addr, LogRecord>> out;
-        Addr lo = segmentBase(tid, seg);
-        Addr hi = segmentBase(tid, seg + 1);
-        for (auto it = _records.lower_bound(lo);
-             it != _records.end() && it->first < hi; ++it) {
-            out.push_back(*it);
-        }
+        forEachInSegment(tid, seg, [&](Addr addr, const LogRecord &rec) {
+            out.emplace_back(addr, rec);
+            return true;
+        });
         return out;
+    }
+
+    /** @return true if segment @p seg of thread @p tid holds no record. */
+    bool
+    segmentEmpty(unsigned tid, std::uint64_t seg) const
+    {
+        return forEachInSegment(tid, seg,
+                                [](Addr, const LogRecord &) {
+                                    return false;
+                                });
     }
 
     /**
@@ -209,40 +282,270 @@ class LogRegionStore
     bool
     dropRecord(Addr addr, LogDropReason reason)
     {
-        auto it = _records.find(addr);
-        if (it == _records.end())
+        std::size_t tid = ownerOf(addr);
+        if (tid == _areas.size())
+            return false;
+        const LogRecord *rec = _areas[tid].find(addr);
+        if (!rec)
             return false;
         if (_sink)
-            _sink->onLogRecordDrop(addr, it->second, reason);
-        _records.erase(it);
+            _sink->onLogRecordDrop(addr, *rec, reason);
+        _areas[tid].drop(addr, addr + 1);
         return true;
     }
 
     /**
      * Return segment @p seg of thread @p tid to the clean state:
-     * drops any leftover records (audited — a live leftover is an
-     * invariant-6 violation the checker flags) and advances the head
-     * past the segment.
+     * drops any leftover records in address order (audited — a live
+     * leftover is an invariant-6 violation the checker flags) and
+     * advances the head past the segment.
      */
     void
     reclaimSegment(unsigned tid, std::uint64_t seg)
     {
-        for (const auto &[addr, rec] : recordsInSegment(tid, seg))
-            dropRecord(addr, LogDropReason::Reclaimed);
+        if (_sink) {
+            forEachInSegment(tid, seg,
+                             [this](Addr addr, const LogRecord &rec) {
+                                 _sink->onLogRecordDrop(
+                                     addr, rec, LogDropReason::Reclaimed);
+                                 return true;
+                             });
+        }
+        Area &area = _areas.at(tid);
         Addr seg_end = segmentBase(tid, seg + 1);
-        if (_head.at(tid) < seg_end)
-            _head[tid] = seg_end;
-        if (_tail.at(tid) < seg_end)
-            _tail[tid] = seg_end;
+        area.drop(segmentBase(tid, seg), seg_end);
+        if (area.head < seg_end)
+            area.advanceHead(seg_end);
+        if (area.tail < seg_end)
+            area.tail = seg_end;
         if (_sink)
             _sink->onLogSegmentReclaimed(tid, seg);
     }
     /// @}
 
   private:
-    std::map<Addr, LogRecord> _records;
-    std::vector<Addr> _tail;
-    std::vector<Addr> _head;
+    /** A durable record and the address it sits at. */
+    struct Slot
+    {
+        Addr addr = 0;
+        LogRecord rec;
+    };
+
+    /** Records per storage chunk (48 KiB of slots). */
+    static constexpr std::size_t chunkSlots = 1024;
+
+    /** Up to chunkSlots consecutive slots and their live bits. */
+    struct Chunk
+    {
+        std::vector<Slot> slots;
+        std::bitset<chunkSlots> live;
+    };
+
+    /** First slot of @p slots at or above @p addr. */
+    template <typename Slots>
+    static auto
+    slotPos(Slots &slots, Addr addr)
+    {
+        return std::lower_bound(
+            slots.begin(), slots.end(), addr,
+            [](const Slot &s, Addr a) { return s.addr < a; });
+    }
+
+    /** One thread's log area: its head/tail registers and records. */
+    struct Area
+    {
+        Addr head = 0;
+        Addr tail = 0;
+        /**
+         * Records persisted at or above the head, in address order;
+         * every chunk but the last is full, and every slot below the
+         * head is dead.
+         */
+        std::vector<Chunk> chunks;
+        /** Records persisted below the head, in address order. */
+        std::vector<Slot> belowHead;
+
+        std::size_t
+        size() const
+        {
+            return chunks.empty() ? 0
+                                  : (chunks.size() - 1) * chunkSlots +
+                                        chunks.back().slots.size();
+        }
+
+        Slot &slot(std::size_t i)
+        {
+            return chunks[i / chunkSlots].slots[i % chunkSlots];
+        }
+        const Slot &slot(std::size_t i) const
+        {
+            return chunks[i / chunkSlots].slots[i % chunkSlots];
+        }
+        bool live(std::size_t i) const
+        {
+            return chunks[i / chunkSlots].live[i % chunkSlots];
+        }
+        void setLive(std::size_t i, bool on)
+        {
+            chunks[i / chunkSlots].live[i % chunkSlots] = on;
+        }
+
+        /** Index of the first slot at or above @p addr. */
+        std::size_t
+        lowerBound(Addr addr) const
+        {
+            std::size_t lo = 0;
+            std::size_t hi = size();
+            while (lo < hi) {
+                std::size_t mid = lo + (hi - lo) / 2;
+                if (slot(mid).addr < addr)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            return lo;
+        }
+
+        /** The durable record at @p addr, or nullptr. */
+        const LogRecord *
+        find(Addr addr) const
+        {
+            if (addr < head) {
+                auto it = slotPos(belowHead, addr);
+                return it != belowHead.end() && it->addr == addr
+                           ? &it->rec
+                           : nullptr;
+            }
+            std::size_t i = lowerBound(addr);
+            return i < size() && slot(i).addr == addr && live(i)
+                       ? &slot(i).rec
+                       : nullptr;
+        }
+
+        void
+        pushBack(const Slot &s, bool on)
+        {
+            // A chunk's slots grow on demand, so a short-lived log (a
+            // litmus case, a per-commit truncation) never holds a whole
+            // chunk's 48 KiB.
+            if (chunks.empty() || chunks.back().slots.size() == chunkSlots)
+                chunks.emplace_back();
+            chunks.back().slots.push_back(s);
+            chunks.back().live[chunks.back().slots.size() - 1] = on;
+        }
+
+        /** The live slot for @p addr (at or above the head). */
+        LogRecord &
+        slotAt(Addr addr)
+        {
+            std::size_t n = size();
+            std::size_t i =
+                n == 0 || slot(n - 1).addr < addr ? n : lowerBound(addr);
+            if (i == n) {
+                pushBack(Slot{addr, {}}, true);
+            } else if (slot(i).addr != addr) {
+                // Accepted after later records: shift them up one.
+                pushBack(Slot(slot(n - 1)), live(n - 1));
+                for (std::size_t j = n - 1; j > i; --j) {
+                    slot(j) = slot(j - 1);
+                    setLive(j, live(j - 1));
+                }
+                slot(i).addr = addr;
+            }
+            setLive(i, true);
+            return slot(i).rec;
+        }
+
+        /** The record for @p addr below the head. */
+        LogRecord &
+        belowHeadAt(Addr addr)
+        {
+            auto it = slotPos(belowHead, addr);
+            if (it == belowHead.end() || it->addr != addr)
+                it = belowHead.insert(it, Slot{addr, {}});
+            return it->rec;
+        }
+
+        /** Drop every record in [@p lo, @p hi). */
+        void
+        drop(Addr lo, Addr hi)
+        {
+            belowHead.erase(slotPos(belowHead, lo), slotPos(belowHead, hi));
+            for (std::size_t i = lowerBound(lo);
+                 i < size() && slot(i).addr < hi; ++i) {
+                setLive(i, false);
+            }
+        }
+
+        /** Empty the array, keeping one chunk's storage for reuse. */
+        void
+        clear()
+        {
+            if (chunks.empty())
+                return;
+            chunks.resize(1);
+            chunks[0].slots.clear();
+            chunks[0].live.reset();
+        }
+
+        /**
+         * Move the head up to @p new_head: live records it passes move
+         * below the head, and chunks wholly below it are freed.
+         */
+        void
+        advanceHead(Addr new_head)
+        {
+            std::size_t end = lowerBound(new_head);
+            for (std::size_t i = lowerBound(head); i < end; ++i) {
+                if (live(i)) {
+                    belowHead.push_back(slot(i));
+                    setLive(i, false);
+                }
+            }
+            chunks.erase(chunks.begin(),
+                         chunks.begin() +
+                             std::ptrdiff_t(end / chunkSlots));
+            head = new_head;
+        }
+    };
+
+    /** The thread owning @p addr; _areas.size() outside every area. */
+    std::size_t
+    ownerOf(Addr addr) const
+    {
+        if (!addr_map::inLogRegion(addr))
+            return _areas.size();
+        return std::min<std::size_t>(
+            (addr - addr_map::logRegionBase) / addr_map::logAreaBytes,
+            _areas.size());
+    }
+
+    /**
+     * Visit the records of segment @p seg of thread @p tid in address
+     * order until @p fn returns false.
+     * @return true if @p fn never returned false.
+     */
+    template <typename Fn>
+    bool
+    forEachInSegment(unsigned tid, std::uint64_t seg, Fn &&fn) const
+    {
+        const Area &area = _areas.at(tid);
+        Addr lo = segmentBase(tid, seg);
+        Addr hi = segmentBase(tid, seg + 1);
+        for (auto it = slotPos(area.belowHead, lo);
+             it != area.belowHead.end() && it->addr < hi; ++it) {
+            if (!fn(it->addr, it->rec))
+                return false;
+        }
+        for (std::size_t i = area.lowerBound(lo);
+             i < area.size() && area.slot(i).addr < hi; ++i) {
+            if (area.live(i) && !fn(area.slot(i).addr, area.slot(i).rec))
+                return false;
+        }
+        return true;
+    }
+
+    std::vector<Area> _areas;
     /** Segment size in bytes; 0 = segmentation off. */
     std::uint64_t _segmentBytes = 0;
     PersistEventSink *_sink = nullptr;

@@ -208,38 +208,5 @@ TEST(MemController, ReadMissGoesToDevice)
     EXPECT_GE(when, f.cfg.pmReadCycles);
 }
 
-TEST(LogRegionStore, AllocatePadsAcrossPmLines)
-{
-    log::LogRegionStore logs(2);
-    Addr first = logs.allocate(0, 26);
-    // Fill up to near the 256B boundary.
-    Addr prev = first;
-    for (int i = 0; i < 20; ++i) {
-        Addr a = logs.allocate(0, 26);
-        EXPECT_GT(a, prev);
-        // Never straddles a 256B line.
-        EXPECT_EQ(pmLineAlign(a), pmLineAlign(a + 25));
-        prev = a;
-    }
-}
-
-TEST(LogRegionStore, TruncateDropsLiveRecords)
-{
-    log::LogRegionStore logs(1);
-    log::LogRecord rec;
-    for (int i = 0; i < 5; ++i) {
-        Addr a = logs.allocate(0, rec.sizeBytes());
-        logs.persist(a, rec);
-    }
-    EXPECT_EQ(logs.liveRecords(0).size(), 5u);
-    logs.truncate(0);
-    EXPECT_EQ(logs.liveRecords(0).size(), 0u);
-
-    // New records after truncation are live again.
-    Addr a = logs.allocate(0, rec.sizeBytes());
-    logs.persist(a, rec);
-    EXPECT_EQ(logs.liveRecords(0).size(), 1u);
-}
-
 } // namespace
 } // namespace silo::mc

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "log/logging_scheme.hh"
 #include "sim/address_map.hh"
 #include "sim/json.hh"
 
@@ -59,7 +58,9 @@ Violation::toJson() const
 
 PersistencyChecker::PersistencyChecker(const SimConfig &cfg,
                                        const EventQueue &eq)
-    : _cfg(cfg), _eq(eq), _latestTx(cfg.numCores), _hasTx(cfg.numCores)
+    : _scheme(cfg.scheme), _numCores(cfg.numCores),
+      _pmLineWords(cfg.onPmBufferLineBytes / wordBytes), _eq(&eq),
+      _latestTx(cfg.numCores), _hasTx(cfg.numCores)
 {
 }
 
@@ -69,7 +70,7 @@ PersistencyChecker::violate(ViolationKind kind, unsigned core,
                             std::string detail)
 {
     _violations.push_back(
-        Violation{kind, _eq.now(), core, txid, addr, std::move(detail)});
+        Violation{kind, now(), core, txid, addr, std::move(detail)});
 }
 
 std::size_t
@@ -164,18 +165,11 @@ PersistencyChecker::onTxEndComplete(unsigned core)
 }
 
 void
-PersistencyChecker::onCrashBegin()
-{
-    _crashed = true;
-}
-
-void
 PersistencyChecker::onBatteryDead()
 {
     // The battery flush ran inside the scheme's crash(): anything that
     // needed to survive is now in the log region. On-chip coverage is
     // gone (and so is MorLog's MC buffer, which the ADR flush emptied).
-    _batteryDead = true;
     _batteryUndo.clear();
     _adrUndo.clear();
 }
@@ -254,7 +248,7 @@ void
 PersistencyChecker::checkDomainEntry(Addr addr, Word value, bool held,
                                      const char *domain)
 {
-    if (_cfg.scheme == SchemeKind::None)
+    if (_scheme == SchemeKind::None)
         return;
     auto pending = _pendingWriter.find(addr);
     if (pending == _pendingWriter.end())
@@ -391,10 +385,9 @@ PersistencyChecker::onMediaWrite(
     // torn-write bound applies.
     (void)log_region;
     ++_counters.mediaLineWrites;
-    const unsigned line_words = _cfg.onPmBufferLineBytes / wordBytes;
     for (const auto &[idx, value] : words) {
         (void)value;
-        if (idx >= line_words) {
+        if (idx >= _pmLineWords) {
             std::ostringstream ss;
             ss << "word index " << idx
                << " straddles the 256 B on-PM buffer line";
@@ -563,7 +556,7 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 {
     TxKey k = key(tx.core, tx.txid);
 
-    switch (_cfg.scheme) {
+    switch (_scheme) {
       case SchemeKind::None:
         return;
 
@@ -647,19 +640,18 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 // --- Invariant 4: crash closure -----------------------------------------
 
 void
-PersistencyChecker::onRecoveryComplete(const WordStore &media,
-                                       const log::LoggingScheme &scheme)
+PersistencyChecker::onRecoveryComplete(const PersistentDomain &domain)
 {
-    if (_cfg.scheme == SchemeKind::None)
+    if (_scheme == SchemeKind::None)
         return;
 
     // Oracle: initial values + the stores of every durably committed
-    // transaction. A commit in flight at the crash counts if the scheme
-    // durably recorded it (lastTxCommittedAtCrash).
+    // transaction. A commit in flight at the crash counts if its
+    // commit marker is durable.
     std::map<Addr, Word> expected = _initialValue;
     for (const auto &[addr, value] : _committedImage)
         expected[addr] = value;
-    for (unsigned core = 0; core < _cfg.numCores; ++core) {
+    for (unsigned core = 0; core < _numCores; ++core) {
         if (!_hasTx[core])
             continue;
         auto it = _txs.find(key(core, _latestTx[core]));
@@ -668,7 +660,7 @@ PersistencyChecker::onRecoveryComplete(const WordStore &media,
         const TxShadow &tx = it->second;
         if (tx.committed || !tx.endRequested)
             continue;
-        if (scheme.lastTxCommittedAtCrash(core)) {
+        if (domain.commitMarkers[core]) {
             for (const auto &[addr, vals] : tx.writes)
                 expected[addr] = vals.second;
         }
@@ -678,7 +670,7 @@ PersistencyChecker::onRecoveryComplete(const WordStore &media,
     std::size_t reported = 0;
     for (const auto &[addr, value] : expected) {
         ++_counters.wordsCheckedAtRecovery;
-        Word got = media.load(addr);
+        Word got = domain.media.load(addr);
         if (got == value)
             continue;
         if (reported++ < maxReports) {

@@ -46,6 +46,13 @@
  *
  * Violations are collected (not fatal) with tick + core + tx + address
  * provenance; tests and the check_all runner inspect them.
+ *
+ * The checker is a copyable value that reaches nothing of the machine
+ * but the event queue's clock, and stopClock() cuts that: a crash
+ * sweep copies it with the persistent domain after each event, so the
+ * crash hooks (onCrashBegin() ... onRecoveryComplete()) and every
+ * sink event the crash raises run on the copy, observing the domain's
+ * copy (harness::sweepCrashes()).
  */
 
 #ifndef SILO_CHECK_PERSISTENCY_CHECKER_HH
@@ -61,12 +68,8 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/persist_event_sink.hh"
+#include "sim/persistent_domain.hh"
 #include "sim/word_store.hh"
-
-namespace silo::log
-{
-class LoggingScheme;
-} // namespace silo::log
 
 namespace silo::check
 {
@@ -153,15 +156,33 @@ class PersistencyChecker : public log::PersistEventSink
     void onTxEndComplete(unsigned core) override;
     /// @}
 
-    /** @name Crash and recovery (harness::System) */
+    /** @name Crash and recovery (harness::crashDomain/recoverDomain) */
     /// @{
-    /** The crash began: runs before any battery or ADR flush. */
-    void onCrashBegin();
+    /**
+     * The crash began: runs before any battery or ADR flush. Time
+     * stops (stopClock()).
+     */
+    void onCrashBegin() { stopClock(); }
     /** The battery died: scheme-internal shadow coverage is gone. */
     void onBatteryDead();
-    /** Recovery finished: validate @p media against the oracle. */
-    void onRecoveryComplete(const WordStore &media,
-                            const log::LoggingScheme &scheme);
+    /**
+     * Recovery finished: validate @p domain 's media against the
+     * oracle, committing each core's last transaction if its commit
+     * marker is durable.
+     */
+    void onRecoveryComplete(const PersistentDomain &domain);
+    /**
+     * Stamp every later violation with the current tick and stop
+     * reading the event queue: a copy taken for a crash must not
+     * follow the live run.
+     */
+    void stopClock()
+    {
+        if (_eq) {
+            _stoppedAt = _eq->now();
+            _eq = nullptr;
+        }
+    }
     /// @}
 
     /** @name Scheme-side coverage notes */
@@ -265,10 +286,16 @@ class PersistencyChecker : public log::PersistEventSink
     void violate(ViolationKind kind, unsigned core, std::uint16_t txid,
                  Addr addr, std::string detail);
 
-    const SimConfig &_cfg;
-    const EventQueue &_eq;
-    bool _crashed = false;
-    bool _batteryDead = false;
+    /** The simulated time of a violation found now. */
+    Tick now() const { return _eq ? _eq->now() : _stoppedAt; }
+
+    SchemeKind _scheme;
+    unsigned _numCores;
+    /** Words per on-PM buffer line (invariant 5's bound). */
+    unsigned _pmLineWords;
+    /** The live clock; nullptr once stopped. */
+    const EventQueue *_eq;
+    Tick _stoppedAt = 0;
 
     /** Every transaction ever begun. */
     std::map<TxKey, TxShadow> _txs;

@@ -9,6 +9,7 @@
 #include "fuzz/shrink.hh"
 #include "harness/profiling.hh"
 #include "harness/sweep.hh"
+#include "harness/system.hh"
 #include "harness/walltime.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -145,51 +146,63 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
                                    prof::Tag::TraceCompile);
             traces = workload::litmusTraces(program);
         }
-        auto run_case = [&](SchemeKind scheme, std::uint64_t crash) {
-            FuzzCaseConfig cc;
-            cc.scheme = scheme;
-            cc.mutation = opts.mutation;
-            cc.crashIndex = crash;
-            cc.segmented = opts.segmented;
-            prof::TimedScope scope(prof::currentThreadProfile(),
-                                   prof::Tag::Simulate);
-            return runLitmusCase(traces, threads, cc);
-        };
-
         // Phase A: completion run per scheme (bounds the crash sweep).
-        // Each case writes only its own pre-sized slot, so results do
-        // not depend on the job count.
+        // Each run writes only its own pre-sized slot, so results do
+        // not depend on the job count; so does each sweep of phase B.
         std::vector<FuzzCaseResult> completions(schemes.size());
         harness::Sweep::parallelFor(
             schemes.size(), jobs, [&](std::size_t s) {
-                completions[s] = run_case(schemes[s], 0);
+                FuzzCaseConfig cc;
+                cc.scheme = schemes[s];
+                cc.mutation = opts.mutation;
+                cc.segmented = opts.segmented;
+                prof::TimedScope scope(prof::currentThreadProfile(),
+                                       prof::Tag::Simulate);
+                completions[s] = runLitmusCase(traces, threads, cc);
             });
         result.casesRun += schemes.size();
 
         // Phase B: crash at every (strided) event index of every
-        // scheme whose completion run was still clean.
-        std::vector<std::pair<std::size_t, std::uint64_t>> cases;
+        // scheme whose completion run was still clean, from one
+        // forward run per scheme; a scheme's sweep ends at its first
+        // failing index, the only one the findings below read.
+        std::vector<std::size_t> swept;
+        std::uint64_t crash_cases = 0;
         for (std::size_t s = 0; s < schemes.size(); ++s) {
             if (!completions[s].clean())
                 continue; // already failing without a crash
-            for (std::uint64_t k = 1;
-                 k <= completions[s].executedEvents;
-                 k += opts.crashStride)
-                cases.emplace_back(s, k);
+            swept.push_back(s);
+            std::uint64_t e = completions[s].executedEvents;
+            crash_cases += e == 0 ? 0 : (e - 1) / opts.crashStride + 1;
         }
-        std::vector<FuzzCaseResult> crashed(cases.size());
+        std::vector<FuzzCaseResult> failures(schemes.size());
         harness::Sweep::parallelFor(
-            cases.size(), jobs, [&](std::size_t c) {
-                crashed[c] =
-                    run_case(schemes[cases[c].first], cases[c].second);
+            swept.size(), jobs, [&](std::size_t i) {
+                std::size_t s = swept[i];
+                prof::TimedScope scope(prof::currentThreadProfile(),
+                                       prof::Tag::Simulate);
+                harness::System sys(
+                    litmusSimConfig(threads, schemes[s], opts.mutation,
+                                    opts.segmented),
+                    traces);
+                harness::sweepCrashes(
+                    sys, completions[s].executedEvents, opts.crashStride,
+                    [&](std::uint64_t k, const harness::DomainCopy &c) {
+                        if (c.checker->clean())
+                            return true;
+                        failures[s].violations = c.checker->violations();
+                        for (check::Violation &v : failures[s].violations)
+                            v.crashIndex = k;
+                        return false;
+                    });
             });
-        result.casesRun += cases.size();
-        result.crashCases += cases.size();
+        result.casesRun += crash_cases;
+        result.crashCases += crash_cases;
 
         if (log) {
             *log << "fuzz: " << program.name << ": " << threads
                  << " thread(s), " << program.txCount() << " tx, "
-                 << program.opCount() << " ops, " << cases.size()
+                 << program.opCount() << " ops, " << crash_cases
                  << " crash case(s), E=[";
             for (std::size_t s = 0; s < schemes.size(); ++s) {
                 *log << (s ? " " : "") << schemeName(schemes[s]) << ":"
@@ -204,14 +217,9 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
             std::uint64_t crash = 0;
             if (!completions[s].clean()) {
                 first = firstOfAnyKind(completions[s]);
-            } else {
-                for (std::size_t c = 0; c < cases.size(); ++c) {
-                    if (cases[c].first != s || crashed[c].clean())
-                        continue;
-                    first = firstOfAnyKind(crashed[c]);
-                    crash = cases[c].second;
-                    break;
-                }
+            } else if (!failures[s].clean()) {
+                first = firstOfAnyKind(failures[s]);
+                crash = first->crashIndex;
             }
             if (!first)
                 continue;

@@ -11,10 +11,12 @@
  *     (in parallel on Sweep::parallelFor, $SILO_JOBS workers),
  *     collecting each run's executed-event count E;
  *  3. phase B — sweep a crash at EVERY event index k in [1, E] (or a
- *     stride of it) of every scheme, fanned out the same way, each
- *     crash followed by recovery
- *     and validated by the persistency checker (invariants 1–5 + crash
- *     closure);
+ *     stride of it) of every scheme with a clean completion, from one
+ *     forward run per scheme (harness::sweepCrashes(): after event k a
+ *     copy of the persistent domain and the checker crashes, recovers
+ *     and is validated by the persistency checker, invariants 1–5 +
+ *     crash closure; indices past the run's stop point reuse the
+ *     stop-point verdict), fanned out per scheme;
  *  4. for the first failing case per (program, scheme), shrink the
  *     (program, crash index) pair against a violation-kind-matching
  *     oracle (shrink.hh) and serialize the result as a litmus fixture

@@ -3,7 +3,10 @@
  * Single-case execution for the litmus fuzzer: run one litmus program
  * on one scheme, optionally with a seeded mutation and a crash
  * injected at a given event index, and return the persistency
- * checker's verdict.
+ * checker's verdict. This is the per-case path, a fresh System per
+ * case, which the shrinker's oracle, FixtureReplay and `litmus replay`
+ * use; the campaign's crash sweep gets the same verdicts from one
+ * forward run per (program, scheme) (harness::sweepCrashes()).
  *
  * The simulated machine is a FIXED deterministic function of
  * (program, scheme, mutation) — litmusSimConfig() — so a committed
@@ -34,8 +37,10 @@ struct FuzzCaseConfig
     /** Seeded checker bug (the fuzzer's self-test target). */
     MutationKind mutation = MutationKind::None;
     /**
-     * Crash after this many executed events; 0 = run to completion
-     * (settle + clean drain, no crash or recovery).
+     * Crash after this many executed events, or at the run's stop
+     * point (the last core's requestStop()) if that comes first;
+     * 0 = run to completion (settle + clean drain, no crash or
+     * recovery).
      */
     std::uint64_t crashIndex = 0;
     /**
@@ -52,8 +57,13 @@ struct FuzzCaseResult
 {
     /** Checker findings, each stamped with the case's crashIndex. */
     std::vector<check::Violation> violations;
-    /** Events the run actually executed (completion runs bound the
-     *  crash sweep: every k in [1, executedEvents] is reachable). */
+    /**
+     * Events the run actually executed. A completion run's count,
+     * settle phase included, bounds the crash sweep: every k in
+     * [1, executedEvents] is a crash case, but a k past the run's
+     * stop point crashes the stop-point state, so no settle-phase
+     * event is ever a crash point.
+     */
     std::uint64_t executedEvents = 0;
     /** Durably committed transactions (checker's count). */
     std::uint64_t commits = 0;

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 
+#include "log/morlog_scheme.hh"
+#include "log/sw_eadr_scheme.hh"
 #include "log/wal_recovery.hh"
+#include "silo/silo_scheme.hh"
 
 namespace silo::harness
 {
 
 System::System(const SimConfig &cfg,
                const workload::WorkloadTraces &traces)
-    : _cfg(cfg), _threads(traces.threads)
+    : _cfg(cfg), _threads(traces.threads), _domain(_cfg)
 {
     _cfg.validate();
     if (_threads.size() < _cfg.numCores)
@@ -29,31 +32,30 @@ System::System(const SimConfig &cfg,
     }
 
     _values.loadImage(traces.initialMemory);
-    _logs = std::make_unique<log::LogRegionStore>(_cfg.numCores);
-    _pm = std::make_unique<nvm::PmDevice>(_eq, _cfg);
-    _pm->media().loadImage(traces.initialMemory);
-    _mc = std::make_unique<mc::McRouter>(_eq, _cfg, *_pm, *_logs);
+    _domain.media.loadImage(traces.initialMemory);
+    _pm = std::make_unique<nvm::PmDevice>(_eq, _cfg, _domain);
+    _mc = std::make_unique<mc::McRouter>(_eq, _cfg, *_pm, _domain);
 
     auto value_of = [this](Addr a) { return _values.load(a); };
     _hierarchy = std::make_unique<mem::CacheHierarchy>(_eq, _cfg, *_mc,
                                                        value_of);
 
     auto set_value = [this](Addr a, Word v) { _values.store(a, v); };
-    log::SchemeContext ctx{_eq, _cfg, *_mc, *_hierarchy, *_logs, *_pm,
+    log::SchemeContext ctx{_eq, _cfg, *_mc, *_hierarchy, _domain,
                            value_of, set_value};
     if (_cfg.checker) {
         // Shadow the whole persist path: the checker observes log
         // persists, WPQ accepts/releases/discards, and media writes;
         // the cores report tx boundaries and stores to it.
         _checker = std::make_unique<check::PersistencyChecker>(_cfg, _eq);
-        _logs->setEventSink(_checker.get());
+        _domain.logs.setEventSink(_checker.get());
         _mc->setCheckSink(_checker.get());
         _pm->setCheckSink(_checker.get());
         ctx.checker = _checker.get();
     }
     if (_cfg.logSegmented) {
         _lifecycle = std::make_unique<log::LogLifecycle>(
-            _eq, _cfg, *_mc, *_logs, _checker.get());
+            _eq, _cfg, *_mc, _domain.logs, _checker.get());
         ctx.lifecycle = _lifecycle.get();
     }
     _scheme = log::makeScheme(ctx);
@@ -148,21 +150,17 @@ System::crash()
     if (_crashed)
         panic("double crash");
     _crashed = true;
-    if (_checker)
-        _checker->onCrashBegin();
-    // 1. The MCs' ADR log paths complete: every log record still
-    //    waiting for a WPQ slot (a scheme's or the lifecycle
-    //    engine's) persists.
-    _mc->flushLogPath();
-    // 2. Battery-backed selective flush (Silo §III-G; no-op for
-    //    schemes without battery-backed structures).
-    _scheme->crash();
-    if (_checker)
-        _checker->onBatteryDead();
-    // 3. ADR: the WPQ and on-PM buffer drain to media; LAD's held
-    //    (uncommitted) entries are discarded.
-    _mc->crashDrain();
-    // 4. Volatile caches lose everything.
+    if (trace::Tracer *tr = _eq.tracer()) {
+        for (unsigned i = 0; i < _mc->numControllers(); ++i) {
+            tr->instant(tr->track("mem", _mc->controllerAt(i)
+                                             .statGroup().name()),
+                        "adr-crash-drain", _eq.now());
+        }
+    }
+    _scheme->captureAtCrash(_domain);
+    _scheme->noteCrashFlush(crashDomain(_domain, _cfg, _checker.get(),
+                                        _eq.now(), &_pm->pmStats()));
+    // Volatile caches lose everything.
     _hierarchy->invalidateAll();
 }
 
@@ -171,9 +169,28 @@ System::recover()
 {
     if (!_crashed)
         panic("recover() without a crash");
-    log::walRecover(*_logs, _cfg.numCores, _pm->media());
-    if (_checker)
-        _checker->onRecoveryComplete(_pm->media(), *_scheme);
+    recoverDomain(_domain, _cfg, _checker.get());
+}
+
+void
+System::copyDomain(DomainCopy &out) const
+{
+    // Assignment reuses out's storage; its log region keeps its own
+    // (re)bound sink.
+    out.domain = _domain;
+    _scheme->captureAtCrash(out.domain);
+    out.tick = _eq.now();
+    if (_checker) {
+        if (out.checker)
+            *out.checker = *_checker;
+        else
+            out.checker.emplace(*_checker);
+        out.checker->stopClock();
+        out.domain.logs.setEventSink(&*out.checker);
+    } else {
+        out.checker.reset();
+        out.domain.logs.setEventSink(nullptr);
+    }
 }
 
 void
@@ -298,6 +315,74 @@ committedPrefixImage(System &sys, const workload::WorkloadTraces &traces)
         }
     }
     return image;
+}
+
+std::uint64_t
+crashDomain(PersistentDomain &domain, const SimConfig &cfg,
+            check::PersistencyChecker *checker, Tick now,
+            nvm::PmStats *pm_stats)
+{
+    if (checker)
+        checker->onCrashBegin();
+    // 1. The MCs' ADR log paths complete: every log record still
+    //    waiting for a WPQ slot (a scheme's or the lifecycle
+    //    engine's) persists.
+    for (mc::McState &mc : domain.mcs)
+        mc::flushLogPath(mc, domain.logs);
+    // 2. Battery-backed flush of each scheme's declared state (Silo
+    //    §III-G); the other schemes' parts are empty.
+    std::uint64_t flushed =
+        silo_scheme::SiloScheme::batteryFlush(domain.silo, domain.logs,
+                                              cfg.mutation) +
+        log::MorLogScheme::batteryFlush(domain.morlog, domain.logs) +
+        log::SwEadrScheme::batteryFlush(domain.eadr, domain.media);
+    if (checker)
+        checker->onBatteryDead();
+    // 3. ADR: the WPQs and the on-PM buffer drain to media; LAD's held
+    //    (uncommitted) entries are discarded.
+    for (mc::McState &mc : domain.mcs)
+        mc::crashDrain(mc, domain, now, checker, pm_stats);
+    return flushed;
+}
+
+void
+recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
+              check::PersistencyChecker *checker)
+{
+    log::walRecover(domain.logs, cfg.numCores, domain.media);
+    if (checker)
+        checker->onRecoveryComplete(domain);
+}
+
+void
+crashAndRecover(DomainCopy &copy, const SimConfig &cfg)
+{
+    check::PersistencyChecker *checker =
+        copy.checker ? &*copy.checker : nullptr;
+    crashDomain(copy.domain, cfg, checker, copy.tick, nullptr);
+    copy.liveRecordsAtCrash = copy.domain.logs.liveRecordCount();
+    recoverDomain(copy.domain, cfg, checker);
+}
+
+void
+sweepCrashes(
+    System &sys, std::uint64_t last, std::uint64_t stride,
+    const std::function<bool(std::uint64_t, const DomainCopy &)> &fn)
+{
+    if (sys.eventQueue().executedEvents() != 0)
+        panic("sweepCrashes() needs a System that has not run");
+    DomainCopy copy;
+    bool stopped = false;
+    for (std::uint64_t k = 1; k <= last; k += stride) {
+        if (!stopped) {
+            std::uint64_t done = sys.eventQueue().executedEvents();
+            stopped = !sys.runEvents(k - done);
+            sys.copyDomain(copy);
+            crashAndRecover(copy, sys.config());
+        }
+        if (!fn(k, copy))
+            return;
+    }
 }
 
 } // namespace silo::harness

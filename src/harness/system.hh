@@ -15,12 +15,23 @@
  * Crash experiments stop the run mid-flight (runEvents), call crash()
  * — battery flush, ADR drain, volatile-cache loss — then recover() and
  * inspect media().
+ *
+ * What survives the crash is one value, the PersistentDomain
+ * (sim/persistent_domain.hh), which the System owns and its components
+ * use in place. A crash plus recovery is a function of a domain and
+ * the checker observing it (crashDomain(), recoverDomain(),
+ * crashAndRecover()): crash() and recover() apply it to the System's
+ * own domain, with no copy, and sweepCrashes() applies it to a copy
+ * taken after each event of one forward run (copyDomain()), so a sweep
+ * over every crash point never re-simulates a prefix.
  */
 
 #ifndef SILO_HARNESS_SYSTEM_HH
 #define SILO_HARNESS_SYSTEM_HH
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "check/persistency_checker.hh"
@@ -32,6 +43,7 @@
 #include "nvm/pm_device.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/persistent_domain.hh"
 #include "sim/sampler.hh"
 #include "sim/tracer.hh"
 #include "workload/trace.hh"
@@ -63,6 +75,22 @@ struct SimReport
     std::string statsJson;
 };
 
+/**
+ * A crash's inputs detached from any running System: a copy of the
+ * persistent domain and of the checker observing it (copyDomain()).
+ * One copy can be refilled again and again, reusing its storage.
+ */
+struct DomainCopy
+{
+    PersistentDomain domain;
+    /** Bound to domain's log region; empty when the checker is off. */
+    std::optional<check::PersistencyChecker> checker;
+    /** The simulated time of the copy: the crash tick. */
+    Tick tick = 0;
+    /** Durable log records right after the crash (crashAndRecover()). */
+    std::size_t liveRecordsAtCrash = 0;
+};
+
 /** A complete simulated machine executing a traced workload. */
 class System
 {
@@ -87,6 +115,14 @@ class System
 
     /** Recover the PM image from the durable logs (walRecover()). */
     void recover();
+
+    /**
+     * Copy the persistent domain as a crash now would find it (SW-eADR's
+     * caches captured) and the checker, with its clock stopped, into
+     * @p out, bound to each other: nothing in @p out points into this
+     * System. The System itself is left untouched.
+     */
+    void copyDomain(DomainCopy &out) const;
 
     /**
      * After the cores retire, let background machinery finish (e.g.,
@@ -126,7 +162,7 @@ class System
     mc::McRouter &mc() { return *_mc; }
     mem::CacheHierarchy &hierarchy() { return *_hierarchy; }
     log::LoggingScheme &scheme() { return *_scheme; }
-    log::LogRegionStore &logRegion() { return *_logs; }
+    log::LogRegionStore &logRegion() { return _domain.logs; }
     core::ReplayCore &coreAt(unsigned i) { return *_cores[i]; }
     unsigned numCores() const { return unsigned(_cores.size()); }
     /** Architectural (pre-crash) values — the running system's view. */
@@ -154,7 +190,8 @@ class System
     std::unique_ptr<trace::Tracer> _tracer;
     EventQueue _eq;
     WordStore _values;
-    std::unique_ptr<log::LogRegionStore> _logs;
+    /** Everything that survives a crash; components use it in place. */
+    PersistentDomain _domain;
     std::unique_ptr<nvm::PmDevice> _pm;
     std::unique_ptr<mc::McRouter> _mc;
     std::unique_ptr<mem::CacheHierarchy> _hierarchy;
@@ -181,6 +218,49 @@ class System
  */
 WordStore committedPrefixImage(System &sys,
                                const workload::WorkloadTraces &traces);
+
+/**
+ * The crash, as a function of @p domain and the checker @p checker
+ * (nullable) observing it: the MCs' ADR log paths persist, the battery
+ * flushes each scheme's declared state, and the ADR drains the WPQs
+ * and the on-PM buffer into the media at tick @p now. @p pm_stats
+ * (nullable) receives the drain's media counts.
+ * @return the bytes the battery flushed.
+ */
+std::uint64_t crashDomain(PersistentDomain &domain, const SimConfig &cfg,
+                          check::PersistencyChecker *checker, Tick now,
+                          nvm::PmStats *pm_stats);
+
+/**
+ * Recover @p domain 's media from its durable logs (walRecover()) and
+ * let @p checker (nullable) validate the result.
+ */
+void recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
+                   check::PersistencyChecker *checker);
+
+/**
+ * crashDomain() then recoverDomain() on @p copy: its domain ends as the
+ * recovered image, its checker holds the violations, and
+ * liveRecordsAtCrash counts the durable records in between.
+ */
+void crashAndRecover(DomainCopy &copy, const SimConfig &cfg);
+
+/**
+ * Sweep crash points from one forward run of @p sys, which must not
+ * have run yet: for each crash index k = 1, 1 + @p stride, ... up to
+ * @p last, run @p sys to its k-th event, crash and recover a copy of
+ * its domain, and pass it to @p fn (k, copy); the copy is refilled
+ * for the next index, so one lives at a time. Each verdict is the one
+ * a fresh System gives after runEvents(k), crash() and recover(). A
+ * run stops at the last core's requestStop(), so every index past that
+ * point crashes the stop-point state: the sweep reuses its copy for
+ * all of them, and no settle-phase event is ever a crash point. @p fn
+ * returns false to end the sweep. @p sys is left where the sweep
+ * stopped it, untouched by the crashes.
+ */
+void sweepCrashes(
+    System &sys, std::uint64_t last, std::uint64_t stride,
+    const std::function<bool(std::uint64_t, const DomainCopy &)> &fn);
 
 } // namespace silo::harness
 

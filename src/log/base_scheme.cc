@@ -76,7 +76,7 @@ BaseScheme::finishCommit(unsigned core)
     cs.pendingCommit = nullptr;
     if (_ctx.cfg.mutation == MutationKind::SkipCommitMarker) {
         // Seeded bug: Tx_end completes without a durable commit marker.
-        _ctx.logs.truncate(core);
+        _ctx.domain.logs.truncate(core);
         done();
         return;
     }
@@ -84,7 +84,7 @@ BaseScheme::finishCommit(unsigned core)
                                                  done = std::move(done)] {
         // All data and logs are durable: the log can truncate (a
         // head-pointer update, no PM write).
-        _ctx.logs.truncate(core);
+        _ctx.domain.logs.truncate(core);
         done();
     });
 }

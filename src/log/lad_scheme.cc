@@ -211,7 +211,7 @@ LadScheme::commitPhase2(unsigned core, std::function<void()> done)
             _ctx.mc.releaseHeld(line);
     }
     // Undo logs of slow-mode lines are obsolete after commit.
-    _ctx.logs.truncate(core);
+    _ctx.domain.logs.truncate(core);
     cs.open = false;
     cs.txLines.clear();
     cs.undoImage.clear();

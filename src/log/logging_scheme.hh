@@ -4,14 +4,23 @@
  *
  * A scheme plugs into the memory system at the points the paper's
  * designs differ: transaction boundaries, completed stores (where the
- * log generator captures old+new data), commit gating, and the
- * battery-backed flush at a crash. The protocol every scheme shares
- * lives here: the per-core txid and commit point and the log-append
- * path (allocate, admission gate, hand-off to the memory controller's
- * ADR log path, which owns the WPQ wait and the crash flush of the
- * records still waiting). Recovery is one routine for all schemes
- * (walRecover(), log/wal_recovery.hh): the records they write describe
- * themselves.
+ * log generator captures old+new data) and commit gating. The protocol
+ * every scheme shares lives here: the per-core txid and commit point
+ * and the log-append path (allocate, admission gate, hand-off to the
+ * memory controller's ADR log path, which owns the WPQ wait and the
+ * crash flush of the records still waiting). Recovery is one routine
+ * for all schemes (walRecover(), log/wal_recovery.hh): the records
+ * they write describe themselves.
+ *
+ * What a scheme keeps across power loss lives in the persistent domain
+ * (sim/persistent_domain.hh), which the scheme uses in place: the log
+ * region, each core's durable commit-marker bit, and the scheme's own
+ * battery-backed state. So a scheme has no crash method: its
+ * battery-backed flush is a static function of that declared state,
+ * the log region and the sink the region reports to
+ * (SiloScheme::batteryFlush(), MorLogScheme::batteryFlush(),
+ * SwEadrScheme::batteryFlush()), which harness::crashDomain() runs on
+ * the live domain or on a copy.
  *
  * Concrete schemes: BaseScheme, FwbScheme, MorLogScheme, LadScheme
  * (§VI-A's comparison points), SwEadrScheme (the §II-C ablation) and
@@ -33,6 +42,7 @@
 #include "sim/event_queue.hh"
 #include "sim/log_region.hh"
 #include "sim/persist_event_sink.hh"
+#include "sim/persistent_domain.hh"
 #include "sim/tracer.hh"
 #include "sim/word_store.hh"
 
@@ -46,8 +56,9 @@ struct SchemeContext
     const SimConfig &cfg;
     mc::McRouter &mc;
     mem::CacheHierarchy &hierarchy;
-    LogRegionStore &logs;
-    nvm::PmDevice &pm;
+    /** The persistent domain: the log region, the commit markers and
+     *  the scheme's battery-backed state. */
+    PersistentDomain &domain;
     /** Architectural value of a word (the replay engine's view). */
     std::function<Word(Addr)> valueOf;
     /** Write an architectural word (software-logging schemes store
@@ -93,12 +104,24 @@ struct SchemeStats
     }
 };
 
+/**
+ * Battery flush at a crash: write @p record straight to its thread's
+ * log in @p logs. @return its size in bytes.
+ */
+inline unsigned
+persistAtCrash(LogRegionStore &logs, const LogRecord &record)
+{
+    Addr addr = logs.allocate(record.tid, record.sizeBytes());
+    logs.persist(addr, record);
+    return record.sizeBytes();
+}
+
 /** Abstract atomic-durability mechanism. */
 class LoggingScheme
 {
   public:
     explicit LoggingScheme(SchemeContext ctx)
-        : _ctx(std::move(ctx)), _txs(_ctx.cfg.numCores)
+        : _ctx(std::move(ctx)), _txids(_ctx.cfg.numCores)
     {
     }
     virtual ~LoggingScheme() = default;
@@ -114,7 +137,8 @@ class LoggingScheme
     void
     txBegin(unsigned core, std::uint16_t txid)
     {
-        _txs[core] = CoreTx{txid, false};
+        _txids[core] = txid;
+        _ctx.domain.commitMarkers[core] = false;
         beginTx(core);
     }
 
@@ -146,13 +170,20 @@ class LoggingScheme
     }
 
     /**
-     * System crash: the battery-backed flush of the scheme's own
-     * on-chip structures, written with persistAtCrash(). Runs after
-     * the event loop stops and the memory controllers persisted their
-     * ADR log paths (McRouter::flushLogPath()), and before the ADR
-     * drain.
+     * Copy into @p domain the battery-backed state this scheme keeps
+     * outside it, as a crash now finds it. Only SW-eADR has such state:
+     * its persistent caches are the simulator's volatile hierarchy.
      */
-    virtual void crash() {}
+    virtual void captureAtCrash(PersistentDomain &domain) const
+    {
+        (void)domain;
+    }
+
+    /** Count @p bytes flushed by the battery at the crash. */
+    void noteCrashFlush(std::uint64_t bytes)
+    {
+        _stats.crashFlushBytes += bytes;
+    }
 
     /**
      * @return true if @p core 's latest transaction must be treated as
@@ -164,7 +195,7 @@ class LoggingScheme
      */
     bool lastTxCommittedAtCrash(unsigned core) const
     {
-        return _txs[core].committed;
+        return _ctx.domain.commitMarkers[core];
     }
 
     /**
@@ -208,7 +239,7 @@ class LoggingScheme
     virtual void beginTx(unsigned core) { (void)core; }
 
     /** The txid of @p core 's latest Tx_begin. */
-    std::uint16_t txidOf(unsigned core) const { return _txs[core].txid; }
+    std::uint16_t txidOf(unsigned core) const { return _txids[core]; }
 
     /** The commit marker of @p core 's latest transaction. */
     LogRecord
@@ -232,13 +263,13 @@ class LoggingScheme
     Addr
     appendLog(unsigned tid, const LogRecord &record)
     {
-        Addr addr = _ctx.logs.allocate(tid, record.sizeBytes());
+        Addr addr = _ctx.domain.logs.allocate(tid, record.sizeBytes());
         ++_stats.logWrites;
         _stats.logBytes += record.sizeBytes();
         if (_ctx.lifecycle)
             _ctx.lifecycle->noteAppend(tid, record.sizeBytes());
         if (record.kind == LogRecord::Kind::Commit)
-            _txs[tid].committed = true;
+            _ctx.domain.commitMarkers[tid] = true;
         return addr;
     }
 
@@ -292,28 +323,12 @@ class LoggingScheme
         persistLog(addr, record, admitted(tid, record, std::move(done)));
     }
 
-    /** Battery flush at a crash: write @p record straight to its log. */
-    void
-    persistAtCrash(const LogRecord &record)
-    {
-        Addr addr = _ctx.logs.allocate(record.tid, record.sizeBytes());
-        _ctx.logs.persist(addr, record);
-        _stats.crashFlushBytes += record.sizeBytes();
-    }
-
     SchemeContext _ctx;
     SchemeStats _stats;
 
   private:
-    /** Per-core transaction state every scheme shares. */
-    struct CoreTx
-    {
-        std::uint16_t txid = 0;
-        /** The transaction's commit marker is durable. */
-        bool committed = false;
-    };
-
-    std::vector<CoreTx> _txs;
+    /** Per core: the txid of its latest Tx_begin. */
+    std::vector<std::uint16_t> _txids;
 };
 
 /** No durability mechanism: raw memory system (calibration runs). */

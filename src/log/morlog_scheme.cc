@@ -9,7 +9,7 @@ MorLogScheme::MorLogScheme(SchemeContext ctx)
 }
 
 LogRecord
-MorLogScheme::record(unsigned core, const BufEntry &entry)
+MorLogScheme::record(unsigned core, const MorLogEntry &entry)
 {
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
@@ -22,13 +22,13 @@ MorLogScheme::record(unsigned core, const BufEntry &entry)
 }
 
 void
-MorLogScheme::eraseEntry(unsigned core, const BufEntry &entry)
+MorLogScheme::eraseEntry(unsigned core, const MorLogEntry &entry)
 {
-    auto &buffer = _cores[core].buffer;
-    for (auto it = buffer.begin(); it != buffer.end(); ++it) {
+    auto &buf = buffer(core);
+    for (auto it = buf.begin(); it != buf.end(); ++it) {
         if (it->txid == entry.txid && it->addr == entry.addr &&
             it->flushing) {
-            buffer.erase(it);
+            buf.erase(it);
             return;
         }
     }
@@ -38,7 +38,7 @@ void
 MorLogScheme::store(unsigned core, Addr addr, Word old_val,
                     Word new_val, std::function<void()> done)
 {
-    CoreState &cs = _cores[core];
+    auto &buf = buffer(core);
     std::uint16_t txid = txidOf(core);
 
     // MorLog's morphing eliminates unnecessary log data: a store that
@@ -50,7 +50,7 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
 
     // Merge with an existing entry of the same word in this tx —
     // morphing away the intermediate redo data.
-    for (auto &e : cs.buffer) {
+    for (auto &e : buf) {
         if (e.txid == txid && e.addr == addr && !e.flushing) {
             e.newData = new_val;
             ++_merged;
@@ -59,14 +59,14 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
         }
     }
 
-    if (cs.buffer.size() >= bufferCapacity) {
+    if (buf.size() >= bufferCapacity) {
         // Buffer full: push the oldest idle entry out to the log
         // region. It stays resident (flushing) until accepted so a
         // crash in between still finds it in the ADR buffer.
-        for (auto &e : cs.buffer) {
+        for (auto &e : buf) {
             if (!e.flushing) {
                 e.flushing = true;
-                BufEntry copy = e;
+                MorLogEntry copy = e;
                 writeLogWithRetry(core, record(core, copy),
                                   [this, core, copy] {
                     eraseEntry(core, copy);
@@ -75,7 +75,7 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
             }
         }
     }
-    cs.buffer.push_back(BufEntry{txid, addr, old_val, new_val});
+    buf.push_back(MorLogEntry{txid, addr, old_val, new_val});
     if (_ctx.checker)
         _ctx.checker->noteAdrUndo(core, txid, addr, old_val);
     done();
@@ -102,9 +102,9 @@ MorLogScheme::txEnd(unsigned core, std::function<void()> done)
     // MorLog's ordering constraint: all logs of the transaction must
     // be in the PM log region before the commit completes. Entries
     // stay in the ADR buffer until each write is accepted.
-    std::vector<BufEntry> to_flush;
+    std::vector<MorLogEntry> to_flush;
     std::uint16_t txid = txidOf(core);
-    for (auto &e : cs.buffer) {
+    for (auto &e : buffer(core)) {
         if (e.txid == txid && !e.flushing) {
             e.flushing = true;
             to_flush.push_back(e);
@@ -122,16 +122,19 @@ MorLogScheme::txEnd(unsigned core, std::function<void()> done)
     commitFlushFinished(core);   // the +1 guard
 }
 
-void
-MorLogScheme::crash()
+std::uint64_t
+MorLogScheme::batteryFlush(std::vector<std::deque<MorLogEntry>> &buffers,
+                           LogRegionStore &logs)
 {
     // The MC log buffer is in the ADR domain: its entries flush to the
     // log region on power failure.
-    for (unsigned core = 0; core < _cores.size(); ++core) {
-        for (const auto &e : _cores[core].buffer)
-            persistAtCrash(record(core, e));
-        _cores[core].buffer.clear();
+    std::uint64_t bytes = 0;
+    for (unsigned core = 0; core < buffers.size(); ++core) {
+        for (const auto &e : buffers[core])
+            bytes += persistAtCrash(logs, record(core, e));
+        buffers[core].clear();
     }
+    return bytes;
 }
 
 } // namespace silo::log

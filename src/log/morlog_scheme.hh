@@ -9,6 +9,8 @@
  * log region before it completes (MorLog's commit ordering constraint);
  * data reaches PM by natural eviction ("steal"). Logs are still
  * backups: they are always written to the log region per transaction.
+ * The buffers are in the persistent domain (PersistentDomain::morlog),
+ * and the crash flushes them with batteryFlush().
  */
 
 #ifndef SILO_LOG_MORLOG_SCHEME_HH
@@ -33,7 +35,15 @@ class MorLogScheme : public LoggingScheme
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    void crash() override;
+
+    /**
+     * The crash's ADR flush: every entry of the per-core merge buffers
+     * @p buffers goes to its thread's log in @p logs, and the buffers
+     * empty. @return the bytes flushed.
+     */
+    static std::uint64_t
+    batteryFlush(std::vector<std::deque<MorLogEntry>> &buffers,
+                 LogRegionStore &logs);
 
     std::uint64_t mergedLogs() const { return _merged.value(); }
 
@@ -41,29 +51,21 @@ class MorLogScheme : public LoggingScheme
     /** Capacity of the per-core merge buffer (entries). */
     static constexpr unsigned bufferCapacity = 64;
 
-    struct BufEntry
-    {
-        std::uint16_t txid;
-        Addr addr;
-        Word oldData;
-        Word newData;
-        /** Entry is being written to the log region; it must stay in
-         *  the ADR buffer until the write is accepted, or a crash in
-         *  between would lose the undo data. */
-        bool flushing = false;
-    };
-
     struct CoreState
     {
-        std::deque<BufEntry> buffer;   //!< ADR-domain, survives crash
         unsigned commitOutstanding = 0;
         std::function<void()> pendingCommit;
     };
 
     /** The undo+redo log record of @p core 's buffer @p entry. */
-    static LogRecord record(unsigned core, const BufEntry &entry);
+    static LogRecord record(unsigned core, const MorLogEntry &entry);
+    /** @p core 's ADR-domain merge buffer. */
+    std::deque<MorLogEntry> &buffer(unsigned core)
+    {
+        return _ctx.domain.morlog[core];
+    }
     /** Remove a flushed entry from the ADR buffer (post-accept). */
-    void eraseEntry(unsigned core, const BufEntry &entry);
+    void eraseEntry(unsigned core, const MorLogEntry &entry);
     void commitFlushFinished(unsigned core);
 
     std::vector<CoreState> _cores;

@@ -18,7 +18,7 @@ SwEadrScheme::writeLogThroughCache(unsigned core,
 
     // The persistent cache is the durability point: the record is
     // durable the moment its store completes.
-    _ctx.logs.persist(rec_addr, record);
+    _ctx.domain.logs.persist(rec_addr, record);
 
     // Fill the log line's words with distinct content so the eventual
     // write-back programs real bits in the media (traffic accounting).
@@ -61,20 +61,43 @@ SwEadrScheme::txEnd(unsigned core, std::function<void()> done)
 }
 
 void
-SwEadrScheme::crash()
+SwEadrScheme::captureAtCrash(PersistentDomain &domain) const
+{
+    // Data lines carry their architectural values; log lines' records
+    // are already in the log region store. Two walks and no line list:
+    // a full-size machine holds tens of thousands of dirty lines, and
+    // the capture is sized once.
+    EadrCaches &caches = domain.eadr;
+    caches.dirtyLines = 0;
+    std::size_t data_lines = 0;
+    _ctx.hierarchy.forEachDirtyLine([&](Addr line) {
+        ++caches.dirtyLines;
+        data_lines += addr_map::inDataRegion(line);
+    });
+    caches.dataLines.clear();
+    caches.dataLines.reserve(data_lines);
+    _ctx.hierarchy.forEachDirtyLine([&](Addr line) {
+        if (!addr_map::inDataRegion(line))
+            return;
+        EadrLine &data = caches.dataLines.emplace_back();
+        data.line = line;
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            data.values[w] = _ctx.valueOf(line + Addr(w) * wordBytes);
+    });
+}
+
+std::uint64_t
+SwEadrScheme::batteryFlush(EadrCaches &caches, WordStore &media)
 {
     // eADR: the platform battery flushes every dirty cacheline to PM
-    // (Table IV's eADR flush). Data lines carry their architectural
-    // values; log lines' records are already in the log region store.
-    for (Addr line : _ctx.hierarchy.allDirtyLines()) {
-        _stats.crashFlushBytes += lineBytes;
-        if (!addr_map::inDataRegion(line))
-            continue;
-        for (unsigned w = 0; w < wordsPerLine; ++w) {
-            Addr a = line + Addr(w) * wordBytes;
-            _ctx.pm.media().store(a, _ctx.valueOf(a));
-        }
+    // (Table IV's eADR flush).
+    for (const EadrLine &data : caches.dataLines) {
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            media.store(data.line + Addr(w) * wordBytes, data.values[w]);
     }
+    std::uint64_t bytes = caches.dirtyLines * lineBytes;
+    caches = EadrCaches{};   // the battery is drained: free the lines
+    return bytes;
 }
 
 } // namespace silo::log

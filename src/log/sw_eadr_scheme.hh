@@ -10,7 +10,10 @@
  * implements that design as an ablation point: undo+redo entries are
  * written through the cache like ordinary data, commit is immediate,
  * and a crash flushes every dirty line by battery (the Table IV eADR
- * cost).
+ * cost). The simulator keeps those caches in its volatile hierarchy,
+ * so the scheme copies their dirty data lines into the persistent
+ * domain at the crash (captureAtCrash()) and batteryFlush() writes
+ * them to media.
  *
  * Not part of the paper's Fig. 11/12 comparison (those are ADR
  * platforms); exercised by the ablation bench.
@@ -35,7 +38,15 @@ class SwEadrScheme : public LoggingScheme
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    void crash() override;
+    void captureAtCrash(PersistentDomain &domain) const override;
+
+    /**
+     * eADR at a crash: the battery writes every dirty line of
+     * @p caches back, data lines to @p media with their values.
+     * @return the bytes flushed.
+     */
+    static std::uint64_t batteryFlush(EadrCaches &caches,
+                                      WordStore &media);
 
     /** Cache accesses spent writing log entries (pollution metric). */
     std::uint64_t logCacheWrites() const

@@ -6,13 +6,13 @@ namespace silo::mc
 {
 
 McRouter::McRouter(EventQueue &eq, const SimConfig &cfg,
-                   nvm::PmDevice &pm, log::LogRegionStore &logs)
+                   nvm::PmDevice &pm, PersistentDomain &domain)
 {
-    unsigned n = cfg.numMemControllers ? cfg.numMemControllers : 1;
+    unsigned n = unsigned(domain.mcs.size());
     for (unsigned i = 0; i < n; ++i) {
         std::string name = n == 1 ? "mc" : "mc" + std::to_string(i);
         _mcs.push_back(std::make_unique<MemController>(
-            eq, cfg, pm, logs, std::move(name)));
+            eq, cfg, pm, domain.mcs[i], domain.logs, std::move(name)));
     }
 }
 
@@ -92,20 +92,6 @@ McRouter::setEvictionObserver(std::function<void(Addr)> observer)
 {
     for (auto &mc : _mcs)
         mc->setEvictionObserver(observer);
-}
-
-void
-McRouter::flushLogPath()
-{
-    for (auto &mc : _mcs)
-        mc->flushLogPath();
-}
-
-void
-McRouter::crashDrain()
-{
-    for (auto &mc : _mcs)
-        mc->crashDrain();
 }
 
 void

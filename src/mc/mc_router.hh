@@ -28,8 +28,9 @@ namespace silo::mc
 class McRouter
 {
   public:
+    /** One controller per McState of @p domain, sharing its log region. */
     McRouter(EventQueue &eq, const SimConfig &cfg, nvm::PmDevice &pm,
-             log::LogRegionStore &logs);
+             PersistentDomain &domain);
 
     /** Number of controllers. */
     unsigned numControllers() const
@@ -107,8 +108,6 @@ class McRouter
             mc->setCheckSink(sink);
     }
 
-    void flushLogPath();
-    void crashDrain();
     void drainAll();
     void printStats(std::ostream &os);
     /// @}

@@ -12,6 +12,21 @@ namespace
 /** WPQ forwarding / controller overhead for reads. */
 constexpr Cycles mcForwardCycles = 4;
 
+/** The dirty words of @p entry, ascending. */
+std::vector<nvm::WordWrite>
+wordsOf(const WpqEntry &entry)
+{
+    std::vector<nvm::WordWrite> words;
+    words.reserve(std::size_t(std::popcount(entry.wordMask)));
+    std::uint32_t bits = entry.wordMask;
+    while (bits) {
+        unsigned idx = unsigned(std::countr_zero(bits));
+        bits &= bits - 1;
+        words.push_back({idx, entry.values[idx]});
+    }
+    return words;
+}
+
 /** Channel transfer time for one drained entry. */
 Cycles
 transferCycles(unsigned bytes)
@@ -23,9 +38,9 @@ transferCycles(unsigned bytes)
 } // namespace
 
 MemController::MemController(EventQueue &eq, const SimConfig &cfg,
-                             nvm::PmDevice &pm,
+                             nvm::PmDevice &pm, McState &state,
                              log::LogRegionStore &logs, std::string name)
-    : _eq(eq), _cfg(cfg), _pm(pm), _logs(logs), _stats(name)
+    : _eq(eq), _cfg(cfg), _pm(pm), _st(state), _logs(logs), _stats(name)
 {
     _stats.addScalar(_writes);
     _stats.addScalar(_bytes);
@@ -42,7 +57,7 @@ bool
 MemController::enqueue(WpqEntry &&entry)
 {
     // Coalesce into an existing same-line, same-disposition entry.
-    for (auto &e : _wpq) {
+    for (auto &e : _st.wpq) {
         if (e.key == entry.key && e.held == entry.held &&
             e.logRegion == entry.logRegion) {
             std::uint32_t bits = entry.wordMask;
@@ -64,17 +79,17 @@ MemController::enqueue(WpqEntry &&entry)
     unsigned reserve = _cfg.wpqEntries > 8 ? 2 : 0;
     unsigned limit = entry.logRegion ? _cfg.wpqEntries
                                      : _cfg.wpqEntries - reserve;
-    if (_wpq.size() >= limit) {
+    if (_st.wpq.size() >= limit) {
         ++_fullStalls;
         return false;
     }
 
     if (entry.held)
-        ++_heldCount;
+        ++_st.heldCount;
     ++_writes;
     _bytes += entry.bytes;
-    _wpq.push_back(std::move(entry));
-    _occupancy.sample(_wpq.size());
+    _st.wpq.push_back(std::move(entry));
+    _occupancy.sample(_st.wpq.size());
     scheduleDrain();
     return true;
 }
@@ -167,7 +182,7 @@ MemController::writeLog(Addr rec_addr, const log::LogRecord &record,
         done();
         return;
     }
-    _logPath.emplace(rec_addr, record);
+    _st.logPath.emplace(rec_addr, record);
     retryLog(rec_addr, std::move(done));
 }
 
@@ -175,24 +190,16 @@ void
 MemController::retryLog(Addr rec_addr, std::function<void()> done)
 {
     requestWriteSlot([this, rec_addr, done = std::move(done)]() mutable {
-        auto it = _logPath.find(rec_addr);
-        if (it == _logPath.end())
+        auto it = _st.logPath.find(rec_addr);
+        if (it == _st.logPath.end())
             return;   // a crash already persisted it (flushLogPath)
         if (!tryWriteLog(rec_addr, it->second)) {
             retryLog(rec_addr, std::move(done));
             return;
         }
-        _logPath.erase(it);
+        _st.logPath.erase(it);
         done();
     });
-}
-
-void
-MemController::flushLogPath()
-{
-    for (const auto &[addr, record] : _logPath)
-        _logs.persist(addr, record);
-    _logPath.clear();
 }
 
 void
@@ -216,10 +223,10 @@ MemController::releaseHeld(Addr line_addr)
 {
     Addr key = lineAlign(line_addr);
     bool released = false;
-    for (auto &e : _wpq) {
+    for (auto &e : _st.wpq) {
         if (e.held && e.key == key) {
             e.held = false;
-            --_heldCount;
+            --_st.heldCount;
             released = true;
         }
     }
@@ -244,21 +251,13 @@ void
 MemController::drainOne()
 {
     // Oldest drainable (non-held) entry first.
-    auto it = std::find_if(_wpq.begin(), _wpq.end(),
+    auto &wpq = _st.wpq;
+    auto it = std::find_if(wpq.begin(), wpq.end(),
                            [](const WpqEntry &e) { return !e.held; });
-    if (it == _wpq.end())
+    if (it == wpq.end())
         return;
 
-    std::vector<nvm::WordWrite> words;
-    words.reserve(std::size_t(std::popcount(it->wordMask)));
-    std::uint32_t bits = it->wordMask;
-    while (bits) {
-        unsigned idx = unsigned(std::countr_zero(bits));
-        bits &= bits - 1;
-        words.push_back({idx, it->values[idx]});
-    }
-
-    if (!_pm.tryWrite(it->pmLine, words, it->logRegion)) {
+    if (!_pm.tryWrite(it->pmLine, wordsOf(*it), it->logRegion)) {
         // Device buffer is saturated; resume when a slot frees.
         _pm.registerSlotWaiter([this] { scheduleDrain(); });
         return;
@@ -270,9 +269,9 @@ MemController::drainOne()
                          it->logRegion ? "drain-log" : "drain-data",
                          _eq.now(), _eq.now() + transfer);
     }
-    _wpq.erase(it);
+    wpq.erase(it);
     notifyWaiters(1);
-    if (!_wpq.empty())
+    if (!wpq.empty())
         scheduleDrain(transfer);
 }
 
@@ -280,7 +279,7 @@ void
 MemController::read(Addr line_addr, std::function<void()> done)
 {
     Addr key = lineAlign(line_addr);
-    for (const auto &e : _wpq) {
+    for (const auto &e : _st.wpq) {
         if (e.key == key && !e.logRegion) {
             ++_forwards;
             _eq.scheduleAfter(mcForwardCycles, std::move(done),
@@ -297,25 +296,11 @@ MemController::read(Addr line_addr, std::function<void()> done)
 void
 MemController::applyEntry(const WpqEntry &entry)
 {
-    std::vector<nvm::WordWrite> words;
-    std::uint32_t bits = entry.wordMask;
-    while (bits) {
-        unsigned idx = unsigned(std::countr_zero(bits));
-        bits &= bits - 1;
-        words.push_back({idx, entry.values[idx]});
-    }
     // Push through the device buffer so DCW accounting stays uniform,
     // then let the caller drain the buffer.
+    std::vector<nvm::WordWrite> words = wordsOf(entry);
     while (!_pm.tryWrite(entry.pmLine, words, entry.logRegion))
         _pm.drainAll();
-}
-
-void
-MemController::crashDrain()
-{
-    if (auto *tr = _eq.tracer())
-        tr->instant(_track, "adr-crash-drain", _eq.now());
-    drainAll();
 }
 
 void
@@ -324,15 +309,41 @@ MemController::drainAll()
     // Held entries are revocable-uncommitted (LAD): the final drain
     // discards them exactly like a crash would — applying them would
     // put uncommitted data on media with nothing to revoke it.
-    for (const auto &e : _wpq) {
+    for (const auto &e : _st.wpq) {
         if (!e.held)
             applyEntry(e);
         else if (_check)
             _check->onHeldDiscard(e.key);
     }
-    _wpq.clear();
-    _heldCount = 0;
+    _st.wpq.clear();
+    _st.heldCount = 0;
     _pm.drainAll();
+}
+
+void
+flushLogPath(McState &mc, log::LogRegionStore &logs)
+{
+    for (const auto &[addr, record] : mc.logPath)
+        logs.persist(addr, record);
+    mc.logPath.clear();
+}
+
+void
+crashDrain(McState &mc, PersistentDomain &domain, Tick now,
+           log::PersistEventSink *sink, nvm::PmStats *pm_stats)
+{
+    // drainAll() at a crash: held entries are revocable-uncommitted.
+    for (const auto &e : mc.wpq) {
+        if (!e.held) {
+            nvm::crashWrite(domain, e.pmLine, wordsOf(e), e.logRegion,
+                            now, sink, pm_stats);
+        } else if (sink) {
+            sink->onHeldDiscard(e.key);
+        }
+    }
+    mc.wpq.clear();
+    mc.heldCount = 0;
+    nvm::drainBuffer(domain, sink, pm_stats);
 }
 
 } // namespace silo::mc

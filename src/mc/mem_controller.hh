@@ -19,6 +19,12 @@
  * LAD support: entries can be enqueued "held" — durable but not
  * drainable (LAD's in-MC buffering of uncommitted cachelines); commit
  * releases them and a crash discards them.
+ *
+ * The WPQ entries and the log path are the controller's part of the
+ * persistent domain (mc::McState in sim/persistent_domain.hh), used in
+ * place. A crash is a function of that state: flushLogPath() persists
+ * the waiting records and crashDrain() is the ADR drain, with no
+ * timing and no producer left waiting.
  */
 
 #ifndef SILO_MC_MEM_CONTROLLER_HH
@@ -34,23 +40,40 @@
 #include "sim/event_queue.hh"
 #include "sim/log_region.hh"
 #include "sim/persist_event_sink.hh"
+#include "sim/persistent_domain.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
 
 namespace silo::mc
 {
 
+/**
+ * Crash: every record waiting in @p mc 's ADR log path persists to
+ * @p logs.
+ */
+void flushLogPath(McState &mc, log::LogRegionStore &logs);
+
+/**
+ * Crash (ADR drain): @p mc 's non-held WPQ entries go through
+ * @p domain 's on-PM buffer to its media (nvm::crashWrite() at tick
+ * @p now) and the held (uncommitted LAD) entries are discarded, each
+ * reported to @p sink. @p sink and @p pm_stats are nullable.
+ */
+void crashDrain(McState &mc, PersistentDomain &domain, Tick now,
+                log::PersistEventSink *sink, nvm::PmStats *pm_stats);
+
 /** Memory controller with an ADR write pending queue. */
 class MemController
 {
   public:
     /**
+     * @param state Its WPQ and ADR log path, in the persistent domain.
      * @param name Stats/trace label; the multi-MC router passes
      *        "mc<i>" so per-controller statistics stay distinguishable.
      */
     MemController(EventQueue &eq, const SimConfig &cfg,
-                  nvm::PmDevice &pm, log::LogRegionStore &logs,
-                  std::string name = "mc");
+                  nvm::PmDevice &pm, McState &state,
+                  log::LogRegionStore &logs, std::string name = "mc");
 
     /** @name Write producers */
     /// @{
@@ -89,7 +112,7 @@ class MemController
 
     unsigned freeWpqSlots() const
     {
-        return _cfg.wpqEntries - unsigned(_wpq.size());
+        return _cfg.wpqEntries - unsigned(_st.wpq.size());
     }
 
     /** @name LAD held-entry control */
@@ -97,7 +120,7 @@ class MemController
     /** Make held entries for @p line_addr drainable (LAD commit). */
     void releaseHeld(Addr line_addr);
     /** Number of held entries currently buffered. */
-    unsigned heldEntries() const { return _heldCount; }
+    unsigned heldEntries() const { return _st.heldCount; }
     /// @}
 
     /**
@@ -120,15 +143,6 @@ class MemController
      */
     void setCheckSink(log::PersistEventSink *sink) { _check = sink; }
 
-    /** Crash: persist every record waiting in the ADR log path. */
-    void flushLogPath();
-
-    /**
-     * Crash: ADR drains every non-held entry into the media and the
-     * held (uncommitted LAD) entries are discarded.
-     */
-    void crashDrain();
-
     /** End of run: drain everything drainable, ignoring timing; held
      *  (revocable-uncommitted) entries are discarded like a crash. */
     void drainAll();
@@ -141,38 +155,13 @@ class MemController
     std::uint64_t readForwards() const { return _forwards.value(); }
     std::uint64_t fullStalls() const { return _fullStalls.value(); }
     /** Current WPQ occupancy in entries (interval-sampler probe). */
-    unsigned wpqOccupancy() const { return unsigned(_wpq.size()); }
+    unsigned wpqOccupancy() const { return unsigned(_st.wpq.size()); }
     /// @}
 
     stats::StatGroup &statGroup() { return _stats; }
     const stats::StatGroup &statGroup() const { return _stats; }
 
   private:
-    struct WpqEntry
-    {
-        Addr key;          //!< 64 B line key (coalescing granularity)
-        Addr pmLine;       //!< 256 B on-PM buffer line
-        bool logRegion = false;
-        bool held = false;
-        /**
-         * Dirty words, indexed within the 256 B pm line: bit i of
-         * wordMask gates values[i]. Flat storage (the index space is
-         * only 32 words) replaced a per-entry std::map whose node
-         * churn showed up in whole-simulation profiles; drain paths
-         * iterate the mask ascending, matching the map's order.
-         */
-        std::uint32_t wordMask = 0;
-        std::array<Word, pmBufferLineBytes / wordBytes> values;
-        unsigned bytes = 0;
-
-        void
-        set(unsigned idx, Word value)
-        {
-            wordMask |= std::uint32_t(1) << idx;
-            values[idx] = value;
-        }
-    };
-
     /** Core accept path shared by the write entry points. */
     bool enqueue(WpqEntry &&entry);
 
@@ -193,15 +182,12 @@ class MemController
     EventQueue &_eq;
     const SimConfig &_cfg;
     nvm::PmDevice &_pm;
+    McState &_st;
     log::LogRegionStore &_logs;
 
-    std::deque<WpqEntry> _wpq;
     std::deque<std::function<void()>> _writeWaiters;
-    /** ADR log path: records waiting for a WPQ slot, already durable. */
-    std::map<Addr, log::LogRecord> _logPath;
     std::function<void(Addr)> _evictionObserver;
     log::PersistEventSink *_check = nullptr;
-    unsigned _heldCount = 0;
     bool _drainScheduled = false;
 
     stats::StatGroup _stats;

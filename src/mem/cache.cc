@@ -139,23 +139,8 @@ Cache::clean(Addr line_addr)
 std::vector<Addr>
 Cache::dirtyLines() const
 {
-    // Set-major, way-ascending: the documented enumeration order.
     std::vector<Addr> out;
-    for (std::size_t sw = 0; sw < _dirtySummary.size(); ++sw) {
-        std::uint64_t sets = _dirtySummary[sw];
-        while (sets) {
-            auto set = unsigned(sw * 64) +
-                       unsigned(std::countr_zero(sets));
-            sets &= sets - 1;
-            const Addr *tags = &_tags[std::size_t(set) * _cfg.ways];
-            std::uint64_t bits = _dirty[set];
-            while (bits) {
-                unsigned w = unsigned(std::countr_zero(bits));
-                bits &= bits - 1;
-                out.push_back(tags[w]);
-            }
-        }
-    }
+    forEachDirtyLine([&out](Addr line) { out.push_back(line); });
     return out;
 }
 

@@ -21,6 +21,7 @@
 #ifndef SILO_MEM_CACHE_HH
 #define SILO_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -83,6 +84,29 @@ class Cache
 
     /** All dirty lines (FWB walker, LAD commit, crash loss checks). */
     std::vector<Addr> dirtyLines() const;
+
+    /** Call @p fn (Addr) for each dirty line, in dirtyLines() order. */
+    template <typename Fn>
+    void
+    forEachDirtyLine(Fn &&fn) const
+    {
+        // Set-major, way-ascending: the documented enumeration order.
+        for (std::size_t sw = 0; sw < _dirtySummary.size(); ++sw) {
+            std::uint64_t sets = _dirtySummary[sw];
+            while (sets) {
+                auto set = unsigned(sw * 64) +
+                           unsigned(std::countr_zero(sets));
+                sets &= sets - 1;
+                const Addr *tags = &_tags[std::size_t(set) * _cfg.ways];
+                std::uint64_t bits = _dirty[set];
+                while (bits) {
+                    unsigned w = unsigned(std::countr_zero(bits));
+                    bits &= bits - 1;
+                    fn(tags[w]);
+                }
+            }
+        }
+    }
 
     /** Drop all contents (crash: volatile caches lose state). */
     void invalidateAll();

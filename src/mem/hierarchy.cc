@@ -150,14 +150,7 @@ std::vector<Addr>
 CacheHierarchy::allDirtyLines() const
 {
     std::vector<Addr> out;
-    for (unsigned c = 0; c < _cfg.numCores; ++c) {
-        auto l1_lines = _l1[c]->dirtyLines();
-        out.insert(out.end(), l1_lines.begin(), l1_lines.end());
-        auto l2_lines = _l2[c]->dirtyLines();
-        out.insert(out.end(), l2_lines.begin(), l2_lines.end());
-    }
-    auto l3_lines = _l3->dirtyLines();
-    out.insert(out.end(), l3_lines.begin(), l3_lines.end());
+    forEachDirtyLine([&out](Addr line) { out.push_back(line); });
     return out;
 }
 

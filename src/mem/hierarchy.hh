@@ -59,6 +59,21 @@ class CacheHierarchy
     /** All dirty lines in the system (FWB walker). */
     std::vector<Addr> allDirtyLines() const;
 
+    /**
+     * Call @p fn (Addr) for each line allDirtyLines() lists, in its
+     * order, without building the list.
+     */
+    template <typename Fn>
+    void
+    forEachDirtyLine(Fn &&fn) const
+    {
+        for (unsigned c = 0; c < _l1.size(); ++c) {
+            _l1[c]->forEachDirtyLine(fn);
+            _l2[c]->forEachDirtyLine(fn);
+        }
+        _l3->forEachDirtyLine(fn);
+    }
+
     /** Drop every cached line (crash: caches are volatile). */
     void invalidateAll();
 

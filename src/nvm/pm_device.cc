@@ -6,19 +6,190 @@
 namespace silo::nvm
 {
 
-PmDevice::PmDevice(EventQueue &eq, const SimConfig &cfg)
-    : _eq(eq), _cfg(cfg), _lines(cfg.onPmBufferLines),
-      _banks(cfg.pmBanks, 0)
+namespace
 {
-    _stats.addScalar(_wordWrites);
-    _stats.addScalar(_lineWrites);
-    _stats.addScalar(_dcwSuppressed);
-    _stats.addScalar(_dataWordWrites);
-    _stats.addScalar(_logWordWrites);
-    _stats.addScalar(_reads);
-    _stats.addScalar(_bufferHits);
-    _stats.addScalar(_coalesced);
-    _stats.addDistribution(_evictionWords);
+
+/** The valid, non-evicting buffer line holding @p pm_line; -1 if none. */
+int
+findLine(const std::vector<BufferLine> &lines, Addr pm_line)
+{
+    for (unsigned i = 0; i < lines.size(); ++i) {
+        if (lines[i].valid && !lines[i].evicting &&
+            lines[i].base == pm_line) {
+            return int(i);
+        }
+    }
+    return -1;
+}
+
+/**
+ * Absorb @p words into the resident line for @p pm_line (§III-E cases
+ * 1-3). @return false if no line holds it.
+ */
+bool
+coalesce(std::vector<BufferLine> &lines, Addr pm_line,
+         const std::vector<WordWrite> &words, Tick now, PmStats *stats)
+{
+    int idx = findLine(lines, pm_line);
+    if (idx < 0)
+        return false;
+    BufferLine &line = lines[idx];
+    for (const auto &w : words)
+        line.set(w.wordIdx, w.value);
+    line.lastUse = now;
+    if (stats)
+        ++stats->coalesced;
+    return true;
+}
+
+/** First free slot, or -1; @p lru is then the LRU non-evicting line. */
+int
+freeSlot(const std::vector<BufferLine> &lines, int &lru)
+{
+    lru = -1;
+    for (unsigned i = 0; i < lines.size(); ++i) {
+        if (!lines[i].valid)
+            return int(i);
+        if (!lines[i].evicting &&
+            (lru < 0 || lines[i].lastUse < lines[lru].lastUse)) {
+            lru = int(i);
+        }
+    }
+    return -1;
+}
+
+void
+fillLine(BufferLine &line, Addr pm_line,
+         const std::vector<WordWrite> &words, bool log_region, Tick now)
+{
+    line.valid = true;
+    line.base = pm_line;
+    line.logRegion = log_region;
+    line.lastUse = now;
+    line.wordMask = 0;
+    for (const auto &w : words)
+        line.set(w.wordIdx, w.value);
+    line.evicting = false;
+}
+
+/** Apply one line's content to media and count DCW'd word writes. */
+unsigned
+applyToMedia(WordStore &media, const BufferLine &line,
+             log::PersistEventSink *sink, PmStats *stats)
+{
+    if (sink) {
+        std::vector<std::pair<unsigned, Word>> words;
+        std::uint32_t check_bits = line.wordMask;
+        while (check_bits) {
+            unsigned idx = unsigned(std::countr_zero(check_bits));
+            check_bits &= check_bits - 1;
+            words.emplace_back(idx, line.values[idx]);
+        }
+        sink->onMediaWrite(line.base, words, line.logRegion);
+    }
+    unsigned changed = 0;
+    unsigned suppressed = 0;
+    std::uint32_t bits = line.wordMask;
+    while (bits) {
+        unsigned idx = unsigned(std::countr_zero(bits));
+        bits &= bits - 1;
+        Word value = line.values[idx];
+        Addr word_addr = line.base + Addr(idx) * wordBytes;
+        if (line.logRegion) {
+            // Log appends are fresh content; every dirty word writes.
+            // Counted only: log::LogRegionStore keeps the log's contents.
+            ++changed;
+        } else if (media.load(word_addr) != value) {
+            media.store(word_addr, value);
+            ++changed;
+        } else {
+            ++suppressed;
+        }
+    }
+    if (stats) {
+        stats->wordWrites += changed;
+        (line.logRegion ? stats->logWordWrites : stats->dataWordWrites) +=
+            changed;
+        stats->dcwSuppressed += suppressed;
+    }
+    return changed;
+}
+
+/**
+ * Begin evicting @p line: its content reaches the media now. A line
+ * DCW reduced to nothing frees at once; otherwise it stays, marked
+ * evicting, until its media write ends.
+ * @return the words programmed.
+ */
+unsigned
+evictLine(WordStore &media, BufferLine &line,
+          log::PersistEventSink *sink, PmStats *stats)
+{
+    line.evicting = true;
+    unsigned changed = applyToMedia(media, line, sink, stats);
+    if (stats)
+        stats->evictionWords.sample(changed);
+    if (changed == 0)
+        line = BufferLine{};
+    else if (stats)
+        ++stats->lineWrites;
+    return changed;
+}
+
+} // namespace
+
+PmStats::PmStats()
+{
+    group.addScalar(wordWrites);
+    group.addScalar(lineWrites);
+    group.addScalar(dcwSuppressed);
+    group.addScalar(dataWordWrites);
+    group.addScalar(logWordWrites);
+    group.addScalar(reads);
+    group.addScalar(bufferHits);
+    group.addScalar(coalesced);
+    group.addDistribution(evictionWords);
+}
+
+void
+crashWrite(PersistentDomain &domain, Addr pm_line,
+           const std::vector<WordWrite> &words, bool log_region,
+           Tick now, log::PersistEventSink *sink, PmStats *stats)
+{
+    std::vector<BufferLine> &lines = domain.pmBuffer;
+    while (!coalesce(lines, pm_line, words, now, stats)) {
+        int lru;
+        int idx = freeSlot(lines, lru);
+        if (idx < 0 && lru >= 0) {
+            evictLine(domain.media, lines[lru], sink, stats);
+            if (!lines[lru].valid)
+                idx = lru;   // DCW freed the slot
+        }
+        if (idx >= 0) {
+            fillLine(lines[idx], pm_line, words, log_region, now);
+            return;
+        }
+        // Every line is busy evicting: the ADR flush empties the
+        // buffer instead of waiting for the banks.
+        drainBuffer(domain, sink, stats);
+    }
+}
+
+void
+drainBuffer(PersistentDomain &domain, log::PersistEventSink *sink,
+            PmStats *stats)
+{
+    for (auto &line : domain.pmBuffer) {
+        if (line.valid && !line.evicting)
+            applyToMedia(domain.media, line, sink, stats);
+        line = BufferLine{};
+    }
+}
+
+PmDevice::PmDevice(EventQueue &eq, const SimConfig &cfg,
+                   PersistentDomain &domain)
+    : _eq(eq), _cfg(cfg), _domain(domain), _banks(cfg.pmBanks, 0)
+{
     if (auto *tr = _eq.tracer())
         _track = tr->track("mem", "pm");
 }
@@ -36,7 +207,7 @@ unsigned
 PmDevice::bufferOccupancy() const
 {
     unsigned occupied = 0;
-    for (const auto &line : _lines)
+    for (const auto &line : _domain.pmBuffer)
         occupied += line.valid;
     return occupied;
 }
@@ -49,76 +220,23 @@ PmDevice::occupyBank(unsigned bank, Cycles busy)
     return _banks[bank];
 }
 
-int
-PmDevice::findLine(Addr pm_line) const
-{
-    for (unsigned i = 0; i < _lines.size(); ++i) {
-        if (_lines[i].valid && !_lines[i].evicting &&
-            _lines[i].base == pm_line) {
-            return int(i);
-        }
-    }
-    return -1;
-}
-
-unsigned
-PmDevice::applyToMedia(const BufferLine &line)
-{
-    if (_check) {
-        std::vector<std::pair<unsigned, Word>> words;
-        std::uint32_t check_bits = line.wordMask;
-        while (check_bits) {
-            unsigned idx = unsigned(std::countr_zero(check_bits));
-            check_bits &= check_bits - 1;
-            words.emplace_back(idx, line.values[idx]);
-        }
-        _check->onMediaWrite(line.base, words, line.logRegion);
-    }
-    unsigned changed = 0;
-    std::uint32_t bits = line.wordMask;
-    while (bits) {
-        unsigned idx = unsigned(std::countr_zero(bits));
-        bits &= bits - 1;
-        Word value = line.values[idx];
-        Addr word_addr = line.base + Addr(idx) * wordBytes;
-        if (line.logRegion) {
-            // Log appends are fresh content; every dirty word writes.
-            // Counted only: log::LogRegionStore keeps the log's contents.
-            ++changed;
-            ++_logWordWrites;
-        } else if (_media.load(word_addr) != value) {
-            _media.store(word_addr, value);
-            ++changed;
-            ++_dataWordWrites;
-        } else {
-            ++_dcwSuppressed;
-        }
-    }
-    _wordWrites += changed;
-    return changed;
-}
-
 void
 PmDevice::startEviction(unsigned idx)
 {
-    BufferLine &line = _lines[idx];
-    line.evicting = true;
-
-    unsigned changed = applyToMedia(line);
-    _evictionWords.sample(changed);
+    BufferLine &line = _domain.pmBuffer[idx];
+    Addr base = line.base;
+    unsigned changed = evictLine(_domain.media, line, _check, &_stats);
     if (changed == 0) {
         // DCW removed every word: no media write happens at all; the
         // slot frees immediately.
-        line = BufferLine{};
         _eq.scheduleAfter(0, [this] { notifyOneWaiter(); },
                           EventQueue::prioDevice, prof::Tag::Nvm);
         return;
     }
 
-    ++_lineWrites;
     Cycles busy = _cfg.pmWriteBaseCycles +
                   _cfg.pmWritePerWordCycles * Cycles(changed);
-    unsigned bank = bankOf(line.base);
+    unsigned bank = bankOf(base);
     Tick done = occupyBank(bank, busy);
     if (auto *tr = _eq.tracer()) {
         // One sub-track per bank so concurrent programming pulses on
@@ -128,7 +246,7 @@ PmDevice::startEviction(unsigned idx)
             "program", done - busy, done);
     }
     _eq.schedule(done, [this, idx] {
-        _lines[idx] = BufferLine{};
+        _domain.pmBuffer[idx] = BufferLine{};
         notifyOneWaiter();
     }, EventQueue::prioDevice, prof::Tag::Nvm);
 }
@@ -137,52 +255,25 @@ bool
 PmDevice::tryWrite(Addr pm_line, const std::vector<WordWrite> &words,
                    bool log_region)
 {
-    // Coalesce into a resident line if one matches (§III-E cases 1-3).
-    int idx = findLine(pm_line);
-    if (idx >= 0) {
-        BufferLine &line = _lines[idx];
-        for (const auto &w : words)
-            line.set(w.wordIdx, w.value);
-        line.lastUse = _eq.now();
-        ++_coalesced;
+    std::vector<BufferLine> &lines = _domain.pmBuffer;
+    if (coalesce(lines, pm_line, words, _eq.now(), &_stats))
         return true;
-    }
 
     // Allocate a free slot, or evict the LRU non-evicting line.
-    int free_idx = -1;
-    int lru_idx = -1;
-    for (unsigned i = 0; i < _lines.size(); ++i) {
-        if (!_lines[i].valid) {
-            free_idx = int(i);
-            break;
-        }
-        if (!_lines[i].evicting &&
-            (lru_idx < 0 || _lines[i].lastUse < _lines[lru_idx].lastUse)) {
-            lru_idx = int(i);
-        }
-    }
-
+    int lru;
+    int free_idx = freeSlot(lines, lru);
     if (free_idx < 0) {
-        if (lru_idx < 0)
+        if (lru < 0)
             return false;   // everything is mid-eviction: back-pressure
-        startEviction(unsigned(lru_idx));
-        if (!_lines[lru_idx].valid) {
+        startEviction(unsigned(lru));
+        if (!lines[lru].valid) {
             // DCW freed the slot synchronously.
-            free_idx = lru_idx;
+            free_idx = lru;
         } else {
             return false;   // retry once the eviction completes
         }
     }
-
-    BufferLine &line = _lines[free_idx];
-    line.valid = true;
-    line.base = pm_line;
-    line.logRegion = log_region;
-    line.lastUse = _eq.now();
-    line.wordMask = 0;
-    for (const auto &w : words)
-        line.set(w.wordIdx, w.value);
-    line.evicting = false;
+    fillLine(lines[free_idx], pm_line, words, log_region, _eq.now());
     return true;
 }
 
@@ -206,14 +297,14 @@ Tick
 PmDevice::read(Addr line_addr)
 {
     Addr pm_line = pmLineAlign(line_addr);
-    for (const auto &line : _lines) {
+    for (const auto &line : _domain.pmBuffer) {
         if (line.valid && line.base == pm_line) {
-            ++_bufferHits;
+            ++_stats.bufferHits;
             // Buffer reads are much faster than media reads.
             return _eq.now() + 8;
         }
     }
-    ++_reads;
+    ++_stats.reads;
     unsigned bank = bankOf(pm_line);
     Tick start = std::max(_eq.now(), _banks[bank]);
     _banks[bank] = start + _cfg.pmReadOccupancyCycles;
@@ -225,11 +316,7 @@ PmDevice::drainAll()
 {
     if (auto *tr = _eq.tracer())
         tr->instant(_track, "buffer-drain", _eq.now());
-    for (auto &line : _lines) {
-        if (line.valid && !line.evicting)
-            applyToMedia(line);
-        line = BufferLine{};
-    }
+    drainBuffer(_domain, _check, &_stats);
 }
 
 } // namespace silo::nvm

@@ -9,8 +9,12 @@
  * words whose value actually changes are written to the media. The
  * media word-write counter is the metric behind Fig. 11 and Fig. 14b.
  *
- * The buffer is inside the ADR domain: its contents survive a crash
- * (drainAll() models the ADR flush).
+ * The media and the buffer are the device's part of the persistent
+ * domain (sim/persistent_domain.hh): the device uses them in place, and
+ * the buffer is inside the ADR domain, so its contents survive a crash.
+ * The crash's ADR drain is a function of that state (crashWrite(),
+ * drainBuffer()); it adds to the device's statistics when handed them
+ * and has no timing.
  */
 
 #ifndef SILO_NVM_PM_DEVICE_HH
@@ -24,6 +28,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/persist_event_sink.hh"
+#include "sim/persistent_domain.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
 #include "sim/word_store.hh"
@@ -38,11 +43,56 @@ struct WordWrite
     Word value;
 };
 
+/** The device's statistics; a crash's ADR drain adds to them too. */
+struct PmStats
+{
+    stats::StatGroup group{"pm"};
+    stats::Scalar wordWrites{"media_word_writes",
+        "8B words written to the physical media (Fig. 11 metric)"};
+    stats::Scalar lineWrites{"media_line_writes",
+        "256B buffer lines written back to the media"};
+    stats::Scalar dcwSuppressed{"dcw_suppressed_words",
+        "words skipped by data-comparison-write"};
+    stats::Scalar dataWordWrites{"data_word_writes",
+        "media word writes to the data region"};
+    stats::Scalar logWordWrites{"log_word_writes",
+        "media word writes to the log region"};
+    stats::Scalar reads{"media_reads", "media line reads"};
+    stats::Scalar bufferHits{"buffer_read_hits",
+        "reads served by the on-PM buffer"};
+    stats::Scalar coalesced{"buffer_coalesced_writes",
+        "writes merged into a resident buffer line"};
+    stats::Distribution evictionWords{"eviction_changed_words",
+        "words actually programmed per buffer-line eviction", 1, 33};
+
+    PmStats();
+};
+
+/**
+ * Crash (ADR drain): absorb one write into @p domain 's on-PM buffer,
+ * as PmDevice::tryWrite() would at tick @p now, except that a full
+ * buffer writes its lines to the media at once instead of waiting for
+ * the banks. @p sink and @p stats (both nullable) see the media writes.
+ */
+void crashWrite(PersistentDomain &domain, Addr pm_line,
+                const std::vector<WordWrite> &words, bool log_region,
+                Tick now, log::PersistEventSink *sink, PmStats *stats);
+
+/**
+ * Write every buffered line of @p domain to its media and empty the
+ * buffer, ignoring timing: the ADR flush at a crash, and the end of a
+ * run (PmDevice::drainAll()).
+ */
+void drainBuffer(PersistentDomain &domain, log::PersistEventSink *sink,
+                 PmStats *stats);
+
 /** Banked PCM with an internal write-coalescing buffer. */
 class PmDevice
 {
   public:
-    PmDevice(EventQueue &eq, const SimConfig &cfg);
+    /** @p domain holds the media and the on-PM buffer. */
+    PmDevice(EventQueue &eq, const SimConfig &cfg,
+             PersistentDomain &domain);
 
     /**
      * Absorb a write into the on-PM buffer.
@@ -77,8 +127,8 @@ class PmDevice
      * words are counted but not stored; log::LogRegionStore keeps the
      * log's contents.
      */
-    WordStore &media() { return _media; }
-    const WordStore &media() const { return _media; }
+    WordStore &media() { return _domain.media; }
+    const WordStore &media() const { return _domain.media; }
 
     /** Register the persistency checker (nullptr when disabled). */
     void setCheckSink(log::PersistEventSink *sink) { _check = sink; }
@@ -87,29 +137,32 @@ class PmDevice
     /// @{
     std::uint64_t mediaWordWrites() const
     {
-        return _wordWrites.value();
+        return _stats.wordWrites.value();
     }
     std::uint64_t mediaLineWrites() const
     {
-        return _lineWrites.value();
+        return _stats.lineWrites.value();
     }
     std::uint64_t dcwSuppressedWords() const
     {
-        return _dcwSuppressed.value();
+        return _stats.dcwSuppressed.value();
     }
     std::uint64_t dataRegionWordWrites() const
     {
-        return _dataWordWrites.value();
+        return _stats.dataWordWrites.value();
     }
     std::uint64_t logRegionWordWrites() const
     {
-        return _logWordWrites.value();
+        return _stats.logWordWrites.value();
     }
-    std::uint64_t mediaReads() const { return _reads.value(); }
-    std::uint64_t bufferReadHits() const { return _bufferHits.value(); }
+    std::uint64_t mediaReads() const { return _stats.reads.value(); }
+    std::uint64_t bufferReadHits() const
+    {
+        return _stats.bufferHits.value();
+    }
     std::uint64_t bufferCoalescedWrites() const
     {
-        return _coalesced.value();
+        return _stats.coalesced.value();
     }
     /** Banks still busy at the current tick (interval-sampler probe). */
     unsigned busyBanks() const;
@@ -117,29 +170,12 @@ class PmDevice
     unsigned bufferOccupancy() const;
     /// @}
 
-    stats::StatGroup &statGroup() { return _stats; }
-    const stats::StatGroup &statGroup() const { return _stats; }
+    stats::StatGroup &statGroup() { return _stats.group; }
+    const stats::StatGroup &statGroup() const { return _stats.group; }
+    /** The counters a crash's ADR drain adds to. */
+    PmStats &pmStats() { return _stats; }
 
   private:
-    struct BufferLine
-    {
-        Addr base = 0;   //!< 256 B-aligned address
-        /** Dirty words of the line: bit i of wordMask gates values[i]. */
-        std::uint32_t wordMask = 0;
-        std::array<Word, pmBufferLineBytes / wordBytes> values{};
-        bool logRegion = false;
-        Tick lastUse = 0;
-        bool evicting = false;
-        bool valid = false;
-
-        void
-        set(unsigned idx, Word value)
-        {
-            wordMask |= std::uint32_t(1) << idx;
-            values[idx] = value;
-        }
-    };
-
     unsigned bankOf(Addr addr) const
     {
         return unsigned((addr / pmBufferLineBytes) % _banks.size());
@@ -148,43 +184,19 @@ class PmDevice
     /** Occupy @p bank for @p busy cycles; @return completion tick. */
     Tick occupyBank(unsigned bank, Cycles busy);
 
-    /** Find the buffer line holding @p pm_line; -1 if absent. */
-    int findLine(Addr pm_line) const;
-
-    /** Start evicting @p line; frees the slot at media-write end. */
+    /** Start evicting line @p idx; frees the slot at media-write end. */
     void startEviction(unsigned idx);
-
-    /** Apply one line's content to media and count DCW'd word writes. */
-    unsigned applyToMedia(const BufferLine &line);
 
     void notifyOneWaiter();
 
     EventQueue &_eq;
     const SimConfig &_cfg;
-    std::vector<BufferLine> _lines;
+    PersistentDomain &_domain;
     std::vector<Tick> _banks;
     std::deque<std::function<void()>> _slotWaiters;
-    WordStore _media;
     log::PersistEventSink *_check = nullptr;
 
-    stats::StatGroup _stats{"pm"};
-    stats::Scalar _wordWrites{"media_word_writes",
-        "8B words written to the physical media (Fig. 11 metric)"};
-    stats::Scalar _lineWrites{"media_line_writes",
-        "256B buffer lines written back to the media"};
-    stats::Scalar _dcwSuppressed{"dcw_suppressed_words",
-        "words skipped by data-comparison-write"};
-    stats::Scalar _dataWordWrites{"data_word_writes",
-        "media word writes to the data region"};
-    stats::Scalar _logWordWrites{"log_word_writes",
-        "media word writes to the log region"};
-    stats::Scalar _reads{"media_reads", "media line reads"};
-    stats::Scalar _bufferHits{"buffer_read_hits",
-        "reads served by the on-PM buffer"};
-    stats::Scalar _coalesced{"buffer_coalesced_writes",
-        "writes merged into a resident buffer line"};
-    stats::Distribution _evictionWords{"eviction_changed_words",
-        "words actually programmed per buffer-line eviction", 1, 33};
+    PmStats _stats;
     /** Device trace timeline; 0 when tracing is off. */
     trace::Tracer::TrackId _track = 0;
 };

@@ -27,7 +27,6 @@ void
 SiloScheme::beginTx(unsigned core)
 {
     CoreState &cs = _cores[core];
-    cs.open = true;
     cs.txStart = _ctx.eq.now();
     cs.txTotalLogs = 0;
     cs.txAppends = 0;
@@ -44,9 +43,8 @@ SiloScheme::onCachelineEvicted(Addr line)
     unsigned owner = addr_map::dataArenaOwner(line);
     if (owner >= _cores.size())
         return;
-    CoreState &cs = _cores[owner];
     bool any_line = _ctx.cfg.mutation == MutationKind::StaleFlushBit;
-    for (auto &e : cs.buffer) {
+    for (auto &e : battery(owner).buffer) {
         if (!e.committed && !e.flushBit &&
             (any_line || lineAlign(e.addr) == line)) {
             e.flushBit = true;
@@ -61,13 +59,13 @@ SiloScheme::onCachelineEvicted(Addr line)
 void
 SiloScheme::handleOverflow(unsigned core)
 {
-    CoreState &cs = _cores[core];
+    CoreBattery &b = battery(core);
     unsigned batch = overflowBatch();
 
-    while (batch > 0 && !cs.buffer.empty()) {
+    while (batch > 0 && !b.buffer.empty()) {
         // FIFO: evict from the front.
-        LogBufferEntry entry = cs.buffer.front();
-        cs.buffer.pop_front();
+        LogBufferEntry entry = b.buffer.front();
+        b.buffer.pop_front();
         --batch;
 
         if (entry.committed) {
@@ -98,28 +96,29 @@ SiloScheme::handleOverflow(unsigned core)
 
         bool write_data = !entry.flushBit;
         Addr rec_addr = appendLog(core, undo);
-        // The new data stays in the battery domain (pendingInPlace)
-        // until the WPQ accepts it — "they are not lost in the log
-        // buffer" (§III-F) — so a crash after the commit but before
-        // this write completes still recovers the word via a redo
-        // flush.
+        // The new data stays in the battery domain (staged, not yet
+        // committed) until the WPQ accepts it — "they are not lost in
+        // the log buffer" (§III-F) — so a crash after the commit but
+        // before this write completes still recovers the word via a
+        // redo flush.
         if (write_data) {
             // Stage with supersede semantics (one pending value per
             // word, see stageInPlace); the issue waits for the undo
             // record's acceptance below.
             bool superseded = false;
-            for (auto &p : cs.pendingInPlace) {
+            for (auto &p : b.staged) {
                 if (p.addr == entry.addr) {
                     p.txid = entry.txid;
                     p.newData = entry.newData;
+                    p.committed = false;
                     superseded = true;
                     break;
                 }
             }
             if (!superseded) {
-                cs.pendingInPlace.push_back(
-                    PendingUpdate{entry.txid, entry.addr,
-                                  entry.newData, _ctx.eq.now()});
+                b.staged.push_back(PendingUpdate{entry.txid, entry.addr,
+                                                 entry.newData, false,
+                                                 _ctx.eq.now()});
             }
         }
         Addr data_addr = entry.addr;
@@ -136,6 +135,7 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
                   std::function<void()> done)
 {
     CoreState &cs = _cores[core];
+    CoreBattery &b = battery(core);
     std::uint16_t txid = txidOf(core);
     ++cs.txTotalLogs;
 
@@ -150,7 +150,7 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     // Log merging: the 64-bit comparators match the address against
     // every entry in parallel (§III-C).
     if (_ctx.cfg.siloLogMerging) {
-        for (auto &e : cs.buffer) {
+        for (auto &e : b.buffer) {
             if (!e.committed && e.txid == txid && e.addr == addr) {
                 e.newData = new_val;
                 // The merged value supersedes whatever an earlier
@@ -170,12 +170,12 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     entry.addr = addr;
     entry.oldData = old_val;
     entry.newData = new_val;
-    cs.buffer.push_back(entry);
+    b.buffer.push_back(entry);
     ++cs.txAppends;
     if (_ctx.checker)
         _ctx.checker->noteBatteryUndo(core, txid, addr, old_val);
 
-    if (cs.buffer.size() > _ctx.cfg.logBufferEntries)
+    if (b.buffer.size() > _ctx.cfg.logBufferEntries)
         handleOverflow(core);
 
     // Sending the entry to the buffer is off the store's critical path.
@@ -189,9 +189,9 @@ SiloScheme::drainCommitted(unsigned core)
     // the buffer's access latency and "simultaneously flushes the new
     // data" (§III-D): issues are paced by the read latency but do not
     // wait on each other's WPQ acceptance.
-    CoreState &cs = _cores[core];
+    auto &buffer = battery(core).buffer;
     Cycles delay = 0;
-    for (auto it = cs.buffer.begin(); it != cs.buffer.end();) {
+    for (auto it = buffer.begin(); it != buffer.end();) {
         if (!it->committed) {
             ++it;
             continue;
@@ -199,17 +199,16 @@ SiloScheme::drainCommitted(unsigned core)
         if (it->flushBit &&
             _ctx.cfg.mutation != MutationKind::DoubleInPlace) {
             // The evicted cacheline already carries this word.
-            it = cs.buffer.erase(it);
+            it = buffer.erase(it);
             continue;
         }
         // Deallocate the buffer slot; the new data stages in the
         // battery domain until the ADR queue accepts it.
-        PendingUpdate pending{it->txid, it->addr, it->newData};
-        it = cs.buffer.erase(it);
+        LogBufferEntry entry = *it;
+        it = buffer.erase(it);
         ++_reduction.inPlaceUpdates;
         delay += _ctx.cfg.logBufferLatency;
-        stageInPlace(core, pending.txid, pending.addr, pending.newData,
-                     delay);
+        stageInPlace(core, entry.txid, entry.addr, entry.newData, delay);
     }
 }
 
@@ -217,7 +216,7 @@ void
 SiloScheme::stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
                          Word value, Cycles delay)
 {
-    auto &staged = _cores[core].pendingInPlace;
+    auto &staged = battery(core).staged;
     for (auto &p : staged) {
         if (p.addr == addr) {
             // A newer committed value supersedes the staged one; the
@@ -225,10 +224,12 @@ SiloScheme::stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
             // is accepted (see issueInPlace).
             p.txid = txid;
             p.newData = value;
+            p.committed = true;
             return;
         }
     }
-    staged.push_back(PendingUpdate{txid, addr, value, _ctx.eq.now()});
+    staged.push_back(
+        PendingUpdate{txid, addr, value, true, _ctx.eq.now()});
     _ctx.eq.scheduleAfter(delay,
                           [this, core, addr] { issueInPlace(core, addr); },
                           EventQueue::prioDefault, prof::Tag::LogScheme);
@@ -237,7 +238,7 @@ SiloScheme::stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
 void
 SiloScheme::issueInPlace(unsigned core, Addr addr)
 {
-    auto &staged = _cores[core].pendingInPlace;
+    auto &staged = battery(core).staged;
     auto it = std::find_if(staged.begin(), staged.end(),
                            [addr](const PendingUpdate &p) {
                                return p.addr == addr;
@@ -246,7 +247,7 @@ SiloScheme::issueInPlace(unsigned core, Addr addr)
         return;   // a crash cleared the stage
     Word value = it->newData;
     _ctx.mc.writeWord(addr, value, [this, core, addr, value] {
-        auto &staged2 = _cores[core].pendingInPlace;
+        auto &staged2 = battery(core).staged;
         auto it2 = std::find_if(staged2.begin(), staged2.end(),
                                 [addr](const PendingUpdate &p) {
                                     return p.addr == addr;
@@ -293,29 +294,37 @@ SiloScheme::txEnd(unsigned core, std::function<void()> done)
     _ctx.eq.scheduleAfter(_ctx.cfg.commitAckCycles,
                           [this, core, commit_request,
                            done = std::move(done)] {
-        CoreState &cs2 = _cores[core];
         if (auto *tr = _ctx.eq.tracer()) {
             tr->completeSpan(coreTrack(core), "validate",
                              commit_request, _ctx.eq.now());
         }
         std::uint16_t txid = txidOf(core);
-        for (auto &e : cs2.buffer) {
+        CoreBattery &b = battery(core);
+        for (auto &e : b.buffer) {
             if (e.txid == txid)
                 e.committed = true;
         }
-        cs2.open = false;
+        // Words this transaction staged on overflow are committed too:
+        // the bit, not a txid comparison, tells the crash flush so,
+        // which stays right once the 16-bit txid wraps.
+        for (auto &p : b.staged) {
+            if (p.txid == txid)
+                p.committed = true;
+        }
         // Overflowed undo logs of this transaction are obsolete: the
         // log truncates via the on-chip head register (no PM write).
-        _ctx.logs.truncate(core);
+        _ctx.domain.logs.truncate(core);
         drainCommitted(core);
         done();
     }, EventQueue::prioDefault, prof::Tag::LogScheme);
 }
 
-void
-SiloScheme::crash()
+std::uint64_t
+SiloScheme::batteryFlush(std::vector<CoreBattery> &cores,
+                         log::LogRegionStore &logs, MutationKind mutation)
 {
     // Battery-backed selective log flushing (§III-G).
+    std::uint64_t bytes = 0;
     std::set<std::pair<std::uint8_t, std::uint16_t>> committed_ids;
     auto flush_redo = [&](unsigned core, std::uint16_t txid, Addr addr,
                           Word new_data) {
@@ -326,18 +335,16 @@ SiloScheme::crash()
         redo.flushBit = false;
         redo.dataAddr = addr;
         redo.newData = new_data;
-        persistAtCrash(redo);
+        bytes += log::persistAtCrash(logs, redo);
         committed_ids.insert({std::uint8_t(core), txid});
     };
 
-    for (unsigned core = 0; core < _cores.size(); ++core) {
-        CoreState &cs = _cores[core];
-        for (const auto &e : cs.buffer) {
+    for (unsigned core = 0; core < cores.size(); ++core) {
+        CoreBattery &b = cores[core];
+        for (const auto &e : b.buffer) {
             if (!e.committed) {
-                if (_ctx.cfg.mutation ==
-                    MutationKind::SkipCrashUndoFlush) {
+                if (mutation == MutationKind::SkipCrashUndoFlush)
                     continue;
-                }
                 // Uncommitted: flush the undo log to revoke partial
                 // updates; the new data is discarded on chip.
                 LogRecord undo;
@@ -347,25 +354,24 @@ SiloScheme::crash()
                 undo.flushBit = true;
                 undo.dataAddr = e.addr;
                 undo.oldData = e.oldData;
-                persistAtCrash(undo);
+                bytes += log::persistAtCrash(logs, undo);
             } else if (!e.flushBit) {
                 // Committed but not yet in-place updated: flush the
                 // redo log so recovery can replay it.
                 flush_redo(core, e.txid, e.addr, e.newData);
             }
         }
-        cs.buffer.clear();
+        b.buffer.clear();
 
         // Staged in-place updates whose WPQ write had not been
-        // accepted: committed transactions need a redo flush; for
-        // uncommitted ones (overflow path) the undo log covers
-        // atomicity and the new data is simply discarded.
-        std::uint16_t txid = txidOf(core);
-        for (const auto &p : cs.pendingInPlace) {
-            if (p.txid < txid || (p.txid == txid && !cs.open))
+        // accepted: committed ones need a redo flush; for uncommitted
+        // ones (overflow path) the undo log covers atomicity and the
+        // new data is simply discarded.
+        for (const auto &p : b.staged) {
+            if (p.committed)
                 flush_redo(core, p.txid, p.addr, p.newData);
         }
-        cs.pendingInPlace.clear();
+        b.staged.clear();
     }
 
     // One ID tuple per committed transaction with flushed redo logs.
@@ -374,8 +380,9 @@ SiloScheme::crash()
         tuple.kind = LogRecord::Kind::IdTuple;
         tuple.tid = tid;
         tuple.txid = txid;
-        persistAtCrash(tuple);
+        bytes += log::persistAtCrash(logs, tuple);
     }
+    return bytes;
 }
 
 } // namespace silo::silo_scheme

@@ -20,6 +20,10 @@
  *  - On a crash, the battery selectively flushes undo logs of
  *    uncommitted transactions or redo logs + an ID tuple of committed
  *    ones (§III-G); recovery revokes or replays accordingly.
+ *
+ * The log buffers and the staged in-place updates are the battery
+ * domain; they live in the persistent domain (PersistentDomain::silo)
+ * and the crash flush, batteryFlush(), reads nothing else.
  */
 
 #ifndef SILO_SILO_SILO_SCHEME_HH
@@ -34,17 +38,6 @@
 
 namespace silo::silo_scheme
 {
-
-/** One entry of the battery-backed per-core log buffer (Fig. 6). */
-struct LogBufferEntry
-{
-    bool flushBit = false;
-    std::uint16_t txid = 0;
-    Addr addr = 0;         //!< word-aligned data address
-    Word oldData = 0;
-    Word newData = 0;
-    bool committed = false;
-};
 
 /** Per-transaction log statistics behind Fig. 13. */
 struct LogReductionStats
@@ -89,7 +82,18 @@ class SiloScheme : public log::LoggingScheme
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
                std::function<void()> done) override;
     void txEnd(unsigned core, std::function<void()> done) override;
-    void crash() override;
+
+    /**
+     * The battery-backed selective flush at a crash (§III-G), over the
+     * per-core battery state @p cores: undo logs of uncommitted
+     * entries, redo logs of committed ones not yet in place, and one
+     * ID tuple per committed transaction with flushed redo logs, all
+     * to @p logs; the buffers and stages empty. @p mutation plants
+     * SkipCrashUndoFlush. @return the bytes flushed.
+     */
+    static std::uint64_t batteryFlush(std::vector<CoreBattery> &cores,
+                                      log::LogRegionStore &logs,
+                                      MutationKind mutation);
 
     const LogReductionStats &reductionStats() const
     {
@@ -99,15 +103,21 @@ class SiloScheme : public log::LoggingScheme
     /** Buffer occupancy of @p core (test hook). */
     std::size_t bufferOccupancy(unsigned core) const
     {
-        return _cores[core].buffer.size();
+        return battery(core).buffer.size();
+    }
+
+    /** In-place updates @p core has staged, not yet accepted (test hook). */
+    std::size_t stagedUpdates(unsigned core) const
+    {
+        return battery(core).staged.size();
     }
 
     unsigned
     logBufferFill() const override
     {
         unsigned total = 0;
-        for (const auto &cs : _cores)
-            total += unsigned(cs.buffer.size());
+        for (const auto &b : _ctx.domain.silo)
+            total += unsigned(b.buffer.size());
         return total;
     }
 
@@ -120,32 +130,30 @@ class SiloScheme : public log::LoggingScheme
     void beginTx(unsigned core) override;
 
   private:
-    /** A committed new-data word on its way to the data region. */
-    struct PendingUpdate
-    {
-        std::uint16_t txid;
-        Addr addr;
-        Word newData;
-        Tick stagedAt = 0;  //!< trace: start of the persist span
-    };
-
+    /** Volatile per-core state; the battery state is battery(core). */
     struct CoreState
     {
-        bool open = false;
         Tick txStart = 0;   //!< trace: start of the speculate span
-        std::deque<LogBufferEntry> buffer;   //!< battery-backed FIFO
-        /**
-         * Committed entries leave the buffer at commit ("the entries
-         * in log buffer are deallocated to serve the next
-         * transaction", §III-B) and stage here — still inside the
-         * controller's battery domain — until the WPQ accepts their
-         * in-place update.
-         */
-        std::vector<PendingUpdate> pendingInPlace;
         /** Fig. 13 per-transaction counters. */
         std::uint64_t txTotalLogs = 0;
         std::uint64_t txAppends = 0;
     };
+
+    /**
+     * @p core 's log buffer and staged in-place updates. Committed
+     * entries leave the buffer at commit ("the entries in log buffer
+     * are deallocated to serve the next transaction", §III-B) and
+     * stage, still inside the controller's battery domain, until the
+     * WPQ accepts their in-place update.
+     */
+    CoreBattery &battery(unsigned core)
+    {
+        return _ctx.domain.silo[core];
+    }
+    const CoreBattery &battery(unsigned core) const
+    {
+        return _ctx.domain.silo[core];
+    }
 
     /** Overflow batch size N = ⌊S / 18⌋ (§III-F). */
     unsigned overflowBatch() const

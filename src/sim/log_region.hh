@@ -60,6 +60,24 @@ class LogRegionStore
     }
 
     /**
+     * Copies take the contents only: the event sink belongs to the
+     * store object, so a copy reports to no one until setEventSink(),
+     * and an assignment keeps the target's sink.
+     */
+    LogRegionStore(const LogRegionStore &other)
+        : _areas(other._areas), _segmentBytes(other._segmentBytes)
+    {
+    }
+
+    LogRegionStore &
+    operator=(const LogRegionStore &other)
+    {
+        _areas = other._areas;
+        _segmentBytes = other._segmentBytes;
+        return *this;
+    }
+
+    /**
      * Reserve space for a @p bytes record in thread @p tid 's area,
      * padding so the record does not straddle a 256 B on-PM buffer
      * line.

@@ -21,9 +21,9 @@ TEST(McRouter, SingleControllerPassThrough)
 {
     SimConfig cfg;
     EventQueue eq;
-    log::LogRegionStore logs(4);
-    nvm::PmDevice pm(eq, cfg);
-    McRouter router(eq, cfg, pm, logs);
+    PersistentDomain domain(cfg);
+    nvm::PmDevice pm(eq, cfg, domain);
+    McRouter router(eq, cfg, pm, domain);
     EXPECT_EQ(router.numControllers(), 1u);
     EXPECT_EQ(&router.controllerFor(addr_map::dataArenaBase(0)),
               &router.controllerFor(addr_map::dataArenaBase(3)));
@@ -34,9 +34,9 @@ TEST(McRouter, ThreadDataAndLogsShareAController)
     SimConfig cfg;
     cfg.numMemControllers = 4;
     EventQueue eq;
-    log::LogRegionStore logs(8);
-    nvm::PmDevice pm(eq, cfg);
-    McRouter router(eq, cfg, pm, logs);
+    PersistentDomain domain(cfg);
+    nvm::PmDevice pm(eq, cfg, domain);
+    McRouter router(eq, cfg, pm, domain);
     ASSERT_EQ(router.numControllers(), 4u);
 
     for (unsigned tid = 0; tid < 8; ++tid) {
@@ -56,9 +56,9 @@ TEST(McRouter, WritesLandOnTheRoutedController)
     SimConfig cfg;
     cfg.numMemControllers = 2;
     EventQueue eq;
-    log::LogRegionStore logs(4);
-    nvm::PmDevice pm(eq, cfg);
-    McRouter router(eq, cfg, pm, logs);
+    PersistentDomain domain(cfg);
+    nvm::PmDevice pm(eq, cfg, domain);
+    McRouter router(eq, cfg, pm, domain);
 
     unsigned accepted = 0;
     router.writeWord(addr_map::dataArenaBase(0), 1, [&] { ++accepted; });

@@ -13,7 +13,7 @@ struct Fixture
 {
     SimConfig cfg;
     EventQueue eq;
-    log::LogRegionStore logs{8};
+    std::unique_ptr<PersistentDomain> domain;
     std::unique_ptr<nvm::PmDevice> pm;
     std::unique_ptr<MemController> mc;
 
@@ -21,9 +21,13 @@ struct Fixture
     {
         cfg.wpqEntries = wpq_entries;
         cfg.onPmBufferLines = 64;
-        pm = std::make_unique<nvm::PmDevice>(eq, cfg);
-        mc = std::make_unique<MemController>(eq, cfg, *pm, logs);
+        domain = std::make_unique<PersistentDomain>(cfg);
+        pm = std::make_unique<nvm::PmDevice>(eq, cfg, *domain);
+        mc = std::make_unique<MemController>(eq, cfg, *pm,
+                                             domain->mcs[0], logs());
     }
+
+    log::LogRegionStore &logs() { return domain->logs; }
 };
 
 std::array<Word, wordsPerLine>
@@ -88,12 +92,12 @@ TEST(MemController, LogWriteIsDurableAtAccept)
     rec.oldData = 1;
     rec.newData = 2;
 
-    Addr addr = f.logs.allocate(3, rec.sizeBytes());
+    Addr addr = f.logs().allocate(3, rec.sizeBytes());
     bool accepted = false;
     f.mc->writeLog(addr, rec, [&] { accepted = true; });
     ASSERT_TRUE(accepted);
     // Durable immediately — visible even before any drain.
-    auto live = f.logs.liveRecords(3);
+    auto live = f.logs().liveRecords(3);
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].second.txid, 9);
     EXPECT_EQ(live[0].second.newData, 2u);
@@ -113,14 +117,14 @@ TEST(MemController, FullWpqParksLogRecordInAdrLogPath)
         Fixture f(2);
         ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(0), false));
         ASSERT_TRUE(f.mc->tryWriteLine(0x2000, lineOf(0), false));
-        Addr addr = f.logs.allocate(1, rec.sizeBytes());
+        Addr addr = f.logs().allocate(1, rec.sizeBytes());
         bool accepted = false;
         f.mc->writeLog(addr, rec, [&] { accepted = true; });
         EXPECT_FALSE(accepted);
-        EXPECT_TRUE(f.logs.liveRecords(1).empty());
+        EXPECT_TRUE(f.logs().liveRecords(1).empty());
 
-        f.mc->flushLogPath();
-        auto live = f.logs.liveRecords(1);
+        flushLogPath(f.domain->mcs[0], f.logs());
+        auto live = f.logs().liveRecords(1);
         ASSERT_EQ(live.size(), 1u);
         EXPECT_EQ(live[0].first, addr);
         EXPECT_EQ(live[0].second.oldData, 5u);
@@ -131,13 +135,13 @@ TEST(MemController, FullWpqParksLogRecordInAdrLogPath)
         Fixture f(2);
         ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(0), false));
         ASSERT_TRUE(f.mc->tryWriteLine(0x2000, lineOf(0), false));
-        Addr addr = f.logs.allocate(1, rec.sizeBytes());
+        Addr addr = f.logs().allocate(1, rec.sizeBytes());
         unsigned accepted = 0;
         f.mc->writeLog(addr, rec, [&] { ++accepted; });
         EXPECT_EQ(accepted, 0u);
         f.eq.run();
         EXPECT_EQ(accepted, 1u);
-        EXPECT_EQ(f.logs.liveRecords(1).size(), 1u);
+        EXPECT_EQ(f.logs().liveRecords(1).size(), 1u);
     }
 }
 
@@ -173,7 +177,8 @@ TEST(MemController, CrashDropsHeldAndDrainsRest)
     Fixture f;
     ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(10), false, false));
     ASSERT_TRUE(f.mc->tryWriteLine(0x2000, lineOf(20), false, true));
-    f.mc->crashDrain();
+    crashDrain(f.domain->mcs[0], *f.domain, f.eq.now(), nullptr,
+               nullptr);
     EXPECT_EQ(f.pm->media().load(0x1000), 10u);   // ADR drained
     EXPECT_EQ(f.pm->media().load(0x2000), 0u);    // held discarded
 }

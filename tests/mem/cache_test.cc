@@ -99,7 +99,7 @@ struct HierFixture
 {
     SimConfig cfg;
     EventQueue eq;
-    log::LogRegionStore logs{2};
+    std::unique_ptr<PersistentDomain> domain;
     WordStore values;
     std::unique_ptr<nvm::PmDevice> pm;
     std::unique_ptr<mc::McRouter> mc;
@@ -111,8 +111,9 @@ struct HierFixture
         cfg.l1d = {512, 2, 4};    // 8 lines
         cfg.l2 = {1024, 2, 12};   // 16 lines
         cfg.l3 = {2048, 2, 28};   // 32 lines
-        pm = std::make_unique<nvm::PmDevice>(eq, cfg);
-        mc = std::make_unique<mc::McRouter>(eq, cfg, *pm, logs);
+        domain = std::make_unique<PersistentDomain>(cfg);
+        pm = std::make_unique<nvm::PmDevice>(eq, cfg, *domain);
+        mc = std::make_unique<mc::McRouter>(eq, cfg, *pm, *domain);
         hier = std::make_unique<CacheHierarchy>(
             eq, cfg, *mc, [this](Addr a) { return values.load(a); });
     }

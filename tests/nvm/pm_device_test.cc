@@ -22,7 +22,8 @@ TEST(PmDevice, WriteReachesMediaAfterDrain)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 42}, {3, 7}}, false));
     pm.drainAll();
@@ -35,7 +36,8 @@ TEST(PmDevice, CoalescesIntoResidentLine)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
     ASSERT_TRUE(pm.tryWrite(0x1000, {{1, 2}}, false));
@@ -52,7 +54,8 @@ TEST(PmDevice, DcwSuppressesUnchangedWords)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}}, false));
     pm.drainAll();
@@ -69,7 +72,8 @@ TEST(PmDevice, LogRegionWordsAlwaysWrite)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x2000, {{0, 0}, {1, 0}}, true));
     pm.drainAll();
@@ -81,7 +85,8 @@ TEST(PmDevice, EvictionFreesSlotAfterBankBusy)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     // Fill both lines, then a third distinct line forces an eviction.
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
@@ -100,7 +105,8 @@ TEST(PmDevice, AllZeroChangeEvictionIsFree)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
     pm.media().store(0x1000, 9);
 
     // Writing the value already in media: DCW cancels the media write.
@@ -115,7 +121,8 @@ TEST(PmDevice, ReadHitsBufferFast)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
     Tick hit = pm.read(0x1000);
@@ -131,7 +138,8 @@ TEST(PmDevice, BankContentionSerializesReads)
 {
     EventQueue eq;
     SimConfig cfg = tinyConfig();   // 2 banks
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     // Same bank: the second read starts after the first's occupancy
     // window (reads pipeline; only the sensing slot serializes).
@@ -150,7 +158,8 @@ TEST(PmDevice, WriteBusyScalesWithWordCount)
     EventQueue eq;
     SimConfig cfg = tinyConfig();
     cfg.onPmBufferLines = 1;
-    PmDevice pm(eq, cfg);
+    PersistentDomain domain(cfg);
+    PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
     // Force eviction by writing another line.

@@ -192,6 +192,38 @@ TEST(SiloMechanisms, CrashFlushIsSelective)
               std::uint64_t(undoLogEntryBytes));
 }
 
+TEST(SiloMechanisms, StagedUpdateSurvivesTxidWrap)
+{
+    // Transactions 1..65534 are empty; the store commits as txid
+    // 65535, and the next transaction begins the wrapped txid 0 while
+    // the store's in-place update still waits in the battery domain.
+    std::vector<TxOp> ops;
+    for (unsigned t = 1; t <= 65534; ++t) {
+        ops.push_back(begin());
+        ops.push_back(end());
+    }
+    ops.push_back(begin());
+    ops.push_back(st(base, 9));
+    ops.push_back(end());
+    ops.push_back(begin());
+    ops.push_back(st(base + 8, 3));
+    ops.push_back(end());
+    auto traces = traceOf(std::move(ops), {{base, 1}, {base + 8, 2}});
+
+    harness::System sys(oneCore(), traces);
+    while (!(sys.coreAt(0).committedTx() == 65535 &&
+             sys.coreAt(0).inTransaction())) {
+        ASSERT_TRUE(sys.runEvents(1));
+    }
+    ASSERT_EQ(sys.coreAt(0).currentTxid(), 0u);
+    ASSERT_EQ(dynamic_cast<SiloScheme &>(sys.scheme()).stagedUpdates(0),
+              1u);
+    sys.crash();
+    sys.recover();
+    EXPECT_EQ(sys.pm().media().load(base), 9u);
+    EXPECT_EQ(sys.pm().media().load(base + 8), 2u);
+}
+
 TEST(SiloMechanisms, TotalAndRemainingLogStatsPerTx)
 {
     auto traces = traceOf({begin(), st(base, 1), st(base, 2),

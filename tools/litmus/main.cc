@@ -26,8 +26,10 @@
  * A fixed --seed and --programs reproduce a run byte-for-byte;
  * --budget alone stops between programs, so partial runs are prefixes
  * of longer ones. --segmented runs every case under the segmented log
- * lifecycle's tiny geometry, sweeping crashes into cleaner and
- * checkpoint events (the nightly log-pressure soak).
+ * lifecycle's tiny geometry, sweeping crashes into the run's cleaner
+ * and checkpoint events (the nightly log-pressure soak). A crash index
+ * past the run's stop point crashes the stop-point state, so the
+ * settle window's lifecycle ticks add indices but no new states.
  */
 
 #include <cstdint>

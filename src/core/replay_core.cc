@@ -20,9 +20,6 @@ ReplayCore::ReplayCore(unsigned id, EventQueue &eq, const SimConfig &cfg,
       _onFinished(std::move(on_finished)),
       _statGroup("core" + std::to_string(id))
 {
-    _statGroup.addScalar(_commitStalls);
-    _statGroup.addScalar(_storeStalls);
-    _statGroup.addDistribution(_commitStallDist);
     if (auto *tr = _eq.tracer())
         _track = tr->track("cores", "core" + std::to_string(id));
 }

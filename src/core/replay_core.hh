@@ -113,11 +113,13 @@ class ReplayCore
     /** Start tick of the open transaction (tx/execute trace spans). */
     Tick _txStart = 0;
 
-    stats::Scalar _commitStalls{"commit_stalls", "cycles at Tx_end"};
-    stats::Scalar _storeStalls{"store_stalls", "cycles in store hooks"};
-    stats::Distribution _commitStallDist{
-        "commit_stall", "per-transaction Tx_end stall (cycles)", 64, 64};
     stats::StatGroup _statGroup;
+    stats::Scalar _commitStalls{_statGroup, "commit_stalls",
+        "cycles at Tx_end"};
+    stats::Scalar _storeStalls{_statGroup, "store_stalls",
+        "cycles in store hooks"};
+    stats::Distribution _commitStallDist{_statGroup, "commit_stall",
+        "per-transaction Tx_end stall (cycles)", 64, 64};
     /** This core's trace timeline; 0 when tracing is off. */
     trace::Tracer::TrackId _track = 0;
 };

@@ -47,7 +47,7 @@
 namespace silo::fuzz
 {
 
-/** Campaign controls (tools/litmus maps flags + SILO_FUZZ_* here). */
+/** Campaign controls (tools/litmus maps its flags here). */
 struct FuzzOptions
 {
     std::uint64_t seed = 1;

@@ -22,7 +22,7 @@
  *    crash sweep observes uncommitted state in every micro-state.
  *
  * All randomness flows through the caller's seeded Rng, so a fuzz run
- * is replayable from SILO_FUZZ_SEED alone.
+ * is replayable from the campaign seed (litmus fuzz --seed) alone.
  */
 
 #ifndef SILO_FUZZ_LITMUS_GEN_HH

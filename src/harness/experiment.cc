@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "sim/profiler.hh"
@@ -13,22 +12,28 @@ namespace silo::harness
 {
 
 std::uint64_t
+parseUnsigned(const std::string &name, const std::string &text)
+{
+    const char *end = text.data() + text.size();
+    std::uint64_t parsed = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, parsed, 10);
+    if (ec == std::errc::result_out_of_range)
+        fatal(name + "=\"" + text +
+              "\" overflows a 64-bit unsigned integer");
+    if (ec != std::errc() || ptr != end)
+        fatal(name + "=\"" + text +
+              "\" is not an unsigned decimal integer");
+    return parsed;
+}
+
+std::uint64_t
 envOr(const char *name, std::uint64_t fallback)
 {
     // silo-lint: allow(ambient-entropy) envOr is the sanctioned getenv shim every other file must use
     const char *value = std::getenv(name);   // NOLINT(concurrency-mt-unsafe)
     if (!value || !*value)
         return fallback;
-    const char *end = value + std::strlen(value);
-    std::uint64_t parsed = 0;
-    auto [ptr, ec] = std::from_chars(value, end, parsed, 10);
-    if (ec == std::errc::result_out_of_range)
-        fatal(std::string(name) + "=\"" + value +
-              "\" overflows a 64-bit unsigned integer");
-    if (ec != std::errc() || ptr != end)
-        fatal(std::string(name) + "=\"" + value +
-              "\" is not an unsigned decimal integer");
-    return parsed;
+    return parseUnsigned(name, value);
 }
 
 std::string

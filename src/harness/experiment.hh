@@ -21,12 +21,19 @@ namespace silo::harness
 {
 
 /**
+ * Parse the value @p text of the knob or flag @p name: a full decimal
+ * unsigned integer. Garbage ("abc"), signs ("-5"), trailing junk
+ * ("10x"), an empty value and overflow are configuration errors
+ * reported via fatal() naming @p name, never silently misparsed.
+ */
+std::uint64_t parseUnsigned(const std::string &name,
+                            const std::string &text);
+
+/**
  * Read an unsigned configuration knob from the environment.
  *
- * Unset or empty returns @p fallback; anything else must be a full
- * decimal unsigned integer — garbage ("abc"), signs ("-5"), trailing
- * junk ("10x") and overflow are configuration errors reported via
- * fatal() with the variable name, never silently misparsed.
+ * Unset or empty returns @p fallback; anything else must pass
+ * parseUnsigned().
  */
 std::uint64_t envOr(const char *name, std::uint64_t fallback);
 

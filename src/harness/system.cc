@@ -220,25 +220,6 @@ System::drainToMedia()
     _mc->drainAll();
 }
 
-void
-System::printStats(std::ostream &os)
-{
-    _pm->statGroup().print(os);
-    _mc->printStats(os);
-    for (unsigned c = 0; c < _cfg.numCores; ++c) {
-        _hierarchy->l1(c).statGroup().print(os);
-        _hierarchy->l2(c).statGroup().print(os);
-    }
-    _hierarchy->l3().statGroup().print(os);
-    for (const auto &core : _cores)
-        core->statGroup().print(os);
-    _scheme->schemeStats().group.print(os);
-    if (const auto *extra = _scheme->extraStatGroup())
-        extra->print(os);
-    if (_lifecycle)
-        _lifecycle->statGroup().print(os);
-}
-
 std::string
 System::statsJson() const
 {

@@ -136,9 +136,6 @@ class System
 
     SimReport report() const;
 
-    /** Dump every component's statistics (gem5-style stat lines). */
-    void printStats(std::ostream &os);
-
     /**
      * Every component's statistics as one "silo-stats-v1" JSON
      * document (see stats::StatRegistry).

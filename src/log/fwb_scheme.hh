@@ -39,6 +39,11 @@ class FwbScheme : public LoggingScheme
         return _walkerWritebacks.value();
     }
 
+    const stats::StatGroup *extraStatGroup() const override
+    {
+        return &_fwbStats;
+    }
+
   private:
     /** Posted-but-unaccepted log writes a core may have in flight. */
     static constexpr unsigned maxPostedLogs = 16;
@@ -61,7 +66,8 @@ class FwbScheme : public LoggingScheme
               std::size_t next);
 
     std::vector<CoreState> _cores;
-    stats::Scalar _walkerWritebacks{"fwb_writebacks",
+    stats::StatGroup _fwbStats{"fwb"};
+    stats::Scalar _walkerWritebacks{_fwbStats, "fwb_writebacks",
         "dirty lines force-written-back by the FWB walker"};
 };
 

@@ -16,8 +16,6 @@ constexpr unsigned heldHeadroom = 8;
 LadScheme::LadScheme(SchemeContext ctx)
     : LoggingScheme(std::move(ctx)), _cores(_ctx.cfg.numCores)
 {
-    _ladStats.addScalar(_fallbacks);
-    _ladStats.addScalar(_phase1Lines);
     // Dirty L3 victims of uncommitted transactions are buffered in the
     // MC as held entries instead of draining to PM.
     _ctx.hierarchy.setEvictionHeldPredicate([this](Addr line) {

@@ -98,11 +98,11 @@ class LadScheme : public LoggingScheme
     void commitPhase2(unsigned core, std::function<void()> done);
 
     std::vector<CoreState> _cores;
-    stats::Scalar _fallbacks{"lad_fallbacks",
-        "lines pushed to slow mode (PM read + undo log)"};
-    stats::Scalar _phase1Lines{"lad_phase1_lines",
-        "dirty lines flushed during commit phase 1"};
     stats::StatGroup _ladStats{"lad"};
+    stats::Scalar _fallbacks{_ladStats, "lad_fallbacks",
+        "lines pushed to slow mode (PM read + undo log)"};
+    stats::Scalar _phase1Lines{_ladStats, "lad_phase1_lines",
+        "dirty lines flushed during commit phase 1"};
 };
 
 } // namespace silo::log

@@ -57,37 +57,24 @@ namespace silo::log
  *  segmentation is on, so existing stats exports stay byte-identical). */
 struct LifecycleStats
 {
-    stats::Scalar segmentsReclaimed{"segments_reclaimed",
+    stats::StatGroup group{"log_lifecycle"};
+    stats::Scalar segmentsReclaimed{group, "segments_reclaimed",
         "segments returned to the clean state"};
-    stats::Scalar recordsMigrated{"records_migrated",
+    stats::Scalar recordsMigrated{group, "records_migrated",
         "live records the cleaner copied out of cooling segments"};
-    stats::Scalar recordsDropped{"records_dropped",
+    stats::Scalar recordsDropped{group, "records_dropped",
         "dead records dropped by the cleaner or a checkpoint"};
-    stats::Scalar checkpoints{"checkpoints",
+    stats::Scalar checkpoints{group, "checkpoints",
         "completed checkpoints"};
-    stats::Scalar checkpointWords{"checkpoint_words",
+    stats::Scalar checkpointWords{group, "checkpoint_words",
         "committed data words flushed by checkpoints"};
-    stats::Scalar admissionStalls{"admission_stalls",
+    stats::Scalar admissionStalls{group, "admission_stalls",
         "log appends deferred by capacity backpressure"};
-    stats::Scalar ringOverruns{"ring_overruns",
+    stats::Scalar ringOverruns{group, "ring_overruns",
         "stalled appends force-released after the overrun window"};
-    stats::Distribution admissionStallCycles{"admission_stall_cycles",
+    stats::Distribution admissionStallCycles{group, "admission_stall_cycles",
         "cycles an append completion waited for clean capacity",
         1024, 32};
-
-    stats::StatGroup group{"log_lifecycle"};
-
-    LifecycleStats()
-    {
-        group.addScalar(segmentsReclaimed);
-        group.addScalar(recordsMigrated);
-        group.addScalar(recordsDropped);
-        group.addScalar(checkpoints);
-        group.addScalar(checkpointWords);
-        group.addScalar(admissionStalls);
-        group.addScalar(ringOverruns);
-        group.addDistribution(admissionStallCycles);
-    }
 };
 
 /** Per-thread segment cleaner + checkpointer + admission control. */

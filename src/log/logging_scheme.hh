@@ -80,28 +80,13 @@ struct SchemeContext
 /** Common per-scheme statistics. */
 struct SchemeStats
 {
-    stats::Scalar logWrites{"log_writes",
-        "log records sent to the PM log region"};
-    stats::Scalar logBytes{"log_bytes",
-        "bytes of log records sent to the PM log region"};
-    stats::Scalar commitStallCycles{"commit_stall_cycles",
-        "cycles transactions waited at Tx_end"};
-    stats::Scalar storeStallCycles{"store_stall_cycles",
-        "cycles stores waited on the scheme"};
-    stats::Scalar crashFlushBytes{"crash_flush_bytes",
-        "bytes flushed by battery on a crash"};
-
-    /** All of the above, for the structured stats export. */
     stats::StatGroup group{"scheme"};
-
-    SchemeStats()
-    {
-        group.addScalar(logWrites);
-        group.addScalar(logBytes);
-        group.addScalar(commitStallCycles);
-        group.addScalar(storeStallCycles);
-        group.addScalar(crashFlushBytes);
-    }
+    stats::Scalar logWrites{group, "log_writes",
+        "log records sent to the PM log region"};
+    stats::Scalar logBytes{group, "log_bytes",
+        "bytes of log records sent to the PM log region"};
+    stats::Scalar crashFlushBytes{group, "crash_flush_bytes",
+        "bytes flushed by battery on a crash"};
 };
 
 /**

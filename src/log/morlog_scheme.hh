@@ -47,6 +47,11 @@ class MorLogScheme : public LoggingScheme
 
     std::uint64_t mergedLogs() const { return _merged.value(); }
 
+    const stats::StatGroup *extraStatGroup() const override
+    {
+        return &_morlogStats;
+    }
+
   private:
     /** Capacity of the per-core merge buffer (entries). */
     static constexpr unsigned bufferCapacity = 64;
@@ -69,7 +74,8 @@ class MorLogScheme : public LoggingScheme
     void commitFlushFinished(unsigned core);
 
     std::vector<CoreState> _cores;
-    stats::Scalar _merged{"morlog_merged",
+    stats::StatGroup _morlogStats{"morlog"};
+    stats::Scalar _merged{_morlogStats, "morlog_merged",
         "log entries merged in the MC buffer"};
 };
 

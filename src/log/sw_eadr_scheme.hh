@@ -54,6 +54,11 @@ class SwEadrScheme : public LoggingScheme
         return _logCacheWrites.value();
     }
 
+    const stats::StatGroup *extraStatGroup() const override
+    {
+        return &_sweadrStats;
+    }
+
   private:
     /**
      * Write @p record at a fresh log address *through the cache*:
@@ -64,7 +69,8 @@ class SwEadrScheme : public LoggingScheme
                               std::function<void()> done);
 
     std::uint64_t _contentStamp = 1;
-    stats::Scalar _logCacheWrites{"sweadr_log_cache_writes",
+    stats::StatGroup _sweadrStats{"sweadr"};
+    stats::Scalar _logCacheWrites{_sweadrStats, "sweadr_log_cache_writes",
         "cache write accesses performed for log entries"};
 };
 

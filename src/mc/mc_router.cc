@@ -101,11 +101,4 @@ McRouter::drainAll()
         mc->drainAll();
 }
 
-void
-McRouter::printStats(std::ostream &os)
-{
-    for (auto &mc : _mcs)
-        mc->statGroup().print(os);
-}
-
 } // namespace silo::mc

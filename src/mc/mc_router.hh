@@ -109,7 +109,6 @@ class McRouter
     }
 
     void drainAll();
-    void printStats(std::ostream &os);
     /// @}
 
   private:

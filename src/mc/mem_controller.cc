@@ -42,13 +42,6 @@ MemController::MemController(EventQueue &eq, const SimConfig &cfg,
                              log::LogRegionStore &logs, std::string name)
     : _eq(eq), _cfg(cfg), _pm(pm), _st(state), _logs(logs), _stats(name)
 {
-    _stats.addScalar(_writes);
-    _stats.addScalar(_bytes);
-    _stats.addScalar(_coalesced);
-    _stats.addScalar(_forwards);
-    _stats.addScalar(_reads);
-    _stats.addScalar(_fullStalls);
-    _stats.addDistribution(_occupancy);
     if (auto *tr = _eq.tracer())
         _track = tr->track("mem", std::move(name));
 }

@@ -191,17 +191,20 @@ class MemController
     bool _drainScheduled = false;
 
     stats::StatGroup _stats;
-    stats::Scalar _writes{"wpq_writes", "writes accepted into the WPQ"};
-    stats::Scalar _bytes{"wpq_bytes", "bytes accepted into the WPQ"};
-    stats::Scalar _coalesced{"wpq_coalesced",
+    stats::Scalar _writes{_stats, "wpq_writes",
+        "writes accepted into the WPQ"};
+    stats::Scalar _bytes{_stats, "wpq_bytes",
+        "bytes accepted into the WPQ"};
+    stats::Scalar _coalesced{_stats, "wpq_coalesced",
         "writes merged into an existing WPQ entry"};
-    stats::Scalar _forwards{"read_forwards",
+    stats::Scalar _forwards{_stats, "read_forwards",
         "reads served by WPQ forwarding"};
-    stats::Scalar _reads{"reads", "reads issued to the PM device"};
-    stats::Scalar _fullStalls{"wpq_full_stalls",
+    stats::Scalar _reads{_stats, "reads",
+        "reads issued to the PM device"};
+    stats::Scalar _fullStalls{_stats, "wpq_full_stalls",
         "write attempts rejected because the WPQ was full"};
-    stats::Distribution _occupancy{
-        "wpq_occupancy", "WPQ entries occupied at each accept", 4, 32};
+    stats::Distribution _occupancy{_stats, "wpq_occupancy",
+        "WPQ entries occupied at each accept", 4, 32};
     /** This controller's trace timeline; 0 when tracing is off. */
     trace::Tracer::TrackId _track = 0;
 };

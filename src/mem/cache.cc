@@ -24,11 +24,6 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg)
     _valid.resize(_numSets);
     _dirty.resize(_numSets);
     _dirtySummary.resize((_numSets + 63) / 64);
-
-    _stats.addScalar(_hits);
-    _stats.addScalar(_misses);
-    _stats.addScalar(_evictions);
-    _stats.addScalar(_dirtyEvictions);
 }
 
 int

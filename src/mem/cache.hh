@@ -154,10 +154,10 @@ class Cache
     std::uint64_t _useClock = 0;
 
     stats::StatGroup _stats;
-    stats::Scalar _hits{"hits", "demand hits"};
-    stats::Scalar _misses{"misses", "demand misses"};
-    stats::Scalar _evictions{"evictions", "valid lines evicted"};
-    stats::Scalar _dirtyEvictions{"dirty_evictions",
+    stats::Scalar _hits{_stats, "hits", "demand hits"};
+    stats::Scalar _misses{_stats, "misses", "demand misses"};
+    stats::Scalar _evictions{_stats, "evictions", "valid lines evicted"};
+    stats::Scalar _dirtyEvictions{_stats, "dirty_evictions",
         "dirty lines evicted"};
 };
 

@@ -138,19 +138,6 @@ evictLine(WordStore &media, BufferLine &line,
 
 } // namespace
 
-PmStats::PmStats()
-{
-    group.addScalar(wordWrites);
-    group.addScalar(lineWrites);
-    group.addScalar(dcwSuppressed);
-    group.addScalar(dataWordWrites);
-    group.addScalar(logWordWrites);
-    group.addScalar(reads);
-    group.addScalar(bufferHits);
-    group.addScalar(coalesced);
-    group.addDistribution(evictionWords);
-}
-
 void
 crashWrite(PersistentDomain &domain, Addr pm_line,
            const std::vector<WordWrite> &words, bool log_region,

@@ -47,25 +47,23 @@ struct WordWrite
 struct PmStats
 {
     stats::StatGroup group{"pm"};
-    stats::Scalar wordWrites{"media_word_writes",
+    stats::Scalar wordWrites{group, "media_word_writes",
         "8B words written to the physical media (Fig. 11 metric)"};
-    stats::Scalar lineWrites{"media_line_writes",
+    stats::Scalar lineWrites{group, "media_line_writes",
         "256B buffer lines written back to the media"};
-    stats::Scalar dcwSuppressed{"dcw_suppressed_words",
+    stats::Scalar dcwSuppressed{group, "dcw_suppressed_words",
         "words skipped by data-comparison-write"};
-    stats::Scalar dataWordWrites{"data_word_writes",
+    stats::Scalar dataWordWrites{group, "data_word_writes",
         "media word writes to the data region"};
-    stats::Scalar logWordWrites{"log_word_writes",
+    stats::Scalar logWordWrites{group, "log_word_writes",
         "media word writes to the log region"};
-    stats::Scalar reads{"media_reads", "media line reads"};
-    stats::Scalar bufferHits{"buffer_read_hits",
+    stats::Scalar reads{group, "media_reads", "media line reads"};
+    stats::Scalar bufferHits{group, "buffer_read_hits",
         "reads served by the on-PM buffer"};
-    stats::Scalar coalesced{"buffer_coalesced_writes",
+    stats::Scalar coalesced{group, "buffer_coalesced_writes",
         "writes merged into a resident buffer line"};
-    stats::Distribution evictionWords{"eviction_changed_words",
+    stats::Distribution evictionWords{group, "eviction_changed_words",
         "words actually programmed per buffer-line eviction", 1, 33};
-
-    PmStats();
 };
 
 /**

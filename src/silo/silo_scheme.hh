@@ -42,33 +42,21 @@ namespace silo::silo_scheme
 /** Per-transaction log statistics behind Fig. 13. */
 struct LogReductionStats
 {
-    stats::Average totalLogsPerTx{"total_logs",
+    stats::StatGroup group{"silo"};
+    stats::Average totalLogsPerTx{group, "total_logs",
         "log entries a transaction would produce without reduction"};
-    stats::Average remainingLogsPerTx{"remaining_logs",
+    stats::Average remainingLogsPerTx{group, "remaining_logs",
         "entries remaining after ignorance and merging"};
-    stats::Scalar ignored{"ignored", "silent stores not logged"};
-    stats::Scalar merged{"merged", "entries merged by the comparators"};
-    stats::Scalar flushBitsSet{"flush_bits",
+    stats::Scalar ignored{group, "ignored", "silent stores not logged"};
+    stats::Scalar merged{group, "merged",
+        "entries merged by the comparators"};
+    stats::Scalar flushBitsSet{group, "flush_bits",
         "entries whose flush-bit was set by a cacheline eviction"};
-    stats::Scalar overflows{"overflow_evictions",
+    stats::Scalar overflows{group, "overflow_evictions",
         "entries evicted to the PM log region on overflow"};
-    stats::Scalar inPlaceUpdates{"in_place_updates",
+    stats::Scalar inPlaceUpdates{group, "in_place_updates",
         "post-commit new-data words written to the data region"};
     std::uint64_t maxRemainingLogs = 0;
-
-    /** All of the above, for the structured stats export. */
-    stats::StatGroup group{"silo"};
-
-    LogReductionStats()
-    {
-        group.addAverage(totalLogsPerTx);
-        group.addAverage(remainingLogsPerTx);
-        group.addScalar(ignored);
-        group.addScalar(merged);
-        group.addScalar(flushBitsSet);
-        group.addScalar(overflows);
-        group.addScalar(inPlaceUpdates);
-    }
 };
 
 /** The Silo logging scheme. */

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <functional>
-#include <iomanip>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -9,6 +8,31 @@
 
 namespace silo::stats
 {
+
+Scalar::Scalar(StatGroup &group, std::string name, std::string desc)
+    : _name(std::move(name)), _desc(std::move(desc))
+{
+    group.admit(_name);
+    group._scalars.push_back(this);
+}
+
+Average::Average(StatGroup &group, std::string name, std::string desc)
+    : _name(std::move(name)), _desc(std::move(desc))
+{
+    group.admit(_name);
+    group._averages.push_back(this);
+}
+
+Distribution::Distribution(StatGroup &group, std::string name,
+                           std::string desc, std::uint64_t bucket_width,
+                           unsigned num_buckets)
+    : _name(std::move(name)), _desc(std::move(desc)),
+      _bucketWidth(bucket_width ? bucket_width : 1),
+      _buckets(num_buckets, 0)
+{
+    group.admit(_name);
+    group._distributions.push_back(this);
+}
 
 std::uint64_t
 Distribution::percentile(double frac) const
@@ -37,29 +61,26 @@ Distribution::percentile(double frac) const
 }
 
 void
-StatGroup::print(std::ostream &os) const
+StatGroup::admit(const std::string &name) const
 {
-    auto emit = [&](const std::string &stat, double value,
-                    const std::string &desc) {
-        os << std::left << std::setw(44)
-           << (_name.empty() ? stat : _name + "." + stat)
-           << std::right << std::setw(16) << value;
-        if (!desc.empty())
-            os << "  # " << desc;
-        os << '\n';
-    };
-
-    for (const auto *s : _scalars)
-        emit(s->name(), double(s->value()), s->desc());
-    for (const auto *a : _averages) {
-        emit(a->name() + ".mean", a->mean(), a->desc());
-        emit(a->name() + ".count", double(a->count()), "");
-    }
-    for (const auto *d : _distributions) {
-        emit(d->name() + ".mean", d->summary().mean(), d->desc());
-        emit(d->name() + ".max", d->summary().maximum(), "");
-        emit(d->name() + ".count", double(d->summary().count()), "");
-    }
+    bool key = !name.empty() && name[0] >= 'a' && name[0] <= 'z' &&
+               name.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                      "0123456789_") == std::string::npos;
+    if (!key)
+        panic("stat group " + _name + ": \"" + name +
+              "\" is not a silo-stats-v1 key ([a-z][a-z0-9_]*)");
+    bool taken =
+        std::any_of(_scalars.begin(), _scalars.end(),
+                    [&](const Scalar *s) { return s->name() == name; }) ||
+        std::any_of(_averages.begin(), _averages.end(),
+                    [&](const Average *a) { return a->name() == name; }) ||
+        std::any_of(_distributions.begin(), _distributions.end(),
+                    [&](const Distribution *d) {
+                        return d->name() == name;
+                    });
+    if (taken)
+        panic("stat group " + _name + ": duplicate stat name \"" +
+              name + "\"");
 }
 
 void

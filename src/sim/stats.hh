@@ -2,9 +2,11 @@
  * @file
  * A small statistics package in the spirit of gem5's Stats.
  *
- * Components own named statistics registered in a StatGroup; groups can
- * be dumped as text after a run. All statistics are plain counters so
- * resetting a system between experiments is cheap and exact.
+ * Every statistic joins its component's StatGroup when it is
+ * constructed, so no stat exists outside a group: the group must be
+ * declared before its stats, and the stats can be neither copied nor
+ * moved. All statistics are plain counters so resetting a system
+ * between experiments is cheap and exact.
  */
 
 #ifndef SILO_SIM_STATS_HH
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -21,14 +24,16 @@
 namespace silo::stats
 {
 
+class StatGroup;
+
 /** A named 64-bit event counter. */
 class Scalar
 {
   public:
-    Scalar() = default;
-    Scalar(std::string name, std::string desc)
-        : _name(std::move(name)), _desc(std::move(desc))
-    {}
+    /** Join @p group as @p name (StatGroup checks the name). */
+    Scalar(StatGroup &group, std::string name, std::string desc);
+    Scalar(const Scalar &) = delete;
+    Scalar &operator=(const Scalar &) = delete;
 
     Scalar &operator++() { ++_value; return *this; }
     Scalar &operator+=(std::uint64_t v) { _value += v; return *this; }
@@ -48,10 +53,10 @@ class Scalar
 class Average
 {
   public:
-    Average() = default;
-    Average(std::string name, std::string desc)
-        : _name(std::move(name)), _desc(std::move(desc))
-    {}
+    /** Join @p group as @p name (StatGroup checks the name). */
+    Average(StatGroup &group, std::string name, std::string desc);
+    Average(const Average &) = delete;
+    Average &operator=(const Average &) = delete;
 
     void
     sample(double v)
@@ -80,6 +85,10 @@ class Average
     }
 
   private:
+    friend class Distribution;
+    /** A Distribution's summary, exported as part of it: no group. */
+    Average() = default;
+
     std::string _name;
     std::string _desc;
     double _sum = 0;
@@ -92,20 +101,16 @@ class Average
 class Distribution
 {
   public:
-    Distribution() = default;
-
     /**
-     * @param name Stat name.
+     * Join @p group as @p name (StatGroup checks the name).
      * @param desc Human description.
-     * @param bucket_width Width of each bucket (> 0).
+     * @param bucket_width Width of each bucket (0 is clamped to 1).
      * @param num_buckets Number of regular buckets before overflow.
      */
-    Distribution(std::string name, std::string desc,
-                 std::uint64_t bucket_width, unsigned num_buckets)
-        : _name(std::move(name)), _desc(std::move(desc)),
-          _bucketWidth(bucket_width ? bucket_width : 1),
-          _buckets(num_buckets, 0)
-    {}
+    Distribution(StatGroup &group, std::string name, std::string desc,
+                 std::uint64_t bucket_width, unsigned num_buckets);
+    Distribution(const Distribution &) = delete;
+    Distribution &operator=(const Distribution &) = delete;
 
     void
     sample(std::uint64_t v)
@@ -171,14 +176,14 @@ class Distribution
 };
 
 /**
- * A registry of statistics owned by one component.
+ * The statistics of one component, exported as one JSON object.
  *
- * Registration keeps raw pointers; the owning component must outlive the
- * group (they are members of the same object in practice). Because the
- * pointers refer into the owning object, copying or moving a component
- * holding a StatGroup would leave the copy's group pointing at the
- * original's statistics — the group is therefore neither copyable nor
- * movable, which makes every such component immovable by construction.
+ * Each stat joins its group in its constructor, and the group panics
+ * there if the name is not a silo-stats-v1 key ([a-z][a-z0-9_]*) or is
+ * already taken in this group (the export would collapse the two). The
+ * group keeps raw pointers to its stats, which are members of the same
+ * component, declared after the group; neither can be copied or
+ * moved, so every such component is immovable by construction.
  */
 class StatGroup
 {
@@ -188,39 +193,16 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    Scalar &
-    addScalar(Scalar &s)
-    {
-        _scalars.push_back(&s);
-        return s;
-    }
-
-    Average &
-    addAverage(Average &a)
-    {
-        _averages.push_back(&a);
-        return a;
-    }
-
-    Distribution &
-    addDistribution(Distribution &d)
-    {
-        _distributions.push_back(&d);
-        return d;
-    }
-
-    /** Dump all registered statistics as "group.stat value # desc". */
-    void print(std::ostream &os) const;
-
     /**
      * Emit the group as one JSON object: scalars as numbers, averages
      * as {mean,min,max,count,sum} objects, distributions additionally
-     * with p50/p95/p99, bucket_width, buckets[] and overflow. Panics
-     * if a distribution fails countsConsistent().
+     * with p50/p95/p99, bucket_width, buckets[] and overflow, each
+     * kind in the order its stats were constructed. Panics if a
+     * distribution fails countsConsistent().
      */
     void printJson(std::ostream &os) const;
 
-    /** Reset every registered statistic. */
+    /** Reset every statistic of the group. */
     void
     reset()
     {
@@ -235,6 +217,13 @@ class StatGroup
     const std::string &name() const { return _name; }
 
   private:
+    friend class Scalar;
+    friend class Average;
+    friend class Distribution;
+
+    /** Check that @p name may join this group; panics otherwise. */
+    void admit(const std::string &name) const;
+
     std::string _name;
     std::vector<Scalar *> _scalars;
     std::vector<Average *> _averages;

@@ -1,10 +1,10 @@
 /**
  * @file
- * envOr() must either return a faithfully parsed unsigned knob or
- * refuse loudly: silently mapping SILO_TX=abc to 0 (the old
- * std::stoull behaviour) turns a typo into a zero-transaction run
- * that "passes". Every malformed shape gets a fatal() naming the
- * variable.
+ * envOr() and parseUnsigned() must either return a faithfully parsed
+ * unsigned knob or flag value or refuse loudly: silently mapping
+ * SILO_TX=abc to 0 (the old std::stoull behaviour) turns a typo into
+ * a zero-transaction run that "passes". Every malformed shape gets a
+ * fatal() naming the variable or flag.
  */
 
 #include <gtest/gtest.h>
@@ -122,6 +122,26 @@ TEST_F(EnvOr, RejectsFractional)
 TEST_F(EnvOr, RejectsOverflow)
 {
     expectFatal("18446744073709551616");   // UINT64_MAX + 1
+}
+
+TEST(ParseUnsigned, ParsesFlagValues)
+{
+    EXPECT_EQ(parseUnsigned("--seed", "42"), 42u);
+    EXPECT_EQ(parseUnsigned("--budget", "0"), 0u);
+}
+
+TEST(ParseUnsigned, RejectsMalformedFlagValuesNamingTheFlag)
+{
+    for (const char *text : {"abc", "3x", "-5", "", "1.5"}) {
+        try {
+            parseUnsigned("--seed", text);
+            ADD_FAILURE() << "parseUnsigned accepted \"" << text << "\"";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--seed"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "harness/experiment.hh"
 #include "silo/silo_scheme.hh"
+#include "stats_json.hh"
 
 namespace silo::harness
 {
@@ -178,13 +182,13 @@ TEST_F(PaperClaims, StatsDumpHasComponentLines)
     cfg.numCores = 4;
     System sys(cfg, traces);
     sys.run();
-    std::ostringstream os;
-    sys.printStats(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("pm.media_word_writes"), std::string::npos);
-    EXPECT_NE(text.find("mc.wpq_writes"), std::string::npos);
-    EXPECT_NE(text.find("l1d0.hits"), std::string::npos);
-    EXPECT_NE(text.find("l3.misses"), std::string::npos);
+    std::map<std::string, double> stats = statsNumbers(sys.statsJson());
+    for (const char *path :
+         {"groups/pm/media_word_writes", "groups/mc/wpq_writes",
+          "groups/cache/l1d/0/hits", "groups/cache/l3/misses"}) {
+        ASSERT_EQ(stats.count(path), 1u) << path;
+        EXPECT_GT(stats[path], 0) << path;
+    }
 }
 
 } // namespace

@@ -12,8 +12,6 @@
  * san_smoke_test wiring in tests/CMakeLists.txt.
  */
 
-// silo-lint: allowfile(handler-hygiene) test callbacks run synchronously within the enclosing scope; [&] over stack locals is safe here
-
 #include <gtest/gtest.h>
 
 #include <cstdint>

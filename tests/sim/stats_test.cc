@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -12,9 +13,18 @@ namespace silo::stats
 namespace
 {
 
+// A stat lives where its group keeps a pointer to it.
+static_assert(!std::is_copy_constructible_v<Scalar> &&
+              !std::is_move_constructible_v<Scalar>);
+static_assert(!std::is_copy_constructible_v<Average> &&
+              !std::is_move_constructible_v<Average>);
+static_assert(!std::is_copy_constructible_v<Distribution> &&
+              !std::is_move_constructible_v<Distribution>);
+
 TEST(Scalar, CountsAndResets)
 {
-    Scalar s("writes", "number of writes");
+    StatGroup g;
+    Scalar s(g, "writes", "number of writes");
     ++s;
     s += 41;
     EXPECT_EQ(s.value(), 42u);
@@ -24,7 +34,8 @@ TEST(Scalar, CountsAndResets)
 
 TEST(Average, MeanMinMax)
 {
-    Average a("lat", "latency");
+    StatGroup g;
+    Average a(g, "lat", "latency");
     a.sample(10);
     a.sample(20);
     a.sample(60);
@@ -36,7 +47,8 @@ TEST(Average, MeanMinMax)
 
 TEST(Average, EmptyIsZero)
 {
-    Average a("x", "");
+    StatGroup g;
+    Average a(g, "x", "");
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_DOUBLE_EQ(a.minimum(), 0.0);
     EXPECT_DOUBLE_EQ(a.maximum(), 0.0);
@@ -44,7 +56,8 @@ TEST(Average, EmptyIsZero)
 
 TEST(Average, ResetClears)
 {
-    Average a("x", "");
+    StatGroup g;
+    Average a(g, "x", "");
     a.sample(5);
     a.reset();
     EXPECT_EQ(a.count(), 0u);
@@ -53,7 +66,8 @@ TEST(Average, ResetClears)
 
 TEST(Distribution, BucketsAndOverflow)
 {
-    Distribution d("sz", "sizes", 10, 4);
+    StatGroup g;
+    Distribution d(g, "sz", "sizes", 10, 4);
     d.sample(0);
     d.sample(9);
     d.sample(10);
@@ -71,7 +85,8 @@ TEST(Distribution, BucketsAndOverflow)
 
 TEST(Distribution, ZeroWidthIsClampedToOne)
 {
-    Distribution d("sz", "", 0, 2);
+    StatGroup g;
+    Distribution d(g, "sz", "", 0, 2);
     d.sample(1);
     EXPECT_EQ(d.buckets()[1], 1u);
 }
@@ -79,7 +94,8 @@ TEST(Distribution, ZeroWidthIsClampedToOne)
 TEST(Distribution, PercentileBucketEdges)
 {
     // Buckets [0,9] [10,19] [20,29] [30,39], overflow >= 40.
-    Distribution d("lat", "", 10, 4);
+    StatGroup g;
+    Distribution d(g, "lat", "", 10, 4);
     for (std::uint64_t v : {5, 7, 15, 25, 100})
         d.sample(v);
     // rank(0.2 * 5) = 1 lands in bucket 0: upper edge 9.
@@ -95,7 +111,8 @@ TEST(Distribution, PercentileClampsToObservedMax)
 {
     // All samples sit well inside bucket 0; the bucket's upper edge
     // (9) would overestimate, so the observed max wins.
-    Distribution d("lat", "", 10, 4);
+    StatGroup g;
+    Distribution d(g, "lat", "", 10, 4);
     d.sample(4);
     d.sample(4);
     EXPECT_EQ(d.p50(), 4u);
@@ -104,21 +121,24 @@ TEST(Distribution, PercentileClampsToObservedMax)
 
 TEST(Distribution, PercentileEmptyIsZero)
 {
-    Distribution d("lat", "", 10, 4);
+    StatGroup g;
+    Distribution d(g, "lat", "", 10, 4);
     EXPECT_EQ(d.p50(), 0u);
     EXPECT_EQ(d.p99(), 0u);
 }
 
 TEST(Distribution, PercentileFracAboveOneIsClamped)
 {
-    Distribution d("lat", "", 10, 4);
+    StatGroup g;
+    Distribution d(g, "lat", "", 10, 4);
     d.sample(12);
     EXPECT_EQ(d.percentile(2.0), 12u);
 }
 
 TEST(Distribution, CountsConsistentInvariant)
 {
-    Distribution d("sz", "", 10, 2);
+    StatGroup g;
+    Distribution d(g, "sz", "", 10, 2);
     EXPECT_TRUE(d.countsConsistent());
     d.sample(5);
     d.sample(15);
@@ -129,34 +149,12 @@ TEST(Distribution, CountsConsistentInvariant)
     EXPECT_TRUE(d.countsConsistent());
 }
 
-TEST(StatGroup, PrintsRegisteredStats)
-{
-    Scalar s("hits", "cache hits");
-    Average a("lat", "load latency");
-    StatGroup g("l1d");
-    g.addScalar(s);
-    g.addAverage(a);
-    s += 7;
-    a.sample(4);
-
-    std::ostringstream os;
-    g.print(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("l1d.hits"), std::string::npos);
-    EXPECT_NE(text.find("7"), std::string::npos);
-    EXPECT_NE(text.find("l1d.lat.mean"), std::string::npos);
-    EXPECT_NE(text.find("cache hits"), std::string::npos);
-}
-
 TEST(StatGroup, PrintJsonEmitsAllStatKinds)
 {
-    Scalar s("hits", "");
-    Average a("lat", "");
-    Distribution d("sz", "", 10, 2);
     StatGroup g("l1d");
-    g.addScalar(s);
-    g.addAverage(a);
-    g.addDistribution(d);
+    Distribution d(g, "sz", "", 10, 2);
+    Average a(g, "lat", "");
+    Scalar s(g, "hits", "");
     s += 7;
     a.sample(4);
     d.sample(5);
@@ -171,14 +169,41 @@ TEST(StatGroup, PrintJsonEmitsAllStatKinds)
     EXPECT_NE(text.find("\"p50\": 9"), std::string::npos);
     EXPECT_NE(text.find("\"buckets\": [1, 0]"), std::string::npos);
     EXPECT_NE(text.find("\"overflow\": 1"), std::string::npos);
+    // Scalars, then averages, then distributions.
+    EXPECT_LT(text.find("\"hits\""), text.find("\"lat\""));
+    EXPECT_LT(text.find("\"lat\""), text.find("\"sz\""));
+}
+
+TEST(StatGroup, NameThatIsNotASchemaKeyPanics)
+{
+    StatGroup g("pm");
+    for (const char *bad : {"", "Hits", "9lives", "wpq-writes", "a.b"})
+        EXPECT_THROW(Scalar(g, bad, ""), PanicError) << bad;
+    EXPECT_THROW(Average(g, "Lat", ""), PanicError);
+    EXPECT_THROW(Distribution(g, "sz ", "", 1, 2), PanicError);
+    Scalar ok(g, "media_word_writes2", "");
+    EXPECT_EQ(ok.name(), "media_word_writes2");
+}
+
+TEST(StatGroup, DuplicateNameInOneGroupPanics)
+{
+    StatGroup g("core0"), other("core1");
+    Scalar s(g, "stalls", "");
+    EXPECT_THROW(Scalar(g, "stalls", ""), PanicError);
+    // One JSON object holds every kind, so the name is taken for all.
+    EXPECT_THROW(Average(g, "stalls", ""), PanicError);
+    EXPECT_THROW(Distribution(g, "stalls", "", 1, 2), PanicError);
+    // Another group may reuse it.
+    Scalar t(other, "stalls", "");
+    std::ostringstream os;
+    g.printJson(os);
+    EXPECT_EQ(os.str(), "{\"stalls\": 0}");
 }
 
 TEST(StatRegistry, NestsSlashPaths)
 {
-    Scalar s0("x", ""), s1("x", "");
     StatGroup mc0("mc0"), mc1("mc1");
-    mc0.addScalar(s0);
-    mc1.addScalar(s1);
+    Scalar s0(mc0, "x", ""), s1(mc1, "x", "");
     s0 += 1;
     s1 += 2;
 
@@ -197,10 +222,8 @@ TEST(StatRegistry, NestsSlashPaths)
 
 TEST(StatRegistry, LeafThatIsAlsoPrefixKeepsStatsKey)
 {
-    Scalar s0("x", ""), s1("x", "");
     StatGroup parent("mc"), child("mc0");
-    parent.addScalar(s0);
-    child.addScalar(s1);
+    Scalar s0(parent, "x", ""), s1(child, "x", "");
 
     StatRegistry reg;
     reg.add("mc", parent);
@@ -221,13 +244,10 @@ TEST(StatRegistry, DuplicatePathPanics)
 
 TEST(StatGroup, ResetResetsAll)
 {
-    Scalar s("a", "");
-    Average a("b", "");
-    Distribution d("c", "", 1, 2);
     StatGroup g;
-    g.addScalar(s);
-    g.addAverage(a);
-    g.addDistribution(d);
+    Scalar s(g, "a", "");
+    Average a(g, "b", "");
+    Distribution d(g, "c", "", 1, 2);
     s += 3;
     a.sample(1);
     d.sample(1);

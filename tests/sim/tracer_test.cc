@@ -1,7 +1,5 @@
 /** @file Unit tests for the Tracer and the IntervalSampler. */
 
-// silo-lint: allowfile(handler-hygiene) test callbacks run synchronously within the enclosing scope; [&] over stack locals is safe here
-
 #include <gtest/gtest.h>
 
 #include <sstream>

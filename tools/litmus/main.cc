@@ -19,17 +19,16 @@
  *   litmus gen [--seed N] [--programs N]
  *       Print the generated programs (debug aid for the generator).
  *
- * Every flag falls back to an environment knob so CI can steer the
- * nightly job without editing the workflow command: SILO_FUZZ_SEED,
- * SILO_FUZZ_PROGRAMS, SILO_FUZZ_BUDGET_S, SILO_FUZZ_CRASH_STRIDE,
- * SILO_FUZZ_MUTATION, SILO_FUZZ_SEGMENTED, SILO_FUZZ_OUT (flags win).
- * A fixed --seed and --programs reproduce a run byte-for-byte;
- * --budget alone stops between programs, so partial runs are prefixes
- * of longer ones. --segmented runs every case under the segmented log
- * lifecycle's tiny geometry, sweeping crashes into the run's cleaner
- * and checkpoint events (the nightly log-pressure soak). A crash index
- * past the run's stop point crashes the stop-point state, so the
- * settle window's lifecycle ticks add indices but no new states.
+ * Numeric flags take unsigned decimal integers (--budget in whole
+ * seconds); a malformed value, like any other configuration error,
+ * exits 2. A fixed --seed and --programs reproduce a run
+ * byte-for-byte; --budget alone stops between programs, so partial
+ * runs are prefixes of longer ones. --segmented runs every case under
+ * the segmented log lifecycle's tiny geometry, sweeping crashes into
+ * the run's cleaner and checkpoint events (the nightly log-pressure
+ * soak). A crash index past the run's stop point crashes the
+ * stop-point state, so the settle window's lifecycle ticks add indices
+ * but no new states.
  */
 
 #include <cstdint>
@@ -65,11 +64,11 @@ usage(const std::string &what = "")
 /** Flag parser over argv[2..]; every value flag takes one argument. */
 struct Args
 {
-    std::uint64_t seed;
-    std::uint64_t programs;
-    double budgetSeconds;
-    std::uint64_t stride;
-    std::string mutation;
+    std::uint64_t seed = 1;
+    std::uint64_t programs = 0;
+    std::uint64_t budgetSeconds = 0;
+    std::uint64_t stride = 1;
+    std::string mutation = "none";
     std::string scheme;
     std::string outDir;
     bool segmented = false;
@@ -77,29 +76,25 @@ struct Args
     std::vector<std::string> positional;
 
     Args(int argc, char **argv)
-        : seed(harness::envOr("SILO_FUZZ_SEED", 1)),
-          programs(harness::envOr("SILO_FUZZ_PROGRAMS", 0)),
-          budgetSeconds(double(harness::envOr("SILO_FUZZ_BUDGET_S", 0))),
-          stride(harness::envOr("SILO_FUZZ_CRASH_STRIDE", 1)),
-          mutation(harness::envStrOr("SILO_FUZZ_MUTATION", "none")),
-          outDir(harness::envStrOr("SILO_FUZZ_OUT", "")),
-          segmented(harness::envOr("SILO_FUZZ_SEGMENTED", 0) != 0)
     {
         auto value = [&](int &i, const char *flag) -> std::string {
             if (i + 1 >= argc)
                 usage(std::string(flag) + " needs a value");
             return argv[++i];
         };
+        auto number = [&](int &i, const char *flag) {
+            return harness::parseUnsigned(flag, value(i, flag));
+        };
         for (int i = 2; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg == "--seed")
-                seed = std::stoull(value(i, "--seed"));
+                seed = number(i, "--seed");
             else if (arg == "--programs")
-                programs = std::stoull(value(i, "--programs"));
+                programs = number(i, "--programs");
             else if (arg == "--budget")
-                budgetSeconds = std::stod(value(i, "--budget"));
+                budgetSeconds = number(i, "--budget");
             else if (arg == "--stride")
-                stride = std::stoull(value(i, "--stride"));
+                stride = number(i, "--stride");
             else if (arg == "--mutation")
                 mutation = value(i, "--mutation");
             else if (arg == "--scheme")
@@ -125,8 +120,8 @@ struct Args
         // Default shape: a fixed small program count, overridden by
         // an explicit wall-clock budget (the nightly mode).
         opts.maxPrograms = programs;
-        opts.budgetSeconds = budgetSeconds;
-        if (opts.maxPrograms == 0 && !(opts.budgetSeconds > 0))
+        opts.budgetSeconds = double(budgetSeconds);
+        if (opts.maxPrograms == 0 && budgetSeconds == 0)
             opts.maxPrograms = 5;
         opts.crashStride = stride;
         opts.mutation = mutationFromName(mutation);
@@ -199,12 +194,17 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     std::string cmd = argv[1];
-    Args args(argc, argv);
-    if (cmd == "fuzz")
-        return cmdFuzz(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    if (cmd == "gen")
-        return cmdGen(args);
+    try {
+        Args args(argc, argv);
+        if (cmd == "fuzz")
+            return cmdFuzz(args);
+        if (cmd == "replay")
+            return cmdReplay(args);
+        if (cmd == "gen")
+            return cmdGen(args);
+    } catch (const FatalError &e) {
+        std::cerr << "litmus: " << e.what() << "\n";
+        return 2;
+    }
     usage("unknown command " + cmd);
 }

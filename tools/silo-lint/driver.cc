@@ -343,14 +343,10 @@ runLint(const Options &opts)
     for (const SourceFile &f : files) {
         runNondetIteration(f, findings);
         runAmbientEntropy(f, findings);
-        runHandlerHygiene(f, findings);
-        runStatsNames(f, findings);
-        runFloatDeterminism(f, findings);
         parseDirectives(f, directives);
     }
     runEnvDocParity(files, build_files, docs, findings);
     runLayering(files, findings);
-    runStatsRegistration(files, findings);
     runEnumExhaustiveness(files, findings);
     runSuppressionHygiene(files, directives, findings);
 

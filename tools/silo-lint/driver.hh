@@ -57,7 +57,7 @@ struct Options
     bool defaultDocs = true;
     /**
      * Incremental mode (--changed): the full corpus is still scanned
-     * — the corpus rules R3/R6/R9 need it — but only findings in
+     * — the corpus rules R3/R6/R14 need it — but only findings in
      * changedFiles (root-relative) are reported and counted.
      */
     bool changedOnly = false;

@@ -1,26 +1,21 @@
 /**
  * @file
- * The lightweight semantic layer under rules R6 and R8.
+ * The lightweight semantic layer under rule R6.
  *
  * silo-lint deliberately has no real C++ frontend; this header adds
- * the two narrow views those rules need on top of the raw token
- * stream:
+ * the one narrow view that rule needs on top of the raw token stream:
+ * collectIncludes(), the quoted `#include` directives of a file,
+ * feeding the include-graph / module-DAG rule (R6).
  *
- *  - collectIncludes(): the quoted `#include` directives of a file,
- *    feeding the include-graph / module-DAG rule (R6).
- *  - collectFloatNames(): names declared with type float/double, for
- *    the float-determinism rule (R8).
- *
- * Both are conservative pattern matchers, not parsers: they are
- * documented in DESIGN.md §4g together with their known blind spots,
- * and every rule built on them accepts the standard suppression
- * grammar for the residual false positives.
+ * It is a conservative pattern matcher, not a parser: it is
+ * documented in DESIGN.md §4g together with its known blind spots,
+ * and R6 accepts the standard suppression grammar for the residual
+ * false positives.
  */
 
 #ifndef SILO_LINT_PARSE_HH
 #define SILO_LINT_PARSE_HH
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,13 +37,6 @@ struct IncludeDirective
  * project headers.
  */
 std::vector<IncludeDirective> collectIncludes(const SourceFile &file);
-
-/**
- * Names declared with type `float` or `double` anywhere in @p file
- * (locals, members and parameters alike — like R1, scoping is per
- * file). Used by R8 to spot nondeterministically-ordered accumulation.
- */
-std::set<std::string> collectFloatNames(const SourceFile &file);
 
 } // namespace silo::lint
 

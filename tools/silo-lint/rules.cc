@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 #include "silo-lint/parse.hh"
@@ -75,42 +74,6 @@ matchDelim(const std::vector<Token> &toks, std::size_t open,
     return toks.size();
 }
 
-/**
- * Names declared with an unordered container type (the same pattern
- * R1's pass 1 uses, without its iterator-typedef findings). Shared
- * with R8.
- */
-std::set<std::string>
-unorderedNames(const std::vector<Token> &t)
-{
-    std::set<std::string> names;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier ||
-            t[i].text.rfind("unordered_", 0) != 0)
-            continue;
-        std::size_t j = i + 1;
-        if (j >= t.size() || t[j].text != "<")
-            continue;
-        int depth = 0;
-        for (; j < t.size(); ++j) {
-            if (t[j].kind != TokKind::Punct)
-                continue;
-            if (t[j].text == "<")
-                ++depth;
-            else if (t[j].text == ">" && --depth == 0)
-                break;
-        }
-        ++j;
-        while (j < t.size() &&
-               (t[j].text == "&" || t[j].text == "*" ||
-                t[j].text == "&&" || t[j].text == "const"))
-            ++j;
-        if (j < t.size() && t[j].kind == TokKind::Identifier)
-            names.insert(t[j].text);
-    }
-    return names;
-}
-
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -126,21 +89,9 @@ ruleCatalogue()
         {"R3", "env-doc-parity",
          "every SILO_* env var referenced in code is documented in "
          "README/DESIGN and vice versa"},
-        {"R4", "handler-hygiene",
-         "EventQueue callbacks: no default captures, no owning raw "
-         "pointers, no negative delays"},
-        {"R5", "stats-names",
-         "stats registration names are unique per file and valid "
-         "silo-stats-v1 keys"},
         {"R6", "module-layering",
          "quoted includes follow the module DAG (sim at the bottom, "
          "harness on top) and the include graph is acyclic"},
-        {"R8", "float-determinism",
-         "no float accumulation inside unordered, parallel or "
-         "worker-indexed iteration"},
-        {"R9", "stats-registration",
-         "every Distribution/StatGroup constructed under src/ reaches "
-         "the stats export (addDistribution / group use)"},
         {"R10", "suppression-hygiene",
          "suppression directives are deduplicated, correctly scoped "
          "and allowfile() precedes the first code of its file"},
@@ -309,131 +260,6 @@ runAmbientEntropy(const SourceFile &file, std::vector<Finding> &out)
                                    "ambient-entropy",
                                    "wall-clock read: 'time()' outside "
                                    "the harness shims"));
-            }
-        }
-    }
-}
-
-// --- R4: event-handler hygiene -------------------------------------
-
-void
-runHandlerHygiene(const SourceFile &file, std::vector<Finding> &out)
-{
-    const std::vector<Token> &t = file.code;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier ||
-            (t[i].text != "schedule" && t[i].text != "scheduleAfter") ||
-            t[i + 1].text != "(")
-            continue;
-        std::size_t close = matchDelim(t, i + 1, "(", ")");
-
-        // Negative first argument: a Tick/Cycles is unsigned, so a
-        // negative literal or negated expression wraps to a huge
-        // delay instead of failing loudly.
-        if (i + 2 < close && t[i + 2].text == "-") {
-            out.push_back(make(file, t[i + 2].line, "R4",
-                               "handler-hygiene",
-                               "negative delay passed to " + t[i].text +
-                                   "() — Tick is unsigned and wraps"));
-        }
-
-        // Lambda arguments: inspect each capture list.
-        for (std::size_t j = i + 2; j < close; ++j) {
-            if (t[j].kind != TokKind::Punct || t[j].text != "[")
-                continue;
-            const std::string &prev = t[j - 1].text;
-            if (prev != "(" && prev != ",")
-                continue;   // subscript, not a lambda introducer
-            std::size_t cap_close = matchDelim(t, j, "[", "]");
-            if (cap_close >= close)
-                continue;
-            std::vector<const Token *> caps;
-            for (std::size_t k = j + 1; k < cap_close; ++k)
-                caps.push_back(&t[k]);
-            auto flag = [&](int line, const std::string &msg) {
-                out.push_back(make(file, line, "R4", "handler-hygiene",
-                                   msg));
-            };
-            if (!caps.empty() &&
-                (caps[0]->text == "&" || caps[0]->text == "=") &&
-                (caps.size() == 1 || caps[1]->text == ",")) {
-                flag(caps[0]->line,
-                     "default capture [" + caps[0]->text +
-                         "...] in a deferred event callback — capture "
-                         "explicitly so lifetimes are auditable");
-            }
-            for (std::size_t k = 0; k < caps.size(); ++k) {
-                if (caps[k]->kind != TokKind::Identifier)
-                    continue;
-                if (caps[k]->text == "new") {
-                    flag(caps[k]->line,
-                         "owning raw pointer allocated in an event-"
-                         "callback capture — leaks if the event never "
-                         "runs (queue reset/crash injection)");
-                } else if (caps[k]->text == "release" &&
-                           k + 1 < caps.size() &&
-                           caps[k + 1]->text == "(") {
-                    flag(caps[k]->line,
-                         "release() in an event-callback capture "
-                         "transfers raw ownership into the queue — "
-                         "leaks if the event never runs");
-                }
-            }
-            j = cap_close;
-        }
-        i = close;
-    }
-}
-
-// --- R5: stats registration names ----------------------------------
-
-void
-runStatsNames(const SourceFile &file, std::vector<Finding> &out)
-{
-    const std::vector<Token> &t = file.code;
-    std::map<std::string, int> seen;   // stat name -> first line
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier || t[i].text != "stats" ||
-            t[i + 1].text != "::")
-            continue;
-        const std::string &type = t[i + 2].text;
-        bool named_stat = type == "Scalar" || type == "Average" ||
-                          type == "Distribution";
-        if (!named_stat && type != "StatGroup")
-            continue;
-        std::size_t j = i + 3;
-        while (j < t.size() && (t[j].text == "&" || t[j].text == "*"))
-            ++j;
-        if (j + 2 >= t.size() || t[j].kind != TokKind::Identifier)
-            continue;   // not a declaration with an initializer
-        if (t[j + 1].text != "{" && t[j + 1].text != "(")
-            continue;
-        if (t[j + 2].kind != TokKind::String)
-            continue;
-        const std::string &name = t[j + 2].text;
-        int line = t[j + 2].line;
-        bool valid = !name.empty() && name[0] >= 'a' && name[0] <= 'z';
-        for (char c : name) {
-            if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                  c == '_'))
-                valid = false;
-        }
-        if (!valid) {
-            out.push_back(make(
-                file, line, "R5", "stats-names",
-                "stat name \"" + name +
-                    "\" is not a valid silo-stats-v1 key "
-                    "([a-z][a-z0-9_]*)"));
-        }
-        if (named_stat) {
-            auto [it, inserted] = seen.emplace(name, line);
-            if (!inserted) {
-                out.push_back(make(
-                    file, line, "R5", "stats-names",
-                    "duplicate stat name \"" + name +
-                        "\" (first registered at line " +
-                        std::to_string(it->second) +
-                        ") — the JSON export would collapse them"));
             }
         }
     }
@@ -752,212 +578,6 @@ runLayering(const std::vector<SourceFile> &files,
     for (const SourceFile &f : files)
         if (!done.count(f.path))
             dfs(f.path);
-}
-
-// --- R8: float accumulation under nondeterministic order -----------
-
-void
-runFloatDeterminism(const SourceFile &file, std::vector<Finding> &out)
-{
-    const std::vector<Token> &t = file.code;
-    std::set<std::string> floats = collectFloatNames(file);
-    if (floats.empty())
-        return;
-    std::set<std::string> unordered = unorderedNames(t);
-    static const std::set<std::string> worker_ids = {
-        "jobs",        "njobs",     "num_jobs",    "workers",
-        "nworkers",    "num_workers", "threads",   "nthreads",
-        "num_threads", "worker_count"};
-
-    struct Span
-    {
-        std::size_t begin, end;
-        std::string what;
-    };
-    std::vector<Span> spans;
-
-    // Loop body: the following brace block, or the statement up to
-    // the next top-level ';'.
-    auto bodySpan = [&](std::size_t after)
-        -> std::pair<std::size_t, std::size_t> {
-        if (after < t.size() && t[after].kind == TokKind::Punct &&
-            t[after].text == "{")
-            return {after + 1, matchDelim(t, after, "{", "}")};
-        std::size_t k = after;
-        int depth = 0;
-        for (; k < t.size(); ++k) {
-            if (t[k].kind != TokKind::Punct)
-                continue;
-            const std::string &p = t[k].text;
-            if (p == "(" || p == "{" || p == "[")
-                ++depth;
-            else if (p == ")" || p == "}" || p == "]")
-                --depth;
-            else if (p == ";" && depth == 0)
-                break;
-        }
-        return {after, k};
-    };
-
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier)
-            continue;
-        if (t[i].text == "for" && t[i + 1].text == "(") {
-            std::size_t close = matchDelim(t, i + 1, "(", ")");
-            int depth = 0;
-            std::size_t colon = 0;
-            for (std::size_t j = i + 1; j < close && !colon; ++j) {
-                if (t[j].kind != TokKind::Punct)
-                    continue;
-                const std::string &p = t[j].text;
-                if (p == "(" || p == "[" || p == "{")
-                    ++depth;
-                else if (p == ")" || p == "]" || p == "}")
-                    --depth;
-                else if (p == ":" && depth == 1)
-                    colon = j;
-            }
-            std::string what;
-            if (colon) {
-                for (std::size_t j = colon + 1; j < close; ++j) {
-                    if (t[j].kind == TokKind::Identifier &&
-                        unordered.count(t[j].text)) {
-                        what = "a range-for over unordered container "
-                               "'" + t[j].text + "'";
-                        break;
-                    }
-                }
-            } else {
-                for (std::size_t j = i + 2; j < close; ++j) {
-                    if (t[j].kind == TokKind::Identifier &&
-                        worker_ids.count(t[j].text)) {
-                        what = "a loop bounded by worker count '" +
-                               t[j].text + "'";
-                        break;
-                    }
-                }
-            }
-            if (!what.empty()) {
-                auto [b, e] = bodySpan(close + 1);
-                spans.push_back({b, e, std::move(what)});
-            }
-            continue;
-        }
-        if (t[i].text.rfind("parallel", 0) == 0 &&
-            t[i + 1].text == "(") {
-            std::size_t close = matchDelim(t, i + 1, "(", ")");
-            spans.push_back({i + 2, close,
-                             "a lambda passed to '" + t[i].text + "'"});
-        }
-    }
-
-    std::set<std::pair<int, std::string>> emitted;
-    for (const Span &s : spans) {
-        for (std::size_t k = s.begin;
-             k < s.end && k + 2 < t.size(); ++k) {
-            if (t[k].kind != TokKind::Identifier ||
-                !floats.count(t[k].text))
-                continue;
-            bool plus = t[k + 1].text == "+" && t[k + 2].text == "=";
-            bool minus = t[k + 1].text == "-" && t[k + 2].text == "=";
-            if (!plus && !minus)
-                continue;
-            if (!emitted.insert({t[k].line, t[k].text}).second)
-                continue;   // nested spans: report once
-            out.push_back(make(
-                file, t[k].line, "R8", "float-determinism",
-                "float accumulation '" + t[k].text +
-                    (plus ? " +=" : " -=") + "' inside " + s.what +
-                    " — the summation order is nondeterministic and "
-                    "floating-point addition is not associative"));
-        }
-    }
-}
-
-// --- R9: stats registration parity ---------------------------------
-
-void
-runStatsRegistration(const std::vector<SourceFile> &files,
-                     std::vector<Finding> &out)
-{
-    struct Decl
-    {
-        std::string file;
-        int line;
-        std::string name;
-        bool group;
-    };
-    std::vector<Decl> decls;
-    std::set<std::string> registered;   // addDistribution() arguments
-    std::set<std::string> used;         // identifiers in use position
-
-    for (const SourceFile &f : files) {
-        const std::vector<Token> &t = f.code;
-        bool in_src = f.path.rfind("src/", 0) == 0;
-        for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-            if (t[i].kind == TokKind::Identifier &&
-                t[i].text == "stats" && t[i + 1].text == "::" &&
-                (t[i + 2].text == "Distribution" ||
-                 t[i + 2].text == "StatGroup")) {
-                bool group = t[i + 2].text == "StatGroup";
-                std::size_t j = i + 3;
-                if (j + 1 >= t.size() || t[j].text == "&" ||
-                    t[j].text == "*")
-                    continue;   // reference/pointer: use, not ctor
-                if (t[j].kind != TokKind::Identifier)
-                    continue;
-                const std::string &next = t[j + 1].text;
-                bool ctor = next == "{" || next == ";" || next == "=" ||
-                            (next == "(" && j + 2 < t.size() &&
-                             t[j + 2].kind == TokKind::String);
-                if (in_src && ctor)
-                    decls.push_back(
-                        {f.path, t[j].line, t[j].text, group});
-                continue;
-            }
-            if (t[i].kind == TokKind::Identifier &&
-                t[i].text == "addDistribution" &&
-                t[i + 1].text == "(") {
-                std::size_t close = matchDelim(t, i + 1, "(", ")");
-                for (std::size_t k = i + 2;
-                     k < close && k < t.size(); ++k)
-                    if (t[k].kind == TokKind::Identifier)
-                        registered.insert(t[k].text);
-            }
-        }
-        for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier)
-                continue;
-            const Token &prev = t[i - 1];
-            bool use =
-                t[i + 1].text == "." ||
-                (prev.kind == TokKind::Punct &&
-                 (prev.text == "(" || prev.text == "," ||
-                  prev.text == "&")) ||
-                (prev.kind == TokKind::Identifier &&
-                 prev.text == "return");
-            if (use)
-                used.insert(t[i].text);
-        }
-    }
-
-    for (const Decl &d : decls) {
-        if (!d.group && !registered.count(d.name)) {
-            out.push_back({d.file, d.line, "R9", "stats-registration",
-                           "stats::Distribution '" + d.name +
-                               "' is constructed but never passed to "
-                               "addDistribution() — it misses the "
-                               "silo-stats-v1 export and its "
-                               "countsConsistent() gate",
-                           false, ""});
-        } else if (d.group && !used.count(d.name)) {
-            out.push_back({d.file, d.line, "R9", "stats-registration",
-                           "stats::StatGroup '" + d.name +
-                               "' is constructed but never populated "
-                               "or exported",
-                           false, ""});
-        }
-    }
 }
 
 } // namespace silo::lint

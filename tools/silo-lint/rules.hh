@@ -1,15 +1,14 @@
 /**
  * @file
- * The silo-lint rule catalogue (R1–R10 and R14; R7 and R11–R13 are
- * retired) and per-rule matchers.
+ * The silo-lint rule catalogue (R1–R3, R6, R10 and R14; R4, R5, R7,
+ * R8, R9 and R11–R13 are retired) and per-rule matchers.
  *
  * Each rule is a pattern matcher over the token stream of one source
- * file (R1/R2/R4/R5/R8) or over the whole scanned corpus plus the
- * docs (R3/R6/R9). R6 and R8 additionally lean on the include and
- * float-name collectors in parse.hh. Matchers emit
- * Findings; the driver owns suppression handling (`// silo-lint:
- * allow(rule) reason`), the directive-hygiene rule R10, sorting and
- * serialization.
+ * file (R1/R2) or over the whole scanned corpus plus the docs (R3/R6;
+ * R14 lives in protocol.hh). R6 additionally leans on the include
+ * collector in parse.hh. Matchers emit Findings; the driver owns
+ * suppression handling (`// silo-lint: allow(rule) reason`), the
+ * directive-hygiene rule R10, sorting and serialization.
  *
  * DESIGN.md §4f documents what each rule enforces and why, plus the
  * recipe for adding a new rule; §4g covers the semantic layer and the
@@ -75,13 +74,6 @@ void runNondetIteration(const SourceFile &file,
 void runAmbientEntropy(const SourceFile &file,
                        std::vector<Finding> &out);
 
-/** R4: EventQueue callback hygiene at schedule()/scheduleAfter(). */
-void runHandlerHygiene(const SourceFile &file,
-                       std::vector<Finding> &out);
-
-/** R5: stats registration names are unique, schema-valid keys. */
-void runStatsNames(const SourceFile &file, std::vector<Finding> &out);
-
 /**
  * R3: every SILO_* env var referenced in code (string literals in the
  * scanned sources — tests included — plus any line of the build
@@ -100,24 +92,6 @@ void runEnvDocParity(const std::vector<SourceFile> &files,
  */
 void runLayering(const std::vector<SourceFile> &files,
                  std::vector<Finding> &out);
-
-/**
- * R8: no float/double accumulation (+=, -=) inside iteration whose
- * order is nondeterministic or worker-count-dependent: range-for over
- * unordered containers, lambdas handed to parallel*() entry points,
- * and loops bounded by a worker-count identifier.
- */
-void runFloatDeterminism(const SourceFile &file,
-                         std::vector<Finding> &out);
-
-/**
- * R9: every stats::Distribution constructed under src/ is registered
- * through addDistribution() somewhere in the corpus (the path to the
- * export and its countsConsistent() gate), and every stats::StatGroup
- * constructed under src/ is populated or exported.
- */
-void runStatsRegistration(const std::vector<SourceFile> &files,
-                          std::vector<Finding> &out);
 
 } // namespace silo::lint
 

@@ -116,9 +116,7 @@ main()
         spec.runner = [&rows, i](const SimConfig &cfg,
                                  const workload::WorkloadTraces &tr) {
             harness::System sys(cfg, tr);
-            sys.run();
-            sys.settle();
-            sys.drainToMedia();
+            sys.finish();
             auto report = sys.report();
             AblationRow row;
             row.txPerMcy = report.txPerMillionCycles;

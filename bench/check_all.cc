@@ -4,10 +4,12 @@
  * every scheme over a set of workloads with the durability checker
  * enabled, both to completion and crashed at several event counts
  * (with recovery validated against the committed-image oracle), and
- * prints a pass/fail matrix plus checker event counters. The
- * (scheme × workload × crash point) cells run on the parallel sweep
- * engine; violation reports are collected per cell and printed in
- * deterministic order after the sweep.
+ * prints a pass/fail matrix plus checker event counters. Each
+ * (scheme × workload) cell is one System on the parallel sweep engine:
+ * its run crashes a copy at each crash point (System::crashCopy())
+ * and then finishes as the completion case. Violation reports are
+ * collected per crash point and printed in deterministic order after
+ * the sweep.
  *
  * Exit status is non-zero if any cell reports a violation, so the
  * sweep doubles as a CI gate:
@@ -49,6 +51,22 @@ struct Cell
     std::string reportText;
 };
 
+/** Record what @p ck saw at one crash point (or the completion). */
+void
+tally(Cell &out, const check::PersistencyChecker &ck)
+{
+    out.violations = ck.violations().size();
+    out.wordsChecked = ck.counters().wordsCheckedAtRecovery;
+    out.wpqAccepts =
+        ck.counters().wpqLineAccepts + ck.counters().wpqWordAccepts;
+    out.commits = ck.counters().commits;
+    if (!ck.clean()) {
+        std::ostringstream os;
+        ck.report(os);
+        out.reportText = os.str();
+    }
+}
+
 } // namespace
 
 int
@@ -62,60 +80,45 @@ main(int argc, char **argv)
     unsigned cores = unsigned(harness::envOr("SILO_CORES", 4));
     std::uint64_t tx = harness::envOr("SILO_TX", 200);
     std::uint64_t seed = harness::envOr("SILO_SEED", 42);
+    // Crash points in increasing order; 0 stands for the completion
+    // case, which runs last.
     const std::vector<std::uint64_t> crash_points = {
         0, 997, 9973, 99991};
 
-    // One cell per (scheme, workload, crash point); crash == 0 means
-    // run to completion.
+    // One cell per (scheme, workload), holding one Cell per crash point.
     harness::Sweep sweep;
-    std::vector<Cell> cells;
+    std::vector<std::vector<Cell>> cells(
+        std::size(schemes) * std::size(workloads),
+        std::vector<Cell>(crash_points.size()));
     for (auto scheme : schemes) {
         for (auto wl : workloads) {
-            for (std::uint64_t crash : crash_points) {
-                std::size_t slot = cells.size();
-                cells.emplace_back();
-                harness::CellSpec spec;
-                spec.trace.kind = wl;
-                spec.trace.numThreads = cores;
-                spec.trace.transactionsPerThread = tx;
-                spec.trace.seed = seed;
-                spec.sim.numCores = cores;
-                spec.sim.scheme = scheme;
-                spec.sim.checker = true;
-                spec.label = std::string(schemeName(scheme)) + "/" +
-                             workload::workloadName(wl) + "/crash:" +
-                             std::to_string(crash);
-                spec.runner = [&cells, slot, crash](
-                                  const SimConfig &cfg,
-                                  const workload::WorkloadTraces &tr) {
-                    harness::System sys(cfg, tr);
-                    if (crash == 0) {
-                        sys.run();
-                        sys.settle();
-                        sys.drainToMedia();
-                    } else {
-                        sys.runEvents(crash);
-                        sys.crash();
-                        sys.recover();
-                    }
-                    const check::PersistencyChecker &ck =
-                        *sys.checker();
-                    Cell &out = cells[slot];
-                    out.violations = ck.violations().size();
-                    out.wordsChecked =
-                        ck.counters().wordsCheckedAtRecovery;
-                    out.wpqAccepts = ck.counters().wpqLineAccepts +
-                                     ck.counters().wpqWordAccepts;
-                    out.commits = ck.counters().commits;
-                    if (!ck.clean()) {
-                        std::ostringstream os;
-                        ck.report(os);
-                        out.reportText = os.str();
-                    }
-                    return sys.report();
-                };
-                sweep.add(std::move(spec));
-            }
+            std::vector<Cell> &out = cells[sweep.size()];
+            harness::CellSpec spec;
+            spec.trace.kind = wl;
+            spec.trace.numThreads = cores;
+            spec.trace.transactionsPerThread = tx;
+            spec.trace.seed = seed;
+            spec.sim.numCores = cores;
+            spec.sim.scheme = scheme;
+            spec.sim.checker = true;
+            spec.label = std::string(schemeName(scheme)) + "/" +
+                         workload::workloadName(wl);
+            spec.runner = [&out, &crash_points](
+                              const SimConfig &cfg,
+                              const workload::WorkloadTraces &tr) {
+                harness::System sys(cfg, tr);
+                harness::DomainCopy copy;
+                for (std::size_t i = 1; i < crash_points.size(); ++i) {
+                    sys.runEvents(crash_points[i] -
+                                  sys.eventQueue().executedEvents());
+                    sys.crashCopy(copy);
+                    tally(out[i], *copy.checker);
+                }
+                sys.finish();
+                tally(out[0], *sys.checker());
+                return sys.report();
+            };
+            sweep.add(std::move(spec));
         }
     }
     sweep.run();
@@ -140,8 +143,7 @@ main(int argc, char **argv)
         Cell totals;
         for ([[maybe_unused]] auto wl : workloads) {
             std::uint64_t cell_violations = 0;
-            for ([[maybe_unused]] std::uint64_t crash : crash_points) {
-                const Cell &c = cells[slot++];
+            for (const Cell &c : cells[slot++]) {
                 cell_violations += c.violations;
                 totals.wordsChecked += c.wordsChecked;
                 totals.wpqAccepts += c.wpqAccepts;

@@ -114,12 +114,12 @@ class ReplayCore
     Tick _txStart = 0;
 
     stats::StatGroup _statGroup;
-    stats::Scalar _commitStalls{_statGroup, "commit_stalls",
-        "cycles at Tx_end"};
-    stats::Scalar _storeStalls{_statGroup, "store_stalls",
-        "cycles in store hooks"};
-    stats::Distribution _commitStallDist{_statGroup, "commit_stall",
-        "per-transaction Tx_end stall (cycles)", 64, 64};
+    /** Cycles at Tx_end. */
+    stats::Scalar _commitStalls{_statGroup, "commit_stalls"};
+    /** Cycles in store hooks. */
+    stats::Scalar _storeStalls{_statGroup, "store_stalls"};
+    /** Per-transaction Tx_end stall (cycles). */
+    stats::Distribution _commitStallDist{_statGroup, "commit_stall", 64, 64};
     /** This core's trace timeline; 0 when tracing is off. */
     trace::Tracer::TrackId _track = 0;
 };

@@ -23,14 +23,6 @@ using workload::LitmusProgram;
 namespace
 {
 
-/** @return pointer to the first violation of @p kind, or nullptr. */
-const check::Violation *
-firstOfAnyKind(const FuzzCaseResult &result)
-{
-    return result.violations.empty() ? nullptr
-                                     : &result.violations.front();
-}
-
 std::string
 writeFixture(const FuzzOptions &opts, const FuzzFinding &finding)
 {
@@ -146,57 +138,46 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
                                    prof::Tag::TraceCompile);
             traces = workload::litmusTraces(program);
         }
-        // Phase A: completion run per scheme (bounds the crash sweep).
-        // Each run writes only its own pre-sized slot, so results do
-        // not depend on the job count; so does each sweep of phase B.
+        // One System per scheme: its forward run crashes a copy after
+        // every (strided) event, then finishes as the completion case
+        // (harness::sweepCrashes()). A scheme's copies end at its first
+        // failing one, the only one the findings below read, or once
+        // the live checker holds a violation: the finding is then the
+        // completion's. Each run writes only its own pre-sized slots,
+        // so results do not depend on the job count.
         std::vector<FuzzCaseResult> completions(schemes.size());
-        harness::Sweep::parallelFor(
-            schemes.size(), jobs, [&](std::size_t s) {
-                FuzzCaseConfig cc;
-                cc.scheme = schemes[s];
-                cc.mutation = opts.mutation;
-                cc.segmented = opts.segmented;
-                prof::TimedScope scope(prof::currentThreadProfile(),
-                                       prof::Tag::Simulate);
-                completions[s] = runLitmusCase(traces, threads, cc);
-            });
-        result.casesRun += schemes.size();
-
-        // Phase B: crash at every (strided) event index of every
-        // scheme whose completion run was still clean, from one
-        // forward run per scheme; a scheme's sweep ends at its first
-        // failing index, the only one the findings below read.
-        std::vector<std::size_t> swept;
-        std::uint64_t crash_cases = 0;
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            if (!completions[s].clean())
-                continue; // already failing without a crash
-            swept.push_back(s);
-            std::uint64_t e = completions[s].executedEvents;
-            crash_cases += e == 0 ? 0 : (e - 1) / opts.crashStride + 1;
-        }
         std::vector<FuzzCaseResult> failures(schemes.size());
         harness::Sweep::parallelFor(
-            swept.size(), jobs, [&](std::size_t i) {
-                std::size_t s = swept[i];
+            schemes.size(), jobs, [&](std::size_t s) {
                 prof::TimedScope scope(prof::currentThreadProfile(),
                                        prof::Tag::Simulate);
                 harness::System sys(
                     litmusSimConfig(threads, schemes[s], opts.mutation,
                                     opts.segmented),
                     traces);
-                harness::sweepCrashes(
-                    sys, completions[s].executedEvents, opts.crashStride,
+                std::uint64_t events = harness::sweepCrashes(
+                    sys, opts.crashStride,
                     [&](std::uint64_t k, const harness::DomainCopy &c) {
+                        if (!sys.checker()->clean())
+                            return false;
                         if (c.checker->clean())
                             return true;
-                        failures[s].violations = c.checker->violations();
-                        for (check::Violation &v : failures[s].violations)
-                            v.crashIndex = k;
+                        failures[s] = checkerVerdict(*c.checker, k);
                         return false;
                     });
+                completions[s] = checkerVerdict(*sys.checker(), 0);
+                completions[s].executedEvents = events;
             });
-        result.casesRun += crash_cases;
+
+        // One completion case per scheme, plus a crash case per swept
+        // index of every scheme whose completion is clean.
+        std::uint64_t crash_cases = 0;
+        for (const FuzzCaseResult &completion : completions) {
+            std::uint64_t e = completion.executedEvents;
+            if (completion.clean() && e != 0)
+                crash_cases += (e - 1) / opts.crashStride + 1;
+        }
+        result.casesRun += schemes.size() + crash_cases;
         result.crashCases += crash_cases;
 
         if (log) {
@@ -211,30 +192,27 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
             *log << "]\n";
         }
 
-        // First failing case per scheme -> shrink -> fixture.
+        // First failing case per scheme -> shrink -> fixture; a
+        // failing completion (crash index 0) comes first.
         for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const check::Violation *first = nullptr;
-            std::uint64_t crash = 0;
-            if (!completions[s].clean()) {
-                first = firstOfAnyKind(completions[s]);
-            } else if (!failures[s].clean()) {
-                first = firstOfAnyKind(failures[s]);
-                crash = first->crashIndex;
-            }
-            if (!first)
+            const FuzzCaseResult &failed =
+                completions[s].clean() ? failures[s] : completions[s];
+            if (failed.clean())
                 continue;
+            const check::Violation &first = failed.violations.front();
+            const std::uint64_t crash = first.crashIndex;
 
             FuzzFinding finding;
             finding.programName = program.name;
             finding.scheme = schemes[s];
             finding.mutation = opts.mutation;
-            finding.kind = first->kind;
-            finding.original = *first;
+            finding.kind = first.kind;
+            finding.original = first;
             finding.crashIndex = crash;
 
             // "Fails the same way" = same scheme + mutation yields a
             // violation of the same kind.
-            const check::ViolationKind kind = first->kind;
+            const check::ViolationKind kind = first.kind;
             ShrinkOracle oracle =
                 [&](const LitmusProgram &candidate,
                     std::uint64_t crash_index) {

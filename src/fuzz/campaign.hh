@@ -7,17 +7,17 @@
  *
  *  1. generate a tiny adversarial litmus program from the seeded
  *     stream (litmus_gen.hh) and compile it once;
- *  2. phase A — run it to completion on every scheme under test
- *     (in parallel on Sweep::parallelFor, $SILO_JOBS workers),
- *     collecting each run's executed-event count E;
- *  3. phase B — sweep a crash at EVERY event index k in [1, E] (or a
- *     stride of it) of every scheme with a clean completion, from one
- *     forward run per scheme (harness::sweepCrashes(): after event k a
- *     copy of the persistent domain and the checker crashes, recovers
- *     and is validated by the persistency checker, invariants 1–5 +
- *     crash closure; indices past the run's stop point reuse the
- *     stop-point verdict), fanned out per scheme;
- *  4. for the first failing case per (program, scheme), shrink the
+ *  2. run it once on every scheme under test, one System per scheme
+ *     (in parallel on Sweep::parallelFor, $SILO_JOBS workers), with
+ *     harness::sweepCrashes(): after EVERY event index k (or a stride
+ *     of them) a copy of the persistent domain and the checker
+ *     crashes, recovers and is validated by the persistency checker
+ *     (invariants 1–5 + crash closure), then the System finishes as
+ *     the completion case, whose executed events E bound the sweep;
+ *     indices past the run's stop point reuse the stop-point verdict.
+ *     A scheme's crash cases count only when its completion is clean,
+ *     as a completion violation is the finding on its own;
+ *  3. for the first failing case per (program, scheme), shrink the
  *     (program, crash index) pair against a violation-kind-matching
  *     oracle (shrink.hh) and serialize the result as a litmus fixture
  *     (fixture.hh) into FuzzOptions::outDir.

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/system.hh"
 #include "sim/logging.hh"
 
 namespace silo::fuzz
@@ -35,17 +36,12 @@ parseFixture(const std::string &text)
         if (key == "scheme") {
             fixture.scheme = schemeFromName(value);
         } else if (key == "crash") {
-            std::size_t used = 0;
-            std::uint64_t crash = 0;
-            try {
-                crash = std::stoull(value, &used, 0);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != value.size())
+            std::optional<std::uint64_t> crash =
+                workload::parseLitmusNumber(value);
+            if (!crash)
                 fatal("litmus fixture: bad crash index \"" + value +
                       "\"");
-            fixture.crashIndex = crash;
+            fixture.crashIndex = *crash;
         } else if (key == "mutation") {
             fixture.mutation = mutationFromName(value);
         } else if (key == "expect") {
@@ -110,26 +106,34 @@ replayFixture(const LitmusFixture &fixture)
     // Promise 1: every real scheme replays clean, to completion and
     // crashed at the recorded index (the index is meaningful for the
     // recorded scheme; for the others it still injects a valid crash).
+    // One System per scheme: a copy crashes at the index, then the
+    // System finishes as the completion case.
+    auto expect_clean = [&](SchemeKind scheme, std::uint64_t crash,
+                            const FuzzCaseResult &result) {
+        if (result.clean())
+            return;
+        std::ostringstream os;
+        os << fixture.program.name << ": " << schemeName(scheme)
+           << "/crash:" << crash << " expected clean, got "
+           << result.violations.size() << " violation(s)";
+        reportViolations(os, result.violations);
+        failures.push_back(os.str());
+    };
     for (SchemeKind scheme : allSchemes) {
-        std::vector<std::uint64_t> crashes{0};
-        if (fixture.crashIndex != 0)
-            crashes.push_back(fixture.crashIndex);
-        for (std::uint64_t crash : crashes) {
-            FuzzCaseConfig cfg;
-            cfg.scheme = scheme;
-            cfg.crashIndex = crash;
-            cfg.segmented = fixture.segmented;
-            FuzzCaseResult result =
-                runLitmusCase(traces, threads, cfg);
-            if (!result.clean()) {
-                std::ostringstream os;
-                os << fixture.program.name << ": " << schemeName(scheme)
-                   << "/crash:" << crash << " expected clean, got "
-                   << result.violations.size() << " violation(s)";
-                reportViolations(os, result.violations);
-                failures.push_back(os.str());
-            }
+        harness::System sys(litmusSimConfig(threads, scheme,
+                                            MutationKind::None,
+                                            fixture.segmented),
+                            traces);
+        FuzzCaseResult crashed; // clean when there is no crash index
+        if (fixture.crashIndex != 0) {
+            harness::DomainCopy copy;
+            sys.runEvents(fixture.crashIndex);
+            sys.crashCopy(copy);
+            crashed = checkerVerdict(*copy.checker, fixture.crashIndex);
         }
+        sys.finish();
+        expect_clean(scheme, 0, checkerVerdict(*sys.checker(), 0));
+        expect_clean(scheme, fixture.crashIndex, crashed);
     }
 
     // Promise 2: the seeded bug the fixture was shrunk against is
@@ -140,7 +144,7 @@ replayFixture(const LitmusFixture &fixture)
         cfg.mutation = fixture.mutation;
         cfg.crashIndex = fixture.crashIndex;
         cfg.segmented = fixture.segmented;
-        FuzzCaseResult result = runLitmusCase(traces, threads, cfg);
+        FuzzCaseResult result = runLitmusCase(fixture.program, cfg);
         bool expected_kind_seen = false;
         for (const check::Violation &v : result.violations) {
             if (fixture.expect == check::violationName(v.kind))

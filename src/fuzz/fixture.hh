@@ -7,7 +7,8 @@
  * The metadata rides in the litmus file's free header keys:
  *
  *   scheme Silo                (SchemeKind the case ran on)
- *   crash 118                  (event index; 0 = completion run)
+ *   crash 118                  (event index, decimal or 0x hex;
+ *                               0 = completion run)
  *   mutation stale-flush-bit   (seeded bug that produced it, or none)
  *   expect flush-bit-accounting(violationName() under the mutation,
  *                               or `clean` for a true-positive find)
@@ -19,12 +20,15 @@
  * both:
  *
  *  1. With no mutation, ALL six schemes replay the program clean —
- *     both to completion and crashed at the recorded index. (A real
- *     scheme bug would first surface here as a regression.)
+ *     both to completion and crashed at the recorded index, from one
+ *     System per scheme that crashes a copy at the index and then
+ *     finishes as the completion case. (A real scheme bug would first
+ *     surface here as a regression.)
  *  2. If the fixture records a mutation, replaying the recorded
- *     (scheme, mutation, crash index) still yields a violation of the
- *     expected kind — proof the fixture still exercises the seeded bug
- *     path it was shrunk against, i.e. the checker can still see it.
+ *     (scheme, mutation, crash index) with runLitmusCase() still
+ *     yields a violation of the expected kind — proof the fixture
+ *     still exercises the seeded bug path it was shrunk against, i.e.
+ *     the checker can still see it.
  */
 
 #ifndef SILO_FUZZ_FIXTURE_HH

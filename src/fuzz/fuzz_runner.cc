@@ -1,7 +1,6 @@
 #include "fuzz/fuzz_runner.hh"
 
 #include "harness/system.hh"
-#include "sim/logging.hh"
 
 namespace silo::fuzz
 {
@@ -39,40 +38,36 @@ litmusSimConfig(unsigned threads, SchemeKind scheme,
 }
 
 FuzzCaseResult
-runLitmusCase(const workload::WorkloadTraces &traces, unsigned threads,
+runLitmusCase(const workload::LitmusProgram &program,
               const FuzzCaseConfig &cfg)
 {
-    SimConfig sim = litmusSimConfig(threads, cfg.scheme, cfg.mutation,
-                                    cfg.segmented);
-    harness::System sys(sim, traces);
+    const workload::WorkloadTraces traces = workload::litmusTraces(program);
+    harness::System sys(litmusSimConfig(unsigned(program.threads.size()),
+                                        cfg.scheme, cfg.mutation,
+                                        cfg.segmented),
+                        traces);
     if (cfg.crashIndex == 0) {
-        sys.run();
-        sys.settle();
-        sys.drainToMedia();
+        sys.finish();
     } else {
         sys.runEvents(cfg.crashIndex);
         sys.crash();
         sys.recover();
     }
-
-    const check::PersistencyChecker &ck = *sys.checker();
-    FuzzCaseResult result;
-    result.violations = ck.violations();
-    for (check::Violation &v : result.violations)
-        v.crashIndex = cfg.crashIndex;
+    FuzzCaseResult result = checkerVerdict(*sys.checker(), cfg.crashIndex);
     result.executedEvents = sys.eventQueue().executedEvents();
-    result.commits = ck.counters().commits;
     return result;
 }
 
 FuzzCaseResult
-runLitmusCase(const workload::LitmusProgram &program,
-              const FuzzCaseConfig &cfg)
+checkerVerdict(const check::PersistencyChecker &checker,
+               std::uint64_t crash_index)
 {
-    if (program.threads.empty())
-        fatal("litmus case: program has no threads");
-    return runLitmusCase(workload::litmusTraces(program),
-                         unsigned(program.threads.size()), cfg);
+    FuzzCaseResult result;
+    result.violations = checker.violations();
+    for (check::Violation &v : result.violations)
+        v.crashIndex = crash_index;
+    result.commits = checker.counters().commits;
+    return result;
 }
 
 } // namespace silo::fuzz

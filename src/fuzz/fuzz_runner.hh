@@ -4,9 +4,11 @@
  * on one scheme, optionally with a seeded mutation and a crash
  * injected at a given event index, and return the persistency
  * checker's verdict. This is the per-case path, a fresh System per
- * case, which the shrinker's oracle, FixtureReplay and `litmus replay`
- * use; the campaign's crash sweep gets the same verdicts from one
- * forward run per (program, scheme) (harness::sweepCrashes()).
+ * case, which the shrinker's oracle and a fixture's mutation promise
+ * use. The campaign gets the same verdicts from one System per
+ * (program, scheme), which crashes a copy after every swept event and
+ * finishes as the completion case (harness::sweepCrashes()); fixture
+ * replay crashes a copy at the recorded index and finishes likewise.
  *
  * The simulated machine is a FIXED deterministic function of
  * (program, scheme, mutation) — litmusSimConfig() — so a committed
@@ -79,14 +81,16 @@ SimConfig litmusSimConfig(unsigned threads, SchemeKind scheme,
                           MutationKind mutation = MutationKind::None,
                           bool segmented = false);
 
-/** Run one case on pre-compiled traces (@p threads as above). */
-FuzzCaseResult runLitmusCase(const workload::WorkloadTraces &traces,
-                             unsigned threads,
-                             const FuzzCaseConfig &cfg);
-
-/** Convenience: compile @p program and run one case. */
+/** Compile @p program and run one case on a fresh System. */
 FuzzCaseResult runLitmusCase(const workload::LitmusProgram &program,
                              const FuzzCaseConfig &cfg);
+
+/**
+ * The verdict @p checker holds, each violation stamped with
+ * @p crash_index (executedEvents is left 0).
+ */
+FuzzCaseResult checkerVerdict(const check::PersistencyChecker &checker,
+                              std::uint64_t crash_index);
 
 } // namespace silo::fuzz
 

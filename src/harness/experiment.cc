@@ -91,9 +91,7 @@ SimReport
 runCell(const SimConfig &cfg, const workload::WorkloadTraces &traces)
 {
     System sys(cfg, traces);
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
+    sys.finish();
     sys.writeTrace();
     SimReport report = sys.report();
     {

@@ -12,10 +12,10 @@ namespace silo::harness
 
 System::System(const SimConfig &cfg,
                const workload::WorkloadTraces &traces)
-    : _cfg(cfg), _threads(traces.threads), _domain(_cfg)
+    : _cfg(cfg), _traces(traces), _domain(_cfg)
 {
     _cfg.validate();
-    if (_threads.size() < _cfg.numCores)
+    if (_traces.threads.size() < _cfg.numCores)
         fatal("trace has fewer threads than configured cores");
 
     // Host-time profiling: attach the constructing thread's slab (the
@@ -63,7 +63,7 @@ System::System(const SimConfig &cfg,
     for (unsigned c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<core::ReplayCore>(
             c, _eq, _cfg, *_hierarchy, *_scheme, _checker.get(),
-            _lifecycle.get(), _values, _threads[c], [this] {
+            _lifecycle.get(), _values, _traces.threads[c], [this] {
                 // Periodic machinery (e.g., FWB's walker) keeps the
                 // event queue alive forever; stop once every core has
                 // retired its trace. drainToMedia() settles leftovers.
@@ -120,14 +120,7 @@ System::~System()
 void
 System::run()
 {
-    if (!_started) {
-        for (auto &core : _cores)
-            core->start();
-        if (_sampler)
-            _sampler->start();
-        _started = true;
-    }
-    _eq.run();
+    runEvents(~std::uint64_t(0));
 }
 
 bool
@@ -173,24 +166,27 @@ System::recover()
 }
 
 void
-System::copyDomain(DomainCopy &out) const
+System::crashCopy(DomainCopy &out) const
 {
     // Assignment reuses out's storage; its log region keeps its own
     // (re)bound sink.
     out.domain = _domain;
     _scheme->captureAtCrash(out.domain);
-    out.tick = _eq.now();
+    check::PersistencyChecker *checker = nullptr;
     if (_checker) {
         if (out.checker)
             *out.checker = *_checker;
         else
             out.checker.emplace(*_checker);
-        out.checker->stopClock();
-        out.domain.logs.setEventSink(&*out.checker);
+        checker = &*out.checker;
+        checker->stopClock();
     } else {
         out.checker.reset();
-        out.domain.logs.setEventSink(nullptr);
     }
+    out.domain.logs.setEventSink(checker);
+    crashDomain(out.domain, _cfg, checker, _eq.now(), nullptr);
+    out.liveRecordsAtCrash = out.domain.logs.liveRecordCount();
+    recoverDomain(out.domain, _cfg, checker);
 }
 
 void
@@ -218,6 +214,14 @@ System::drainToMedia()
     }
     _hierarchy->invalidateAll();
     _mc->drainAll();
+}
+
+void
+System::finish()
+{
+    run();
+    settle();
+    drainToMedia();
 }
 
 std::string
@@ -335,35 +339,32 @@ recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
         checker->onRecoveryComplete(domain);
 }
 
-void
-crashAndRecover(DomainCopy &copy, const SimConfig &cfg)
-{
-    check::PersistencyChecker *checker =
-        copy.checker ? &*copy.checker : nullptr;
-    crashDomain(copy.domain, cfg, checker, copy.tick, nullptr);
-    copy.liveRecordsAtCrash = copy.domain.logs.liveRecordCount();
-    recoverDomain(copy.domain, cfg, checker);
-}
-
-void
+std::uint64_t
 sweepCrashes(
-    System &sys, std::uint64_t last, std::uint64_t stride,
+    System &sys, std::uint64_t stride,
     const std::function<bool(std::uint64_t, const DomainCopy &)> &fn)
 {
-    if (sys.eventQueue().executedEvents() != 0)
-        panic("sweepCrashes() needs a System that has not run");
+    const EventQueue &eq = sys.eventQueue();
+    if (eq.executedEvents() != 0 || stride == 0)
+        panic("sweepCrashes() needs a fresh System and a positive stride");
     DomainCopy copy;
+    std::uint64_t k = 1;
+    bool wanted = true;
     bool stopped = false;
-    for (std::uint64_t k = 1; k <= last; k += stride) {
-        if (!stopped) {
-            std::uint64_t done = sys.eventQueue().executedEvents();
-            stopped = !sys.runEvents(k - done);
-            sys.copyDomain(copy);
-            crashAndRecover(copy, sys.config());
-        }
-        if (!fn(k, copy))
-            return;
+    while (wanted && !stopped) {
+        stopped = !sys.runEvents(k - eq.executedEvents());
+        sys.crashCopy(copy);
+        if (eq.executedEvents() < k)
+            break; // k lies past the stop point
+        wanted = fn(k, copy);
+        k += stride;
     }
+    sys.finish();
+    const std::uint64_t last = eq.executedEvents();
+    // Past the stop point every index crashes the stop-point state.
+    for (; wanted && k <= last; k += stride)
+        wanted = fn(k, copy);
+    return last;
 }
 
 } // namespace silo::harness

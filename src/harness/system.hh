@@ -19,11 +19,12 @@
  * What survives the crash is one value, the PersistentDomain
  * (sim/persistent_domain.hh), which the System owns and its components
  * use in place. A crash plus recovery is a function of a domain and
- * the checker observing it (crashDomain(), recoverDomain(),
- * crashAndRecover()): crash() and recover() apply it to the System's
- * own domain, with no copy, and sweepCrashes() applies it to a copy
- * taken after each event of one forward run (copyDomain()), so a sweep
- * over every crash point never re-simulates a prefix.
+ * the checker observing it (crashDomain(), recoverDomain()): crash()
+ * and recover() apply it to the System's own domain, with no copy, and
+ * crashCopy() applies it to a copy, leaving the System running. So
+ * sweepCrashes() crashes a copy after each event of one forward run and
+ * then finishes that run as the completion case: a sweep over every
+ * crash point simulates each event once.
  */
 
 #ifndef SILO_HARNESS_SYSTEM_HH
@@ -76,18 +77,21 @@ struct SimReport
 };
 
 /**
- * A crash's inputs detached from any running System: a copy of the
- * persistent domain and of the checker observing it (copyDomain()).
- * One copy can be refilled again and again, reusing its storage.
+ * A crashed and recovered copy of a running System's persistent domain
+ * and of the checker observing it (System::crashCopy()). Nothing in it
+ * points into the System. One copy can be refilled again and again,
+ * reusing its storage.
  */
 struct DomainCopy
 {
+    /** The recovered image and the durable logs it was recovered from. */
     PersistentDomain domain;
-    /** Bound to domain's log region; empty when the checker is off. */
+    /**
+     * Bound to domain's log region, holding the crash's violations;
+     * empty when the checker is off.
+     */
     std::optional<check::PersistencyChecker> checker;
-    /** The simulated time of the copy: the crash tick. */
-    Tick tick = 0;
-    /** Durable log records right after the crash (crashAndRecover()). */
+    /** Durable log records right after the crash. */
     std::size_t liveRecordsAtCrash = 0;
 };
 
@@ -95,7 +99,9 @@ struct DomainCopy
 class System
 {
   public:
+    /** @p traces is borrowed: it must outlive the System. */
     System(const SimConfig &cfg, const workload::WorkloadTraces &traces);
+    System(const SimConfig &, workload::WorkloadTraces &&) = delete;
     ~System();
 
     /** Run every core's trace to completion. */
@@ -117,12 +123,13 @@ class System
     void recover();
 
     /**
-     * Copy the persistent domain as a crash now would find it (SW-eADR's
-     * caches captured) and the checker, with its clock stopped, into
-     * @p out, bound to each other: nothing in @p out points into this
-     * System. The System itself is left untouched.
+     * What crash() and recover() would give now, on a copy: copy the
+     * persistent domain as a crash now would find it (SW-eADR's caches
+     * captured) and the checker, with its clock stopped, into @p out,
+     * then crash and recover the copy (crashDomain(), recoverDomain()).
+     * The System itself is left untouched and can run on.
      */
-    void copyDomain(DomainCopy &out) const;
+    void crashCopy(DomainCopy &out) const;
 
     /**
      * After the cores retire, let background machinery finish (e.g.,
@@ -133,6 +140,12 @@ class System
 
     /** Flush caches and queues (clean shutdown; finalizes counters). */
     void drainToMedia();
+
+    /**
+     * The completion case: run() to the stop point (a no-op once
+     * there), settle(), drainToMedia().
+     */
+    void finish();
 
     SimReport report() const;
 
@@ -174,12 +187,8 @@ class System
 
   private:
     SimConfig _cfg;
-    /**
-     * Own a copy of the per-thread traces only: replay cores reference
-     * into it for the whole run. The initial image is loaded straight
-     * from the constructor argument, and the final image is never read.
-     */
-    std::vector<workload::ThreadTrace> _threads;
+    /** Borrowed: the replay cores read their threads for the whole run. */
+    const workload::WorkloadTraces &_traces;
     /**
      * Exists only when _cfg.tracePath is set; attached to _eq before
      * any component is constructed so their ctors can register tracks.
@@ -236,27 +245,24 @@ void recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
                    check::PersistencyChecker *checker);
 
 /**
- * crashDomain() then recoverDomain() on @p copy: its domain ends as the
- * recovered image, its checker holds the violations, and
- * liveRecordsAtCrash counts the durable records in between.
+ * Sweep crash points over one run of @p sys, which must not have run
+ * yet. For each crash index k = 1, 1 + @p stride, ... up to the run's
+ * stop point (the last core's requestStop()), run @p sys to its k-th
+ * event and pass a crashed copy (System::crashCopy()) to @p fn (k,
+ * copy); the copy is refilled for the next index, so one lives at a
+ * time. Then finish @p sys as the completion case (System::finish())
+ * and hand the stop-point copy to every remaining index up to the
+ * completion's executed events E: a crash index past the stop point
+ * crashes the stop-point state, so no settle-phase event is ever a
+ * crash point. Each verdict is the one a fresh System gives after
+ * runEvents(k), crash() and recover(). @p fn runs in increasing k,
+ * with @p sys at event k up to the stop point and finished past it;
+ * returning false ends the copies, not the run. No index above E
+ * reaches @p fn.
+ * @return E, the completion's executed events.
  */
-void crashAndRecover(DomainCopy &copy, const SimConfig &cfg);
-
-/**
- * Sweep crash points from one forward run of @p sys, which must not
- * have run yet: for each crash index k = 1, 1 + @p stride, ... up to
- * @p last, run @p sys to its k-th event, crash and recover a copy of
- * its domain, and pass it to @p fn (k, copy); the copy is refilled
- * for the next index, so one lives at a time. Each verdict is the one
- * a fresh System gives after runEvents(k), crash() and recover(). A
- * run stops at the last core's requestStop(), so every index past that
- * point crashes the stop-point state: the sweep reuses its copy for
- * all of them, and no settle-phase event is ever a crash point. @p fn
- * returns false to end the sweep. @p sys is left where the sweep
- * stopped it, untouched by the crashes.
- */
-void sweepCrashes(
-    System &sys, std::uint64_t last, std::uint64_t stride,
+std::uint64_t sweepCrashes(
+    System &sys, std::uint64_t stride,
     const std::function<bool(std::uint64_t, const DomainCopy &)> &fn);
 
 } // namespace silo::harness

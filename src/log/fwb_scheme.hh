@@ -67,8 +67,8 @@ class FwbScheme : public LoggingScheme
 
     std::vector<CoreState> _cores;
     stats::StatGroup _fwbStats{"fwb"};
-    stats::Scalar _walkerWritebacks{_fwbStats, "fwb_writebacks",
-        "dirty lines force-written-back by the FWB walker"};
+    /** Dirty lines written back by the FWB walker. */
+    stats::Scalar _walkerWritebacks{_fwbStats, "fwb_writebacks"};
 };
 
 } // namespace silo::log

@@ -99,10 +99,9 @@ class LadScheme : public LoggingScheme
 
     std::vector<CoreState> _cores;
     stats::StatGroup _ladStats{"lad"};
-    stats::Scalar _fallbacks{_ladStats, "lad_fallbacks",
-        "lines pushed to slow mode (PM read + undo log)"};
-    stats::Scalar _phase1Lines{_ladStats, "lad_phase1_lines",
-        "dirty lines flushed during commit phase 1"};
+    /** Lines pushed to slow mode (PM read + undo log). */
+    stats::Scalar _fallbacks{_ladStats, "lad_fallbacks"};
+    stats::Scalar _phase1Lines{_ladStats, "lad_phase1_lines"};
 };
 
 } // namespace silo::log

@@ -58,23 +58,21 @@ namespace silo::log
 struct LifecycleStats
 {
     stats::StatGroup group{"log_lifecycle"};
-    stats::Scalar segmentsReclaimed{group, "segments_reclaimed",
-        "segments returned to the clean state"};
-    stats::Scalar recordsMigrated{group, "records_migrated",
-        "live records the cleaner copied out of cooling segments"};
-    stats::Scalar recordsDropped{group, "records_dropped",
-        "dead records dropped by the cleaner or a checkpoint"};
-    stats::Scalar checkpoints{group, "checkpoints",
-        "completed checkpoints"};
-    stats::Scalar checkpointWords{group, "checkpoint_words",
-        "committed data words flushed by checkpoints"};
-    stats::Scalar admissionStalls{group, "admission_stalls",
-        "log appends deferred by capacity backpressure"};
-    stats::Scalar ringOverruns{group, "ring_overruns",
-        "stalled appends force-released after the overrun window"};
-    stats::Distribution admissionStallCycles{group, "admission_stall_cycles",
-        "cycles an append completion waited for clean capacity",
-        1024, 32};
+    /** Segments returned to the clean state. */
+    stats::Scalar segmentsReclaimed{group, "segments_reclaimed"};
+    /** Live records the cleaner copied out of cooling segments. */
+    stats::Scalar recordsMigrated{group, "records_migrated"};
+    /** Dead records dropped by the cleaner or a checkpoint. */
+    stats::Scalar recordsDropped{group, "records_dropped"};
+    stats::Scalar checkpoints{group, "checkpoints"};
+    stats::Scalar checkpointWords{group, "checkpoint_words"};
+    /** Log appends deferred by capacity backpressure. */
+    stats::Scalar admissionStalls{group, "admission_stalls"};
+    /** Stalled appends force-released after the overrun window. */
+    stats::Scalar ringOverruns{group, "ring_overruns"};
+    /** Cycles an append completion waited for clean capacity. */
+    stats::Distribution admissionStallCycles{group,
+        "admission_stall_cycles", 1024, 32};
 };
 
 /** Per-thread segment cleaner + checkpointer + admission control. */

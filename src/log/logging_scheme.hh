@@ -81,12 +81,9 @@ struct SchemeContext
 struct SchemeStats
 {
     stats::StatGroup group{"scheme"};
-    stats::Scalar logWrites{group, "log_writes",
-        "log records sent to the PM log region"};
-    stats::Scalar logBytes{group, "log_bytes",
-        "bytes of log records sent to the PM log region"};
-    stats::Scalar crashFlushBytes{group, "crash_flush_bytes",
-        "bytes flushed by battery on a crash"};
+    stats::Scalar logWrites{group, "log_writes"};
+    stats::Scalar logBytes{group, "log_bytes"};
+    stats::Scalar crashFlushBytes{group, "crash_flush_bytes"};
 };
 
 /**

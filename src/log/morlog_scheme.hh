@@ -75,8 +75,8 @@ class MorLogScheme : public LoggingScheme
 
     std::vector<CoreState> _cores;
     stats::StatGroup _morlogStats{"morlog"};
-    stats::Scalar _merged{_morlogStats, "morlog_merged",
-        "log entries merged in the MC buffer"};
+    /** Log entries merged in the MC buffer. */
+    stats::Scalar _merged{_morlogStats, "morlog_merged"};
 };
 
 } // namespace silo::log

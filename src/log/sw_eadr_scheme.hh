@@ -48,12 +48,6 @@ class SwEadrScheme : public LoggingScheme
     static std::uint64_t batteryFlush(EadrCaches &caches,
                                       WordStore &media);
 
-    /** Cache accesses spent writing log entries (pollution metric). */
-    std::uint64_t logCacheWrites() const
-    {
-        return _logCacheWrites.value();
-    }
-
     const stats::StatGroup *extraStatGroup() const override
     {
         return &_sweadrStats;
@@ -70,8 +64,7 @@ class SwEadrScheme : public LoggingScheme
 
     std::uint64_t _contentStamp = 1;
     stats::StatGroup _sweadrStats{"sweadr"};
-    stats::Scalar _logCacheWrites{_sweadrStats, "sweadr_log_cache_writes",
-        "cache write accesses performed for log entries"};
+    stats::Scalar _logCacheWrites{_sweadrStats, "sweadr_log_cache_writes"};
 };
 
 } // namespace silo::log

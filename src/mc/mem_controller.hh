@@ -110,11 +110,6 @@ class MemController
      *  writebacks, which re-read their line at each attempt). */
     void requestWriteSlot(std::function<void()> cb);
 
-    unsigned freeWpqSlots() const
-    {
-        return _cfg.wpqEntries - unsigned(_st.wpq.size());
-    }
-
     /** @name LAD held-entry control */
     /// @{
     /** Make held entries for @p line_addr drainable (LAD commit). */
@@ -191,20 +186,15 @@ class MemController
     bool _drainScheduled = false;
 
     stats::StatGroup _stats;
-    stats::Scalar _writes{_stats, "wpq_writes",
-        "writes accepted into the WPQ"};
-    stats::Scalar _bytes{_stats, "wpq_bytes",
-        "bytes accepted into the WPQ"};
-    stats::Scalar _coalesced{_stats, "wpq_coalesced",
-        "writes merged into an existing WPQ entry"};
-    stats::Scalar _forwards{_stats, "read_forwards",
-        "reads served by WPQ forwarding"};
-    stats::Scalar _reads{_stats, "reads",
-        "reads issued to the PM device"};
-    stats::Scalar _fullStalls{_stats, "wpq_full_stalls",
-        "write attempts rejected because the WPQ was full"};
-    stats::Distribution _occupancy{_stats, "wpq_occupancy",
-        "WPQ entries occupied at each accept", 4, 32};
+    stats::Scalar _writes{_stats, "wpq_writes"};
+    stats::Scalar _bytes{_stats, "wpq_bytes"};
+    stats::Scalar _coalesced{_stats, "wpq_coalesced"};
+    stats::Scalar _forwards{_stats, "read_forwards"};
+    /** Reads issued to the PM device. */
+    stats::Scalar _reads{_stats, "reads"};
+    stats::Scalar _fullStalls{_stats, "wpq_full_stalls"};
+    /** WPQ entries occupied at each accept. */
+    stats::Distribution _occupancy{_stats, "wpq_occupancy", 4, 32};
     /** This controller's trace timeline; 0 when tracing is off. */
     trace::Tracer::TrackId _track = 0;
 };

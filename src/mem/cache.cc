@@ -131,14 +131,6 @@ Cache::clean(Addr line_addr)
         clearDirty(set, unsigned(w));
 }
 
-std::vector<Addr>
-Cache::dirtyLines() const
-{
-    std::vector<Addr> out;
-    forEachDirtyLine([&out](Addr line) { out.push_back(line); });
-    return out;
-}
-
 void
 Cache::invalidateAll()
 {

@@ -9,11 +9,11 @@
  *
  * State is struct-of-arrays with per-set valid/dirty bitmasks (one bit
  * per way), so a lookup only compares tags of valid ways, the LRU
- * victim search finds free ways with a bit scan, and dirtyLines() —
+ * victim search finds free ways with a bit scan, and forEachDirtyLine() —
  * the FWB walker's and the crash path's full-cache sweep — skips clean
  * sets entirely via a set-level dirty summary bitmap instead of
  * touching every way of (say) a 4 MB L3. The enumeration order of
- * dirtyLines() is part of the determinism contract: set-major,
+ * forEachDirtyLine() is part of the determinism contract: set-major,
  * way-ascending, exactly as the original array-of-structs scan
  * produced (the FWB walk order feeds the event stream).
  */
@@ -82,10 +82,10 @@ class Cache
     /** Clear a present line's dirty bit (clwb / force write-back). */
     void clean(Addr line_addr);
 
-    /** All dirty lines (FWB walker, LAD commit, crash loss checks). */
-    std::vector<Addr> dirtyLines() const;
-
-    /** Call @p fn (Addr) for each dirty line, in dirtyLines() order. */
+    /**
+     * Call @p fn (Addr) for each dirty line (FWB walker, clean
+     * shutdown, SW-eADR's crash capture), in the documented order.
+     */
     template <typename Fn>
     void
     forEachDirtyLine(Fn &&fn) const
@@ -154,11 +154,10 @@ class Cache
     std::uint64_t _useClock = 0;
 
     stats::StatGroup _stats;
-    stats::Scalar _hits{_stats, "hits", "demand hits"};
-    stats::Scalar _misses{_stats, "misses", "demand misses"};
-    stats::Scalar _evictions{_stats, "evictions", "valid lines evicted"};
-    stats::Scalar _dirtyEvictions{_stats, "dirty_evictions",
-        "dirty lines evicted"};
+    stats::Scalar _hits{_stats, "hits"};
+    stats::Scalar _misses{_stats, "misses"};
+    stats::Scalar _evictions{_stats, "evictions"};
+    stats::Scalar _dirtyEvictions{_stats, "dirty_evictions"};
 };
 
 } // namespace silo::mem

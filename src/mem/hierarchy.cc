@@ -136,17 +136,6 @@ CacheHierarchy::isDirty(unsigned core, Addr line_addr) const
 }
 
 std::vector<Addr>
-CacheHierarchy::dirtyLines(unsigned core) const
-{
-    std::vector<Addr> out = _l1[core]->dirtyLines();
-    auto l2_lines = _l2[core]->dirtyLines();
-    out.insert(out.end(), l2_lines.begin(), l2_lines.end());
-    auto l3_lines = _l3->dirtyLines();
-    out.insert(out.end(), l3_lines.begin(), l3_lines.end());
-    return out;
-}
-
-std::vector<Addr>
 CacheHierarchy::allDirtyLines() const
 {
     std::vector<Addr> out;

@@ -53,9 +53,6 @@ class CacheHierarchy
     /** @return true if the line is dirty in any level core can reach. */
     bool isDirty(unsigned core, Addr line_addr) const;
 
-    /** Dirty lines reachable by @p core (its L1/L2 plus shared L3). */
-    std::vector<Addr> dirtyLines(unsigned core) const;
-
     /** All dirty lines in the system (FWB walker). */
     std::vector<Addr> allDirtyLines() const;
 

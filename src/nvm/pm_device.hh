@@ -47,23 +47,19 @@ struct WordWrite
 struct PmStats
 {
     stats::StatGroup group{"pm"};
-    stats::Scalar wordWrites{group, "media_word_writes",
-        "8B words written to the physical media (Fig. 11 metric)"};
-    stats::Scalar lineWrites{group, "media_line_writes",
-        "256B buffer lines written back to the media"};
-    stats::Scalar dcwSuppressed{group, "dcw_suppressed_words",
-        "words skipped by data-comparison-write"};
-    stats::Scalar dataWordWrites{group, "data_word_writes",
-        "media word writes to the data region"};
-    stats::Scalar logWordWrites{group, "log_word_writes",
-        "media word writes to the log region"};
-    stats::Scalar reads{group, "media_reads", "media line reads"};
-    stats::Scalar bufferHits{group, "buffer_read_hits",
-        "reads served by the on-PM buffer"};
-    stats::Scalar coalesced{group, "buffer_coalesced_writes",
-        "writes merged into a resident buffer line"};
-    stats::Distribution evictionWords{group, "eviction_changed_words",
-        "words actually programmed per buffer-line eviction", 1, 33};
+    /** 8 B words written to the media (Fig. 11 metric). */
+    stats::Scalar wordWrites{group, "media_word_writes"};
+    /** 256 B buffer lines written back to the media. */
+    stats::Scalar lineWrites{group, "media_line_writes"};
+    /** Words skipped by data-comparison-write. */
+    stats::Scalar dcwSuppressed{group, "dcw_suppressed_words"};
+    stats::Scalar dataWordWrites{group, "data_word_writes"};
+    stats::Scalar logWordWrites{group, "log_word_writes"};
+    stats::Scalar reads{group, "media_reads"};
+    stats::Scalar bufferHits{group, "buffer_read_hits"};
+    stats::Scalar coalesced{group, "buffer_coalesced_writes"};
+    /** Words actually programmed per buffer-line eviction. */
+    stats::Distribution evictionWords{group, "eviction_changed_words", 1, 33};
 };
 
 /**

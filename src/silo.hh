@@ -15,9 +15,7 @@
  *   auto traces = silo::workload::generateTraces(tg);
  *
  *   silo::harness::System sys(cfg, traces);
- *   sys.run();                              // or runEvents + crash()
- *   sys.settle();
- *   sys.drainToMedia();
+ *   sys.finish();             // run, settle, drain; or runEvents + crash()
  *   auto report = sys.report();
  * @endcode
  */

@@ -43,19 +43,19 @@ namespace silo::silo_scheme
 struct LogReductionStats
 {
     stats::StatGroup group{"silo"};
-    stats::Average totalLogsPerTx{group, "total_logs",
-        "log entries a transaction would produce without reduction"};
-    stats::Average remainingLogsPerTx{group, "remaining_logs",
-        "entries remaining after ignorance and merging"};
-    stats::Scalar ignored{group, "ignored", "silent stores not logged"};
-    stats::Scalar merged{group, "merged",
-        "entries merged by the comparators"};
-    stats::Scalar flushBitsSet{group, "flush_bits",
-        "entries whose flush-bit was set by a cacheline eviction"};
-    stats::Scalar overflows{group, "overflow_evictions",
-        "entries evicted to the PM log region on overflow"};
-    stats::Scalar inPlaceUpdates{group, "in_place_updates",
-        "post-commit new-data words written to the data region"};
+    /** Log entries a transaction would produce without reduction. */
+    stats::Average totalLogsPerTx{group, "total_logs"};
+    /** Entries remaining after ignorance and merging. */
+    stats::Average remainingLogsPerTx{group, "remaining_logs"};
+    /** Silent stores not logged. */
+    stats::Scalar ignored{group, "ignored"};
+    /** Entries merged by the comparators. */
+    stats::Scalar merged{group, "merged"};
+    /** Entries whose flush-bit was set by a cacheline eviction. */
+    stats::Scalar flushBitsSet{group, "flush_bits"};
+    stats::Scalar overflows{group, "overflow_evictions"};
+    /** Post-commit new-data words written to the data region. */
+    stats::Scalar inPlaceUpdates{group, "in_place_updates"};
     std::uint64_t maxRemainingLogs = 0;
 };
 

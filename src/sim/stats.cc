@@ -9,25 +9,23 @@
 namespace silo::stats
 {
 
-Scalar::Scalar(StatGroup &group, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Scalar::Scalar(StatGroup &group, std::string name)
+    : _name(std::move(name))
 {
     group.admit(_name);
     group._scalars.push_back(this);
 }
 
-Average::Average(StatGroup &group, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Average::Average(StatGroup &group, std::string name)
+    : _name(std::move(name))
 {
     group.admit(_name);
     group._averages.push_back(this);
 }
 
 Distribution::Distribution(StatGroup &group, std::string name,
-                           std::string desc, std::uint64_t bucket_width,
-                           unsigned num_buckets)
-    : _name(std::move(name)), _desc(std::move(desc)),
-      _bucketWidth(bucket_width ? bucket_width : 1),
+                           std::uint64_t bucket_width, unsigned num_buckets)
+    : _name(std::move(name)), _bucketWidth(bucket_width ? bucket_width : 1),
       _buckets(num_buckets, 0)
 {
     group.admit(_name);

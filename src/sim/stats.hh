@@ -31,7 +31,7 @@ class Scalar
 {
   public:
     /** Join @p group as @p name (StatGroup checks the name). */
-    Scalar(StatGroup &group, std::string name, std::string desc);
+    Scalar(StatGroup &group, std::string name);
     Scalar(const Scalar &) = delete;
     Scalar &operator=(const Scalar &) = delete;
 
@@ -40,12 +40,10 @@ class Scalar
 
     std::uint64_t value() const { return _value; }
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
     void reset() { _value = 0; }
 
   private:
     std::string _name;
-    std::string _desc;
     std::uint64_t _value = 0;
 };
 
@@ -54,7 +52,7 @@ class Average
 {
   public:
     /** Join @p group as @p name (StatGroup checks the name). */
-    Average(StatGroup &group, std::string name, std::string desc);
+    Average(StatGroup &group, std::string name);
     Average(const Average &) = delete;
     Average &operator=(const Average &) = delete;
 
@@ -73,7 +71,6 @@ class Average
     double minimum() const { return _count ? _min : 0.0; }
     double maximum() const { return _count ? _max : 0.0; }
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
 
     void
     reset()
@@ -90,7 +87,6 @@ class Average
     Average() = default;
 
     std::string _name;
-    std::string _desc;
     double _sum = 0;
     std::uint64_t _count = 0;
     double _min = std::numeric_limits<double>::infinity();
@@ -103,11 +99,10 @@ class Distribution
   public:
     /**
      * Join @p group as @p name (StatGroup checks the name).
-     * @param desc Human description.
      * @param bucket_width Width of each bucket (0 is clamped to 1).
      * @param num_buckets Number of regular buckets before overflow.
      */
-    Distribution(StatGroup &group, std::string name, std::string desc,
+    Distribution(StatGroup &group, std::string name,
                  std::uint64_t bucket_width, unsigned num_buckets);
     Distribution(const Distribution &) = delete;
     Distribution &operator=(const Distribution &) = delete;
@@ -128,7 +123,6 @@ class Distribution
     std::uint64_t overflow() const { return _overflow; }
     std::uint64_t bucketWidth() const { return _bucketWidth; }
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
 
     /**
      * Upper-bound estimate of the @p frac quantile (frac in (0, 1]):
@@ -168,7 +162,6 @@ class Distribution
 
   private:
     std::string _name;
-    std::string _desc;
     std::uint64_t _bucketWidth = 1;
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _overflow = 0;

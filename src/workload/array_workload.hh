@@ -30,8 +30,6 @@ class ArrayWorkload : public Workload
     void setup(MemClient &mem, PmHeap &heap, Rng &rng) override;
     void transaction(MemClient &mem, PmHeap &heap, Rng &rng) override;
 
-    Addr arrayBase() const { return _base; }
-
   private:
     /** Swap elements @p i and @p j word by word. */
     void swap(MemClient &mem, unsigned i, unsigned j);

@@ -1,5 +1,6 @@
 #include "workload/litmus.hh"
 
+#include <charconv>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -114,17 +115,11 @@ tokenize(const std::string &line)
 std::uint64_t
 parseNumber(const std::string &tok, unsigned line_no)
 {
-    std::size_t used = 0;
-    std::uint64_t value = 0;
-    try {
-        value = std::stoull(tok, &used, 0);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != tok.size())
+    std::optional<std::uint64_t> value = parseLitmusNumber(tok);
+    if (!value)
         fatal("litmus line " + std::to_string(line_no) + ": \"" + tok +
               "\" is not a number");
-    return value;
+    return *value;
 }
 
 [[noreturn]] void
@@ -134,6 +129,24 @@ parseError(unsigned line_no, const std::string &what)
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+parseLitmusNumber(std::string_view text)
+{
+    int base = 10;
+    if (text.size() > 2 && text.substr(0, 2) == "0x") {
+        text.remove_prefix(2);
+        base = 16;
+    } else if (text.size() > 1 && text[0] == '0') {
+        return std::nullopt; // elsewhere a leading zero means octal
+    }
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
 
 LitmusFile
 parseLitmus(const std::string &text)
@@ -242,13 +255,6 @@ LitmusWorkload::boundThread() const
     if (!_bound || _thread >= _program.threads.size())
         return nullptr;
     return &_program.threads[_thread];
-}
-
-std::size_t
-LitmusWorkload::threadTxCount() const
-{
-    const LitmusThread *t = boundThread();
-    return t ? t->txs.size() : 0;
 }
 
 void

@@ -30,15 +30,17 @@
  * (one call = one transaction), and litmusTraces() compiles a program
  * straight into WorkloadTraces — including `tx abort`, which leaves
  * the thread's final transaction open so a crash sweep can observe
- * uncommitted state (the Workload-factory path always commits, since
- * the generic trace generator owns the transaction brackets).
+ * uncommitted state. generateTraces() hands WorkloadKind::Litmus
+ * straight to litmusTraces(), so that path honours `tx abort` too.
  */
 
 #ifndef SILO_WORKLOAD_LITMUS_HH
 #define SILO_WORKLOAD_LITMUS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -120,6 +122,13 @@ std::string serializeLitmus(const LitmusProgram &program,
 LitmusFile parseLitmus(const std::string &text);
 
 /**
+ * Parse a litmus number: unsigned decimal without a leading zero, or
+ * `0x` hexadecimal. No sign, no octal, nothing after the digits.
+ * @return nullopt if @p text is not such a number or overflows.
+ */
+std::optional<std::uint64_t> parseLitmusNumber(std::string_view text);
+
+/**
  * Deterministic pre-transaction value of the word at @p offset: the
  * setup phase writes it for every word a program touches, so every
  * store has a well-defined old value distinct from fuzzed new values.
@@ -153,9 +162,6 @@ class LitmusWorkload : public Workload
     const char *name() const override { return "Litmus"; }
     void setup(MemClient &mem, PmHeap &heap, Rng &rng) override;
     void transaction(MemClient &mem, PmHeap &heap, Rng &rng) override;
-
-    /** Transactions of the bound thread (0 before setup()). */
-    std::size_t threadTxCount() const;
 
   private:
     const LitmusThread *boundThread() const;

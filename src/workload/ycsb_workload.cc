@@ -60,10 +60,4 @@ YcsbWorkload::transaction(MemClient &mem, PmHeap &, Rng &rng)
     }
 }
 
-Word
-YcsbWorkload::readValueWord(MemClient &mem, std::uint64_t key) const
-{
-    return mem.load(valueAddr(mem, key));
-}
-
 } // namespace silo::workload

@@ -33,9 +33,6 @@ class YcsbWorkload : public Workload
     void setup(MemClient &mem, PmHeap &heap, Rng &rng) override;
     void transaction(MemClient &mem, PmHeap &heap, Rng &rng) override;
 
-    /** Read the first value word of @p key (test hook). */
-    Word readValueWord(MemClient &mem, std::uint64_t key) const;
-
   private:
     /** Skewed key pick: 80% of accesses to the hottest 20% of keys. */
     std::uint64_t pickKey(Rng &rng) const;

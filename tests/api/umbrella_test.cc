@@ -25,9 +25,7 @@ TEST(PublicApi, UmbrellaWorkflowCompilesAndRuns)
     auto traces = silo::workload::generateTraces(tg);
 
     silo::harness::System sys(cfg, traces);
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
+    sys.finish();
 
     auto report = sys.report();
     EXPECT_EQ(report.committedTransactions, 40u);

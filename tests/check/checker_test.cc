@@ -99,9 +99,7 @@ TEST_P(CheckerClean, FullRunHasNoViolations)
     auto traces = makeTraces(GetParam().workload, 2, 20, 11);
     SimConfig cfg = checkedConfig(GetParam().scheme, 2);
     System sys(cfg, traces);
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
+    sys.finish();
 
     ASSERT_NE(sys.checker(), nullptr);
     EXPECT_TRUE(sys.checker()->clean()) << reportOf(sys);
@@ -203,9 +201,7 @@ TEST(CheckerOffByDefault, NoCheckerObjectWithoutFlag)
 PersistencyChecker &
 runMutant(System &sys)
 {
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
+    sys.finish();
     return *sys.checker();
 }
 

@@ -70,6 +70,20 @@ TEST(FixtureReplay, ParseRejectsInconsistentMetadata)
     fixture.mutation = MutationKind::None;
     fixture.expect = "log-before-data";
     EXPECT_THROW(parseFixture(serializeFixture(fixture)), FatalError);
+
+    // The crash index is decimal or 0x hex: a sign (-5 would wrap to
+    // 2^64 - 5), an octal-looking leading zero (010) or trailing junk
+    // is rejected instead of replaying some other index.
+    fixture.expect = "clean";
+    const std::string text = serializeFixture(fixture);
+    const std::string crash_line = "\ncrash 0\n";
+    ASSERT_NE(text.find(crash_line), std::string::npos);
+    for (const char *bad : {"-5", "010", "1x"}) {
+        std::string edited = text;
+        edited.replace(edited.find(crash_line), crash_line.size(),
+                       std::string("\ncrash ") + bad + "\n");
+        EXPECT_THROW(parseFixture(edited), FatalError) << bad;
+    }
 }
 
 TEST(FixtureReplay, SerializeParseRoundTrip)

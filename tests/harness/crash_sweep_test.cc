@@ -4,9 +4,9 @@
  * every crash index it must give what a fresh System gives after
  * runEvents(k), crash() and recover() — the same violations, the same
  * recovered media image and the same number of durable records right
- * after the crash — and the forward System it ran must finish like an
- * unswept completion run, proof that a crashed copy never touches the
- * live machine.
+ * after the crash — and the System it ran, which the sweep finishes as
+ * the completion case, must end like an unswept completion run, proof
+ * that a crashed copy never touches the live machine.
  */
 
 #include <gtest/gtest.h>
@@ -77,16 +77,13 @@ reportText(const SimReport &r)
 }
 
 /**
- * Run @p sys to completion: what a completion case observes, plus the
+ * What a finished System observed as the completion case, plus the
  * checker's event counts, which a crashed copy reporting to the live
  * checker would raise.
  */
 std::vector<std::string>
-complete(System &sys)
+observed(System &sys)
 {
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
     const check::PersistencyChecker &ck = *sys.checker();
     std::vector<std::string> out = stamped(ck.violations(), 0);
     out.push_back(reportText(sys.report()));
@@ -102,37 +99,65 @@ complete(System &sys)
     return out;
 }
 
+/** An unswept completion run: its stop point, its E, what it saw. */
+struct Completion
+{
+    std::uint64_t stop = 0;
+    std::uint64_t events = 0;
+    std::vector<std::string> observed;
+};
+
+Completion
+completeUnswept(const SimConfig &cfg,
+                const workload::WorkloadTraces &traces)
+{
+    System sys(cfg, traces);
+    Completion out;
+    sys.run();
+    out.stop = sys.eventQueue().executedEvents();
+    sys.finish();
+    out.events = sys.eventQueue().executedEvents();
+    out.observed = observed(sys);
+    return out;
+}
+
 /** Totals over one sweep, for the callers' coverage assertions. */
 struct SweepTally
 {
+    std::size_t swept = 0;
     std::size_t compared = 0;
     std::size_t withViolations = 0;
     std::size_t pastStop = 0;
 };
 
 /**
- * Sweep crash indices 1, 1 + @p stride, ... up to @p last over one
- * forward System and compare each with a fresh System. A segmented
- * run's settle window holds ~1,500 lifecycle ticks, each a crash index
- * past the stop point; there the first few, every 64th and the last
- * are compared. Then finish the forward System and compare it with an
- * unswept completion run.
+ * Sweep crash indices 1, 1 + @p stride, ... over one System and
+ * compare each with a fresh System. Every index up to the events
+ * @p ref executed is swept, with the System at event k up to the stop
+ * point and finished past it. A segmented run's settle window holds
+ * ~1,500 lifecycle ticks, each a crash index past the stop point;
+ * there the first few, every 64th and the last are compared. Then
+ * compare the swept System, which the sweep finished, with @p ref.
  */
 SweepTally
 expectSweepMatchesFresh(const SimConfig &cfg,
                         const workload::WorkloadTraces &traces,
-                        std::uint64_t last, std::uint64_t stride,
+                        const Completion &ref, std::uint64_t stride,
                         const std::string &label)
 {
     SweepTally tally;
     System sys(cfg, traces);
-    sweepCrashes(sys, last, stride,
-                 [&](std::uint64_t k, const DomainCopy &copy) {
-        std::uint64_t ran = sys.eventQueue().executedEvents();
-        if (ran < k) {
+    std::uint64_t events = sweepCrashes(
+        sys, stride, [&](std::uint64_t k, const DomainCopy &copy) {
+        EXPECT_EQ(k, 1 + tally.swept * stride) << label;
+        ++tally.swept;
+        EXPECT_EQ(sys.eventQueue().executedEvents(),
+                  k <= ref.stop ? k : ref.events)
+            << label << " crash " << k;
+        if (k > ref.stop) {
             ++tally.pastStop;
-            if (cfg.logSegmented && k - ran > 4 && k % 64 != 0 &&
-                k + stride <= last)
+            if (cfg.logSegmented && k - ref.stop > 4 && k % 64 != 0 &&
+                k + stride <= ref.events)
                 return true;
         }
         Verdict fresh = freshCrash(cfg, traces, k);
@@ -147,21 +172,12 @@ expectSweepMatchesFresh(const SimConfig &cfg,
         tally.withViolations += !fresh.violations.empty();
         return !::testing::Test::HasFailure();
     });
-    System unswept(cfg, traces);
-    EXPECT_EQ(complete(sys), complete(unswept)) << label;
+    EXPECT_EQ(events, ref.events) << label;
+    if (!::testing::Test::HasFailure()) {
+        EXPECT_EQ(tally.swept, (ref.events - 1) / stride + 1) << label;
+    }
+    EXPECT_EQ(observed(sys), ref.observed) << label;
     return tally;
-}
-
-/** The completion run's event count: the campaign's sweep bound. */
-std::uint64_t
-completionEvents(const SimConfig &cfg,
-                 const workload::WorkloadTraces &traces)
-{
-    System sys(cfg, traces);
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
-    return sys.eventQueue().executedEvents();
 }
 
 /** Litmus programs of the campaign's default generator. */
@@ -192,8 +208,7 @@ sweepLitmus(const workload::LitmusProgram &program, SchemeKind scheme,
                         mutationName(mutation) +
                         (segmented ? " segmented" : "");
     return expectSweepMatchesFresh(cfg, traces,
-                                   completionEvents(cfg, traces), 1,
-                                   label);
+                                   completeUnswept(cfg, traces), 1, label);
 }
 
 /** One test per scheme, so the sanitized copy runs them in parallel. */
@@ -270,10 +285,28 @@ TEST(CrashSweep, MatchesFreshSystemsWithTwoControllers)
     cfg.numMemControllers = 2;
     cfg.scheme = SchemeKind::Silo;
     cfg.checker = true;
-    std::uint64_t events = completionEvents(cfg, traces);
-    SweepTally t = expectSweepMatchesFresh(cfg, traces, events,
-                                           events / 50, "Bank Silo");
+    Completion ref = completeUnswept(cfg, traces);
+    SweepTally t = expectSweepMatchesFresh(cfg, traces, ref,
+                                           ref.events / 50, "Bank Silo");
     EXPECT_GE(t.compared, 50u);
+}
+
+TEST(CrashSweep, NoStridedIndexPassesTheCompletionsEvents)
+{
+    // With a stride of S - 2, where S is the stop point, the sweep
+    // visits 1 and S - 1; its next index, 2S - 3, lies past the stop
+    // point and past E, the events the completion executed, so it must
+    // not reach fn: (E - 1) / stride + 1 = 2 indices are swept.
+    workload::LitmusProgram program = programs(23, 3)[2];
+    SimConfig cfg = fuzz::litmusSimConfig(
+        unsigned(program.threads.size()), SchemeKind::Silo);
+    workload::WorkloadTraces traces = workload::litmusTraces(program);
+    Completion ref = completeUnswept(cfg, traces);
+    ASSERT_GT(ref.events, ref.stop) << "no settle-phase events";
+    ASSERT_GT(2 * ref.stop - 3, ref.events);
+    SweepTally t = expectSweepMatchesFresh(cfg, traces, ref,
+                                           ref.stop - 2, "strided Silo");
+    EXPECT_EQ(t.swept, 2u);
 }
 
 } // namespace

@@ -199,9 +199,7 @@ TEST(Determinism, IdenticalConfigGivesIdenticalRun)
         cfg.numCores = 4;
         cfg.scheme = SchemeKind::Silo;
         System sys(cfg, traces);
-        sys.run();
-        sys.settle();
-        sys.drainToMedia();
+        sys.finish();
         return sys.report();
     };
     auto a = run_once();

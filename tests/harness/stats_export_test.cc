@@ -81,9 +81,7 @@ addCell(CounterMaxima &counters, const SimConfig &cfg,
 {
     {
         System sys(cfg, traces);
-        sys.run();
-        sys.settle();
-        sys.drainToMedia();
+        sys.finish();
         counters.add(sys.statsJson());
     }
     System sys(cfg, traces);

@@ -114,8 +114,9 @@ TEST(TsanSweep, ParallelSweepRunsRaceFreeAndStaysDeterministic)
 TEST(TsanSweep, FuzzCampaignFansOutRaceFree)
 {
     // One program on all six schemes, crashed at every other event:
-    // phase A and phase B each fan out over $SILO_JOBS workers that
-    // share the program's compiled traces read-only.
+    // the six Systems, each sweeping crashes and then finishing as the
+    // completion case, fan out over $SILO_JOBS workers that share the
+    // program's compiled traces read-only.
     fuzz::FuzzOptions opts;
     opts.seed = 11;
     opts.maxPrograms = 1;

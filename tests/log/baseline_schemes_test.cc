@@ -157,9 +157,11 @@ TEST(LadMechanisms, CommitStallScalesWithDirtyLines)
         many.push_back(st(base + l * lineBytes, l + 1));
     many.push_back(end());
 
-    harness::System sys_few(oneCore(SchemeKind::Lad), traceOf(few));
+    auto few_traces = traceOf(few);
+    harness::System sys_few(oneCore(SchemeKind::Lad), few_traces);
     sys_few.run();
-    harness::System sys_many(oneCore(SchemeKind::Lad), traceOf(many));
+    auto many_traces = traceOf(many);
+    harness::System sys_many(oneCore(SchemeKind::Lad), many_traces);
     sys_many.run();
 
     EXPECT_GT(sys_many.report().commitStallCycles,

@@ -74,9 +74,7 @@ runCase(const SimConfig &cfg, const workload::WorkloadTraces &traces,
 {
     harness::System sys(cfg, traces);
     if (crash_events == 0) {
-        sys.run();
-        sys.settle();
-        sys.drainToMedia();
+        sys.finish();
     } else {
         sys.runEvents(crash_events);
         sys.crash();

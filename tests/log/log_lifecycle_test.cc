@@ -103,9 +103,7 @@ TEST(LogLifecycle, FinalStateIsCorrectUnderSegmentation)
 {
     auto traces = churn(4, 10);
     harness::System sys(tinySegmented(SchemeKind::Base), traces);
-    sys.run();
-    sys.settle();
-    sys.drainToMedia();
+    sys.finish();
     for (const auto &[addr, value] : traces.finalMemory)
         EXPECT_EQ(sys.pm().media().load(addr), value)
             << "addr 0x" << std::hex << addr;

@@ -76,8 +76,9 @@ TEST(Cache, DirtyLinesEnumerated)
     c.insert(0x1000, true);
     c.insert(0x1040, false);
     c.insert(0x1080, true);
-    auto dirty = c.dirtyLines();
-    EXPECT_EQ(dirty.size(), 2u);
+    std::vector<Addr> dirty;
+    c.forEachDirtyLine([&dirty](Addr line) { dirty.push_back(line); });
+    EXPECT_EQ(dirty, (std::vector<Addr>{0x1000, 0x1080}));
 }
 
 TEST(Cache, DoubleInsertPanics)

@@ -24,7 +24,7 @@ static_assert(!std::is_copy_constructible_v<Distribution> &&
 TEST(Scalar, CountsAndResets)
 {
     StatGroup g;
-    Scalar s(g, "writes", "number of writes");
+    Scalar s(g, "writes");
     ++s;
     s += 41;
     EXPECT_EQ(s.value(), 42u);
@@ -35,7 +35,7 @@ TEST(Scalar, CountsAndResets)
 TEST(Average, MeanMinMax)
 {
     StatGroup g;
-    Average a(g, "lat", "latency");
+    Average a(g, "lat");
     a.sample(10);
     a.sample(20);
     a.sample(60);
@@ -48,7 +48,7 @@ TEST(Average, MeanMinMax)
 TEST(Average, EmptyIsZero)
 {
     StatGroup g;
-    Average a(g, "x", "");
+    Average a(g, "x");
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_DOUBLE_EQ(a.minimum(), 0.0);
     EXPECT_DOUBLE_EQ(a.maximum(), 0.0);
@@ -57,7 +57,7 @@ TEST(Average, EmptyIsZero)
 TEST(Average, ResetClears)
 {
     StatGroup g;
-    Average a(g, "x", "");
+    Average a(g, "x");
     a.sample(5);
     a.reset();
     EXPECT_EQ(a.count(), 0u);
@@ -67,7 +67,7 @@ TEST(Average, ResetClears)
 TEST(Distribution, BucketsAndOverflow)
 {
     StatGroup g;
-    Distribution d(g, "sz", "sizes", 10, 4);
+    Distribution d(g, "sz", 10, 4);
     d.sample(0);
     d.sample(9);
     d.sample(10);
@@ -86,7 +86,7 @@ TEST(Distribution, BucketsAndOverflow)
 TEST(Distribution, ZeroWidthIsClampedToOne)
 {
     StatGroup g;
-    Distribution d(g, "sz", "", 0, 2);
+    Distribution d(g, "sz", 0, 2);
     d.sample(1);
     EXPECT_EQ(d.buckets()[1], 1u);
 }
@@ -95,7 +95,7 @@ TEST(Distribution, PercentileBucketEdges)
 {
     // Buckets [0,9] [10,19] [20,29] [30,39], overflow >= 40.
     StatGroup g;
-    Distribution d(g, "lat", "", 10, 4);
+    Distribution d(g, "lat", 10, 4);
     for (std::uint64_t v : {5, 7, 15, 25, 100})
         d.sample(v);
     // rank(0.2 * 5) = 1 lands in bucket 0: upper edge 9.
@@ -112,7 +112,7 @@ TEST(Distribution, PercentileClampsToObservedMax)
     // All samples sit well inside bucket 0; the bucket's upper edge
     // (9) would overestimate, so the observed max wins.
     StatGroup g;
-    Distribution d(g, "lat", "", 10, 4);
+    Distribution d(g, "lat", 10, 4);
     d.sample(4);
     d.sample(4);
     EXPECT_EQ(d.p50(), 4u);
@@ -122,7 +122,7 @@ TEST(Distribution, PercentileClampsToObservedMax)
 TEST(Distribution, PercentileEmptyIsZero)
 {
     StatGroup g;
-    Distribution d(g, "lat", "", 10, 4);
+    Distribution d(g, "lat", 10, 4);
     EXPECT_EQ(d.p50(), 0u);
     EXPECT_EQ(d.p99(), 0u);
 }
@@ -130,7 +130,7 @@ TEST(Distribution, PercentileEmptyIsZero)
 TEST(Distribution, PercentileFracAboveOneIsClamped)
 {
     StatGroup g;
-    Distribution d(g, "lat", "", 10, 4);
+    Distribution d(g, "lat", 10, 4);
     d.sample(12);
     EXPECT_EQ(d.percentile(2.0), 12u);
 }
@@ -138,7 +138,7 @@ TEST(Distribution, PercentileFracAboveOneIsClamped)
 TEST(Distribution, CountsConsistentInvariant)
 {
     StatGroup g;
-    Distribution d(g, "sz", "", 10, 2);
+    Distribution d(g, "sz", 10, 2);
     EXPECT_TRUE(d.countsConsistent());
     d.sample(5);
     d.sample(15);
@@ -152,9 +152,9 @@ TEST(Distribution, CountsConsistentInvariant)
 TEST(StatGroup, PrintJsonEmitsAllStatKinds)
 {
     StatGroup g("l1d");
-    Distribution d(g, "sz", "", 10, 2);
-    Average a(g, "lat", "");
-    Scalar s(g, "hits", "");
+    Distribution d(g, "sz", 10, 2);
+    Average a(g, "lat");
+    Scalar s(g, "hits");
     s += 7;
     a.sample(4);
     d.sample(5);
@@ -178,23 +178,23 @@ TEST(StatGroup, NameThatIsNotASchemaKeyPanics)
 {
     StatGroup g("pm");
     for (const char *bad : {"", "Hits", "9lives", "wpq-writes", "a.b"})
-        EXPECT_THROW(Scalar(g, bad, ""), PanicError) << bad;
-    EXPECT_THROW(Average(g, "Lat", ""), PanicError);
-    EXPECT_THROW(Distribution(g, "sz ", "", 1, 2), PanicError);
-    Scalar ok(g, "media_word_writes2", "");
+        EXPECT_THROW(Scalar(g, bad), PanicError) << bad;
+    EXPECT_THROW(Average(g, "Lat"), PanicError);
+    EXPECT_THROW(Distribution(g, "sz ", 1, 2), PanicError);
+    Scalar ok(g, "media_word_writes2");
     EXPECT_EQ(ok.name(), "media_word_writes2");
 }
 
 TEST(StatGroup, DuplicateNameInOneGroupPanics)
 {
     StatGroup g("core0"), other("core1");
-    Scalar s(g, "stalls", "");
-    EXPECT_THROW(Scalar(g, "stalls", ""), PanicError);
+    Scalar s(g, "stalls");
+    EXPECT_THROW(Scalar(g, "stalls"), PanicError);
     // One JSON object holds every kind, so the name is taken for all.
-    EXPECT_THROW(Average(g, "stalls", ""), PanicError);
-    EXPECT_THROW(Distribution(g, "stalls", "", 1, 2), PanicError);
+    EXPECT_THROW(Average(g, "stalls"), PanicError);
+    EXPECT_THROW(Distribution(g, "stalls", 1, 2), PanicError);
     // Another group may reuse it.
-    Scalar t(other, "stalls", "");
+    Scalar t(other, "stalls");
     std::ostringstream os;
     g.printJson(os);
     EXPECT_EQ(os.str(), "{\"stalls\": 0}");
@@ -203,7 +203,7 @@ TEST(StatGroup, DuplicateNameInOneGroupPanics)
 TEST(StatRegistry, NestsSlashPaths)
 {
     StatGroup mc0("mc0"), mc1("mc1");
-    Scalar s0(mc0, "x", ""), s1(mc1, "x", "");
+    Scalar s0(mc0, "x"), s1(mc1, "x");
     s0 += 1;
     s1 += 2;
 
@@ -223,7 +223,7 @@ TEST(StatRegistry, NestsSlashPaths)
 TEST(StatRegistry, LeafThatIsAlsoPrefixKeepsStatsKey)
 {
     StatGroup parent("mc"), child("mc0");
-    Scalar s0(parent, "x", ""), s1(child, "x", "");
+    Scalar s0(parent, "x"), s1(child, "x");
 
     StatRegistry reg;
     reg.add("mc", parent);
@@ -245,9 +245,9 @@ TEST(StatRegistry, DuplicatePathPanics)
 TEST(StatGroup, ResetResetsAll)
 {
     StatGroup g;
-    Scalar s(g, "a", "");
-    Average a(g, "b", "");
-    Distribution d(g, "c", "", 1, 2);
+    Scalar s(g, "a");
+    Average a(g, "b");
+    Distribution d(g, "c", 1, 2);
     s += 3;
     a.sample(1);
     d.sample(1);

@@ -68,6 +68,16 @@ TEST(LitmusText, ParseRejectsMalformedInput)
         FatalError);
     EXPECT_THROW(parseLitmus("litmus v1\nthread 0\ntx\nstore 0x0 1\n"),
                  FatalError); // unterminated tx
+    // Numbers are decimal or 0x hex: no sign, no octal, no junk, no
+    // overflow.
+    for (const char *bad : {"-8 1", "0x40 -1", "+8 1", "010 1", "0x 1",
+                            "0X40 1", "8x 1", "0x40 18446744073709551616"}) {
+        EXPECT_THROW(parseLitmus(std::string("litmus v1\nthread 0\ntx\n"
+                                             "store ") +
+                                 bad + "\nend\n"),
+                     FatalError)
+            << bad;
+    }
 }
 
 TEST(LitmusValidate, RejectsBadShapes)
@@ -148,21 +158,24 @@ TEST(LitmusTraces, InitialImageIsDeterministic)
 TEST(LitmusTraces, FactoryPathReplaysPrograms)
 {
     // The generic trace generator path (WorkloadKind::Litmus) must
-    // also replay programs — it always commits, so use a program
-    // without aborts.
-    LitmusProgram p = twoThreadProgram();
-    p.threads[0].txs.back().commit = true;
-
+    // also replay programs, `tx abort` included: thread 0's trace ends
+    // inside its open final transaction.
     TraceGenConfig cfg;
     cfg.kind = WorkloadKind::Litmus;
     cfg.numThreads = 2;
-    cfg.options.litmus = serializeLitmus(p);
+    cfg.options.litmus = serializeLitmus(twoThreadProgram());
     WorkloadTraces traces = generateTraces(cfg);
     ASSERT_EQ(traces.threads.size(), 2u);
     bool store_seen = false;
-    for (const auto &op : traces.threads[0].ops)
+    int depth = 0;
+    for (const auto &op : traces.threads[0].ops) {
         store_seen |= op.kind == TxOp::Kind::Store && op.value == 7;
+        depth += op.kind == TxOp::Kind::TxBegin;
+        depth -= op.kind == TxOp::Kind::TxEnd;
+    }
     EXPECT_TRUE(store_seen);
+    EXPECT_EQ(depth, 1) << "tx abort must leave the final tx open";
+    EXPECT_EQ(traces.threads[0].ops.back().kind, TxOp::Kind::Store);
 }
 
 } // namespace

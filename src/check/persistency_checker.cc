@@ -60,7 +60,7 @@ PersistencyChecker::PersistencyChecker(const SimConfig &cfg,
                                        const EventQueue &eq)
     : _scheme(cfg.scheme), _numCores(cfg.numCores),
       _pmLineWords(cfg.onPmBufferLineBytes / wordBytes), _eq(&eq),
-      _latestTx(cfg.numCores), _hasTx(cfg.numCores)
+      _txs(cfg.numCores)
 {
 }
 
@@ -96,12 +96,16 @@ PersistencyChecker::report(std::ostream &os) const
 PersistencyChecker::TxShadow *
 PersistencyChecker::openTxOf(unsigned core)
 {
-    if (core >= _hasTx.size() || !_hasTx[core])
+    if (core >= _txs.size() || !_txs[core].open)
         return nullptr;
-    auto it = _txs.find(key(core, _latestTx[core]));
-    if (it == _txs.end() || !it->second.open)
-        return nullptr;
-    return &it->second;
+    return &_txs[core];
+}
+
+PersistencyChecker::TxShadow *
+PersistencyChecker::latestTx(unsigned core, std::uint16_t txid)
+{
+    TxShadow &tx = _txs.at(core);
+    return tx.txid == txid ? &tx : nullptr;
 }
 
 // --- Transaction and crash events ---------------------------------------
@@ -109,9 +113,8 @@ PersistencyChecker::openTxOf(unsigned core)
 void
 PersistencyChecker::onTxBegin(unsigned core, std::uint16_t txid)
 {
-    _latestTx[core] = txid;
-    _hasTx[core] = true;
-    TxShadow &tx = _txs[key(core, txid)];
+    TxShadow &tx = _txs.at(core);
+    tx = TxShadow{};
     tx.core = core;
     tx.txid = txid;
     tx.open = true;
@@ -129,7 +132,7 @@ PersistencyChecker::onStore(unsigned core, Addr addr, Word old_val,
         tx->writes.emplace(addr, std::make_pair(old_val, new_val));
     if (!inserted)
         it->second.second = new_val;
-    _pendingWriter[addr] = key(core, tx->txid);
+    _pendingWriter[addr] = core;
     _initialValue.emplace(addr, old_val);
     // A new value supersedes whatever an earlier flush-bit delivered.
     _flushBitDelivered.erase(addr);
@@ -152,16 +155,13 @@ PersistencyChecker::onTxEndComplete(unsigned core)
     checkCommit(*tx);
     tx->open = false;
     tx->committed = true;
-    TxKey k = key(core, tx->txid);
     for (const auto &[addr, vals] : tx->writes) {
         _committedImage[addr] = vals.second;
         _committedValueHistory[addr].insert(vals.second);
         auto it = _pendingWriter.find(addr);
-        if (it != _pendingWriter.end() && it->second == k)
+        if (it != _pendingWriter.end() && it->second == core)
             _pendingWriter.erase(it);
     }
-    _batteryUndo.erase(k);
-    _adrUndo.erase(k);
 }
 
 void
@@ -170,8 +170,10 @@ PersistencyChecker::onBatteryDead()
     // The battery flush ran inside the scheme's crash(): anything that
     // needed to survive is now in the log region. On-chip coverage is
     // gone (and so is MorLog's MC buffer, which the ADR flush emptied).
-    _batteryUndo.clear();
-    _adrUndo.clear();
+    for (TxShadow &tx : _txs) {
+        tx.batteryUndo.clear();
+        tx.adrUndo.clear();
+    }
 }
 
 void
@@ -179,7 +181,8 @@ PersistencyChecker::noteBatteryUndo(unsigned core, std::uint16_t txid,
                                     Addr addr, Word old_val)
 {
     (void)old_val;
-    _batteryUndo[key(core, txid)].insert(addr);
+    if (TxShadow *tx = latestTx(core, txid))
+        tx->batteryUndo.insert(addr);
 }
 
 void
@@ -187,7 +190,8 @@ PersistencyChecker::noteAdrUndo(unsigned core, std::uint16_t txid,
                                 Addr addr, Word old_val)
 {
     (void)old_val;
-    _adrUndo[key(core, txid)].insert(addr);
+    if (TxShadow *tx = latestTx(core, txid))
+        tx->adrUndo.insert(addr);
 }
 
 void
@@ -223,16 +227,8 @@ PersistencyChecker::onLogInFlight(Addr rec_addr,
 bool
 PersistencyChecker::undoCoverage(const TxShadow &tx, Addr addr) const
 {
-    TxKey k = key(tx.core, tx.txid);
-
-    if (auto it = _batteryUndo.find(k);
-        it != _batteryUndo.end() && it->second.count(addr))
-        return true;
-    if (auto it = _adrUndo.find(k);
-        it != _adrUndo.end() && it->second.count(addr))
-        return true;
-    if (auto it = _txLoggedUndo.find(k);
-        it != _txLoggedUndo.end() && it->second.count(addr))
+    if (tx.batteryUndo.count(addr) || tx.adrUndo.count(addr) ||
+        tx.loggedUndo.count(addr))
         return true;
     for (const auto &[rec_addr, rec] : _inFlightRecords) {
         if ((rec.kind == log::LogRecord::Kind::Undo ||
@@ -248,15 +244,12 @@ void
 PersistencyChecker::checkDomainEntry(Addr addr, Word value, bool held,
                                      const char *domain)
 {
-    if (_scheme == SchemeKind::None)
-        return;
     auto pending = _pendingWriter.find(addr);
     if (pending == _pendingWriter.end())
         return;
-    auto tx_it = _txs.find(pending->second);
-    if (tx_it == _txs.end() || tx_it->second.committed)
+    const TxShadow &tx = _txs[pending->second];
+    if (tx.committed)
         return;
-    const TxShadow &tx = tx_it->second;
     auto w = tx.writes.find(addr);
     if (w == tx.writes.end())
         return;
@@ -287,14 +280,16 @@ PersistencyChecker::onWpqAcceptLine(
     ++_counters.wpqLineAccepts;
     if (held) {
         // Identify the owning transaction via the thread-affine arena.
-        TxKey owner = 0;
+        auto &entry = _heldLines[line_addr];
+        entry.owned = false;
         if (addr_map::inDataRegion(line_addr)) {
             unsigned core = addr_map::dataArenaOwner(line_addr);
-            if (TxShadow *tx = openTxOf(core))
-                owner = key(core, tx->txid);
+            if (TxShadow *tx = openTxOf(core)) {
+                entry.owned = true;
+                entry.core = core;
+                entry.txid = tx->txid;
+            }
         }
-        auto &entry = _heldLines[line_addr];
-        entry.owner = owner;
         for (unsigned w = 0; w < wordsPerLine; ++w)
             entry.words[line_addr + Addr(w) * wordBytes] = values[w];
         return;
@@ -327,20 +322,15 @@ PersistencyChecker::onHeldRelease(Addr line_addr)
     auto it = _heldLines.find(line_addr);
     if (it == _heldLines.end())
         return;
-    HeldLine entry = it->second;
+    HeldLine entry = std::move(it->second);
     _heldLines.erase(it);
 
     // Releasing makes the entry drainable (irrevocable): legal only if
     // the owning transaction is committing/committed, or every word it
     // wrote in the line has durable undo coverage (LAD slow mode).
-    auto tx_it = _txs.find(entry.owner);
-    if (tx_it == _txs.end()) {
-        for (const auto &[addr, value] : entry.words)
-            _adrValue[addr] = value;
-        return;
-    }
-    const TxShadow &tx = tx_it->second;
-    if (!tx.committed && !tx.endRequested) {
+    const TxShadow &tx = _txs[entry.core];
+    if (entry.owned && !committed(entry.core, entry.txid) &&
+        !tx.endRequested) {
         for (const auto &[addr, vals] : tx.writes) {
             if (lineAlign(addr) != line_addr)
                 continue;
@@ -362,12 +352,11 @@ PersistencyChecker::onHeldDiscard(Addr line_addr)
     auto it = _heldLines.find(line_addr);
     if (it == _heldLines.end())
         return;
-    TxKey owner = it->second.owner;
+    HeldLine entry = std::move(it->second);
     _heldLines.erase(it);
-    auto tx_it = _txs.find(owner);
-    if (tx_it != _txs.end() && tx_it->second.committed) {
-        violate(ViolationKind::HeldReleaseOrdering, tx_it->second.core,
-                tx_it->second.txid, line_addr,
+    if (entry.owned && committed(entry.core, entry.txid)) {
+        violate(ViolationKind::HeldReleaseOrdering, entry.core,
+                entry.txid, line_addr,
                 "crash discarded a held entry of a committed "
                 "transaction (release ordering broken)");
     }
@@ -412,14 +401,16 @@ PersistencyChecker::onLogPersist(Addr rec_addr,
     }
     if (record.lsn != 0)
         ++_lsnCopies[record.lsn];
-    TxKey k = key(record.tid, record.txid);
+    TxShadow *tx = latestTx(record.tid, record.txid);
+    if (!tx)
+        return;
     switch (record.kind) {
       case log::LogRecord::Kind::Undo:
       case log::LogRecord::Kind::UndoRedo:
-        _txLoggedUndo[k].insert(record.dataAddr);
+        tx->loggedUndo.insert(record.dataAddr);
         break;
       case log::LogRecord::Kind::Commit:
-        _txMarker.insert(k);
+        tx->marker = true;
         break;
       case log::LogRecord::Kind::Redo:
       case log::LogRecord::Kind::IdTuple:
@@ -456,9 +447,7 @@ PersistencyChecker::recordIsDead(const log::LogRecord &rec) const
 {
     if (rec.kind == log::LogRecord::Kind::Checkpoint)
         return true;
-    auto tx_it = _txs.find(key(rec.tid, rec.txid));
-    bool committed = tx_it != _txs.end() && tx_it->second.committed;
-    if (!committed)
+    if (!committed(rec.tid, rec.txid))
         return false;
     if (rec.kind != log::LogRecord::Kind::Redo &&
         rec.kind != log::LogRecord::Kind::UndoRedo)
@@ -554,31 +543,24 @@ PersistencyChecker::onCheckpointComplete(unsigned tid,
 void
 PersistencyChecker::checkCommit(const TxShadow &tx)
 {
-    TxKey k = key(tx.core, tx.txid);
-
     switch (_scheme) {
-      case SchemeKind::None:
-        return;
-
       case SchemeKind::Base:
       case SchemeKind::Fwb:
       case SchemeKind::MorLog:
       case SchemeKind::SwEadr: {
         // WAL commit: every changed word's undo/redo record and the
         // commit marker must have been durable before done() fired.
-        auto logged = _txLoggedUndo.find(k);
         for (const auto &[addr, vals] : tx.writes) {
             if (vals.first == vals.second)
                 continue;
-            if (logged == _txLoggedUndo.end() ||
-                !logged->second.count(addr)) {
+            if (!tx.loggedUndo.count(addr)) {
                 violate(ViolationKind::CommitNotDurable, tx.core,
                         tx.txid, addr,
                         "Tx_end completed without a durable log record "
                         "for this word");
             }
         }
-        if (!_txMarker.count(k)) {
+        if (!tx.marker) {
             violate(ViolationKind::CommitNotDurable, tx.core, tx.txid, 0,
                     "Tx_end completed without a durable commit marker");
         }
@@ -600,7 +582,8 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
             }
         }
         for (const auto &[line, entry] : _heldLines) {
-            if (entry.owner == k) {
+            if (entry.owned && entry.core == tx.core &&
+                entry.txid == tx.txid) {
                 violate(ViolationKind::HeldReleaseOrdering, tx.core,
                         tx.txid, line,
                         "Tx_end completed with an entry of the "
@@ -613,12 +596,10 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
       case SchemeKind::Silo: {
         // Silo commit: every changed word is in battery custody (log
         // buffer / staged), flush-bit-delivered, or already accepted.
-        auto battery = _batteryUndo.find(k);
         for (const auto &[addr, vals] : tx.writes) {
             if (vals.first == vals.second)
                 continue;
-            if (battery != _batteryUndo.end() &&
-                battery->second.count(addr))
+            if (tx.batteryUndo.count(addr))
                 continue;
             auto fb = _flushBitDelivered.find(addr);
             if (fb != _flushBitDelivered.end() &&
@@ -642,9 +623,6 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 void
 PersistencyChecker::onRecoveryComplete(const PersistentDomain &domain)
 {
-    if (_scheme == SchemeKind::None)
-        return;
-
     // Oracle: initial values + the stores of every durably committed
     // transaction. A commit in flight at the crash counts if its
     // commit marker is durable.
@@ -652,12 +630,7 @@ PersistencyChecker::onRecoveryComplete(const PersistentDomain &domain)
     for (const auto &[addr, value] : _committedImage)
         expected[addr] = value;
     for (unsigned core = 0; core < _numCores; ++core) {
-        if (!_hasTx[core])
-            continue;
-        auto it = _txs.find(key(core, _latestTx[core]));
-        if (it == _txs.end())
-            continue;
-        const TxShadow &tx = it->second;
+        const TxShadow &tx = _txs[core];
         if (tx.committed || !tx.endRequested)
             continue;
         if (domain.commitMarkers[core]) {

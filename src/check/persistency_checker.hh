@@ -47,6 +47,12 @@
  * Violations are collected (not fatal) with tick + core + tx + address
  * provenance; tests and the check_all runner inspect them.
  *
+ * Transaction state is per core: a replay core begins a transaction
+ * only after the previous Tx_end completed, so every transaction of a
+ * core but its latest has committed, and only the latest is shadowed.
+ * That stays right past the 16-bit txid wrap, where one txid names two
+ * instances.
+ *
  * The checker is a copyable value that reaches nothing of the machine
  * but the event queue's clock, and stopClock() cuts that: a crash
  * sweep copies it with the persistent domain after each event, so the
@@ -238,7 +244,8 @@ class PersistencyChecker : public log::PersistEventSink
     /// @}
 
   private:
-    /** Shadow of one transaction seen by the checker. */
+    /** Shadow of a core's latest transaction, reset at its Tx_begin
+     *  (every earlier one has committed: see the file header). */
     struct TxShadow
     {
         unsigned core = 0;
@@ -248,16 +255,30 @@ class PersistencyChecker : public log::PersistEventSink
         bool committed = false;     //!< Tx_end done() fired
         /** addr -> (value before the tx's first store, latest value). */
         std::map<Addr, std::pair<Word, Word>> writes;
+        /** Words with a durable undo record (survives truncation). */
+        std::set<Addr> loggedUndo;
+        /** Its commit marker became durable (survives truncation). */
+        bool marker = false;
+        /** Battery-backed (Silo) undo coverage. */
+        std::set<Addr> batteryUndo;
+        /** ADR-buffer (MorLog) undo coverage. */
+        std::set<Addr> adrUndo;
     };
 
-    using TxKey = std::uint32_t; //!< core << 16 | txid
-
-    static TxKey key(unsigned core, std::uint16_t txid)
-    {
-        return TxKey(core) << 16 | txid;
-    }
-
     TxShadow *openTxOf(unsigned core);
+
+    /**
+     * @return @p core 's latest transaction if its txid is @p txid;
+     * nullptr if (core, txid) names an earlier, committed one.
+     */
+    TxShadow *latestTx(unsigned core, std::uint16_t txid);
+
+    /** Has transaction @p txid of @p core committed? */
+    bool committed(unsigned core, std::uint16_t txid) const
+    {
+        const TxShadow &tx = _txs.at(core);
+        return tx.txid != txid || tx.committed;
+    }
 
     /**
      * A word carrying @p value entered a persistent domain. Checks
@@ -297,14 +318,11 @@ class PersistencyChecker : public log::PersistEventSink
     const EventQueue *_eq;
     Tick _stoppedAt = 0;
 
-    /** Every transaction ever begun. */
-    std::map<TxKey, TxShadow> _txs;
-    /** Latest (possibly open) transaction per core. */
-    std::vector<std::uint16_t> _latestTx;
-    std::vector<bool> _hasTx;
+    /** Each core's latest (possibly open) transaction. */
+    std::vector<TxShadow> _txs;
 
-    /** addr -> key of the open tx whose uncommitted value it holds. */
-    std::map<Addr, TxKey> _pendingWriter;
+    /** addr -> core whose open transaction's uncommitted value it holds. */
+    std::map<Addr, unsigned> _pendingWriter;
     /** First value ever observed for each stored word (initial image). */
     std::map<Addr, Word> _initialValue;
     /** Values of committed transactions, applied in commit order. */
@@ -319,20 +337,14 @@ class PersistencyChecker : public log::PersistEventSink
     std::map<std::uint64_t, unsigned> _lsnCopies;
     /** Records in the MC's ADR log path (durable, awaiting accept). */
     std::map<Addr, log::LogRecord> _inFlightRecords;
-    /** Cumulative per-tx logged undo addresses (survives truncation). */
-    std::map<TxKey, std::set<Addr>> _txLoggedUndo;
-    /** Cumulative per-tx commit markers (survives truncation). */
-    std::set<TxKey> _txMarker;
-
-    /** Battery-backed (Silo) undo coverage: tx -> addrs. */
-    std::map<TxKey, std::set<Addr>> _batteryUndo;
-    /** ADR-buffer (MorLog) undo coverage: tx -> addrs. */
-    std::map<TxKey, std::set<Addr>> _adrUndo;
 
     /** One held (LAD) WPQ line: durable but revocable by discard. */
     struct HeldLine
     {
-        TxKey owner = 0;
+        /** The owning transaction, if its core had one open. */
+        bool owned = false;
+        unsigned core = 0;
+        std::uint16_t txid = 0;
         /** Accepted word values, promoted to _adrValue at release. */
         std::map<Addr, Word> words;
     };

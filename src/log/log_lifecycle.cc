@@ -9,18 +9,6 @@
 namespace silo::log
 {
 
-namespace
-{
-
-/** Committed-set key: transactions are identified per (core, txid). */
-std::uint32_t
-txKey(unsigned core, std::uint16_t txid)
-{
-    return (std::uint32_t(core) << 16) | txid;
-}
-
-} // namespace
-
 LogLifecycle::LogLifecycle(EventQueue &eq, const SimConfig &cfg,
                            mc::McRouter &mc, LogRegionStore &logs,
                            PersistEventSink *checker)
@@ -70,7 +58,17 @@ LogLifecycle::gate(unsigned tid, std::function<void()> done)
 void
 LogLifecycle::onTxCommitted(unsigned core, std::uint16_t txid)
 {
-    _committed.insert(txKey(core, txid));
+    _threads.at(core).lastCommitted = txid;
+}
+
+bool
+LogLifecycle::committed(const LogRecord &rec) const
+{
+    // The replay core begins a transaction only after the previous one
+    // committed and increments the txid at every Tx_begin: only the
+    // txid after the last committed one can be open.
+    return rec.txid !=
+           std::uint16_t(_threads.at(rec.tid).lastCommitted + 1);
 }
 
 void
@@ -129,9 +127,7 @@ LogLifecycle::cleanerDead(const LogRecord &rec) const
     // undo a committed transaction.
     if (rec.kind == LogRecord::Kind::Checkpoint)
         return true;
-    if (!_committed.count(txKey(rec.tid, rec.txid)))
-        return false;
-    return rec.kind == LogRecord::Kind::Undo;
+    return committed(rec) && rec.kind == LogRecord::Kind::Undo;
 }
 
 void
@@ -223,7 +219,7 @@ LogLifecycle::startCheckpoint(unsigned tid)
             ts.ckptDrops.push_back(addr);
             return;
         }
-        if (!_committed.count(txKey(rec.tid, rec.txid)))
+        if (!committed(rec))
             return;
         ts.ckptDrops.push_back(addr);
         if (rec.kind == LogRecord::Kind::Redo ||

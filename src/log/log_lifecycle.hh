@@ -16,7 +16,9 @@
  *  - the CHECKPOINT flushes, per word, the latest committed value
  *    carried by the log into the persistent domain, then drops every
  *    record of the checkpointed committed transactions and a batch of
- *    now-empty segments;
+ *    now-empty segments (a record is committed unless its txid is the
+ *    one after its thread's last committed txid: the replay core's open
+ *    transaction, also past the 16-bit txid wrap);
  *  - ADMISSION BACKPRESSURE defers log-append completion callbacks
  *    while clean capacity is below the reserve, surfacing as
  *    commit/store stalls in the existing Distribution stats plus this
@@ -41,7 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "mc/mc_router.hh"
@@ -146,6 +147,8 @@ class LogLifecycle
         std::vector<CkptWord> ckptWords;
         std::size_t ckptIdx = 0;
         std::vector<Addr> ckptDrops;
+        /** Txid of the thread's last committed transaction. */
+        std::uint16_t lastCommitted = 0;
     };
 
     /** Clean segments left in @p tid 's physical ring (may go negative
@@ -170,6 +173,9 @@ class LogLifecycle
 
     void releaseGated(unsigned tid, bool force);
 
+    /** Has the transaction that wrote @p rec committed? */
+    bool committed(const LogRecord &rec) const;
+
     /** Dead for the CLEANER: droppable without a checkpoint flush. */
     bool cleanerDead(const LogRecord &rec) const;
 
@@ -180,8 +186,6 @@ class LogLifecycle
     PersistEventSink *_checker;
 
     std::vector<ThreadState> _threads;
-    /** Committed transactions (core << 16 | txid). */
-    std::set<std::uint32_t> _committed;
 
     LifecycleStats _stats;
     /** Force-release window for stalled completions, in cycles. */

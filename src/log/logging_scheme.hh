@@ -313,14 +313,6 @@ class LoggingScheme
     std::vector<std::uint16_t> _txids;
 };
 
-/** No durability mechanism: raw memory system (calibration runs). */
-class NullScheme : public LoggingScheme
-{
-  public:
-    using LoggingScheme::LoggingScheme;
-    const char *name() const override { return "None"; }
-};
-
 /** Instantiate the scheme selected by @p ctx.cfg.scheme. */
 std::unique_ptr<LoggingScheme> makeScheme(SchemeContext ctx);
 

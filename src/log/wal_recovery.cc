@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bitset>
+#include <deque>
 
 namespace silo::log
 {
@@ -12,15 +13,15 @@ namespace
 using Kind = LogRecord::Kind;
 
 /**
- * One thread's live records in write order, walked in place. A record
- * whose LSN is its address was appended there, so the store's address
- * order is already their LSN order; the rest are the cleaner's
+ * One thread's live records in reverse write order, walked in place. A
+ * record whose LSN is its address was appended there, so the store's
+ * address order is already their LSN order; the rest are the cleaner's
  * migrated copies (segmented mode only). Those are the only records
  * sorted, by (LSN, address) — the order a stable sort by LSN of the
  * address-ordered log gives — and merged in, an in-place record
  * winning an LSN tie. Checkpoint markers are skipped, and of each run
  * of equal LSNs (both copies of a record whose migration a crash cut
- * short) only the first is visited.
+ * short) only the first in write order is visited.
  */
 class WriteOrder
 {
@@ -38,38 +39,14 @@ class WriteOrder
                          });
     }
 
-    /** Visit the records in write order: fn(addr, record). */
-    template <typename Fn>
-    void
-    forward(Fn &&fn) const
-    {
-        std::uint64_t last_lsn = 0;
-        auto visit = [&](Addr addr, const LogRecord &rec) {
-            if (rec.kind == Kind::Checkpoint || rec.lsn == last_lsn)
-                return;
-            last_lsn = rec.lsn;
-            fn(addr, rec);
-        };
-        auto m = _moved.begin();
-        _logs.forEachLive(_tid, [&](Addr addr, const LogRecord &rec) {
-            if (rec.lsn != addr)
-                return;
-            for (; m != _moved.end() && before(*m, addr); ++m)
-                visit(m->addr, *m->rec);
-            visit(addr, rec);
-        });
-        for (; m != _moved.end(); ++m)
-            visit(m->addr, *m->rec);
-    }
-
-    /** Visit the same records as forward(), in reverse. */
+    /** Visit the records in reverse write order: fn(addr, record). */
     template <typename Fn>
     void
     backward(Fn &&fn) const
     {
-        // forward() keeps the first record of an equal-LSN run, which
-        // this walk meets last: hold each record back until the next
-        // one shows whether it starts its run.
+        // The first record of an equal-LSN run is the one this walk
+        // meets last: hold each record back until the next one shows
+        // whether it starts its run.
         const LogRecord *held = nullptr;
         Addr held_addr = 0;
         auto visit = [&](Addr addr, const LogRecord &rec) {
@@ -121,42 +98,48 @@ std::vector<std::pair<Addr, LogRecord>>
 orderedLiveRecords(const LogRegionStore &logs, unsigned tid)
 {
     std::vector<std::pair<Addr, LogRecord>> out;
-    WriteOrder(logs, tid).forward([&](Addr addr, const LogRecord &rec) {
+    WriteOrder(logs, tid).backward([&](Addr addr, const LogRecord &rec) {
         out.emplace_back(addr, rec);
     });
+    std::reverse(out.begin(), out.end());
     return out;
 }
 
 void
 walRecover(LogRegionStore &logs, unsigned threads, WordStore &media)
 {
+    // A deque: a long log's redo list grows in small blocks, where a
+    // vector doubling through ~330K pointers (long_horizon) raised the
+    // peak RSS by 4 MiB.
+    std::deque<const LogRecord *> redo;
+    std::vector<const LogRecord *> undo;
     for (unsigned t = 0; t < threads; ++t) {
-        WriteOrder order(logs, t);
-
-        // The committed transactions of this thread, named by a commit
-        // marker or an ID tuple.
-        std::bitset<1u << 16> committed;
-        order.forward([&](Addr, const LogRecord &rec) {
-            if (rec.kind == Kind::Commit || rec.kind == Kind::IdTuple)
-                committed.set(rec.txid);
-        });
-
-        // Redo committed transactions in log (write) order.
-        order.forward([&](Addr, const LogRecord &rec) {
-            if ((rec.kind == Kind::UndoRedo || rec.kind == Kind::Redo) &&
-                committed.test(rec.txid)) {
-                media.store(rec.dataAddr, rec.newData);
+        // A commit marker or an ID tuple commits the records of its
+        // txid written since that txid's previous marker: a record is
+        // committed iff a marker of its txid follows it. One backward
+        // walk sorts the records; `marked` holds the txids whose marker
+        // it has passed.
+        std::bitset<1u << 16> marked;
+        redo.clear();
+        undo.clear();
+        WriteOrder(logs, t).backward([&](Addr, const LogRecord &rec) {
+            if (rec.kind == Kind::Commit || rec.kind == Kind::IdTuple) {
+                marked.set(rec.txid);
+            } else if (marked.test(rec.txid)) {
+                if (rec.kind != Kind::Undo)
+                    redo.push_back(&rec);
+            } else if (rec.kind != Kind::Redo) {
+                undo.push_back(&rec);
             }
         });
 
-        // Undo uncommitted transactions in reverse order so a word's
-        // oldest old-value lands last.
-        order.backward([&](Addr, const LogRecord &rec) {
-            if ((rec.kind == Kind::UndoRedo || rec.kind == Kind::Undo) &&
-                !committed.test(rec.txid)) {
-                media.store(rec.dataAddr, rec.oldData);
-            }
-        });
+        // Redo committed records in log (write) order, then revoke the
+        // uncommitted ones in reverse order so a word's oldest old
+        // value lands last.
+        for (auto it = redo.rbegin(); it != redo.rend(); ++it)
+            media.store((*it)->dataAddr, (*it)->newData);
+        for (const LogRecord *rec : undo)
+            media.store(rec->dataAddr, rec->oldData);
 
         logs.truncate(t);
     }

@@ -3,10 +3,13 @@
  * Post-crash recovery, one routine for every scheme.
  *
  * A log record describes itself (Fig. 6: tid, txid, kind), so one
- * rule recovers every scheme: a transaction is committed iff its
- * thread's log holds a commit marker (the write-ahead-log schemes Base,
- * FWB, MorLog and SW-eADR write one at Tx_end) or an ID tuple (Silo's
- * crash flush, §III-G) naming its txid. Recovery replays the new data
+ * rule recovers every scheme: a record is committed iff its thread's
+ * log holds, after it, a commit marker (the write-ahead-log schemes
+ * Base, FWB, MorLog and SW-eADR write one at Tx_end) or an ID tuple
+ * (Silo's crash flush, §III-G) naming its txid. A marker thus commits
+ * the records of its txid written since that txid's previous marker,
+ * and a txid reused past the 16-bit wrap does not inherit the marker
+ * of its earlier instance. Recovery replays the new data
  * of committed transactions in log order and revokes the rest with
  * their old data in reverse log order. The WAL schemes write undo+redo
  * records; Silo writes undo records (overflow evictions, and the crash
@@ -17,9 +20,10 @@
  *
  * Recovery walks each thread's records in place, in the store's
  * address order, which is write (LSN) order for every record that was
- * appended where it lies: one forward walk fills a flat committed
- * table indexed by txid, a second replays redo, and a backward walk
- * revokes undo.
+ * appended where it lies: one backward walk marks each txid whose
+ * marker it has passed and collects the committed redo and uncommitted
+ * undo records; the redo then replays in write order, and the undo is
+ * revoked in reverse write order.
  *
  * Segmented mode (DESIGN.md §4j): the cleaner migrates records to new
  * addresses, keeping their LSN (the original append address), so a
@@ -46,7 +50,7 @@ namespace silo::log
 /**
  * Thread @p tid 's live records in write (LSN) order, with duplicate
  * LSNs (in-flight migrations) deduplicated and lifecycle checkpoint
- * markers dropped: a copy of the sequence walRecover() walks.
+ * markers dropped: a copy of the sequence walRecover() walks backward.
  * Multi-segment by construction: the walk covers every non-clean
  * segment from head to tail.
  */

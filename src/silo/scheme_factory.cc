@@ -14,8 +14,6 @@ std::unique_ptr<LoggingScheme>
 makeScheme(SchemeContext ctx)
 {
     switch (ctx.cfg.scheme) {
-      case SchemeKind::None:
-        return std::make_unique<NullScheme>(std::move(ctx));
       case SchemeKind::Base:
         return std::make_unique<BaseScheme>(std::move(ctx));
       case SchemeKind::Fwb:

@@ -20,11 +20,14 @@
 namespace silo
 {
 
-/** Which atomic-durability design the memory system implements. */
+/**
+ * Which atomic-durability design the memory system implements. The
+ * values start at 1 and never change: gtest prints them into the names
+ * of the scheme-parameterised tests.
+ */
 enum class SchemeKind
 {
-    None,       //!< no durability mechanism (raw memory system)
-    Base,       //!< flush undo+redo log + updated cacheline per store
+    Base = 1,   //!< flush undo+redo log + updated cacheline per store
     Fwb,        //!< hardware undo+redo with force-write-back (FWB)
     MorLog,     //!< morphable logging with on-chip merge buffer
     Lad,        //!< logless atomic durability (LAD)
@@ -37,7 +40,6 @@ inline const char *
 schemeName(SchemeKind kind)
 {
     switch (kind) {
-      case SchemeKind::None: return "None";
       case SchemeKind::Base: return "Base";
       case SchemeKind::Fwb: return "FWB";
       case SchemeKind::MorLog: return "MorLog";
@@ -62,8 +64,6 @@ schemeFromName(const std::string &name)
         if (name == schemeName(kind))
             return kind;
     }
-    if (name == schemeName(SchemeKind::None))
-        return SchemeKind::None;
     fatal("unknown scheme: " + name);
 }
 

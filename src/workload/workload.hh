@@ -91,7 +91,8 @@ class Workload
     virtual void transaction(MemClient &mem, PmHeap &heap, Rng &rng) = 0;
 };
 
-/** Instantiate a workload of @p kind. */
+/** Instantiate a workload of @p kind; panic() for Litmus, whose
+ *  traces come from litmusTraces() (workload/litmus.hh). */
 std::unique_ptr<Workload> makeWorkload(WorkloadKind kind,
                                        const WorkloadOptions &opts = {});
 

@@ -6,7 +6,6 @@
 #include "workload/btree_workload.hh"
 #include "workload/ctrie_workload.hh"
 #include "workload/hash_workload.hh"
-#include "workload/litmus.hh"
 #include "workload/queue_workload.hh"
 #include "workload/rbtree_workload.hh"
 #include "workload/rtree_workload.hh"
@@ -78,12 +77,9 @@ makeWorkload(WorkloadKind kind, const WorkloadOptions &opts)
       case WorkloadKind::Bank:
         return std::make_unique<BankWorkload>();
       case WorkloadKind::Litmus:
-        if (opts.litmus.empty())
-            fatal("Litmus workload needs WorkloadOptions::litmus");
-        return std::make_unique<LitmusWorkload>(
-            parseLitmus(opts.litmus).program);
+        break; // generateTraces() hands programs to litmusTraces()
     }
-    panic("unknown workload kind");
+    panic(std::string("no generic workload for ") + workloadName(kind));
 }
 
 } // namespace silo::workload

@@ -37,12 +37,6 @@ smallConfig(SchemeKind scheme, unsigned cores)
     return cfg;
 }
 
-constexpr SchemeKind allSchemes[] = {
-    SchemeKind::None, SchemeKind::Base, SchemeKind::Fwb,
-    SchemeKind::MorLog, SchemeKind::Lad, SchemeKind::Silo,
-    SchemeKind::SwEadr,
-};
-
 std::string
 schemeParamName(const ::testing::TestParamInfo<SchemeKind> &info)
 {

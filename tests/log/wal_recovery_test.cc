@@ -10,7 +10,8 @@
  * order, and, with segmentation on, migrated copies that keep their
  * LSN — some with the original still live, some with a different
  * payload — plus drops and segment reclaims. Txids are distinct within
- * a thread.
+ * a thread there; one hand-built log repeats a txid, as a run past the
+ * 16-bit wrap does, and is checked against its expected image.
  */
 
 #include <gtest/gtest.h>
@@ -292,6 +293,52 @@ TEST(WalRecovery, MatchesTheSortingReferenceWithMigratedCopies)
         if (HasFatalFailure())
             return;
     }
+}
+
+TEST(WalRecovery, MarkerCommitsOnlyRecordsBeforeIt)
+{
+    // Past the 16-bit wrap a txid comes round again while its earlier
+    // instance's marker is still in the log: that marker must not
+    // commit the new instance's records. Thread 0 writes undo+redo
+    // records and commit markers (txid 5 commits, txid 6 commits, txid
+    // 5 is open at the crash); thread 1 writes Silo's redo records, an
+    // ID tuple and an undo record (txid 9 commits, then is open).
+    LogRegionStore logs(2);
+    auto append = [&](unsigned t, Kind kind, std::uint16_t txid,
+                      unsigned word, Word old_data, Word new_data) {
+        LogRecord rec;
+        rec.kind = kind;
+        rec.tid = std::uint8_t(t);
+        rec.txid = txid;
+        rec.dataAddr = poolAddr(word);
+        rec.oldData = old_data;
+        rec.newData = new_data;
+        logs.persist(logs.allocate(t, rec.sizeBytes()), rec);
+    };
+    append(0, Kind::UndoRedo, 5, 0, 1, 2);
+    append(0, Kind::UndoRedo, 5, 1, 10, 11);
+    append(0, Kind::Commit, 5, 0, 0, 0);
+    append(0, Kind::UndoRedo, 6, 2, 20, 21);
+    append(0, Kind::Commit, 6, 0, 0, 0);
+    append(0, Kind::UndoRedo, 5, 0, 2, 3);
+    append(0, Kind::UndoRedo, 5, 3, 30, 31);
+    append(1, Kind::Redo, 9, 4, 0, 41);
+    append(1, Kind::IdTuple, 9, 0, 0, 0);
+    append(1, Kind::Undo, 9, 5, 50, 0);
+
+    // The open instances' new values reached the media; the committed
+    // words of txid 5's first instance and of txid 9 did not.
+    WordStore media;
+    for (auto [word, value] : {std::pair<unsigned, Word>{0, 3},
+                               {1, 10}, {2, 21}, {3, 31}, {4, 40},
+                               {5, 51}})
+        media.store(poolAddr(word), value);
+    walRecover(logs, 2, media);
+
+    const Word expected[] = {2, 11, 21, 30, 41, 50};
+    for (unsigned word = 0; word < std::size(expected); ++word)
+        EXPECT_EQ(media.load(poolAddr(word)), expected[word])
+            << "word " << word;
 }
 
 TEST(WalRecovery, MatchesTheSortingReferenceAcrossChunks)

@@ -58,8 +58,7 @@ Violation::toJson() const
 
 PersistencyChecker::PersistencyChecker(const SimConfig &cfg,
                                        const EventQueue &eq)
-    : _scheme(cfg.scheme), _numCores(cfg.numCores),
-      _pmLineWords(cfg.onPmBufferLineBytes / wordBytes), _eq(&eq),
+    : _scheme(cfg.scheme), _numCores(cfg.numCores), _eq(&eq),
       _txs(cfg.numCores)
 {
 }
@@ -376,7 +375,7 @@ PersistencyChecker::onMediaWrite(
     ++_counters.mediaLineWrites;
     for (const auto &[idx, value] : words) {
         (void)value;
-        if (idx >= _pmLineWords) {
+        if (idx >= pmBufferLineBytes / wordBytes) {
             std::ostringstream ss;
             ss << "word index " << idx
                << " straddles the 256 B on-PM buffer line";
@@ -462,7 +461,21 @@ PersistencyChecker::recordIsDead(const log::LogRecord &rec) const
     if (rec.newData != committed_val->second)
         return true; // superseded
     auto adr = _adrValue.find(rec.dataAddr);
-    return adr != _adrValue.end() && adr->second == committed_val->second;
+    if (adr == _adrValue.end())
+        return false;
+    if (adr->second == committed_val->second)
+        return true;
+    // The ADR holds an open transaction's value over the committed
+    // one: recovery revokes it to its pre-transaction value, which is
+    // the committed value, if the transaction's undo is durable.
+    auto pending = _pendingWriter.find(rec.dataAddr);
+    if (pending == _pendingWriter.end())
+        return false;
+    const TxShadow &tx = _txs[pending->second];
+    auto w = tx.writes.find(rec.dataAddr);
+    return !tx.committed && w != tx.writes.end() &&
+           w->second.first == committed_val->second &&
+           undoCoverage(tx, rec.dataAddr);
 }
 
 void
@@ -484,11 +497,14 @@ PersistencyChecker::onLogRecordDrop(Addr rec_addr,
                     "durable");
         }
     } else if (!recordIsDead(record)) {
+        const char *by = reason == log::LogDropReason::Checkpointed
+                             ? "checkpoint"
+                         : reason == log::LogDropReason::Reclaimed
+                             ? "segment reclaim"
+                             : "head move";
         violate(ViolationKind::LiveRecordReclaimed, record.tid,
                 record.txid, record.dataAddr,
-                std::string(reason == log::LogDropReason::Checkpointed
-                                ? "checkpoint"
-                                : "segment reclaim") +
+                std::string(by) +
                     " dropped a record still needed for recovery");
     }
     if (it != _durableRecords.end())

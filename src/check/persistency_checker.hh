@@ -30,12 +30,16 @@
  *     stores of every durably committed transaction.
  *  5. torn writes — media programming never straddles an on-PM buffer
  *     line.
- *  6. no live record reclaimed — the segmented-log lifecycle may drop
- *     a durable record only when it is dead: a migration drop needs a
- *     second durable copy of the same LSN, a checkpoint/reclaim drop
- *     needs the owning transaction committed and (for redo-bearing
- *     records) the word's committed value durable in the ADR domain or
- *     superseded by a later committed value.
+ *  6. no live record reclaimed — the log region may drop a durable
+ *     record (segmented-log lifecycle, or below its thread's head) only
+ *     when it is dead: a migration drop needs a second durable copy of
+ *     the same LSN, any other drop needs the owning transaction
+ *     committed and, for redo-bearing records, the record superseded
+ *     by a later committed value or the word's committed value
+ *     recoverable without it — durable in the ADR domain, or replaced
+ *     there by a value of the word's open transaction whose
+ *     pre-transaction value is the committed one and whose undo is
+ *     durable (recovery revokes it to that value).
  *  7. checkpoint image — every word value the checkpoint flushes into
  *     the persistent domain must be a value that was actually committed
  *     for that word (or its initial value). A flush may be stale by the
@@ -294,7 +298,9 @@ class PersistencyChecker : public log::PersistEventSink
     /**
      * Invariant 6: @return true if dropping this durable record cannot
      * lose recovery information (owning tx committed; redo-bearing
-     * records additionally superseded or flushed to the ADR domain).
+     * records additionally superseded, or the word's committed value
+     * in the ADR domain or restored by an open transaction's durable
+     * undo).
      */
     bool recordIsDead(const log::LogRecord &rec) const;
 
@@ -312,8 +318,6 @@ class PersistencyChecker : public log::PersistEventSink
 
     SchemeKind _scheme;
     unsigned _numCores;
-    /** Words per on-PM buffer line (invariant 5's bound). */
-    unsigned _pmLineWords;
     /** The live clock; nullptr once stopped. */
     const EventQueue *_eq;
     Tick _stoppedAt = 0;

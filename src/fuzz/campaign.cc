@@ -221,7 +221,8 @@ runFuzzCampaign(const FuzzOptions &opts, std::ostream *log)
                     cc.mutation = opts.mutation;
                     cc.crashIndex = crash_index;
                     cc.segmented = opts.segmented;
-                    FuzzCaseResult r = runLitmusCase(candidate, cc);
+                    const FuzzCaseResult r =
+                        runLitmusCase(candidate, cc).verdict();
                     for (const check::Violation &v : r.violations)
                         if (v.kind == kind)
                             return true;

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "harness/system.hh"
 #include "sim/logging.hh"
 
 namespace silo::fuzz
@@ -99,15 +98,13 @@ std::vector<std::string>
 replayFixture(const LitmusFixture &fixture)
 {
     std::vector<std::string> failures;
-    const workload::WorkloadTraces traces =
-        workload::litmusTraces(fixture.program);
-    const unsigned threads = unsigned(fixture.program.threads.size());
+    FuzzCaseConfig cfg;
+    cfg.crashIndex = fixture.crashIndex;
+    cfg.segmented = fixture.segmented;
 
     // Promise 1: every real scheme replays clean, to completion and
     // crashed at the recorded index (the index is meaningful for the
     // recorded scheme; for the others it still injects a valid crash).
-    // One System per scheme: a copy crashes at the index, then the
-    // System finishes as the completion case.
     auto expect_clean = [&](SchemeKind scheme, std::uint64_t crash,
                             const FuzzCaseResult &result) {
         if (result.clean())
@@ -120,31 +117,19 @@ replayFixture(const LitmusFixture &fixture)
         failures.push_back(os.str());
     };
     for (SchemeKind scheme : allSchemes) {
-        harness::System sys(litmusSimConfig(threads, scheme,
-                                            MutationKind::None,
-                                            fixture.segmented),
-                            traces);
-        FuzzCaseResult crashed; // clean when there is no crash index
-        if (fixture.crashIndex != 0) {
-            harness::DomainCopy copy;
-            sys.runEvents(fixture.crashIndex);
-            sys.crashCopy(copy);
-            crashed = checkerVerdict(*copy.checker, fixture.crashIndex);
-        }
-        sys.finish();
-        expect_clean(scheme, 0, checkerVerdict(*sys.checker(), 0));
-        expect_clean(scheme, fixture.crashIndex, crashed);
+        cfg.scheme = scheme;
+        LitmusCaseResult result = runLitmusCase(fixture.program, cfg);
+        expect_clean(scheme, 0, result.completion);
+        expect_clean(scheme, fixture.crashIndex, result.crashed);
     }
 
     // Promise 2: the seeded bug the fixture was shrunk against is
     // still detected, with the expected violation kind.
     if (fixture.mutation != MutationKind::None) {
-        FuzzCaseConfig cfg;
         cfg.scheme = fixture.scheme;
         cfg.mutation = fixture.mutation;
-        cfg.crashIndex = fixture.crashIndex;
-        cfg.segmented = fixture.segmented;
-        FuzzCaseResult result = runLitmusCase(fixture.program, cfg);
+        const FuzzCaseResult result =
+            runLitmusCase(fixture.program, cfg).verdict();
         bool expected_kind_seen = false;
         for (const check::Violation &v : result.violations) {
             if (fixture.expect == check::violationName(v.kind))

@@ -20,10 +20,10 @@
  * both:
  *
  *  1. With no mutation, ALL six schemes replay the program clean —
- *     both to completion and crashed at the recorded index, from one
- *     System per scheme that crashes a copy at the index and then
- *     finishes as the completion case. (A real scheme bug would first
- *     surface here as a regression.)
+ *     both to completion and crashed at the recorded index: both
+ *     verdicts of runLitmusCase(), whose System crashes a copy at the
+ *     index and then finishes as the completion case. (A real scheme
+ *     bug would first surface here as a regression.)
  *  2. If the fixture records a mutation, replaying the recorded
  *     (scheme, mutation, crash index) with runLitmusCase() still
  *     yields a violation of the expected kind — proof the fixture

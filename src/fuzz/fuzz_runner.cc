@@ -37,7 +37,7 @@ litmusSimConfig(unsigned threads, SchemeKind scheme,
     return cfg;
 }
 
-FuzzCaseResult
+LitmusCaseResult
 runLitmusCase(const workload::LitmusProgram &program,
               const FuzzCaseConfig &cfg)
 {
@@ -46,15 +46,17 @@ runLitmusCase(const workload::LitmusProgram &program,
                                         cfg.scheme, cfg.mutation,
                                         cfg.segmented),
                         traces);
-    if (cfg.crashIndex == 0) {
-        sys.finish();
-    } else {
+    LitmusCaseResult result;
+    result.crashIndex = cfg.crashIndex;
+    if (cfg.crashIndex != 0) {
+        harness::DomainCopy copy;
         sys.runEvents(cfg.crashIndex);
-        sys.crash();
-        sys.recover();
+        sys.crashCopy(copy);
+        result.crashed = checkerVerdict(*copy.checker, cfg.crashIndex);
     }
-    FuzzCaseResult result = checkerVerdict(*sys.checker(), cfg.crashIndex);
-    result.executedEvents = sys.eventQueue().executedEvents();
+    sys.finish();
+    result.completion = checkerVerdict(*sys.checker(), 0);
+    result.completion.executedEvents = sys.eventQueue().executedEvents();
     return result;
 }
 

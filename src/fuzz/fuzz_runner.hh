@@ -1,14 +1,14 @@
 /**
  * @file
  * Single-case execution for the litmus fuzzer: run one litmus program
- * on one scheme, optionally with a seeded mutation and a crash
- * injected at a given event index, and return the persistency
- * checker's verdict. This is the per-case path, a fresh System per
- * case, which the shrinker's oracle and a fixture's mutation promise
- * use. The campaign gets the same verdicts from one System per
- * (program, scheme), which crashes a copy after every swept event and
- * finishes as the completion case (harness::sweepCrashes()); fixture
- * replay crashes a copy at the recorded index and finishes likewise.
+ * on one scheme, optionally with a seeded mutation, crash a copy at a
+ * given event index and finish the run, and return the persistency
+ * checker's verdicts. This is the per-case path, one System per case,
+ * which the shrinker's oracle and both fixture promises use. The
+ * campaign gets the same verdicts from one System per (program,
+ * scheme), which crashes a copy after every swept event and finishes
+ * as the completion case (harness::sweepCrashes()), so all of them
+ * give a crash index one meaning: a copy crashed after runEvents(k).
  *
  * The simulated machine is a FIXED deterministic function of
  * (program, scheme, mutation) — litmusSimConfig() — so a committed
@@ -39,10 +39,9 @@ struct FuzzCaseConfig
     /** Seeded checker bug (the fuzzer's self-test target). */
     MutationKind mutation = MutationKind::None;
     /**
-     * Crash after this many executed events, or at the run's stop
-     * point (the last core's requestStop()) if that comes first;
-     * 0 = run to completion (settle + clean drain, no crash or
-     * recovery).
+     * Crash a copy after this many executed events, or at the run's
+     * stop point (the last core's requestStop()) if that comes first;
+     * 0 = no crash, the completion run only (settle + clean drain).
      */
     std::uint64_t crashIndex = 0;
     /**
@@ -60,9 +59,9 @@ struct FuzzCaseResult
     /** Checker findings, each stamped with the case's crashIndex. */
     std::vector<check::Violation> violations;
     /**
-     * Events the run actually executed. A completion run's count,
-     * settle phase included, bounds the crash sweep: every k in
-     * [1, executedEvents] is a crash case, but a k past the run's
+     * Events the completion run executed, settle phase included (0
+     * in a crash's verdict). That count bounds the crash sweep: every
+     * k in [1, executedEvents] is a crash case, but a k past the run's
      * stop point crashes the stop-point state, so no settle-phase
      * event is ever a crash point.
      */
@@ -81,9 +80,30 @@ SimConfig litmusSimConfig(unsigned threads, SchemeKind scheme,
                           MutationKind mutation = MutationKind::None,
                           bool segmented = false);
 
-/** Compile @p program and run one case on a fresh System. */
-FuzzCaseResult runLitmusCase(const workload::LitmusProgram &program,
-                             const FuzzCaseConfig &cfg);
+/** Both verdicts of one case (runLitmusCase()). */
+struct LitmusCaseResult
+{
+    std::uint64_t crashIndex = 0;
+    /** The copy crashed at crashIndex; clean when crashIndex is 0. */
+    FuzzCaseResult crashed;
+    /** The System finished as the completion case. */
+    FuzzCaseResult completion;
+
+    /** The case's verdict: the crash's, or at index 0 the completion's. */
+    const FuzzCaseResult &
+    verdict() const
+    {
+        return crashIndex != 0 ? crashed : completion;
+    }
+};
+
+/**
+ * Compile @p program onto a fresh System, crash a copy of it at
+ * cfg.crashIndex (runEvents(k), System::crashCopy()), then finish the
+ * System as the completion case.
+ */
+LitmusCaseResult runLitmusCase(const workload::LitmusProgram &program,
+                               const FuzzCaseConfig &cfg);
 
 /**
  * The verdict @p checker holds, each violation stamped with

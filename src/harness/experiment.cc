@@ -138,7 +138,7 @@ void
 printConfigBanner(const SimConfig &cfg, std::ostream &os)
 {
     os << "# Simulated system (Table II): " << cfg.numCores
-       << " cores @ " << cfg.coreGhz << " GHz, L1D "
+       << " cores @ " << coreGhz << " GHz, L1D "
        << cfg.l1d.sizeBytes / 1024 << "KB/" << cfg.l1d.latency
        << "cy, L2 " << cfg.l2.sizeBytes / 1024 << "KB/"
        << cfg.l2.latency << "cy, L3 "

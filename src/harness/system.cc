@@ -27,7 +27,7 @@ System::System(const SimConfig &cfg,
         // Attach before any component exists so their constructors can
         // register trace tracks via _eq.tracer().
         _tracer = std::make_unique<trace::Tracer>();
-        _tracer->enable(_cfg.coreGhz * 1000.0);
+        _tracer->enable(coreGhz * 1000.0);
         _eq.setTracer(_tracer.get());
     }
 
@@ -73,7 +73,7 @@ System::System(const SimConfig &cfg,
     }
 
     if (_tracer) {
-        Cycles period = cyclesFromNs(_cfg.traceSampleNs, _cfg.coreGhz);
+        Cycles period = cyclesFromNs(_cfg.traceSampleNs);
         _sampler = std::make_unique<trace::IntervalSampler>(
             _eq, *_tracer, period);
         auto track = _tracer->track("counters", "sampler");

@@ -12,7 +12,7 @@ McRouter::McRouter(EventQueue &eq, const SimConfig &cfg,
     for (unsigned i = 0; i < n; ++i) {
         std::string name = n == 1 ? "mc" : "mc" + std::to_string(i);
         _mcs.push_back(std::make_unique<MemController>(
-            eq, cfg, pm, domain.mcs[i], domain.logs, std::move(name)));
+            eq, cfg, pm, domain, i, std::move(name)));
     }
 }
 
@@ -66,24 +66,6 @@ McRouter::acceptedBytes() const
     std::uint64_t total = 0;
     for (const auto &mc : _mcs)
         total += mc->acceptedBytes();
-    return total;
-}
-
-std::uint64_t
-McRouter::coalescedWrites() const
-{
-    std::uint64_t total = 0;
-    for (const auto &mc : _mcs)
-        total += mc->coalescedWrites();
-    return total;
-}
-
-std::uint64_t
-McRouter::readForwards() const
-{
-    std::uint64_t total = 0;
-    for (const auto &mc : _mcs)
-        total += mc->readForwards();
     return total;
 }
 

@@ -94,8 +94,6 @@ class McRouter
     std::uint64_t fullStalls() const;
     std::uint64_t acceptedWrites() const;
     std::uint64_t acceptedBytes() const;
-    std::uint64_t coalescedWrites() const;
-    std::uint64_t readForwards() const;
 
     /** Register the observer with every controller. */
     void setEvictionObserver(std::function<void(Addr)> observer);
@@ -108,6 +106,7 @@ class McRouter
             mc->setCheckSink(sink);
     }
 
+    /** Clean shutdown: every controller's MemController::drainAll(). */
     void drainAll();
     /// @}
 

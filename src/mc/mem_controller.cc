@@ -38,9 +38,10 @@ transferCycles(unsigned bytes)
 } // namespace
 
 MemController::MemController(EventQueue &eq, const SimConfig &cfg,
-                             nvm::PmDevice &pm, McState &state,
-                             log::LogRegionStore &logs, std::string name)
-    : _eq(eq), _cfg(cfg), _pm(pm), _st(state), _logs(logs), _stats(name)
+                             nvm::PmDevice &pm, PersistentDomain &domain,
+                             unsigned index, std::string name)
+    : _eq(eq), _cfg(cfg), _pm(pm), _domain(domain),
+      _st(domain.mcs.at(index)), _stats(name)
 {
     if (auto *tr = _eq.tracer())
         _track = tr->track("mem", std::move(name));
@@ -146,7 +147,7 @@ MemController::tryWriteLog(Addr rec_addr, const log::LogRecord &record)
     if (!enqueue(std::move(entry)))
         return false;
     // Accepted into the ADR domain: the record is durable.
-    _logs.persist(rec_addr, record);
+    _domain.logs.persist(rec_addr, record);
     return true;
 }
 
@@ -287,30 +288,11 @@ MemController::read(Addr line_addr, std::function<void()> done)
 }
 
 void
-MemController::applyEntry(const WpqEntry &entry)
-{
-    // Push through the device buffer so DCW accounting stays uniform,
-    // then let the caller drain the buffer.
-    std::vector<nvm::WordWrite> words = wordsOf(entry);
-    while (!_pm.tryWrite(entry.pmLine, words, entry.logRegion))
-        _pm.drainAll();
-}
-
-void
 MemController::drainAll()
 {
-    // Held entries are revocable-uncommitted (LAD): the final drain
-    // discards them exactly like a crash would — applying them would
-    // put uncommitted data on media with nothing to revoke it.
-    for (const auto &e : _st.wpq) {
-        if (!e.held)
-            applyEntry(e);
-        else if (_check)
-            _check->onHeldDiscard(e.key);
-    }
-    _st.wpq.clear();
-    _st.heldCount = 0;
-    _pm.drainAll();
+    if (auto *tr = _eq.tracer())
+        tr->instant(_track, "shutdown-drain", _eq.now());
+    crashDrain(_st, _domain, _eq.now(), _check, &_pm.pmStats());
 }
 
 void
@@ -325,7 +307,7 @@ void
 crashDrain(McState &mc, PersistentDomain &domain, Tick now,
            log::PersistEventSink *sink, nvm::PmStats *pm_stats)
 {
-    // drainAll() at a crash: held entries are revocable-uncommitted.
+    // Held entries are revocable-uncommitted: discarded, not applied.
     for (const auto &e : mc.wpq) {
         if (!e.held) {
             nvm::crashWrite(domain, e.pmLine, wordsOf(e), e.logRegion,

@@ -24,7 +24,8 @@
  * persistent domain (mc::McState in sim/persistent_domain.hh), used in
  * place. A crash is a function of that state: flushLogPath() persists
  * the waiting records and crashDrain() is the ADR drain, with no
- * timing and no producer left waiting.
+ * timing and no producer left waiting. A clean shutdown drains the
+ * same way (drainAll()).
  */
 
 #ifndef SILO_MC_MEM_CONTROLLER_HH
@@ -54,10 +55,11 @@ namespace silo::mc
 void flushLogPath(McState &mc, log::LogRegionStore &logs);
 
 /**
- * Crash (ADR drain): @p mc 's non-held WPQ entries go through
- * @p domain 's on-PM buffer to its media (nvm::crashWrite() at tick
- * @p now) and the held (uncommitted LAD) entries are discarded, each
- * reported to @p sink. @p sink and @p pm_stats are nullable.
+ * The ADR drain, at a crash and at a clean shutdown: @p mc 's non-held
+ * WPQ entries go through @p domain 's on-PM buffer to its media
+ * (nvm::crashWrite() at tick @p now), the held (uncommitted LAD)
+ * entries are discarded, each reported to @p sink, and the buffer
+ * drains. @p sink and @p pm_stats are nullable.
  */
 void crashDrain(McState &mc, PersistentDomain &domain, Tick now,
                 log::PersistEventSink *sink, nvm::PmStats *pm_stats);
@@ -67,13 +69,15 @@ class MemController
 {
   public:
     /**
-     * @param state Its WPQ and ADR log path, in the persistent domain.
+     * @param domain The persistent domain: the controller uses
+     *        domain.mcs[@p index] (its WPQ and ADR log path) and the
+     *        log region in place.
      * @param name Stats/trace label; the multi-MC router passes
      *        "mc<i>" so per-controller statistics stay distinguishable.
      */
     MemController(EventQueue &eq, const SimConfig &cfg,
-                  nvm::PmDevice &pm, McState &state,
-                  log::LogRegionStore &logs, std::string name = "mc");
+                  nvm::PmDevice &pm, PersistentDomain &domain,
+                  unsigned index = 0, std::string name = "mc");
 
     /** @name Write producers */
     /// @{
@@ -138,8 +142,12 @@ class MemController
      */
     void setCheckSink(log::PersistEventSink *sink) { _check = sink; }
 
-    /** End of run: drain everything drainable, ignoring timing; held
-     *  (revocable-uncommitted) entries are discarded like a crash. */
+    /**
+     * Clean shutdown: crashDrain() on this controller's state at the
+     * current tick. Held (revocable-uncommitted) entries are discarded
+     * — applying them would put uncommitted data on media with nothing
+     * to revoke it.
+     */
     void drainAll();
 
     /** @name Statistics */
@@ -171,14 +179,11 @@ class MemController
     void scheduleDrain(Cycles delay = 0);
     void notifyWaiters(unsigned count);
 
-    /** Apply one entry straight to media (crash / final drain). */
-    void applyEntry(const WpqEntry &entry);
-
     EventQueue &_eq;
     const SimConfig &_cfg;
     nvm::PmDevice &_pm;
+    PersistentDomain &_domain;
     McState &_st;
-    log::LogRegionStore &_logs;
 
     std::deque<std::function<void()>> _writeWaiters;
     std::function<void(Addr)> _evictionObserver;

@@ -177,8 +177,6 @@ PmDevice::PmDevice(EventQueue &eq, const SimConfig &cfg,
                    PersistentDomain &domain)
     : _eq(eq), _cfg(cfg), _domain(domain), _banks(cfg.pmBanks, 0)
 {
-    if (auto *tr = _eq.tracer())
-        _track = tr->track("mem", "pm");
 }
 
 unsigned
@@ -296,14 +294,6 @@ PmDevice::read(Addr line_addr)
     Tick start = std::max(_eq.now(), _banks[bank]);
     _banks[bank] = start + _cfg.pmReadOccupancyCycles;
     return start + _cfg.pmReadCycles;
-}
-
-void
-PmDevice::drainAll()
-{
-    if (auto *tr = _eq.tracer())
-        tr->instant(_track, "buffer-drain", _eq.now());
-    drainBuffer(_domain, _check, &_stats);
 }
 
 } // namespace silo::nvm

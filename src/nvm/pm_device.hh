@@ -12,7 +12,8 @@
  * The media and the buffer are the device's part of the persistent
  * domain (sim/persistent_domain.hh): the device uses them in place, and
  * the buffer is inside the ADR domain, so its contents survive a crash.
- * The crash's ADR drain is a function of that state (crashWrite(),
+ * The ADR drain, at a crash and at a clean shutdown
+ * (mc::crashDrain()), is a function of that state (crashWrite(),
  * drainBuffer()); it adds to the device's statistics when handed them
  * and has no timing.
  */
@@ -74,8 +75,7 @@ void crashWrite(PersistentDomain &domain, Addr pm_line,
 
 /**
  * Write every buffered line of @p domain to its media and empty the
- * buffer, ignoring timing: the ADR flush at a crash, and the end of a
- * run (PmDevice::drainAll()).
+ * buffer, ignoring timing: the last step of the ADR drain.
  */
 void drainBuffer(PersistentDomain &domain, log::PersistEventSink *sink,
                  PmStats *stats);
@@ -109,12 +109,6 @@ class PmDevice
      * @return absolute completion tick.
      */
     Tick read(Addr line_addr);
-
-    /**
-     * Flush the whole buffer to media, ignoring timing — models the
-     * ADR drain on a crash and finalizes counters at the end of a run.
-     */
-    void drainAll();
 
     /**
      * The media image: the data-region words actually persisted. Log
@@ -191,8 +185,6 @@ class PmDevice
     log::PersistEventSink *_check = nullptr;
 
     PmStats _stats;
-    /** Device trace timeline; 0 when tracing is off. */
-    trace::Tracer::TrackId _track = 0;
 };
 
 } // namespace silo::nvm

@@ -146,7 +146,7 @@ class SiloScheme : public log::LoggingScheme
     /** Overflow batch size N = ⌊S / 18⌋ (§III-F). */
     unsigned overflowBatch() const
     {
-        return _ctx.cfg.onPmBufferLineBytes / undoLogEntryBytes;
+        return pmBufferLineBytes / undoLogEntryBytes;
     }
 
     /** Evict a batch of undo logs to the log region (§III-F). */

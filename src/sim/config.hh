@@ -139,7 +139,6 @@ struct SimConfig
 {
     // --- Processor (Table II) ---
     unsigned numCores = 8;
-    double coreGhz = 2.0;
     /** Fixed non-memory cost charged per replayed operation. */
     Cycles opOverheadCycles = 1;
 
@@ -174,7 +173,6 @@ struct SimConfig
     Cycles pmWritePerWordCycles = 360;
     unsigned pmBanks = 64;
     unsigned onPmBufferLines = 32;               //!< 256 B lines (§III-E)
-    unsigned onPmBufferLineBytes = pmBufferLineBytes;
 
     // --- Logging scheme ---
     SchemeKind scheme = SchemeKind::Silo;
@@ -256,8 +254,6 @@ struct SimConfig
             fatal("wpqEntries must be positive");
         if (logBufferEntries == 0)
             fatal("logBufferEntries must be positive");
-        if (onPmBufferLineBytes % lineBytes != 0)
-            fatal("on-PM buffer line must be a multiple of 64B");
         if (!(traceSampleNs > 0.0))
             fatal("traceSampleNs must be positive");
         if (logSegmented) {

@@ -16,10 +16,15 @@
  * the MC's ADR log path while a later one was accepted is inserted a
  * few slots from the end. Dropping a record clears its live bit,
  * truncation pops the [head, tail) suffix, and chunks wholly below the
- * head are freed. A record that becomes durable below its thread's
- * head (Silo: accepted after the commit truncated past it) is kept
- * apart, in address order: hasRecord() and liveRecordCount() see it,
- * but liveRecords() and recovery cover [head, tail) only.
+ * head are freed.
+ *
+ * The store keeps exactly [head, tail), the range recovery reads
+ * (§III-G). A record below its thread's head is dead on arrival: one
+ * accepted after the head passed its address (Silo: the commit
+ * truncated past a record still in the MC's ADR log path) and a live
+ * record a segment reclaim moves the head past are each reported to
+ * the event sink as dropped (LogDropReason::BelowHead), so the checker
+ * audits them (invariant 6), and not kept.
  *
  * Segmented mode (DESIGN.md §4j): setSegmentation() divides each area
  * into fixed-size segments. Addresses stay monotonic (they double as
@@ -106,7 +111,8 @@ class LogRegionStore
      * Make @p record durable at @p addr, an address allocate() handed
      * out (called at WPQ accept). Stamps the record's LSN with its
      * first append address; a migrated copy arrives with the LSN
-     * already set and keeps it.
+     * already set and keeps it. A record below the head is reported
+     * persisted and dropped (BelowHead), and not kept.
      */
     void
     persist(Addr addr, const LogRecord &record)
@@ -115,8 +121,17 @@ class LogRegionStore
         if (tid == _areas.size() || addr >= _areas[tid].tail)
             panic("log record persisted at an unallocated address");
         Area &area = _areas[tid];
-        LogRecord &stored = addr < area.head ? area.belowHeadAt(addr)
-                                             : area.slotAt(addr);
+        if (addr < area.head) {
+            if (_sink) {
+                LogRecord dead = record;
+                if (dead.lsn == 0)
+                    dead.lsn = addr;
+                _sink->onLogPersist(addr, dead);
+                _sink->onLogRecordDrop(addr, dead, LogDropReason::BelowHead);
+            }
+            return;
+        }
+        LogRecord &stored = area.slotAt(addr);
         stored = record;
         if (stored.lsn == 0)
             stored.lsn = addr;
@@ -186,13 +201,12 @@ class LogRegionStore
         return out;
     }
 
-    /** Total number of durable records, below the heads too (test hook). */
+    /** Total number of live records in every thread's [head, tail). */
     std::size_t
     liveRecordCount() const
     {
         std::size_t n = 0;
         for (const Area &area : _areas) {
-            n += area.belowHead.size();
             for (const Chunk &chunk : area.chunks)
                 n += chunk.live.count();
         }
@@ -301,39 +315,30 @@ class LogRegionStore
     dropRecord(Addr addr, LogDropReason reason)
     {
         std::size_t tid = ownerOf(addr);
-        if (tid == _areas.size())
+        if (tid == _areas.size() || !_areas[tid].find(addr))
             return false;
-        const LogRecord *rec = _areas[tid].find(addr);
-        if (!rec)
-            return false;
-        if (_sink)
-            _sink->onLogRecordDrop(addr, *rec, reason);
-        _areas[tid].drop(addr, addr + 1);
+        drop(unsigned(tid), addr, addr + 1, reason);
         return true;
     }
 
     /**
-     * Return segment @p seg of thread @p tid to the clean state:
-     * drops any leftover records in address order (audited — a live
-     * leftover is an invariant-6 violation the checker flags) and
-     * advances the head past the segment.
+     * Return segment @p seg of thread @p tid to the clean state: drop
+     * any leftover records (Reclaimed), then, if the head lies below
+     * the segment's end, the live records it passes (BelowHead), each
+     * in address order and audited — a live one is an invariant-6
+     * violation the checker flags — and advance the head past the
+     * segment.
      */
     void
     reclaimSegment(unsigned tid, std::uint64_t seg)
     {
-        if (_sink) {
-            forEachInSegment(tid, seg,
-                             [this](Addr addr, const LogRecord &rec) {
-                                 _sink->onLogRecordDrop(
-                                     addr, rec, LogDropReason::Reclaimed);
-                                 return true;
-                             });
-        }
         Area &area = _areas.at(tid);
         Addr seg_end = segmentBase(tid, seg + 1);
-        area.drop(segmentBase(tid, seg), seg_end);
-        if (area.head < seg_end)
+        drop(tid, segmentBase(tid, seg), seg_end, LogDropReason::Reclaimed);
+        if (area.head < seg_end) {
+            drop(tid, area.head, seg_end, LogDropReason::BelowHead);
             area.advanceHead(seg_end);
+        }
         if (area.tail < seg_end)
             area.tail = seg_end;
         if (_sink)
@@ -359,16 +364,6 @@ class LogRegionStore
         std::bitset<chunkSlots> live;
     };
 
-    /** First slot of @p slots at or above @p addr. */
-    template <typename Slots>
-    static auto
-    slotPos(Slots &slots, Addr addr)
-    {
-        return std::lower_bound(
-            slots.begin(), slots.end(), addr,
-            [](const Slot &s, Addr a) { return s.addr < a; });
-    }
-
     /** One thread's log area: its head/tail registers and records. */
     struct Area
     {
@@ -380,8 +375,6 @@ class LogRegionStore
          * head is dead.
          */
         std::vector<Chunk> chunks;
-        /** Records persisted below the head, in address order. */
-        std::vector<Slot> belowHead;
 
         std::size_t
         size() const
@@ -428,12 +421,6 @@ class LogRegionStore
         const LogRecord *
         find(Addr addr) const
         {
-            if (addr < head) {
-                auto it = slotPos(belowHead, addr);
-                return it != belowHead.end() && it->addr == addr
-                           ? &it->rec
-                           : nullptr;
-            }
             std::size_t i = lowerBound(addr);
             return i < size() && slot(i).addr == addr && live(i)
                        ? &slot(i).rec
@@ -474,27 +461,6 @@ class LogRegionStore
             return slot(i).rec;
         }
 
-        /** The record for @p addr below the head. */
-        LogRecord &
-        belowHeadAt(Addr addr)
-        {
-            auto it = slotPos(belowHead, addr);
-            if (it == belowHead.end() || it->addr != addr)
-                it = belowHead.insert(it, Slot{addr, {}});
-            return it->rec;
-        }
-
-        /** Drop every record in [@p lo, @p hi). */
-        void
-        drop(Addr lo, Addr hi)
-        {
-            belowHead.erase(slotPos(belowHead, lo), slotPos(belowHead, hi));
-            for (std::size_t i = lowerBound(lo);
-                 i < size() && slot(i).addr < hi; ++i) {
-                setLive(i, false);
-            }
-        }
-
         /** Empty the array, keeping one chunk's storage for reuse. */
         void
         clear()
@@ -507,22 +473,15 @@ class LogRegionStore
         }
 
         /**
-         * Move the head up to @p new_head: live records it passes move
-         * below the head, and chunks wholly below it are freed.
+         * Move the head up to @p new_head, past no live record, and
+         * free the chunks wholly below it.
          */
         void
         advanceHead(Addr new_head)
         {
-            std::size_t end = lowerBound(new_head);
-            for (std::size_t i = lowerBound(head); i < end; ++i) {
-                if (live(i)) {
-                    belowHead.push_back(slot(i));
-                    setLive(i, false);
-                }
-            }
+            std::size_t below = lowerBound(new_head);
             chunks.erase(chunks.begin(),
-                         chunks.begin() +
-                             std::ptrdiff_t(end / chunkSlots));
+                         chunks.begin() + std::ptrdiff_t(below / chunkSlots));
             head = new_head;
         }
     };
@@ -548,19 +507,32 @@ class LogRegionStore
     forEachInSegment(unsigned tid, std::uint64_t seg, Fn &&fn) const
     {
         const Area &area = _areas.at(tid);
-        Addr lo = segmentBase(tid, seg);
         Addr hi = segmentBase(tid, seg + 1);
-        for (auto it = slotPos(area.belowHead, lo);
-             it != area.belowHead.end() && it->addr < hi; ++it) {
-            if (!fn(it->addr, it->rec))
-                return false;
-        }
-        for (std::size_t i = area.lowerBound(lo);
+        for (std::size_t i = area.lowerBound(segmentBase(tid, seg));
              i < area.size() && area.slot(i).addr < hi; ++i) {
             if (area.live(i) && !fn(area.slot(i).addr, area.slot(i).rec))
                 return false;
         }
         return true;
+    }
+
+    /**
+     * Drop thread @p tid 's live records in [@p lo, @p hi) in address
+     * order, each reported to the sink with @p reason.
+     */
+    void
+    drop(unsigned tid, Addr lo, Addr hi, LogDropReason reason)
+    {
+        Area &area = _areas[tid];
+        for (std::size_t i = area.lowerBound(lo);
+             i < area.size() && area.slot(i).addr < hi; ++i) {
+            if (!area.live(i))
+                continue;
+            if (_sink)
+                _sink->onLogRecordDrop(area.slot(i).addr, area.slot(i).rec,
+                                       reason);
+            area.setLive(i, false);
+        }
     }
 
     std::vector<Area> _areas;

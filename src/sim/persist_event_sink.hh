@@ -35,12 +35,13 @@
 namespace silo::log
 {
 
-/** Why the segmented-log lifecycle dropped a durable record. */
+/** Why the log region dropped a durable record. */
 enum class LogDropReason : std::uint8_t
 {
     Migrated,     //!< cleaner copied it to a new address first
     Checkpointed, //!< checkpoint made it redundant (committed + flushed)
     Reclaimed,    //!< segment reclaim dropped a leftover record
+    BelowHead,    //!< persisted below its thread's head, or passed by it
 };
 
 /** Observer of durability-relevant memory-system events. */
@@ -145,8 +146,9 @@ class PersistEventSink
     }
 
     /**
-     * The segmented-log lifecycle dropped the durable record at
-     * @p rec_addr (src/check invariant 6: no live record may be
+     * The log region dropped the durable record at @p rec_addr: the
+     * segmented-log lifecycle did, or the record lies below its
+     * thread's head (src/check invariant 6: no live record may be
      * reclaimed — a Migrated drop needs another durable copy of the
      * same LSN, any other drop needs the record to be dead).
      */

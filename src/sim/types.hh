@@ -16,7 +16,7 @@
 namespace silo
 {
 
-/** Simulated time, in CPU cycles (2 GHz by default). */
+/** Simulated time, in CPU cycles (2 GHz). */
 using Tick = std::uint64_t;
 
 /** A relative duration in CPU cycles. */
@@ -40,7 +40,10 @@ constexpr unsigned lineBytes = 64;
 /** Words per cacheline. */
 constexpr unsigned wordsPerLine = lineBytes / wordBytes;
 
-/** Default line size of the on-PM internal buffer in bytes (§III-E). */
+/** The core clock, in GHz (Table II). */
+constexpr double coreGhz = 2.0;
+
+/** Line size of the on-PM internal buffer in bytes (§III-E). */
 constexpr unsigned pmBufferLineBytes = 256;
 
 /** Undo log entry size in bytes: metadata + old word (§III-F). */
@@ -77,11 +80,11 @@ wordInLine(Addr addr)
     return unsigned((addr & (lineBytes - 1)) / wordBytes);
 }
 
-/** Convert nanoseconds to cycles at @p ghz (rounding up). */
+/** Convert nanoseconds to core cycles (rounding up). */
 constexpr Cycles
-cyclesFromNs(double ns, double ghz = 2.0)
+cyclesFromNs(double ns)
 {
-    return Cycles(ns * ghz + 0.5);
+    return Cycles(ns * coreGhz + 0.5);
 }
 
 } // namespace silo

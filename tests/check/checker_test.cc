@@ -313,6 +313,70 @@ TEST(CheckerMutation, DoubleInPlaceFlagsDoublePersist)
         << reportOf(sys);
 }
 
+// --- Invariant 6: when a committed redo record is dead ------------------
+
+/**
+ * The shape of a segmented FWB run (fixture
+ * checkpoint-under-open-undo-fwb-seg.litmus): transaction 2 commits 2
+ * to a word, the checkpoint flushes 2 into the ADR domain, open
+ * transaction 4 stores 9 to the word and 9 enters the ADR domain, then
+ * the checkpoint drops transaction 2's record. Recovery revokes 9 to
+ * its pre-transaction value 2 if transaction 4's undo is durable.
+ * @return the live-record-reclaimed violations.
+ */
+std::size_t
+reclaimedUnderOpenWriter(bool undo_durable)
+{
+    SimConfig cfg;
+    cfg.numCores = 1;
+    cfg.scheme = SchemeKind::Fwb;
+    cfg.checker = true;
+    EventQueue eq;
+    PersistencyChecker chk(cfg, eq);
+    const Addr word = addr_map::dataArenaBase(0);
+    const Addr log_base = addr_map::logAreaBase(0);
+    using Kind = log::LogRecord::Kind;
+    auto record = [&](Kind kind, std::uint16_t txid, Word old_val,
+                      Word new_val) {
+        log::LogRecord rec;
+        rec.kind = kind;
+        rec.txid = txid;
+        rec.dataAddr = word;
+        rec.oldData = old_val;
+        rec.newData = new_val;
+        return rec;
+    };
+
+    chk.onTxBegin(0, 2);
+    chk.onStore(0, word, 0, 2);
+    const log::LogRecord redo = record(Kind::UndoRedo, 2, 0, 2);
+    chk.onLogPersist(log_base, redo);
+    chk.onLogPersist(log_base + 64, record(Kind::Commit, 2, 0, 0));
+    chk.onTxEndRequested(0);
+    chk.onTxEndComplete(0);
+    chk.onWpqAcceptWord(word, 2);
+    chk.onCheckpointWord(word, 2);
+
+    chk.onTxBegin(0, 4);
+    chk.onStore(0, word, 2, 9);
+    if (undo_durable)
+        chk.onLogPersist(log_base + 128, record(Kind::Undo, 4, 2, 9));
+    chk.onWpqAcceptWord(word, 9);
+    chk.onLogRecordDrop(log_base, redo, log::LogDropReason::Checkpointed);
+    EXPECT_EQ(chk.clean(), undo_durable);
+    return chk.countOf(ViolationKind::LiveRecordReclaimed);
+}
+
+TEST(CheckerDeadRecord, OpenWritersDurableUndoRestoresTheCommittedValue)
+{
+    EXPECT_EQ(reclaimedUnderOpenWriter(true), 0u);
+}
+
+TEST(CheckerDeadRecord, WithoutDurableUndoTheDropIsFlagged)
+{
+    EXPECT_EQ(reclaimedUnderOpenWriter(false), 1u);
+}
+
 // --- Reporting ----------------------------------------------------------
 
 TEST(CheckerReport, ViolationCarriesProvenance)

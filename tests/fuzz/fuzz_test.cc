@@ -86,15 +86,18 @@ TEST(FuzzCampaign, FindsAndShrinksSeededMutant)
     cfg.scheme = f.scheme;
     cfg.mutation = f.mutation;
     cfg.crashIndex = f.shrunkCrashIndex;
-    FuzzCaseResult replay = runLitmusCase(f.shrunk, cfg);
+    FuzzCaseResult replay = runLitmusCase(f.shrunk, cfg).verdict();
     bool same_kind = false;
     for (const auto &v : replay.violations)
         same_kind |= v.kind == f.kind;
     EXPECT_TRUE(same_kind);
 
-    // And with the mutation removed, the same case runs clean.
+    // And with the mutation removed, the same case runs clean, crashed
+    // and to completion.
     cfg.mutation = MutationKind::None;
-    EXPECT_TRUE(runLitmusCase(f.shrunk, cfg).clean());
+    LitmusCaseResult unmutated = runLitmusCase(f.shrunk, cfg);
+    EXPECT_TRUE(unmutated.crashed.clean());
+    EXPECT_TRUE(unmutated.completion.clean());
 }
 
 TEST(FuzzCampaign, FindsSiloFlushBitMutant)
@@ -188,10 +191,10 @@ TEST(FuzzCase, IgnoresLogLifecycleEnv)
     cc.scheme = SchemeKind::Base;
     cc.mutation = MutationKind::SkipCommitMarker;
 
-    FuzzCaseResult plain = runLitmusCase(program, cc);
+    FuzzCaseResult plain = runLitmusCase(program, cc).verdict();
     const std::string saved = harness::envStrOr("SILO_LOG_SEGMENTED", "");
     ASSERT_EQ(setenv("SILO_LOG_SEGMENTED", "1", 1), 0);   // NOLINT(concurrency-mt-unsafe)
-    FuzzCaseResult with_env = runLitmusCase(program, cc);
+    FuzzCaseResult with_env = runLitmusCase(program, cc).verdict();
     if (saved.empty())
         unsetenv("SILO_LOG_SEGMENTED");   // NOLINT(concurrency-mt-unsafe)
     else

@@ -4,8 +4,8 @@
  * commit count and a media image equal to the functional execution)
  * must hold for every geometry, not just the Table II defaults —
  * tiny log buffers (constant Silo overflow), tiny WPQs (constant
- * back-pressure), different on-PM buffer line sizes (different
- * overflow batch N = ⌊S/18⌋), and multiple memory controllers.
+ * back-pressure), fewer on-PM buffer lines (constant buffer
+ * evictions), and multiple memory controllers.
  */
 
 #include <gtest/gtest.h>
@@ -26,21 +26,19 @@ struct SweepPoint
     const char *label;
     unsigned logBufferEntries;
     unsigned wpqEntries;
-    unsigned onPmBufferLineBytes;
     unsigned onPmBufferLines;
     unsigned numMemControllers;
 };
 
 constexpr SweepPoint sweepPoints[] = {
-    {"defaults", 20, 64, 256, 32, 1},
-    {"tiny_log_buffer", 2, 64, 256, 32, 1},
-    {"huge_log_buffer", 512, 64, 256, 32, 1},
-    {"tiny_wpq", 20, 12, 256, 32, 1},
-    {"small_pm_line", 20, 64, 64, 32, 1},
-    {"large_pm_line", 20, 64, 1024, 8, 1},
-    {"one_pm_buffer_line", 20, 64, 256, 1, 1},
-    {"two_mcs", 20, 64, 256, 32, 2},
-    {"stress_combo", 3, 12, 64, 2, 2},
+    {"defaults", 20, 64, 32, 1},
+    {"tiny_log_buffer", 2, 64, 32, 1},
+    {"huge_log_buffer", 512, 64, 32, 1},
+    {"tiny_wpq", 20, 12, 32, 1},
+    {"few_pm_buffer_lines", 20, 64, 8, 1},
+    {"one_pm_buffer_line", 20, 64, 1, 1},
+    {"two_mcs", 20, 64, 32, 2},
+    {"stress_combo", 3, 12, 2, 2},
 };
 
 /**
@@ -48,13 +46,14 @@ constexpr SweepPoint sweepPoints[] = {
  * included, and gtest_discover_tests folds that dump into the ctest
  * name — so the names changed with every ASLR layout. Print the
  * geometry instead, short enough to keep the names under 100 chars:
- * log-buffer entries / WPQ entries / on-PM line bytes x lines / MCs.
+ * log-buffer entries / WPQ entries / on-PM line bytes x lines / MCs
+ * (the line is always pmBufferLineBytes).
  */
 void
 PrintTo(const SweepPoint &pt, std::ostream *os)
 {
     *os << pt.logBufferEntries << '/' << pt.wpqEntries << '/'
-        << pt.onPmBufferLineBytes << 'x' << pt.onPmBufferLines << '/'
+        << pmBufferLineBytes << 'x' << pt.onPmBufferLines << '/'
         << pt.numMemControllers;
 }
 
@@ -76,7 +75,6 @@ TEST_P(ConfigSweep, SiloStaysCorrect)
     cfg.scheme = SchemeKind::Silo;
     cfg.logBufferEntries = pt.logBufferEntries;
     cfg.wpqEntries = pt.wpqEntries;
-    cfg.onPmBufferLineBytes = pt.onPmBufferLineBytes;
     cfg.onPmBufferLines = pt.onPmBufferLines;
     cfg.numMemControllers = pt.numMemControllers;
 
@@ -106,7 +104,6 @@ TEST_P(ConfigSweep, SiloCrashRecoveryStaysCorrect)
     cfg.scheme = SchemeKind::Silo;
     cfg.logBufferEntries = pt.logBufferEntries;
     cfg.wpqEntries = pt.wpqEntries;
-    cfg.onPmBufferLineBytes = pt.onPmBufferLineBytes;
     cfg.onPmBufferLines = pt.onPmBufferLines;
     cfg.numMemControllers = pt.numMemControllers;
 

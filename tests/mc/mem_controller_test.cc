@@ -23,8 +23,7 @@ struct Fixture
         cfg.onPmBufferLines = 64;
         domain = std::make_unique<PersistentDomain>(cfg);
         pm = std::make_unique<nvm::PmDevice>(eq, cfg, *domain);
-        mc = std::make_unique<MemController>(eq, cfg, *pm,
-                                             domain->mcs[0], logs());
+        mc = std::make_unique<MemController>(eq, cfg, *pm, *domain);
     }
 
     log::LogRegionStore &logs() { return domain->logs; }
@@ -162,7 +161,7 @@ TEST(MemController, HeldEntriesDoNotDrainUntilReleased)
     ASSERT_TRUE(f.mc->tryWriteLine(0x1000, lineOf(50), false, true));
     EXPECT_EQ(f.mc->heldEntries(), 1u);
     f.eq.run();
-    f.pm->drainAll();
+    nvm::drainBuffer(*f.domain, nullptr, &f.pm->pmStats());
     EXPECT_EQ(f.pm->media().load(0x1000), 0u);   // not drained
 
     f.mc->releaseHeld(0x1000);

@@ -26,7 +26,7 @@ TEST(PmDevice, WriteReachesMediaAfterDrain)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 42}, {3, 7}}, false));
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 42u);
     EXPECT_EQ(pm.media().load(0x1018), 7u);
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
@@ -43,7 +43,7 @@ TEST(PmDevice, CoalescesIntoResidentLine)
     ASSERT_TRUE(pm.tryWrite(0x1000, {{1, 2}}, false));
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 3}}, false));   // overwrite
     EXPECT_EQ(pm.bufferCoalescedWrites(), 2u);
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 3u);
     EXPECT_EQ(pm.media().load(0x1008), 2u);
     // One line, two distinct words: the overwrite never hit the media.
@@ -58,12 +58,12 @@ TEST(PmDevice, DcwSuppressesUnchangedWords)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}}, false));
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
 
     // Rewrite the same values plus one changed word.
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}, {2, 7}}, false));
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 3u);
     EXPECT_EQ(pm.dcwSuppressedWords(), 2u);
 }
@@ -76,7 +76,7 @@ TEST(PmDevice, LogRegionWordsAlwaysWrite)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x2000, {{0, 0}, {1, 0}}, true));
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.logRegionWordWrites(), 2u);
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
 }
@@ -111,7 +111,7 @@ TEST(PmDevice, AllZeroChangeEvictionIsFree)
 
     // Writing the value already in media: DCW cancels the media write.
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 9}}, false));
-    pm.drainAll();
+    drainBuffer(domain, nullptr, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 0u);
     EXPECT_EQ(pm.mediaLineWrites(), 0u);
     EXPECT_EQ(pm.dcwSuppressedWords(), 1u);

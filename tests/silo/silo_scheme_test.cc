@@ -137,18 +137,21 @@ TEST(SiloMechanisms, OverflowEvictsBatchOfUndoLogs)
 
 TEST(SiloMechanisms, OverflowBatchSizeFollowsBufferLine)
 {
+    // N comes from the 256 B on-PM buffer line, not the log buffer:
+    // a 40-entry buffer still evicts batches of N = 256/18 = 14, two
+    // of them for 60 distinct words.
     SimConfig cfg = oneCore();
+    cfg.logBufferEntries = 40;
     std::vector<TxOp> ops = {begin()};
-    for (unsigned i = 0; i < 30; ++i)
+    for (unsigned i = 0; i < 60; ++i)
         ops.push_back(st(base + i * 8, i + 1));
     ops.push_back(end());
     auto traces = traceOf(std::move(ops));
 
-    // S = 512 B -> N = 28 >= all 21 evictable entries.
-    cfg.onPmBufferLineBytes = 512;
     harness::System sys(cfg, traces);
     sys.run();
-    EXPECT_EQ(reduction(sys).overflows.value(), 21u);
+    EXPECT_EQ(reduction(sys).overflows.value(), 28u);
+    EXPECT_EQ(sys.report().logRecordsWritten, 28u);
 }
 
 TEST(SiloMechanisms, CrashBeforeCommitRevokesEverything)

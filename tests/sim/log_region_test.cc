@@ -1,13 +1,14 @@
 /**
  * @file
  * LogRegionStore tests, chiefly a differential one: the per-thread
- * append-ordered store must behave exactly like the std::map store it
- * replaced, kept below as MapLogRegionStore. Seeded random sequences
- * of allocate, persist (in order, out of order, below the head after
- * a truncate, and again at the same address), truncate, dropRecord and
- * reclaimSegment run against both, with segmentation on and off and
- * 1-4 threads, long enough to cross storage chunks. After every step
- * the two agree on liveRecords, recordsInSegment, liveRecordCount,
+ * append-ordered store must behave exactly like a std::map of each
+ * thread's [head, tail), kept below as MapLogRegionStore. Seeded
+ * random sequences of allocate, persist (in order, out of order, below
+ * the head after a truncate, and again at the same address), truncate,
+ * dropRecord and reclaimSegment (which can move a head past live
+ * records) run against both, with segmentation on and off and 1-4
+ * threads, long enough to cross storage chunks. After every step the
+ * two agree on liveRecords, recordsInSegment, liveRecordCount,
  * hasRecord, head, tail and the PersistEventSink calls they made.
  * Runs under ASan via the san_smoke_test wiring in
  * tests/CMakeLists.txt.
@@ -34,7 +35,11 @@ namespace
 
 using Records = std::vector<std::pair<Addr, LogRecord>>;
 
-/** The std::map store LogRegionStore replaced, as it was. */
+/**
+ * The reference: one std::map of every thread's [head, tail). A
+ * record below its thread's head is reported persisted and dropped
+ * (BelowHead), and not kept.
+ */
 class MapLogRegionStore
 {
   public:
@@ -64,12 +69,15 @@ class MapLogRegionStore
     void
     persist(Addr addr, const LogRecord &record)
     {
-        LogRecord &stored = _records[addr];
-        stored = record;
+        LogRecord stored = record;
         if (stored.lsn == 0)
             stored.lsn = addr;
         if (_sink)
             _sink->onLogPersist(addr, stored);
+        if (addr >= _head.at(ownerOf(addr)))
+            _records[addr] = stored;
+        else if (_sink)
+            _sink->onLogRecordDrop(addr, stored, LogDropReason::BelowHead);
     }
 
     void
@@ -146,8 +154,15 @@ class MapLogRegionStore
         for (const auto &[addr, rec] : recordsInSegment(tid, seg))
             dropRecord(addr, LogDropReason::Reclaimed);
         Addr seg_end = segmentBase(tid, seg + 1);
-        if (_head.at(tid) < seg_end)
+        if (_head.at(tid) < seg_end) {
+            while (true) {
+                auto it = _records.lower_bound(_head[tid]);
+                if (it == _records.end() || it->first >= seg_end)
+                    break;
+                dropRecord(it->first, LogDropReason::BelowHead);
+            }
             _head[tid] = seg_end;
+        }
         if (_tail.at(tid) < seg_end)
             _tail[tid] = seg_end;
         if (_sink)
@@ -155,6 +170,13 @@ class MapLogRegionStore
     }
 
   private:
+    static unsigned
+    ownerOf(Addr addr)
+    {
+        return unsigned((addr - addr_map::logRegionBase) /
+                        addr_map::logAreaBytes);
+    }
+
     std::map<Addr, LogRecord> _records;
     std::vector<Addr> _tail;
     std::vector<Addr> _head;
@@ -557,18 +579,54 @@ TEST(LogRegionStore, TruncateDropsLiveRecords)
 TEST(LogRegionStore, RecordPersistedBelowTheHeadIsDurableButNotLive)
 {
     LogRegionStore logs(1);
+    Recorder sink;
+    logs.setEventSink(&sink);
     LogRecord rec;
     Addr late = logs.allocate(0, rec.sizeBytes());
     Addr a = logs.allocate(0, rec.sizeBytes());
     logs.persist(a, rec);
     logs.truncate(0);
-    // Accepted after the truncate passed it (Silo's commit).
+    sink.calls.clear();
+    // Accepted after the truncate passed it (Silo's commit): durable,
+    // so reported persisted, and dropped at once, as it lies below the
+    // head. The store keeps [head, tail) only.
     logs.persist(late, rec);
-    EXPECT_TRUE(logs.hasRecord(late));
+    ASSERT_EQ(sink.calls.size(), 2u);
+    EXPECT_EQ(sink.calls[0].rfind("persist ", 0), 0u) << sink.calls[0];
+    EXPECT_EQ(sink.calls[1].rfind("drop ", 0), 0u) << sink.calls[1];
+    EXPECT_EQ(sink.calls[1].back(),
+              char('0' + int(LogDropReason::BelowHead)));
+    EXPECT_FALSE(logs.hasRecord(late));
     EXPECT_FALSE(logs.hasRecord(a));
-    EXPECT_EQ(logs.liveRecordCount(), 1u);
+    EXPECT_EQ(logs.liveRecordCount(), 0u);
     EXPECT_TRUE(logs.liveRecords(0).empty());
-    EXPECT_TRUE(logs.dropRecord(late, LogDropReason::Checkpointed));
+    EXPECT_FALSE(logs.dropRecord(late, LogDropReason::Checkpointed));
+}
+
+TEST(LogRegionStore, ReclaimPastALiveRecordDropsItBelowTheHead)
+{
+    LogRegionStore logs(1);
+    logs.setSegmentation(pmBufferLineBytes);
+    Recorder sink;
+    logs.setEventSink(&sink);
+    LogRecord rec;
+    Addr first = logs.allocate(0, rec.sizeBytes());
+    logs.persist(first, rec);
+    Addr second = first;
+    while (logs.segmentOf(0, second) == 0)
+        second = logs.allocate(0, rec.sizeBytes());
+    logs.persist(second, rec);
+    sink.calls.clear();
+    // Reclaiming segment 1 moves the head past segment 0's record.
+    logs.reclaimSegment(0, 1);
+    ASSERT_EQ(sink.calls.size(), 3u);
+    EXPECT_EQ(sink.calls[0].back(),
+              char('0' + int(LogDropReason::Reclaimed)));
+    EXPECT_EQ(sink.calls[1].back(),
+              char('0' + int(LogDropReason::BelowHead)));
+    EXPECT_EQ(sink.calls[2], "reclaim 0 1");
+    EXPECT_EQ(logs.head(0), logs.segmentBase(0, 2));
+    EXPECT_FALSE(logs.hasRecord(first));
     EXPECT_EQ(logs.liveRecordCount(), 0u);
 }
 

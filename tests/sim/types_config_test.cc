@@ -62,7 +62,7 @@ TEST(SimConfig, ValidateRejectsNonsense)
     EXPECT_THROW(cfg.validate(), FatalError);
 
     cfg = SimConfig{};
-    cfg.onPmBufferLineBytes = 100;
+    cfg.wpqEntries = 0;
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 

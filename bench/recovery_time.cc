@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "harness/sweep.hh"
+#include "nvm/pm_device.hh"
 
 namespace
 {
@@ -72,10 +73,8 @@ main()
             }
             // Model: one 64B-line read per live record + one media
             // word write per rewritten word.
-            SimConfig defaults;
-            double ns_per_read = double(defaults.pmReadCycles) / 2.0;
-            double ns_per_word =
-                double(defaults.pmWritePerWordCycles) / 2.0;
+            double ns_per_read = double(nvm::pmReadCycles) / 2.0;
+            double ns_per_word = double(nvm::pmWritePerWordCycles) / 2.0;
             row.modelNs = double(row.liveRecords) * ns_per_read +
                           double(row.wordsRewritten) * ns_per_word;
             rows[i] = row;

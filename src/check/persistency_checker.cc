@@ -19,7 +19,6 @@ violationName(ViolationKind kind)
       case ViolationKind::FlushBitAccounting:
         return "flush-bit-accounting";
       case ViolationKind::DoublePersist: return "double-persist";
-      case ViolationKind::TornWrite: return "torn-write";
       case ViolationKind::CrashClosure: return "crash-closure";
       case ViolationKind::LiveRecordReclaimed:
         return "live-record-reclaimed";
@@ -35,8 +34,7 @@ violationKindFromName(const std::string &name)
          {ViolationKind::LogBeforeData, ViolationKind::CommitNotDurable,
           ViolationKind::HeldReleaseOrdering,
           ViolationKind::FlushBitAccounting, ViolationKind::DoublePersist,
-          ViolationKind::TornWrite, ViolationKind::CrashClosure,
-          ViolationKind::LiveRecordReclaimed,
+          ViolationKind::CrashClosure, ViolationKind::LiveRecordReclaimed,
           ViolationKind::CheckpointImage}) {
         if (name == violationName(kind))
             return kind;
@@ -57,9 +55,10 @@ Violation::toJson() const
 }
 
 PersistencyChecker::PersistencyChecker(const SimConfig &cfg,
-                                       const EventQueue &eq)
+                                       const EventQueue &eq,
+                                       const PersistentDomain &domain)
     : _scheme(cfg.scheme), _numCores(cfg.numCores), _eq(&eq),
-      _txs(cfg.numCores)
+      _domain(&domain), _txs(cfg.numCores)
 {
 }
 
@@ -177,18 +176,16 @@ PersistencyChecker::onBatteryDead()
 
 void
 PersistencyChecker::noteBatteryUndo(unsigned core, std::uint16_t txid,
-                                    Addr addr, Word old_val)
+                                    Addr addr)
 {
-    (void)old_val;
     if (TxShadow *tx = latestTx(core, txid))
         tx->batteryUndo.insert(addr);
 }
 
 void
 PersistencyChecker::noteAdrUndo(unsigned core, std::uint16_t txid,
-                                Addr addr, Word old_val)
+                                Addr addr)
 {
-    (void)old_val;
     if (TxShadow *tx = latestTx(core, txid))
         tx->adrUndo.insert(addr);
 }
@@ -214,13 +211,6 @@ PersistencyChecker::noteFlushBit(unsigned core, std::uint16_t txid,
     _flushBitDelivered[addr] = new_data;
 }
 
-void
-PersistencyChecker::onLogInFlight(Addr rec_addr,
-                                  const log::LogRecord &record)
-{
-    _inFlightRecords[rec_addr] = record;
-}
-
 // --- Coverage and invariant 1 -------------------------------------------
 
 bool
@@ -229,19 +219,21 @@ PersistencyChecker::undoCoverage(const TxShadow &tx, Addr addr) const
     if (tx.batteryUndo.count(addr) || tx.adrUndo.count(addr) ||
         tx.loggedUndo.count(addr))
         return true;
-    for (const auto &[rec_addr, rec] : _inFlightRecords) {
-        if ((rec.kind == log::LogRecord::Kind::Undo ||
-             rec.kind == log::LogRecord::Kind::UndoRedo) &&
-            rec.tid == tx.core && rec.txid == tx.txid &&
-            rec.dataAddr == addr)
-            return true;
+    // Records waiting in an MC's ADR log path are durable already.
+    for (const mc::McState &mc : _domain->mcs) {
+        for (const auto &[rec_addr, rec] : mc.logPath) {
+            if ((rec.kind == log::LogRecord::Kind::Undo ||
+                 rec.kind == log::LogRecord::Kind::UndoRedo) &&
+                rec.tid == tx.core && rec.txid == tx.txid &&
+                rec.dataAddr == addr)
+                return true;
+        }
     }
     return false;
 }
 
 void
-PersistencyChecker::checkDomainEntry(Addr addr, Word value, bool held,
-                                     const char *domain)
+PersistencyChecker::checkDomainEntry(Addr addr, Word value)
 {
     auto pending = _pendingWriter.find(addr);
     if (pending == _pendingWriter.end())
@@ -256,14 +248,12 @@ PersistencyChecker::checkDomainEntry(Addr addr, Word value, bool held,
     // an uncommitted (intermediate or latest) value of the open tx.
     if (value == w->second.first)
         return;
-    if (held)
-        return; // revocable by discard (LAD's buffered entries)
     if (undoCoverage(tx, addr))
         return;
     std::ostringstream ss;
-    ss << "uncommitted value " << value << " reached the " << domain
-       << " with no durable undo coverage (pre-tx value "
-       << w->second.first << ")";
+    ss << "uncommitted value " << value
+       << " reached the ADR WPQ with no durable undo coverage (pre-tx "
+       << "value " << w->second.first << ")";
     violate(ViolationKind::LogBeforeData, tx.core, tx.txid, addr,
             ss.str());
 }
@@ -273,11 +263,11 @@ PersistencyChecker::checkDomainEntry(Addr addr, Word value, bool held,
 void
 PersistencyChecker::onWpqAcceptLine(
     Addr line_addr, const std::array<Word, wordsPerLine> &values,
-    bool evicted, bool held)
+    bool held)
 {
-    (void)evicted;
     ++_counters.wpqLineAccepts;
     if (held) {
+        // Revocable by discard, so invariant 1 waits for the release.
         // Identify the owning transaction via the thread-affine arena.
         auto &entry = _heldLines[line_addr];
         entry.owned = false;
@@ -295,7 +285,7 @@ PersistencyChecker::onWpqAcceptLine(
     }
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         Addr addr = line_addr + Addr(w) * wordBytes;
-        checkDomainEntry(addr, values[w], false, "ADR WPQ");
+        checkDomainEntry(addr, values[w]);
         _adrValue[addr] = values[w];
     }
 }
@@ -304,7 +294,7 @@ void
 PersistencyChecker::onWpqAcceptWord(Addr word_addr, Word value)
 {
     ++_counters.wpqWordAccepts;
-    checkDomainEntry(word_addr, value, false, "ADR WPQ");
+    checkDomainEntry(word_addr, value);
     auto fb = _flushBitDelivered.find(word_addr);
     if (fb != _flushBitDelivered.end() && fb->second == value) {
         std::ostringstream ss;
@@ -362,44 +352,12 @@ PersistencyChecker::onHeldDiscard(Addr line_addr)
 }
 
 void
-PersistencyChecker::onMediaWrite(
-    Addr pm_line, const std::vector<std::pair<unsigned, Word>> &words,
-    bool log_region)
-{
-    // Media programming is a delayed replay of writes that already
-    // passed the ADR entry check (WPQ accept / held release): a stale
-    // buffered value may coincide with a newer transaction's pending
-    // value, so invariant 1 must NOT be re-evaluated here. Only the
-    // torn-write bound applies.
-    (void)log_region;
-    ++_counters.mediaLineWrites;
-    for (const auto &[idx, value] : words) {
-        (void)value;
-        if (idx >= pmBufferLineBytes / wordBytes) {
-            std::ostringstream ss;
-            ss << "word index " << idx
-               << " straddles the 256 B on-PM buffer line";
-            violate(ViolationKind::TornWrite, 0, 0, pm_line, ss.str());
-        }
-    }
-}
-
-void
 PersistencyChecker::onLogPersist(Addr rec_addr,
                                  const log::LogRecord &record)
 {
+    (void)rec_addr;
     ++_counters.logPersists;
-    _inFlightRecords.erase(rec_addr);
-    auto [it, inserted] = _durableRecords.emplace(rec_addr, record);
-    if (!inserted) {
-        // Re-persist of the same address (e.g. a crash flush replaying
-        // an already-accepted record): keep the copy count exact.
-        if (it->second.lsn != 0)
-            --_lsnCopies[it->second.lsn];
-        it->second = record;
-    }
-    if (record.lsn != 0)
-        ++_lsnCopies[record.lsn];
+    ++_lsnCopies[record.lsn];
     TxShadow *tx = latestTx(record.tid, record.txid);
     if (!tx)
         return;
@@ -419,24 +377,13 @@ PersistencyChecker::onLogPersist(Addr rec_addr,
 }
 
 void
-PersistencyChecker::eraseDurable(
-    std::map<Addr, log::LogRecord>::iterator it)
+PersistencyChecker::onLogTruncate(unsigned tid)
 {
-    if (it->second.lsn != 0) {
-        auto c = _lsnCopies.find(it->second.lsn);
-        if (c != _lsnCopies.end() && --c->second == 0)
-            _lsnCopies.erase(c);
-    }
-    _durableRecords.erase(it);
-}
-
-void
-PersistencyChecker::onLogTruncate(unsigned tid, Addr head, Addr tail)
-{
-    (void)tid;
-    auto it = _durableRecords.lower_bound(head);
-    while (it != _durableRecords.end() && it->first < tail)
-        eraseDurable(it++);
+    // The thread's area is empty now, and every LSN in its range names
+    // a record of that area.
+    Addr base = addr_map::logAreaBase(tid);
+    _lsnCopies.erase(_lsnCopies.lower_bound(base),
+                     _lsnCopies.lower_bound(base + addr_map::logAreaBytes));
 }
 
 // --- Invariant 6: no live record reclaimed ------------------------------
@@ -483,13 +430,12 @@ PersistencyChecker::onLogRecordDrop(Addr rec_addr,
                                     const log::LogRecord &record,
                                     log::LogDropReason reason)
 {
+    (void)rec_addr;
     ++_counters.logRecordDrops;
-    auto it = _durableRecords.find(rec_addr);
+    auto c = _lsnCopies.find(record.lsn);
     if (reason == log::LogDropReason::Migrated) {
         // The migrated copy must already be durable: with this original
         // still counted, its LSN must have at least two durable copies.
-        auto c = record.lsn != 0 ? _lsnCopies.find(record.lsn)
-                                 : _lsnCopies.end();
         if (c == _lsnCopies.end() || c->second < 2) {
             violate(ViolationKind::LiveRecordReclaimed, record.tid,
                     record.txid, record.dataAddr,
@@ -507,17 +453,8 @@ PersistencyChecker::onLogRecordDrop(Addr rec_addr,
                 std::string(by) +
                     " dropped a record still needed for recovery");
     }
-    if (it != _durableRecords.end())
-        eraseDurable(it);
-}
-
-void
-PersistencyChecker::onLogSegmentReclaimed(unsigned tid,
-                                          std::uint64_t segment)
-{
-    (void)tid;
-    (void)segment;
-    ++_counters.segmentReclaims;
+    if (c != _lsnCopies.end() && --c->second == 0)
+        _lsnCopies.erase(c);
 }
 
 // --- Invariant 7: checkpoint image --------------------------------------
@@ -543,15 +480,6 @@ PersistencyChecker::onCheckpointWord(Addr word_addr, Word value)
                ? std::to_string(_committedImage[word_addr])
                : std::string("no committed value"));
     violate(ViolationKind::CheckpointImage, 0, 0, word_addr, ss.str());
-}
-
-void
-PersistencyChecker::onCheckpointComplete(unsigned tid,
-                                         std::uint64_t words)
-{
-    (void)tid;
-    (void)words;
-    ++_counters.checkpoints;
 }
 
 // --- Invariant 2: commit durability -------------------------------------
@@ -637,8 +565,9 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 // --- Invariant 4: crash closure -----------------------------------------
 
 void
-PersistencyChecker::onRecoveryComplete(const PersistentDomain &domain)
+PersistencyChecker::onRecoveryComplete()
 {
+    const PersistentDomain &domain = *_domain;
     // Oracle: initial values + the stores of every durably committed
     // transaction. A commit in flight at the crash counts if its
     // commit marker is durable.

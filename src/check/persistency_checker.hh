@@ -3,18 +3,21 @@
  * The persistency checker: an online durability-invariant analysis
  * pass over the whole memory system.
  *
- * The checker shadows every word's persist state across the domains
- *   volatile cache -> ADR WPQ -> on-PM buffer -> media
- * plus the battery/ADR-backed log structures, and validates the
- * scheme-specific durability invariants at store, WPQ-acceptance,
- * commit, crash, and recovery time:
+ * A word moves
+ *   volatile cache -> ADR WPQ -> on-PM buffer -> media;
+ * the checker shadows it up to its persist point, WPQ acceptance (the
+ * buffer and the media replay accepted writes), plus the
+ * battery/ADR-backed log structures, and validates the scheme-specific
+ * durability invariants at store, WPQ-acceptance, commit, crash, and
+ * recovery time:
  *
  *  1. log-before-data — no word carrying an uncommitted new value may
- *     enter the persistent domain (WPQ accept, media program) unless a
- *     revoking undo record is durable first: in the PM log region, in
- *     the MC's ADR log path (in-flight), or in a battery/ADR-backed
- *     scheme structure (Silo's log buffer, MorLog's MC buffer). LAD's
- *     held entries are exempt — they are revocable by discard.
+ *     enter the persistent domain (WPQ accept, LAD held release) unless
+ *     a revoking undo record is durable first: in the PM log region, in
+ *     the MC's ADR log path (read from the PersistentDomain), or in a
+ *     battery/ADR-backed scheme structure (Silo's log buffer, MorLog's
+ *     MC buffer). LAD's held entries are exempt — they are revocable by
+ *     discard.
  *  2. commit durability — when Tx_end completes, the scheme's commit
  *     precondition holds: WAL schemes (Base/FWB/MorLog/SW-eADR) have
  *     every changed word's log record plus the commit marker durable;
@@ -28,8 +31,9 @@
  *  4. crash closure — after crash + recovery, the media image must
  *     equal the checker's own oracle: initial values plus exactly the
  *     stores of every durably committed transaction.
- *  5. torn writes — media programming never straddles an on-PM buffer
- *     line.
+ *  5. (retired) torn writes — a media write names its words by the
+ *     bits of one on-PM buffer line's 32-bit wordMask, so it cannot
+ *     straddle the line (a static_assert in sim/persistent_domain.hh).
  *  6. no live record reclaimed — the log region may drop a durable
  *     record (segmented-log lifecycle, or below its thread's head) only
  *     when it is dead: a migration drop needs a second durable copy of
@@ -58,11 +62,15 @@
  * instances.
  *
  * The checker is a copyable value that reaches nothing of the machine
- * but the event queue's clock, and stopClock() cuts that: a crash
- * sweep copies it with the persistent domain after each event, so the
- * crash hooks (onCrashBegin() ... onRecoveryComplete()) and every
- * sink event the crash raises run on the copy, observing the domain's
- * copy (harness::sweepCrashes()).
+ * but the event queue's clock, which stopClock() cuts, and the
+ * PersistentDomain it observes, which it only reads: the MCs' ADR log
+ * paths (undo coverage) and, after recovery, the media and commit
+ * markers. The durable log records it does not mirror. A crash sweep
+ * copies it with the persistent domain after each event, and
+ * onCrashBegin() binds the copy to the domain's copy, so the crash
+ * hooks (onCrashBegin() ... onRecoveryComplete()) and every sink event
+ * the crash raises run on the copy, observing the domain's copy
+ * (harness::sweepCrashes()).
  */
 
 #ifndef SILO_CHECK_PERSISTENCY_CHECKER_HH
@@ -92,7 +100,6 @@ enum class ViolationKind
     HeldReleaseOrdering,//!< LAD held entry mishandled around commit
     FlushBitAccounting, //!< flush-bit set without a matching eviction
     DoublePersist,      //!< flush-bit-covered word written again
-    TornWrite,          //!< media write straddles an on-PM buffer line
     CrashClosure,       //!< recovered image differs from the oracle
     LiveRecordReclaimed,//!< lifecycle dropped a still-needed record
     CheckpointImage,    //!< checkpoint flushed a non-committed value
@@ -142,20 +149,19 @@ struct CheckerCounters
     std::uint64_t wpqLineAccepts = 0;
     std::uint64_t wpqWordAccepts = 0;
     std::uint64_t logPersists = 0;
-    std::uint64_t mediaLineWrites = 0;
     std::uint64_t commits = 0;
     std::uint64_t wordsCheckedAtRecovery = 0;
     std::uint64_t logRecordDrops = 0;
-    std::uint64_t segmentReclaims = 0;
     std::uint64_t checkpointWords = 0;
-    std::uint64_t checkpoints = 0;
 };
 
 /** Online durability-invariant checker (see file header). */
 class PersistencyChecker : public log::PersistEventSink
 {
   public:
-    PersistencyChecker(const SimConfig &cfg, const EventQueue &eq);
+    /** Observe @p domain, the machine's, on @p eq 's clock. */
+    PersistencyChecker(const SimConfig &cfg, const EventQueue &eq,
+                       const PersistentDomain &domain);
 
     /** @name Transaction events (replay cores) */
     /// @{
@@ -169,18 +175,25 @@ class PersistencyChecker : public log::PersistEventSink
     /** @name Crash and recovery (harness::crashDomain/recoverDomain) */
     /// @{
     /**
-     * The crash began: runs before any battery or ADR flush. Time
-     * stops (stopClock()).
+     * The crash of @p domain began: runs before any battery or ADR
+     * flush. From now on the checker observes @p domain (a crash copy
+     * of the one it was built with, or that one), and time stops
+     * (stopClock()).
      */
-    void onCrashBegin() { stopClock(); }
+    void
+    onCrashBegin(const PersistentDomain &domain)
+    {
+        _domain = &domain;
+        stopClock();
+    }
     /** The battery died: scheme-internal shadow coverage is gone. */
     void onBatteryDead();
     /**
-     * Recovery finished: validate @p domain 's media against the
-     * oracle, committing each core's last transaction if its commit
-     * marker is durable.
+     * Recovery finished: validate the observed domain's media against
+     * the oracle, committing each core's last transaction if its
+     * commit marker is durable.
      */
-    void onRecoveryComplete(const PersistentDomain &domain);
+    void onRecoveryComplete();
     /**
      * Stamp every later violation with the current tick and stop
      * reading the event queue: a copy taken for a crash must not
@@ -198,39 +211,29 @@ class PersistencyChecker : public log::PersistEventSink
     /** @name Scheme-side coverage notes */
     /// @{
     /** Silo appended an undo entry to the battery-backed log buffer. */
-    void noteBatteryUndo(unsigned core, std::uint16_t txid, Addr addr,
-                         Word old_val) override;
+    void noteBatteryUndo(unsigned core, std::uint16_t txid,
+                         Addr addr) override;
     /** MorLog appended an undo entry to its ADR-domain MC buffer. */
-    void noteAdrUndo(unsigned core, std::uint16_t txid, Addr addr,
-                     Word old_val) override;
+    void noteAdrUndo(unsigned core, std::uint16_t txid,
+                     Addr addr) override;
     /** Silo set an entry's flush-bit (claims ADR has @p new_data). */
     void noteFlushBit(unsigned core, std::uint16_t txid, Addr addr,
                       Word new_data) override;
-    /** A record entered the MC's ADR log path (durable, pre-accept). */
-    void onLogInFlight(Addr rec_addr,
-                       const log::LogRecord &record) override;
     /// @}
 
     /** @name PersistEventSink (memory-system events) */
     /// @{
     void onWpqAcceptLine(Addr line_addr,
                          const std::array<Word, wordsPerLine> &values,
-                         bool evicted, bool held) override;
+                         bool held) override;
     void onWpqAcceptWord(Addr word_addr, Word value) override;
     void onHeldRelease(Addr line_addr) override;
     void onHeldDiscard(Addr line_addr) override;
-    void onMediaWrite(
-        Addr pm_line,
-        const std::vector<std::pair<unsigned, Word>> &words,
-        bool log_region) override;
     void onLogPersist(Addr rec_addr, const log::LogRecord &record) override;
-    void onLogTruncate(unsigned tid, Addr head, Addr tail) override;
+    void onLogTruncate(unsigned tid) override;
     void onLogRecordDrop(Addr rec_addr, const log::LogRecord &record,
                          log::LogDropReason reason) override;
-    void onLogSegmentReclaimed(unsigned tid,
-                               std::uint64_t segment) override;
     void onCheckpointWord(Addr word_addr, Word value) override;
-    void onCheckpointComplete(unsigned tid, std::uint64_t words) override;
     /// @}
 
     /** @name Results */
@@ -285,14 +288,16 @@ class PersistencyChecker : public log::PersistEventSink
     }
 
     /**
-     * A word carrying @p value entered a persistent domain. Checks
-     * invariant 1 when the value is an uncommitted new value.
-     * @param domain "WPQ" or "media" (for the report).
+     * A word carrying @p value entered the ADR domain (WPQ accept).
+     * Checks invariant 1 when the value is an uncommitted new value.
      */
-    void checkDomainEntry(Addr addr, Word value, bool held,
-                          const char *domain);
+    void checkDomainEntry(Addr addr, Word value);
 
-    /** @return true if an undo covering (tx, addr) is durable now. */
+    /**
+     * @return true if an undo covering (tx, addr) is durable now: in
+     * the log region, in an MC's ADR log path, or in battery/ADR
+     * scheme custody.
+     */
     bool undoCoverage(const TxShadow &tx, Addr addr) const;
 
     /**
@@ -303,9 +308,6 @@ class PersistencyChecker : public log::PersistEventSink
      * undo).
      */
     bool recordIsDead(const log::LogRecord &rec) const;
-
-    /** Remove one durable record, maintaining the per-LSN copy count. */
-    void eraseDurable(std::map<Addr, log::LogRecord>::iterator it);
 
     /** Invariant 2, dispatched on the configured scheme. */
     void checkCommit(const TxShadow &tx);
@@ -321,6 +323,8 @@ class PersistencyChecker : public log::PersistEventSink
     /** The live clock; nullptr once stopped. */
     const EventQueue *_eq;
     Tick _stoppedAt = 0;
+    /** The persistent domain observed: the machine's, or a crash copy. */
+    const PersistentDomain *_domain;
 
     /** Each core's latest (possibly open) transaction. */
     std::vector<TxShadow> _txs;
@@ -335,12 +339,12 @@ class PersistencyChecker : public log::PersistEventSink
      *  for checkpoint flushes that race with commits). */
     std::map<Addr, std::set<Word>> _committedValueHistory;
 
-    /** Durable log region: record address -> record (truncation-aware). */
-    std::map<Addr, log::LogRecord> _durableRecords;
-    /** Durable copies per nonzero LSN (migration double-copy window). */
+    /**
+     * Durable copies per LSN (migration double-copy window): +1 at
+     * persist, -1 at drop, and a truncate clears its thread's LSNs (an
+     * LSN is a record's first address in its own thread's area).
+     */
     std::map<std::uint64_t, unsigned> _lsnCopies;
-    /** Records in the MC's ADR log path (durable, awaiting accept). */
-    std::map<Addr, log::LogRecord> _inFlightRecords;
 
     /** One held (LAD) WPQ line: durable but revocable by discard. */
     struct HeldLine

@@ -7,14 +7,22 @@ namespace silo::core
 
 using workload::TxOp;
 
-ReplayCore::ReplayCore(unsigned id, EventQueue &eq, const SimConfig &cfg,
+namespace
+{
+
+/** Fixed non-memory cost charged per replayed operation. */
+constexpr Cycles opOverheadCycles = 1;
+
+} // namespace
+
+ReplayCore::ReplayCore(unsigned id, EventQueue &eq,
                        mem::CacheHierarchy &hierarchy,
                        log::LoggingScheme &scheme,
                        log::PersistEventSink *checker,
                        log::LogLifecycle *lifecycle, WordStore &values,
                        const workload::ThreadTrace &trace,
                        std::function<void()> on_finished)
-    : _id(id), _eq(eq), _cfg(cfg), _hierarchy(hierarchy),
+    : _id(id), _eq(eq), _hierarchy(hierarchy),
       _scheme(scheme), _checker(checker), _lifecycle(lifecycle),
       _values(values), _trace(trace),
       _onFinished(std::move(on_finished)),
@@ -34,7 +42,7 @@ ReplayCore::start()
 void
 ReplayCore::advanceAfter(Cycles delay)
 {
-    _eq.scheduleAfter(delay + _cfg.opOverheadCycles, [this] { step(); },
+    _eq.scheduleAfter(delay + opOverheadCycles, [this] { step(); },
                       EventQueue::prioCore, prof::Tag::Core);
 }
 
@@ -42,7 +50,6 @@ void
 ReplayCore::step()
 {
     if (_cursor >= _trace.ops.size()) {
-        _finished = true;
         if (_onFinished)
             _onFinished();
         return;

@@ -39,7 +39,7 @@ class ReplayCore
      * checker (SimConfig::checker) and the segmented-log lifecycle
      * engine (SimConfig::logSegmented).
      */
-    ReplayCore(unsigned id, EventQueue &eq, const SimConfig &cfg,
+    ReplayCore(unsigned id, EventQueue &eq,
                mem::CacheHierarchy &hierarchy,
                log::LoggingScheme &scheme,
                log::PersistEventSink *checker,
@@ -50,7 +50,6 @@ class ReplayCore
     /** Begin executing the trace. */
     void start();
 
-    bool finished() const { return _finished; }
     std::uint64_t committedTx() const { return _committedTx; }
 
     /** @return true if a transaction is open (crash bookkeeping). */
@@ -93,7 +92,6 @@ class ReplayCore
 
     unsigned _id;
     EventQueue &_eq;
-    const SimConfig &_cfg;
     mem::CacheHierarchy &_hierarchy;
     log::LoggingScheme &_scheme;
     log::PersistEventSink *_checker;
@@ -105,7 +103,6 @@ class ReplayCore
     std::size_t _cursor = 0;
     std::uint16_t _txid = 0;
     bool _inTx = false;
-    bool _finished = false;
     std::uint64_t _committedTx = 0;
     std::size_t _committedOpIndex = 0;
     std::size_t _commitRequestedOpIndex = 0;

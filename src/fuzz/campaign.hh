@@ -12,9 +12,10 @@
  *     harness::sweepCrashes(): after EVERY event index k (or a stride
  *     of them) a copy of the persistent domain and the checker
  *     crashes, recovers and is validated by the persistency checker
- *     (invariants 1–5 + crash closure), then the System finishes as
- *     the completion case, whose executed events E bound the sweep;
- *     indices past the run's stop point reuse the stop-point verdict.
+ *     (invariants 1–4, crash closure being 4), then the System
+ *     finishes as the completion case, whose executed events E bound
+ *     the sweep; indices past the run's stop point reuse the
+ *     stop-point verdict.
  *     A scheme's crash cases count only when its completion is clean,
  *     as a completion violation is the finding on its own;
  *  3. for the first failing case per (program, scheme), shrink the

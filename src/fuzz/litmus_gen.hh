@@ -13,7 +13,7 @@
  *    buffer / flush-bit state;
  *  - cross-line and buffer-line-straddling runs: word runs spanning a
  *    64 B cacheline boundary and the 256 B on-PM buffer line boundary
- *    (the torn-write bound);
+ *    (where WPQ entries and buffer lines split a run);
  *  - silent stores and same-word rewrites: exercise Silo's log
  *    ignorance and comparator merging;
  *  - back-to-back tiny (even empty) transactions: commit-marker and

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "nvm/pm_device.hh"
 #include "sim/profiler.hh"
 #include "sim/sha256.hh"
 
@@ -143,9 +144,10 @@ printConfigBanner(const SimConfig &cfg, std::ostream &os)
        << "cy, L2 " << cfg.l2.sizeBytes / 1024 << "KB/"
        << cfg.l2.latency << "cy, L3 "
        << cfg.l3.sizeBytes / (1024 * 1024) << "MB/" << cfg.l3.latency
-       << "cy, WPQ " << cfg.wpqEntries << " (ADR), PM read/write "
-       << cfg.pmReadCycles << "/" << cfg.pmWriteCycles
-       << "cy, log buffer " << cfg.logBufferEntries << " entries @ "
+       << "cy, WPQ " << cfg.wpqEntries << " (ADR), PM read "
+       << nvm::pmReadCycles << "cy, line write " << nvm::pmWriteBaseCycles
+       << "+" << nvm::pmWritePerWordCycles << "/word cy, log buffer "
+       << cfg.logBufferEntries << " entries @ "
        << cfg.logBufferLatency << "cy\n";
 }
 

@@ -45,12 +45,13 @@ System::System(const SimConfig &cfg,
                            value_of, set_value};
     if (_cfg.checker) {
         // Shadow the whole persist path: the checker observes log
-        // persists, WPQ accepts/releases/discards, and media writes;
-        // the cores report tx boundaries and stores to it.
-        _checker = std::make_unique<check::PersistencyChecker>(_cfg, _eq);
+        // persists, truncations and drops and WPQ accepts, releases and
+        // discards, and reads the domain's ADR log paths; the cores
+        // report tx boundaries and stores to it.
+        _checker = std::make_unique<check::PersistencyChecker>(_cfg, _eq,
+                                                               _domain);
         _domain.logs.setEventSink(_checker.get());
         _mc->setCheckSink(_checker.get());
-        _pm->setCheckSink(_checker.get());
         ctx.checker = _checker.get();
     }
     if (_cfg.logSegmented) {
@@ -62,7 +63,7 @@ System::System(const SimConfig &cfg,
 
     for (unsigned c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<core::ReplayCore>(
-            c, _eq, _cfg, *_hierarchy, *_scheme, _checker.get(),
+            c, _eq, *_hierarchy, *_scheme, _checker.get(),
             _lifecycle.get(), _values, _traces.threads[c], [this] {
                 // Periodic machinery (e.g., FWB's walker) keeps the
                 // event queue alive forever; stop once every core has
@@ -179,7 +180,6 @@ System::crashCopy(DomainCopy &out) const
         else
             out.checker.emplace(*_checker);
         checker = &*out.checker;
-        checker->stopClock();
     } else {
         out.checker.reset();
     }
@@ -308,7 +308,7 @@ crashDomain(PersistentDomain &domain, const SimConfig &cfg,
             nvm::PmStats *pm_stats)
 {
     if (checker)
-        checker->onCrashBegin();
+        checker->onCrashBegin(domain);
     // 1. The MCs' ADR log paths complete: every log record still
     //    waiting for a WPQ slot (a scheme's or the lifecycle
     //    engine's) persists.
@@ -336,7 +336,7 @@ recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
 {
     log::walRecover(domain.logs, cfg.numCores, domain.media);
     if (checker)
-        checker->onRecoveryComplete(domain);
+        checker->onRecoveryComplete();
 }
 
 std::uint64_t

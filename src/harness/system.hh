@@ -87,8 +87,8 @@ struct DomainCopy
     /** The recovered image and the durable logs it was recovered from. */
     PersistentDomain domain;
     /**
-     * Bound to domain's log region, holding the crash's violations;
-     * empty when the checker is off.
+     * Observing domain and its log region's sink, holding the crash's
+     * violations; empty when the checker is off.
      */
     std::optional<check::PersistencyChecker> checker;
     /** Durable log records right after the crash. */
@@ -227,7 +227,8 @@ WordStore committedPrefixImage(System &sys,
 
 /**
  * The crash, as a function of @p domain and the checker @p checker
- * (nullable) observing it: the MCs' ADR log paths persist, the battery
+ * (nullable) observing it, which PersistencyChecker::onCrashBegin()
+ * binds to @p domain: the MCs' ADR log paths persist, the battery
  * flushes each scheme's declared state, and the ADR drains the WPQs
  * and the on-PM buffer into the media at tick @p now. @p pm_stats
  * (nullable) receives the drain's media counts.
@@ -239,7 +240,8 @@ std::uint64_t crashDomain(PersistentDomain &domain, const SimConfig &cfg,
 
 /**
  * Recover @p domain 's media from its durable logs (walRecover()) and
- * let @p checker (nullable) validate the result.
+ * let @p checker (nullable), bound to @p domain by crashDomain(),
+ * validate the result.
  */
 void recoverDomain(PersistentDomain &domain, const SimConfig &cfg,
                    check::PersistencyChecker *checker);

@@ -191,7 +191,7 @@ LadScheme::commitPhase1(unsigned core, std::vector<Addr> lines,
                               next, done = std::move(done)]() mutable {
         // The L1 -> LLC -> MC pipeline issues one line per interval
         // (LAD's commit waits on this path, §V point 1).
-        _ctx.eq.scheduleAfter(_ctx.cfg.ladFlushPerLineCycles,
+        _ctx.eq.scheduleAfter(ladFlushPerLineCycles,
                               [this, core, lines = std::move(lines),
                                next, done = std::move(done)]() mutable {
             commitPhase1(core, std::move(lines), next + 1,

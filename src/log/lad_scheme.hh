@@ -27,6 +27,13 @@
 namespace silo::log
 {
 
+/**
+ * Issue spacing of LAD's commit phase-1 flush, one dirty line per
+ * interval: the L1 -> LLC -> MC serialization its two-phase commit
+ * waits on (§V; EXPERIMENTS.md "Calibration").
+ */
+constexpr Cycles ladFlushPerLineCycles = 160;
+
 /** Logless atomic durability via MC-buffered cachelines. */
 class LadScheme : public LoggingScheme
 {

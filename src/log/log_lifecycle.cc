@@ -83,7 +83,7 @@ LogLifecycle::tick()
 {
     for (unsigned tid = 0; tid < _threads.size(); ++tid) {
         maybeStart(tid);
-        releaseGated(tid, false);
+        releaseGated(tid);
     }
     scheduleTick();
 }
@@ -192,7 +192,7 @@ LogLifecycle::finishClean(unsigned tid)
     }
     ts.cleanRecords.clear();
     ts.busy = false;
-    releaseGated(tid, false);
+    releaseGated(tid);
     // Cleaning freed one ring slot but committed redo stays pinned; if
     // that was not enough, a checkpoint is what truly frees capacity.
     if (capacityLow(tid))
@@ -287,10 +287,6 @@ LogLifecycle::finishCheckpoint(unsigned tid)
             _logs.reclaimSegment(tid, _logs.headSegment(tid));
             ++_stats.segmentsReclaimed;
         }
-        if (_checker) {
-            _checker->onCheckpointComplete(
-                tid, std::uint64_t(ts2.ckptWords.size()));
-        }
         ++_stats.checkpoints;
         if (trace::Tracer *tr = _eq.tracer()) {
             auto track =
@@ -302,18 +298,18 @@ LogLifecycle::finishCheckpoint(unsigned tid)
         ts2.ckptWords.clear();
         ts2.ckptDrops.clear();
         ts2.busy = false;
-        releaseGated(tid, false);
+        releaseGated(tid);
     });
 }
 
 void
-LogLifecycle::releaseGated(unsigned tid, bool force)
+LogLifecycle::releaseGated(unsigned tid)
 {
     ThreadState &ts = _threads[tid];
     while (!ts.gated.empty()) {
         GatedDone &front = ts.gated.front();
         bool overrun = _eq.now() >= front.since + _overrunCycles;
-        if (!force && capacityLow(tid) && !overrun)
+        if (capacityLow(tid) && !overrun)
             break;
         if (capacityLow(tid) && overrun)
             ++_stats.ringOverruns;

@@ -114,8 +114,6 @@ class LogLifecycle
     {
         return _threads.at(tid).gated.size();
     }
-    /** True while @p tid 's cleaner or checkpoint is running. */
-    bool busy(unsigned tid) const { return _threads.at(tid).busy; }
     /// @}
 
   private:
@@ -171,7 +169,11 @@ class LogLifecycle
     void ckptStep(unsigned tid);
     void finishCheckpoint(unsigned tid);
 
-    void releaseGated(unsigned tid, bool force);
+    /**
+     * Run @p tid 's deferred completions in order while it has clean
+     * capacity, and any that waited out the overrun window.
+     */
+    void releaseGated(unsigned tid);
 
     /** Has the transaction that wrote @p rec committed? */
     bool committed(const LogRecord &rec) const;

@@ -105,8 +105,7 @@ MemController::tryWriteLine(Addr line_addr,
     if (!enqueue(std::move(entry)))
         return false;
     if (_check)
-        _check->onWpqAcceptLine(lineAlign(line_addr), values, evicted,
-                                held);
+        _check->onWpqAcceptLine(lineAlign(line_addr), values, held);
     if (evicted && _evictionObserver)
         _evictionObserver(lineAlign(line_addr));
     return true;
@@ -169,8 +168,6 @@ void
 MemController::writeLog(Addr rec_addr, const log::LogRecord &record,
                         std::function<void()> done)
 {
-    if (_check)
-        _check->onLogInFlight(rec_addr, record);
     // Try first: the common case never touches the log path's map.
     if (tryWriteLog(rec_addr, record)) {
         done();
@@ -311,14 +308,14 @@ crashDrain(McState &mc, PersistentDomain &domain, Tick now,
     for (const auto &e : mc.wpq) {
         if (!e.held) {
             nvm::crashWrite(domain, e.pmLine, wordsOf(e), e.logRegion,
-                            now, sink, pm_stats);
+                            now, pm_stats);
         } else if (sink) {
             sink->onHeldDiscard(e.key);
         }
     }
     mc.wpq.clear();
     mc.heldCount = 0;
-    nvm::drainBuffer(domain, sink, pm_stats);
+    nvm::drainBuffer(domain, pm_stats);
 }
 
 } // namespace silo::mc

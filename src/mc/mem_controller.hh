@@ -59,7 +59,7 @@ void flushLogPath(McState &mc, log::LogRegionStore &logs);
  * WPQ entries go through @p domain 's on-PM buffer to its media
  * (nvm::crashWrite() at tick @p now), the held (uncommitted LAD)
  * entries are discarded, each reported to @p sink, and the buffer
- * drains. @p sink and @p pm_stats are nullable.
+ * drains. @p sink and @p pm_stats (the media counts) are nullable.
  */
 void crashDrain(McState &mc, PersistentDomain &domain, Tick now,
                 log::PersistEventSink *sink, nvm::PmStats *pm_stats);

@@ -74,19 +74,8 @@ fillLine(BufferLine &line, Addr pm_line,
 
 /** Apply one line's content to media and count DCW'd word writes. */
 unsigned
-applyToMedia(WordStore &media, const BufferLine &line,
-             log::PersistEventSink *sink, PmStats *stats)
+applyToMedia(WordStore &media, const BufferLine &line, PmStats *stats)
 {
-    if (sink) {
-        std::vector<std::pair<unsigned, Word>> words;
-        std::uint32_t check_bits = line.wordMask;
-        while (check_bits) {
-            unsigned idx = unsigned(std::countr_zero(check_bits));
-            check_bits &= check_bits - 1;
-            words.emplace_back(idx, line.values[idx]);
-        }
-        sink->onMediaWrite(line.base, words, line.logRegion);
-    }
     unsigned changed = 0;
     unsigned suppressed = 0;
     std::uint32_t bits = line.wordMask;
@@ -122,11 +111,10 @@ applyToMedia(WordStore &media, const BufferLine &line,
  * @return the words programmed.
  */
 unsigned
-evictLine(WordStore &media, BufferLine &line,
-          log::PersistEventSink *sink, PmStats *stats)
+evictLine(WordStore &media, BufferLine &line, PmStats *stats)
 {
     line.evicting = true;
-    unsigned changed = applyToMedia(media, line, sink, stats);
+    unsigned changed = applyToMedia(media, line, stats);
     if (stats)
         stats->evictionWords.sample(changed);
     if (changed == 0)
@@ -141,14 +129,14 @@ evictLine(WordStore &media, BufferLine &line,
 void
 crashWrite(PersistentDomain &domain, Addr pm_line,
            const std::vector<WordWrite> &words, bool log_region,
-           Tick now, log::PersistEventSink *sink, PmStats *stats)
+           Tick now, PmStats *stats)
 {
     std::vector<BufferLine> &lines = domain.pmBuffer;
     while (!coalesce(lines, pm_line, words, now, stats)) {
         int lru;
         int idx = freeSlot(lines, lru);
         if (idx < 0 && lru >= 0) {
-            evictLine(domain.media, lines[lru], sink, stats);
+            evictLine(domain.media, lines[lru], stats);
             if (!lines[lru].valid)
                 idx = lru;   // DCW freed the slot
         }
@@ -158,24 +146,23 @@ crashWrite(PersistentDomain &domain, Addr pm_line,
         }
         // Every line is busy evicting: the ADR flush empties the
         // buffer instead of waiting for the banks.
-        drainBuffer(domain, sink, stats);
+        drainBuffer(domain, stats);
     }
 }
 
 void
-drainBuffer(PersistentDomain &domain, log::PersistEventSink *sink,
-            PmStats *stats)
+drainBuffer(PersistentDomain &domain, PmStats *stats)
 {
     for (auto &line : domain.pmBuffer) {
         if (line.valid && !line.evicting)
-            applyToMedia(domain.media, line, sink, stats);
+            applyToMedia(domain.media, line, stats);
         line = BufferLine{};
     }
 }
 
 PmDevice::PmDevice(EventQueue &eq, const SimConfig &cfg,
                    PersistentDomain &domain)
-    : _eq(eq), _cfg(cfg), _domain(domain), _banks(cfg.pmBanks, 0)
+    : _eq(eq), _domain(domain), _banks(cfg.pmBanks, 0)
 {
 }
 
@@ -210,7 +197,7 @@ PmDevice::startEviction(unsigned idx)
 {
     BufferLine &line = _domain.pmBuffer[idx];
     Addr base = line.base;
-    unsigned changed = evictLine(_domain.media, line, _check, &_stats);
+    unsigned changed = evictLine(_domain.media, line, &_stats);
     if (changed == 0) {
         // DCW removed every word: no media write happens at all; the
         // slot frees immediately.
@@ -219,8 +206,7 @@ PmDevice::startEviction(unsigned idx)
         return;
     }
 
-    Cycles busy = _cfg.pmWriteBaseCycles +
-                  _cfg.pmWritePerWordCycles * Cycles(changed);
+    Cycles busy = pmWriteBaseCycles + pmWritePerWordCycles * Cycles(changed);
     unsigned bank = bankOf(base);
     Tick done = occupyBank(bank, busy);
     if (auto *tr = _eq.tracer()) {
@@ -292,8 +278,8 @@ PmDevice::read(Addr line_addr)
     ++_stats.reads;
     unsigned bank = bankOf(pm_line);
     Tick start = std::max(_eq.now(), _banks[bank]);
-    _banks[bank] = start + _cfg.pmReadOccupancyCycles;
-    return start + _cfg.pmReadCycles;
+    _banks[bank] = start + pmReadOccupancyCycles;
+    return start + pmReadCycles;
 }
 
 } // namespace silo::nvm

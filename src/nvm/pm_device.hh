@@ -3,11 +3,12 @@
  * The persistent-memory DIMM model.
  *
  * Implements the paper's PM substrate (§III-E, Table II): banked
- * phase-change media with 50/150 ns read/write latency, an internal
- * ("on-PM") buffer of 256 B lines that coalesces incoming writes, and
- * bit-level write reduction via data-comparison-write (DCW) — only
- * words whose value actually changes are written to the media. The
- * media word-write counter is the metric behind Fig. 11 and Fig. 14b.
+ * phase-change media with 50 ns reads and a per-word write cost, an
+ * internal ("on-PM") buffer of 256 B lines that coalesces incoming
+ * writes, and bit-level write reduction via data-comparison-write
+ * (DCW) — only words whose value actually changes are written to the
+ * media. The media word-write counter is the metric behind Fig. 11 and
+ * Fig. 14b.
  *
  * The media and the buffer are the device's part of the persistent
  * domain (sim/persistent_domain.hh): the device uses them in place, and
@@ -28,7 +29,6 @@
 
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/persist_event_sink.hh"
 #include "sim/persistent_domain.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
@@ -36,6 +36,28 @@
 
 namespace silo::nvm
 {
+
+/** Latency of a media read (Table II: 50 ns). */
+constexpr Cycles pmReadCycles = cyclesFromNs(50.0);
+
+/**
+ * Bank occupancy of one read. PCM reads are non-destructive sensing
+ * and pipeline behind one another, while writes hold the bank for the
+ * full programming pulse; a read therefore blocks its bank for less
+ * than its own latency.
+ */
+constexpr Cycles pmReadOccupancyCycles = 8;
+
+/**
+ * Media write cost model: a buffer-line write-back occupies its bank
+ * for pmWriteBaseCycles plus pmWritePerWordCycles per word that
+ * actually programs (after DCW). The per-word term models the PCM
+ * write-driver power budget, which limits how many bits one bank
+ * programs in parallel; it is what couples media write traffic to
+ * throughput (Figs. 11 vs 12).
+ */
+constexpr Cycles pmWriteBaseCycles = 20;
+constexpr Cycles pmWritePerWordCycles = 360;
 
 /** One word of an incoming PM write: index within the 256 B line. */
 struct WordWrite
@@ -67,18 +89,17 @@ struct PmStats
  * Crash (ADR drain): absorb one write into @p domain 's on-PM buffer,
  * as PmDevice::tryWrite() would at tick @p now, except that a full
  * buffer writes its lines to the media at once instead of waiting for
- * the banks. @p sink and @p stats (both nullable) see the media writes.
+ * the banks. @p stats (nullable) counts the media writes.
  */
 void crashWrite(PersistentDomain &domain, Addr pm_line,
                 const std::vector<WordWrite> &words, bool log_region,
-                Tick now, log::PersistEventSink *sink, PmStats *stats);
+                Tick now, PmStats *stats);
 
 /**
  * Write every buffered line of @p domain to its media and empty the
  * buffer, ignoring timing: the last step of the ADR drain.
  */
-void drainBuffer(PersistentDomain &domain, log::PersistEventSink *sink,
-                 PmStats *stats);
+void drainBuffer(PersistentDomain &domain, PmStats *stats);
 
 /** Banked PCM with an internal write-coalescing buffer. */
 class PmDevice
@@ -117,9 +138,6 @@ class PmDevice
      */
     WordStore &media() { return _domain.media; }
     const WordStore &media() const { return _domain.media; }
-
-    /** Register the persistency checker (nullptr when disabled). */
-    void setCheckSink(log::PersistEventSink *sink) { _check = sink; }
 
     /** @name Statistics */
     /// @{
@@ -178,11 +196,9 @@ class PmDevice
     void notifyOneWaiter();
 
     EventQueue &_eq;
-    const SimConfig &_cfg;
     PersistentDomain &_domain;
     std::vector<Tick> _banks;
     std::deque<std::function<void()>> _slotWaiters;
-    log::PersistEventSink *_check = nullptr;
 
     PmStats _stats;
 };

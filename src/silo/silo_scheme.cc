@@ -100,27 +100,9 @@ SiloScheme::handleOverflow(unsigned core)
         // committed) until the WPQ accepts it — "they are not lost in
         // the log buffer" (§III-F) — so a crash after the commit but
         // before this write completes still recovers the word via a
-        // redo flush.
-        if (write_data) {
-            // Stage with supersede semantics (one pending value per
-            // word, see stageInPlace); the issue waits for the undo
-            // record's acceptance below.
-            bool superseded = false;
-            for (auto &p : b.staged) {
-                if (p.addr == entry.addr) {
-                    p.txid = entry.txid;
-                    p.newData = entry.newData;
-                    p.committed = false;
-                    superseded = true;
-                    break;
-                }
-            }
-            if (!superseded) {
-                b.staged.push_back(PendingUpdate{entry.txid, entry.addr,
-                                                 entry.newData, false,
-                                                 _ctx.eq.now()});
-            }
-        }
+        // redo flush. The issue waits for the undo record's acceptance.
+        if (write_data)
+            stage(core, entry.txid, entry.addr, entry.newData, false);
         Addr data_addr = entry.addr;
         persistLog(rec_addr, undo, [this, core, write_data,
                                     data_addr] {
@@ -173,7 +155,7 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     b.buffer.push_back(entry);
     ++cs.txAppends;
     if (_ctx.checker)
-        _ctx.checker->noteBatteryUndo(core, txid, addr, old_val);
+        _ctx.checker->noteBatteryUndo(core, txid, addr);
 
     if (b.buffer.size() > _ctx.cfg.logBufferEntries)
         handleOverflow(core);
@@ -212,24 +194,33 @@ SiloScheme::drainCommitted(unsigned core)
     }
 }
 
-void
-SiloScheme::stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
-                         Word value, Cycles delay)
+bool
+SiloScheme::stage(unsigned core, std::uint16_t txid, Addr addr,
+                  Word value, bool committed)
 {
     auto &staged = battery(core).staged;
     for (auto &p : staged) {
         if (p.addr == addr) {
-            // A newer committed value supersedes the staged one; the
-            // already-issued write delivers the latest value when it
-            // is accepted (see issueInPlace).
+            // A newer value supersedes the staged one; the already
+            // issued write delivers the latest value when it is
+            // accepted (see issueInPlace).
             p.txid = txid;
             p.newData = value;
-            p.committed = true;
-            return;
+            p.committed = committed;
+            return false;
         }
     }
     staged.push_back(
-        PendingUpdate{txid, addr, value, true, _ctx.eq.now()});
+        PendingUpdate{txid, addr, value, committed, _ctx.eq.now()});
+    return true;
+}
+
+void
+SiloScheme::stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
+                         Word value, Cycles delay)
+{
+    if (!stage(core, txid, addr, value, true))
+        return;
     _ctx.eq.scheduleAfter(delay,
                           [this, core, addr] { issueInPlace(core, addr); },
                           EventQueue::prioDefault, prof::Tag::LogScheme);
@@ -291,7 +282,7 @@ SiloScheme::txEnd(unsigned core, std::function<void()> done)
     // Commit: the log generator notifies the log controller; once the
     // ACK returns, Tx_end completes — no PM write is on this path
     // (§III-D). The commit state change is atomic with the ACK.
-    _ctx.eq.scheduleAfter(_ctx.cfg.commitAckCycles,
+    _ctx.eq.scheduleAfter(commitAckCycles,
                           [this, core, commit_request,
                            done = std::move(done)] {
         if (auto *tr = _ctx.eq.tracer()) {

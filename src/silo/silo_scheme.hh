@@ -39,6 +39,9 @@
 namespace silo::silo_scheme
 {
 
+/** On-chip ACK round trip for Tx_end (§III-D, "several cycles"). */
+constexpr Cycles commitAckCycles = 4;
+
 /** Per-transaction log statistics behind Fig. 13. */
 struct LogReductionStats
 {
@@ -156,11 +159,20 @@ class SiloScheme : public log::LoggingScheme
     void drainCommitted(unsigned core);
 
     /**
-     * Stage a committed in-place update and schedule its issue after
-     * @p delay. A word already staged is superseded in place rather
-     * than issued a second time: two independently retrying writes to
+     * Stage @p value for @p addr in @p core 's battery domain, marked
+     * @p committed. A word already staged is superseded in place rather
+     * than staged a second time: two independently retrying writes to
      * the same word can be accepted out of order, letting an older
-     * committed value land last and revert the word on media.
+     * value land last and revert the word on media.
+     * @return true if a new entry was staged (its issue is the
+     * caller's), false if an issued one now carries the value.
+     */
+    bool stage(unsigned core, std::uint16_t txid, Addr addr, Word value,
+               bool committed);
+
+    /**
+     * Stage a committed in-place update and, if it is new, schedule
+     * its issue after @p delay.
      */
     void stageInPlace(unsigned core, std::uint16_t txid, Addr addr,
                       Word value, Cycles delay);

@@ -139,8 +139,6 @@ struct SimConfig
 {
     // --- Processor (Table II) ---
     unsigned numCores = 8;
-    /** Fixed non-memory cost charged per replayed operation. */
-    Cycles opOverheadCycles = 1;
 
     CacheConfig l1d{32 * 1024, 8, 4};
     CacheConfig l2{256 * 1024, 8, 12};
@@ -151,26 +149,7 @@ struct SimConfig
     unsigned numMemControllers = 1;
     unsigned wpqEntries = 64;        //!< write pending queue, ADR domain
 
-    // --- Persistent memory (Table II) ---
-    Cycles pmReadCycles = cyclesFromNs(50.0);    //!< 50 ns
-    Cycles pmWriteCycles = cyclesFromNs(150.0);  //!< 150 ns
-    /**
-     * Bank occupancy of one read. PCM reads are non-destructive
-     * sensing and pipeline behind one another, while writes hold the
-     * bank for the full programming pulse; a read therefore blocks its
-     * bank for less than its own latency.
-     */
-    Cycles pmReadOccupancyCycles = 8;
-    /**
-     * Media write cost model: a buffer-line write-back occupies its
-     * bank for pmWriteBaseCycles plus pmWritePerWordCycles per word
-     * that actually programs (after DCW). The per-word term models the
-     * PCM write-driver power budget, which limits how many bits one
-     * bank programs in parallel; it is what couples media write
-     * traffic to throughput (Figs. 11 vs 12).
-     */
-    Cycles pmWriteBaseCycles = 20;
-    Cycles pmWritePerWordCycles = 360;
+    // --- Persistent memory (Table II; timing in nvm/pm_device.hh) ---
     unsigned pmBanks = 64;
     unsigned onPmBufferLines = 32;               //!< 256 B lines (§III-E)
 
@@ -181,8 +160,6 @@ struct SimConfig
     unsigned logBufferEntries = 20;
     /** Silo: log buffer access latency in cycles (Fig. 15 sweep). */
     Cycles logBufferLatency = 8;
-    /** Silo: on-chip ACK round trip for Tx_end (§III-D, "several cycles"). */
-    Cycles commitAckCycles = 4;
     /** @name Silo ablation switches (DESIGN.md design choices)
      *  Disable individual reduction mechanisms to quantify their
      *  contribution (the ablation bench sweeps these). */
@@ -220,8 +197,6 @@ struct SimConfig
     /// @}
     /** LAD: MC slots for buffered uncommitted cachelines. */
     unsigned ladMcEntries = 64;
-    /** LAD: per-line issue spacing of the commit phase-1 flush. */
-    Cycles ladFlushPerLineCycles = 160;
 
     // --- Observability (src/sim/tracer.hh) ---
     /**

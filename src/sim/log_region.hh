@@ -109,10 +109,10 @@ class LogRegionStore
 
     /**
      * Make @p record durable at @p addr, an address allocate() handed
-     * out (called at WPQ accept). Stamps the record's LSN with its
-     * first append address; a migrated copy arrives with the LSN
-     * already set and keeps it. A record below the head is reported
-     * persisted and dropped (BelowHead), and not kept.
+     * out that holds no live record (called at WPQ accept). Stamps the
+     * record's LSN with its first append address; a migrated copy
+     * arrives with the LSN already set and keeps it. A record below the
+     * head is reported persisted and dropped (BelowHead), and not kept.
      */
     void
     persist(Addr addr, const LogRecord &record)
@@ -148,7 +148,7 @@ class LogRegionStore
     {
         Area &area = _areas.at(tid);
         if (_sink)
-            _sink->onLogTruncate(tid, area.head, area.tail);
+            _sink->onLogTruncate(tid);
         // Every record at or above the head lies in [head, tail), and
         // every slot below it is dead: the whole array goes.
         area.clear();
@@ -341,8 +341,6 @@ class LogRegionStore
         }
         if (area.tail < seg_end)
             area.tail = seg_end;
-        if (_sink)
-            _sink->onLogSegmentReclaimed(tid, seg);
     }
     /// @}
 
@@ -439,7 +437,10 @@ class LogRegionStore
             chunks.back().live[chunks.back().slots.size() - 1] = on;
         }
 
-        /** The live slot for @p addr (at or above the head). */
+        /**
+         * The slot for @p addr (at or above the head), made live;
+         * panics if it is live already.
+         */
         LogRecord &
         slotAt(Addr addr)
         {
@@ -456,6 +457,8 @@ class LogRegionStore
                     setLive(j, live(j - 1));
                 }
                 slot(i).addr = addr;
+            } else if (live(i)) {
+                panic("log record persisted over a live record");
             }
             setLive(i, true);
             return slot(i).rec;

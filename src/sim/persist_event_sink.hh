@@ -2,7 +2,7 @@
  * @file
  * The persistency-event observer interface.
  *
- * The replay cores, memory controller, PM device, log region, and
+ * The replay cores, memory controller, log region, log lifecycle and
  * logging schemes report durability-relevant events (transaction
  * boundaries, domain transitions, and the scheme-internal coverage
  * notes) through this interface so the persistency checker (src/check)
@@ -17,8 +17,11 @@
  *   volatile cache -> ADR WPQ -> on-PM buffer -> media,
  * and becomes durable at WPQ acceptance (the ADR persist point). Log
  * records become durable earlier, when they enter the MC's ADR log
- * path (mc::MemController::writeLog(), the only caller of
- * onLogInFlight()); they wait there while the WPQ is full.
+ * path (mc::MemController::writeLog()); they wait there while the WPQ
+ * is full. No hook reports that wait: the log path is part of the
+ * PersistentDomain, which the checker reads directly. No hook reports
+ * media programming either, a delayed replay of writes the WPQ already
+ * accepted, so the PM device has no sink.
  */
 
 #ifndef SILO_SIM_PERSIST_EVENT_SINK_HH
@@ -26,8 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "sim/log_record.hh"
 #include "sim/types.hh"
@@ -87,11 +88,10 @@ class PersistEventSink
     virtual void
     onWpqAcceptLine(Addr line_addr,
                     const std::array<Word, wordsPerLine> &values,
-                    bool evicted, bool held)
+                    bool held)
     {
         (void)line_addr;
         (void)values;
-        (void)evicted;
         (void)held;
     }
 
@@ -109,24 +109,6 @@ class PersistEventSink
     virtual void onHeldDiscard(Addr line_addr) { (void)line_addr; }
     /// @}
 
-    /** @name PM device */
-    /// @{
-
-    /**
-     * Words of one on-PM buffer line were programmed into the media
-     * (word indices are relative to the 256 B line base).
-     */
-    virtual void
-    onMediaWrite(Addr pm_line,
-                 const std::vector<std::pair<unsigned, Word>> &words,
-                 bool log_region)
-    {
-        (void)pm_line;
-        (void)words;
-        (void)log_region;
-    }
-    /// }@
-
     /** @name Log region */
     /// @{
 
@@ -137,13 +119,8 @@ class PersistEventSink
         (void)record;
     }
 
-    /** Thread @p tid 's log was truncated over [@p head, @p tail). */
-    virtual void onLogTruncate(unsigned tid, Addr head, Addr tail)
-    {
-        (void)tid;
-        (void)head;
-        (void)tail;
-    }
+    /** Thread @p tid 's log was truncated: its area holds no record. */
+    virtual void onLogTruncate(unsigned tid) { (void)tid; }
 
     /**
      * The log region dropped the durable record at @p rec_addr: the
@@ -160,13 +137,6 @@ class PersistEventSink
         (void)reason;
     }
 
-    /** Segment @p segment of thread @p tid returned to the clean state. */
-    virtual void onLogSegmentReclaimed(unsigned tid, std::uint64_t segment)
-    {
-        (void)tid;
-        (void)segment;
-    }
-
     /**
      * The checkpoint flushed @p value for @p word_addr into the
      * persistent domain (src/check invariant 7: each flushed value must
@@ -176,13 +146,6 @@ class PersistEventSink
     {
         (void)word_addr;
         (void)value;
-    }
-
-    /** Thread @p tid 's checkpoint finished after flushing @p words. */
-    virtual void onCheckpointComplete(unsigned tid, std::uint64_t words)
-    {
-        (void)tid;
-        (void)words;
     }
     /// @}
 
@@ -195,31 +158,21 @@ class PersistEventSink
      */
     /// @{
 
-    /** A record entered the MC's ADR log path (durable, pre-accept). */
-    virtual void onLogInFlight(Addr rec_addr, const LogRecord &record)
-    {
-        (void)rec_addr;
-        (void)record;
-    }
-
     /** Silo appended an undo entry to the battery-backed log buffer. */
     virtual void noteBatteryUndo(unsigned core, std::uint16_t txid,
-                                 Addr addr, Word old_val)
+                                 Addr addr)
     {
         (void)core;
         (void)txid;
         (void)addr;
-        (void)old_val;
     }
 
     /** MorLog appended an undo entry to its ADR-domain MC buffer. */
-    virtual void noteAdrUndo(unsigned core, std::uint16_t txid,
-                             Addr addr, Word old_val)
+    virtual void noteAdrUndo(unsigned core, std::uint16_t txid, Addr addr)
     {
         (void)core;
         (void)txid;
         (void)addr;
-        (void)old_val;
     }
 
     /** Silo set an entry's flush-bit (claims ADR has @p new_data). */

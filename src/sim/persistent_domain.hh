@@ -19,10 +19,13 @@
  * and no pointer into the machine that owns it. Its one observer, the
  * log region's event sink, stays with the store object when contents
  * are copied (LogRegionStore's copy operations), so a copy reports to
- * no one until it is bound. SW-eADR's persistent caches are the one
- * battery-backed structure the simulator keeps in volatile state (the
- * cache hierarchy): the scheme copies their dirty data lines in at the
- * crash (LoggingScheme::captureAtCrash()).
+ * no one until it is bound. The checker reads the domain it observes
+ * in place instead of mirroring it, through a pointer of its own that
+ * PersistencyChecker::onCrashBegin() moves to a crash copy. SW-eADR's
+ * persistent caches are the one battery-backed structure the simulator
+ * keeps in volatile state (the cache hierarchy): the scheme copies
+ * their dirty data lines in at the crash
+ * (LoggingScheme::captureAtCrash()).
  */
 
 #ifndef SILO_SIM_PERSISTENT_DOMAIN_HH
@@ -31,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <type_traits>
 #include <vector>
@@ -41,6 +45,14 @@
 
 namespace silo
 {
+
+// A write to the on-PM buffer or the media names its words by the set
+// bits of one line's 32-bit wordMask (nvm::BufferLine, mc::WpqEntry).
+// With one bit per word of a 256 B line, no write can straddle a line,
+// so the persistency checker needs no torn-write invariant.
+static_assert(pmBufferLineBytes / wordBytes ==
+                  std::numeric_limits<std::uint32_t>::digits,
+              "wordMask needs exactly one bit per word of a buffer line");
 
 namespace nvm
 {

@@ -332,7 +332,8 @@ reclaimedUnderOpenWriter(bool undo_durable)
     cfg.scheme = SchemeKind::Fwb;
     cfg.checker = true;
     EventQueue eq;
-    PersistencyChecker chk(cfg, eq);
+    PersistentDomain domain(cfg);
+    PersistencyChecker chk(cfg, eq, domain);
     const Addr word = addr_map::dataArenaBase(0);
     const Addr log_base = addr_map::logAreaBase(0);
     using Kind = log::LogRecord::Kind;
@@ -377,6 +378,51 @@ TEST(CheckerDeadRecord, WithoutDurableUndoTheDropIsFlagged)
     EXPECT_EQ(reclaimedUnderOpenWriter(false), 1u);
 }
 
+// --- Invariant 1: undo coverage from the ADR log path --------------------
+
+/**
+ * An open Base transaction's uncommitted value enters the WPQ while its
+ * undo record, not yet accepted, waits in the MC's ADR log path: the
+ * record is durable there (§III-D), and the checker reads it from the
+ * domain it observes. @return the log-before-data violations.
+ */
+std::size_t
+acceptedWithUndoInLogPath(bool undo_in_log_path)
+{
+    SimConfig cfg;
+    cfg.numCores = 1;
+    cfg.scheme = SchemeKind::Base;
+    cfg.checker = true;
+    EventQueue eq;
+    PersistentDomain domain(cfg);
+    PersistencyChecker chk(cfg, eq, domain);
+    const Addr word = addr_map::dataArenaBase(0);
+
+    chk.onTxBegin(0, 1);
+    chk.onStore(0, word, 5, 7);
+    if (undo_in_log_path) {
+        log::LogRecord undo;
+        undo.kind = log::LogRecord::Kind::Undo;
+        undo.txid = 1;
+        undo.dataAddr = word;
+        undo.oldData = 5;
+        domain.mcs[0].logPath.emplace(addr_map::logAreaBase(0), undo);
+    }
+    chk.onWpqAcceptWord(word, 7);
+    EXPECT_EQ(chk.clean(), undo_in_log_path);
+    return chk.countOf(ViolationKind::LogBeforeData);
+}
+
+TEST(CheckerInFlightUndo, UndoWaitingInTheAdrLogPathCovers)
+{
+    EXPECT_EQ(acceptedWithUndoInLogPath(true), 0u);
+}
+
+TEST(CheckerInFlightUndo, WithoutTheUndoRecordItIsLogBeforeData)
+{
+    EXPECT_EQ(acceptedWithUndoInLogPath(false), 1u);
+}
+
 // --- Reporting ----------------------------------------------------------
 
 TEST(CheckerReport, ViolationCarriesProvenance)
@@ -404,10 +450,11 @@ TEST(CheckerReport, ViolationNamesAreDistinct)
          {ViolationKind::LogBeforeData, ViolationKind::CommitNotDurable,
           ViolationKind::HeldReleaseOrdering,
           ViolationKind::FlushBitAccounting, ViolationKind::DoublePersist,
-          ViolationKind::TornWrite, ViolationKind::CrashClosure}) {
+          ViolationKind::CrashClosure, ViolationKind::LiveRecordReclaimed,
+          ViolationKind::CheckpointImage}) {
         names.insert(violationName(k));
     }
-    EXPECT_EQ(names.size(), 7u);
+    EXPECT_EQ(names.size(), 8u);
 }
 
 } // namespace

@@ -92,9 +92,8 @@ observed(System &sys)
     const check::CheckerCounters &c = ck.counters();
     for (std::uint64_t n :
          {c.stores, c.wpqLineAccepts, c.wpqWordAccepts, c.logPersists,
-          c.mediaLineWrites, c.commits, c.wordsCheckedAtRecovery,
-          c.logRecordDrops, c.segmentReclaims, c.checkpointWords,
-          c.checkpoints})
+          c.commits, c.wordsCheckedAtRecovery, c.logRecordDrops,
+          c.checkpointWords})
         out.push_back(std::to_string(n));
     return out;
 }

@@ -105,10 +105,9 @@ TEST_F(PaperClaims, SiloCommitIsOrderingFree)
     // §III-D: Tx_end waits only for the on-chip ACK, never for PM.
     auto silo_rep = run(SchemeKind::Silo, workload::WorkloadKind::Tpcc,
                         cache);
-    SimConfig defaults;
     EXPECT_EQ(silo_rep.commitStallCycles,
               silo_rep.committedTransactions *
-                  defaults.commitAckCycles);
+                  silo_scheme::commitAckCycles);
 }
 
 TEST_F(PaperClaims, FailureFreeSiloWritesNoLogs)

@@ -9,6 +9,7 @@
 
 #include "harness/system.hh"
 #include "log/fwb_scheme.hh"
+#include "silo/silo_scheme.hh"
 #include "workload/trace_gen.hh"
 
 namespace silo::harness
@@ -99,7 +100,7 @@ TEST(SystemBehaviour, SiloCommitsFasterThanBase)
     EXPECT_LT(silo.report().ticks, base.report().ticks);
     // Silo's commit wait is exactly the on-chip ACK round trip.
     EXPECT_EQ(silo.report().commitStallCycles,
-              2u * 60 * silo.config().commitAckCycles);
+              2u * 60 * silo_scheme::commitAckCycles);
 }
 
 TEST(SystemBehaviour, SiloWritesLessMediaThanLogAsBackupSchemes)

@@ -165,8 +165,8 @@ TEST(LadMechanisms, CommitStallScalesWithDirtyLines)
     sys_many.run();
 
     EXPECT_GT(sys_many.report().commitStallCycles,
-              sys_few.report().commitStallCycles + 4 *
-                  SimConfig{}.ladFlushPerLineCycles);
+              sys_few.report().commitStallCycles +
+                  4 * ladFlushPerLineCycles);
 }
 
 TEST(LadMechanisms, UncommittedLinesAreHeldInMc)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/hierarchy.hh"
+#include "nvm/pm_device.hh"
 
 namespace silo::mem
 {
@@ -149,7 +150,7 @@ TEST(Hierarchy, ColdMissGoesToMemory)
     HierFixture f;
     Cycles lat = f.timedAccess(0, 0x1000, false);
     // l1 + l2 + l3 + pm read + forwarding overhead.
-    EXPECT_GE(lat, 4u + 12 + 28 + f.cfg.pmReadCycles);
+    EXPECT_GE(lat, 4u + 12 + 28 + nvm::pmReadCycles);
 }
 
 TEST(Hierarchy, StoreMakesLineDirtyInL1)

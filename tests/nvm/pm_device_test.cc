@@ -26,7 +26,7 @@ TEST(PmDevice, WriteReachesMediaAfterDrain)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 42}, {3, 7}}, false));
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 42u);
     EXPECT_EQ(pm.media().load(0x1018), 7u);
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
@@ -43,7 +43,7 @@ TEST(PmDevice, CoalescesIntoResidentLine)
     ASSERT_TRUE(pm.tryWrite(0x1000, {{1, 2}}, false));
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 3}}, false));   // overwrite
     EXPECT_EQ(pm.bufferCoalescedWrites(), 2u);
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 3u);
     EXPECT_EQ(pm.media().load(0x1008), 2u);
     // One line, two distinct words: the overwrite never hit the media.
@@ -58,12 +58,12 @@ TEST(PmDevice, DcwSuppressesUnchangedWords)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}}, false));
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
 
     // Rewrite the same values plus one changed word.
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}, {2, 7}}, false));
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 3u);
     EXPECT_EQ(pm.dcwSuppressedWords(), 2u);
 }
@@ -76,7 +76,7 @@ TEST(PmDevice, LogRegionWordsAlwaysWrite)
     PmDevice pm(eq, cfg, domain);
 
     ASSERT_TRUE(pm.tryWrite(0x2000, {{0, 0}, {1, 0}}, true));
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.logRegionWordWrites(), 2u);
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
 }
@@ -111,7 +111,7 @@ TEST(PmDevice, AllZeroChangeEvictionIsFree)
 
     // Writing the value already in media: DCW cancels the media write.
     ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 9}}, false));
-    drainBuffer(domain, nullptr, &pm.pmStats());
+    drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 0u);
     EXPECT_EQ(pm.mediaLineWrites(), 0u);
     EXPECT_EQ(pm.dcwSuppressedWords(), 1u);
@@ -130,7 +130,7 @@ TEST(PmDevice, ReadHitsBufferFast)
     EXPECT_EQ(pm.bufferReadHits(), 1u);
 
     Tick miss = pm.read(0x9000);
-    EXPECT_GE(miss, eq.now() + cfg.pmReadCycles);
+    EXPECT_GE(miss, eq.now() + pmReadCycles);
     EXPECT_EQ(pm.mediaReads(), 1u);
 }
 
@@ -145,12 +145,12 @@ TEST(PmDevice, BankContentionSerializesReads)
     // window (reads pipeline; only the sensing slot serializes).
     Tick first = pm.read(0x1000);
     Tick second = pm.read(0x1000);
-    EXPECT_EQ(first, eq.now() + cfg.pmReadCycles);
-    EXPECT_EQ(second, first + cfg.pmReadOccupancyCycles);
+    EXPECT_EQ(first, eq.now() + pmReadCycles);
+    EXPECT_EQ(second, first + pmReadOccupancyCycles);
 
     // Different bank proceeds in parallel.
     Tick other = pm.read(0x1100);
-    EXPECT_EQ(other, eq.now() + cfg.pmReadCycles);
+    EXPECT_EQ(other, eq.now() + pmReadCycles);
 }
 
 TEST(PmDevice, WriteBusyScalesWithWordCount)
@@ -168,7 +168,7 @@ TEST(PmDevice, WriteBusyScalesWithWordCount)
     eq.run();
     Tick one_word_done = eq.now();
     EXPECT_EQ(one_word_done,
-              cfg.pmWriteBaseCycles + cfg.pmWritePerWordCycles);
+              pmWriteBaseCycles + pmWritePerWordCycles);
 }
 
 } // namespace

@@ -4,12 +4,13 @@
  * append-ordered store must behave exactly like a std::map of each
  * thread's [head, tail), kept below as MapLogRegionStore. Seeded
  * random sequences of allocate, persist (in order, out of order, below
- * the head after a truncate, and again at the same address), truncate,
- * dropRecord and reclaimSegment (which can move a head past live
- * records) run against both, with segmentation on and off and 1-4
- * threads, long enough to cross storage chunks. After every step the
- * two agree on liveRecords, recordsInSegment, liveRecordCount,
- * hasRecord, head, tail and the PersistEventSink calls they made.
+ * the head after a truncate, and again at an address that holds no
+ * live record), truncate, dropRecord and reclaimSegment (which can move
+ * a head past live records) run against both, with segmentation on and
+ * off and 1-4 threads, long enough to cross storage chunks. After
+ * every step the two agree on liveRecords, recordsInSegment,
+ * liveRecordCount, hasRecord, head, tail and the PersistEventSink calls
+ * they made.
  * Runs under ASan via the san_smoke_test wiring in
  * tests/CMakeLists.txt.
  */
@@ -86,7 +87,7 @@ class MapLogRegionStore
         Addr head = _head.at(tid);
         Addr tail = _tail.at(tid);
         if (_sink)
-            _sink->onLogTruncate(tid, head, tail);
+            _sink->onLogTruncate(tid);
         _records.erase(_records.lower_bound(head),
                        _records.lower_bound(tail));
         _head[tid] = tail;
@@ -165,8 +166,6 @@ class MapLogRegionStore
         }
         if (_tail.at(tid) < seg_end)
             _tail[tid] = seg_end;
-        if (_sink)
-            _sink->onLogSegmentReclaimed(tid, seg);
     }
 
   private:
@@ -232,10 +231,9 @@ class Recorder : public PersistEventSink
     }
 
     void
-    onLogTruncate(unsigned tid, Addr head, Addr tail) override
+    onLogTruncate(unsigned tid) override
     {
-        calls.push_back("truncate " + std::to_string(tid) + ' ' +
-                        hex(head) + ' ' + hex(tail));
+        calls.push_back("truncate " + std::to_string(tid));
     }
 
     void
@@ -244,13 +242,6 @@ class Recorder : public PersistEventSink
     {
         calls.push_back("drop " + hex(addr) + ' ' + show(rec) + ' ' +
                         std::to_string(int(reason)));
-    }
-
-    void
-    onLogSegmentReclaimed(unsigned tid, std::uint64_t seg) override
-    {
-        calls.push_back("reclaim " + std::to_string(tid) + ' ' +
-                        std::to_string(seg));
     }
 
   private:
@@ -419,7 +410,10 @@ class DiffRun
         if (pick < _mix.persistAgain) {
             if (known.empty())
                 return "idle";
-            persistBoth(known[_rng.below(known.size())], recordFor(tid));
+            Addr addr = known[_rng.below(known.size())];
+            if (_store.hasRecord(addr))
+                return "idle";   // persist() panics over a live record
+            persistBoth(addr, recordFor(tid));
             return "persist again";
         }
         pick -= _mix.persistAgain;
@@ -619,15 +613,31 @@ TEST(LogRegionStore, ReclaimPastALiveRecordDropsItBelowTheHead)
     sink.calls.clear();
     // Reclaiming segment 1 moves the head past segment 0's record.
     logs.reclaimSegment(0, 1);
-    ASSERT_EQ(sink.calls.size(), 3u);
+    ASSERT_EQ(sink.calls.size(), 2u);
     EXPECT_EQ(sink.calls[0].back(),
               char('0' + int(LogDropReason::Reclaimed)));
     EXPECT_EQ(sink.calls[1].back(),
               char('0' + int(LogDropReason::BelowHead)));
-    EXPECT_EQ(sink.calls[2], "reclaim 0 1");
     EXPECT_EQ(logs.head(0), logs.segmentBase(0, 2));
     EXPECT_FALSE(logs.hasRecord(first));
     EXPECT_EQ(logs.liveRecordCount(), 0u);
+}
+
+TEST(LogRegionStore, PersistOverALiveRecordPanics)
+{
+    LogRegionStore logs(1);
+    LogRecord rec;
+    Addr a = logs.allocate(0, rec.sizeBytes());
+    Addr b = logs.allocate(0, rec.sizeBytes());
+    logs.persist(b, rec);
+    logs.persist(a, rec);   // out of order: inserted before b
+    EXPECT_THROW(logs.persist(a, rec), PanicError);
+    EXPECT_THROW(logs.persist(b, rec), PanicError);
+    EXPECT_EQ(logs.liveRecordCount(), 2u);
+    // A dropped record's address holds no live record any more.
+    EXPECT_TRUE(logs.dropRecord(a, LogDropReason::Checkpointed));
+    EXPECT_NO_THROW(logs.persist(a, rec));
+    EXPECT_EQ(logs.liveRecordCount(), 2u);
 }
 
 TEST(LogRegionStore, PersistAtAnUnallocatedAddressPanics)

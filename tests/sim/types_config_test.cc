@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "nvm/pm_device.hh"
 #include "sim/config.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
@@ -45,8 +46,7 @@ TEST(SimConfig, DefaultsMatchTableII)
     EXPECT_EQ(cfg.l2.latency, 12u);
     EXPECT_EQ(cfg.l3.latency, 28u);
     EXPECT_EQ(cfg.wpqEntries, 64u);
-    EXPECT_EQ(cfg.pmReadCycles, 100u);
-    EXPECT_EQ(cfg.pmWriteCycles, 300u);
+    EXPECT_EQ(nvm::pmReadCycles, 100u);   // 50 ns at 2 GHz
     EXPECT_EQ(cfg.logBufferEntries, 20u);
     EXPECT_NO_THROW(cfg.validate());
 }

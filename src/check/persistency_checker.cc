@@ -1,7 +1,9 @@
 #include "check/persistency_checker.hh"
 
+#include <algorithm>
 #include <sstream>
 
+#include "mc/mem_controller.hh"
 #include "sim/address_map.hh"
 #include "sim/json.hh"
 
@@ -106,6 +108,18 @@ PersistencyChecker::latestTx(unsigned core, std::uint16_t txid)
     return tx.txid == txid ? &tx : nullptr;
 }
 
+const PersistencyChecker::TxShadow *
+PersistencyChecker::pendingWriter(Addr addr) const
+{
+    if (!addr_map::inDataRegion(addr))
+        return nullptr;
+    unsigned core = addr_map::dataArenaOwner(addr);
+    if (core >= _txs.size())
+        return nullptr;
+    const TxShadow &tx = _txs[core];
+    return tx.open && tx.writes.count(addr) ? &tx : nullptr;
+}
+
 // --- Transaction and crash events ---------------------------------------
 
 void
@@ -130,7 +144,6 @@ PersistencyChecker::onStore(unsigned core, Addr addr, Word old_val,
         tx->writes.emplace(addr, std::make_pair(old_val, new_val));
     if (!inserted)
         it->second.second = new_val;
-    _pendingWriter[addr] = core;
     _initialValue.emplace(addr, old_val);
     // A new value supersedes whatever an earlier flush-bit delivered.
     _flushBitDelivered.erase(addr);
@@ -156,38 +169,7 @@ PersistencyChecker::onTxEndComplete(unsigned core)
     for (const auto &[addr, vals] : tx->writes) {
         _committedImage[addr] = vals.second;
         _committedValueHistory[addr].insert(vals.second);
-        auto it = _pendingWriter.find(addr);
-        if (it != _pendingWriter.end() && it->second == core)
-            _pendingWriter.erase(it);
     }
-}
-
-void
-PersistencyChecker::onBatteryDead()
-{
-    // The battery flush ran inside the scheme's crash(): anything that
-    // needed to survive is now in the log region. On-chip coverage is
-    // gone (and so is MorLog's MC buffer, which the ADR flush emptied).
-    for (TxShadow &tx : _txs) {
-        tx.batteryUndo.clear();
-        tx.adrUndo.clear();
-    }
-}
-
-void
-PersistencyChecker::noteBatteryUndo(unsigned core, std::uint16_t txid,
-                                    Addr addr)
-{
-    if (TxShadow *tx = latestTx(core, txid))
-        tx->batteryUndo.insert(addr);
-}
-
-void
-PersistencyChecker::noteAdrUndo(unsigned core, std::uint16_t txid,
-                                Addr addr)
-{
-    if (TxShadow *tx = latestTx(core, txid))
-        tx->adrUndo.insert(addr);
 }
 
 void
@@ -197,12 +179,11 @@ PersistencyChecker::noteFlushBit(unsigned core, std::uint16_t txid,
     // A flush-bit claims "the ADR domain already carries this word's
     // new data": the WPQ must have accepted an eviction with exactly
     // this value, or the entry was matched against a stale eviction.
-    auto it = _adrValue.find(addr);
-    if (it == _adrValue.end() || it->second != new_data) {
+    std::optional<Word> adr = mc::adrValue(*_domain, addr);
+    if (adr != new_data) {
         std::ostringstream ss;
         ss << "flush-bit set but the ADR domain holds "
-           << (it == _adrValue.end() ? std::string("no value")
-                                     : std::to_string(it->second))
+           << (adr ? std::to_string(*adr) : std::string("no value"))
            << ", not the entry's new data " << new_data;
         violate(ViolationKind::FlushBitAccounting, core, txid, addr,
                 ss.str());
@@ -216,8 +197,7 @@ PersistencyChecker::noteFlushBit(unsigned core, std::uint16_t txid,
 bool
 PersistencyChecker::undoCoverage(const TxShadow &tx, Addr addr) const
 {
-    if (tx.batteryUndo.count(addr) || tx.adrUndo.count(addr) ||
-        tx.loggedUndo.count(addr))
+    if (tx.loggedUndo.count(addr) || inSchemeBuffer(tx, addr))
         return true;
     // Records waiting in an MC's ADR log path are durable already.
     for (const mc::McState &mc : _domain->mcs) {
@@ -232,29 +212,37 @@ PersistencyChecker::undoCoverage(const TxShadow &tx, Addr addr) const
     return false;
 }
 
+bool
+PersistencyChecker::inSchemeBuffer(const TxShadow &tx, Addr addr) const
+{
+    auto holds = [&](const auto &entry) {
+        return entry.txid == tx.txid && entry.addr == addr;
+    };
+    const PersistentDomain &d = *_domain;
+    return (tx.core < d.silo.size() &&
+            std::ranges::any_of(d.silo[tx.core].buffer, holds)) ||
+           (tx.core < d.morlog.size() &&
+            std::ranges::any_of(d.morlog[tx.core], holds));
+}
+
 void
 PersistencyChecker::checkDomainEntry(Addr addr, Word value)
 {
-    auto pending = _pendingWriter.find(addr);
-    if (pending == _pendingWriter.end())
-        return;
-    const TxShadow &tx = _txs[pending->second];
-    if (tx.committed)
-        return;
-    auto w = tx.writes.find(addr);
-    if (w == tx.writes.end())
+    const TxShadow *tx = pendingWriter(addr);
+    if (!tx)
         return;
     // The pre-transaction value needs no revocation; any other value is
     // an uncommitted (intermediate or latest) value of the open tx.
-    if (value == w->second.first)
+    Word pre_tx = tx->writes.at(addr).first;
+    if (value == pre_tx)
         return;
-    if (undoCoverage(tx, addr))
+    if (undoCoverage(*tx, addr))
         return;
     std::ostringstream ss;
     ss << "uncommitted value " << value
        << " reached the ADR WPQ with no durable undo coverage (pre-tx "
-       << "value " << w->second.first << ")";
-    violate(ViolationKind::LogBeforeData, tx.core, tx.txid, addr,
+       << "value " << pre_tx << ")";
+    violate(ViolationKind::LogBeforeData, tx->core, tx->txid, addr,
             ss.str());
 }
 
@@ -279,15 +267,10 @@ PersistencyChecker::onWpqAcceptLine(
                 entry.txid = tx->txid;
             }
         }
-        for (unsigned w = 0; w < wordsPerLine; ++w)
-            entry.words[line_addr + Addr(w) * wordBytes] = values[w];
         return;
     }
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        Addr addr = line_addr + Addr(w) * wordBytes;
-        checkDomainEntry(addr, values[w]);
-        _adrValue[addr] = values[w];
-    }
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        checkDomainEntry(line_addr + Addr(w) * wordBytes, values[w]);
 }
 
 void
@@ -302,7 +285,6 @@ PersistencyChecker::onWpqAcceptWord(Addr word_addr, Word value)
            << " whose flush-bit already marked it delivered";
         violate(ViolationKind::DoublePersist, 0, 0, word_addr, ss.str());
     }
-    _adrValue[word_addr] = value;
 }
 
 void
@@ -311,7 +293,7 @@ PersistencyChecker::onHeldRelease(Addr line_addr)
     auto it = _heldLines.find(line_addr);
     if (it == _heldLines.end())
         return;
-    HeldLine entry = std::move(it->second);
+    HeldLine entry = it->second;
     _heldLines.erase(it);
 
     // Releasing makes the entry drainable (irrevocable): legal only if
@@ -331,8 +313,6 @@ PersistencyChecker::onHeldRelease(Addr line_addr)
             }
         }
     }
-    for (const auto &[addr, value] : entry.words)
-        _adrValue[addr] = value;
 }
 
 void
@@ -341,7 +321,7 @@ PersistencyChecker::onHeldDiscard(Addr line_addr)
     auto it = _heldLines.find(line_addr);
     if (it == _heldLines.end())
         return;
-    HeldLine entry = std::move(it->second);
+    HeldLine entry = it->second;
     _heldLines.erase(it);
     if (entry.owned && committed(entry.core, entry.txid)) {
         violate(ViolationKind::HeldReleaseOrdering, entry.core,
@@ -407,22 +387,18 @@ PersistencyChecker::recordIsDead(const log::LogRecord &rec) const
         return false;
     if (rec.newData != committed_val->second)
         return true; // superseded
-    auto adr = _adrValue.find(rec.dataAddr);
-    if (adr == _adrValue.end())
+    std::optional<Word> adr = mc::adrValue(*_domain, rec.dataAddr);
+    if (!adr)
         return false;
-    if (adr->second == committed_val->second)
+    if (*adr == committed_val->second)
         return true;
     // The ADR holds an open transaction's value over the committed
     // one: recovery revokes it to its pre-transaction value, which is
     // the committed value, if the transaction's undo is durable.
-    auto pending = _pendingWriter.find(rec.dataAddr);
-    if (pending == _pendingWriter.end())
-        return false;
-    const TxShadow &tx = _txs[pending->second];
-    auto w = tx.writes.find(rec.dataAddr);
-    return !tx.committed && w != tx.writes.end() &&
-           w->second.first == committed_val->second &&
-           undoCoverage(tx, rec.dataAddr);
+    const TxShadow *tx = pendingWriter(rec.dataAddr);
+    return tx &&
+           tx->writes.at(rec.dataAddr).first == committed_val->second &&
+           undoCoverage(*tx, rec.dataAddr);
 }
 
 void
@@ -462,7 +438,6 @@ PersistencyChecker::onLogRecordDrop(Addr rec_addr,
 void
 PersistencyChecker::onCheckpointWord(Addr word_addr, Word value)
 {
-    ++_counters.checkpointWords;
     auto hist = _committedValueHistory.find(word_addr);
     if (hist != _committedValueHistory.end() &&
         hist->second.count(value))
@@ -517,8 +492,7 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
         for (const auto &[addr, vals] : tx.writes) {
             if (vals.first == vals.second)
                 continue;
-            auto it = _adrValue.find(addr);
-            if (it == _adrValue.end() || it->second != vals.second) {
+            if (mc::adrValue(*_domain, addr) != vals.second) {
                 violate(ViolationKind::CommitNotDurable, tx.core,
                         tx.txid, addr,
                         "Tx_end completed but the word's final value "
@@ -539,18 +513,23 @@ PersistencyChecker::checkCommit(const TxShadow &tx)
 
       case SchemeKind::Silo: {
         // Silo commit: every changed word is in battery custody (log
-        // buffer / staged), flush-bit-delivered, or already accepted.
+        // buffer / staged), flush-bit-delivered, or in the ADR domain.
+        const auto &staged = _domain->silo.at(tx.core).staged;
         for (const auto &[addr, vals] : tx.writes) {
             if (vals.first == vals.second)
                 continue;
-            if (tx.batteryUndo.count(addr))
+            Word final_val = vals.second;
+            auto staged_final = [&](const silo_scheme::PendingUpdate &p) {
+                return p.addr == addr && p.newData == final_val;
+            };
+            if (inSchemeBuffer(tx, addr) ||
+                std::ranges::any_of(staged, staged_final))
                 continue;
             auto fb = _flushBitDelivered.find(addr);
             if (fb != _flushBitDelivered.end() &&
                 fb->second == vals.second)
                 continue;
-            auto adr = _adrValue.find(addr);
-            if (adr != _adrValue.end() && adr->second == vals.second)
+            if (mc::adrValue(*_domain, addr) == vals.second)
                 continue;
             violate(ViolationKind::CommitNotDurable, tx.core, tx.txid,
                     addr,

@@ -5,25 +5,28 @@
  *
  * A word moves
  *   volatile cache -> ADR WPQ -> on-PM buffer -> media;
- * the checker shadows it up to its persist point, WPQ acceptance (the
- * buffer and the media replay accepted writes), plus the
- * battery/ADR-backed log structures, and validates the scheme-specific
- * durability invariants at store, WPQ-acceptance, commit, crash, and
- * recovery time:
+ * the checker observes it at its persist point, WPQ acceptance (the
+ * buffer and the media replay accepted writes), reads what the ADR
+ * domain and the battery-backed log structures hold from the
+ * PersistentDomain, and validates the scheme-specific durability
+ * invariants at store, WPQ-acceptance, commit, crash, and recovery
+ * time:
  *
  *  1. log-before-data — no word carrying an uncommitted new value may
  *     enter the persistent domain (WPQ accept, LAD held release) unless
  *     a revoking undo record is durable first: in the PM log region, in
- *     the MC's ADR log path (read from the PersistentDomain), or in a
- *     battery/ADR-backed scheme structure (Silo's log buffer, MorLog's
- *     MC buffer). LAD's held entries are exempt — they are revocable by
- *     discard.
+ *     the MC's ADR log path, or in a battery/ADR-backed scheme
+ *     structure (Silo's log buffer, MorLog's MC buffer), the last two
+ *     read from the PersistentDomain. LAD's held entries are exempt —
+ *     they are revocable by discard.
  *  2. commit durability — when Tx_end completes, the scheme's commit
  *     precondition holds: WAL schemes (Base/FWB/MorLog/SW-eADR) have
  *     every changed word's log record plus the commit marker durable;
- *     LAD has every changed word accepted into the ADR domain and no
- *     entry of the transaction still held; Silo has every changed word
- *     in battery custody, flush-bit-covered, or already accepted.
+ *     LAD has every changed word's final value in the ADR domain and
+ *     no entry of the transaction still held; Silo has every changed
+ *     word in battery custody now (its log buffer entry or its final
+ *     value staged), flush-bit-covered, or its final value in the ADR
+ *     domain.
  *  3. flush-bit accounting — Silo may set an entry's flush-bit only
  *     when the WPQ actually accepted an eviction carrying that word's
  *     current new data, and must not write the word in-place again
@@ -63,9 +66,10 @@
  *
  * The checker is a copyable value that reaches nothing of the machine
  * but the event queue's clock, which stopClock() cuts, and the
- * PersistentDomain it observes, which it only reads: the MCs' ADR log
- * paths (undo coverage) and, after recovery, the media and commit
- * markers. The durable log records it does not mirror. A crash sweep
+ * PersistentDomain it observes, which it reads and never mirrors: a
+ * word's ADR value (mc::adrValue()), undo data in the MCs' ADR log
+ * paths and in Silo's and MorLog's buffers, Silo's staged updates
+ * and, after recovery, the media and commit markers. A crash sweep
  * copies it with the persistent domain after each event, and
  * onCrashBegin() binds the copy to the domain's copy, so the crash
  * hooks (onCrashBegin() ... onRecoveryComplete()) and every sink event
@@ -152,7 +156,6 @@ struct CheckerCounters
     std::uint64_t commits = 0;
     std::uint64_t wordsCheckedAtRecovery = 0;
     std::uint64_t logRecordDrops = 0;
-    std::uint64_t checkpointWords = 0;
 };
 
 /** Online durability-invariant checker (see file header). */
@@ -186,8 +189,6 @@ class PersistencyChecker : public log::PersistEventSink
         _domain = &domain;
         stopClock();
     }
-    /** The battery died: scheme-internal shadow coverage is gone. */
-    void onBatteryDead();
     /**
      * Recovery finished: validate the observed domain's media against
      * the oracle, committing each core's last transaction if its
@@ -208,18 +209,9 @@ class PersistencyChecker : public log::PersistEventSink
     }
     /// @}
 
-    /** @name Scheme-side coverage notes */
-    /// @{
-    /** Silo appended an undo entry to the battery-backed log buffer. */
-    void noteBatteryUndo(unsigned core, std::uint16_t txid,
-                         Addr addr) override;
-    /** MorLog appended an undo entry to its ADR-domain MC buffer. */
-    void noteAdrUndo(unsigned core, std::uint16_t txid,
-                     Addr addr) override;
     /** Silo set an entry's flush-bit (claims ADR has @p new_data). */
     void noteFlushBit(unsigned core, std::uint16_t txid, Addr addr,
                       Word new_data) override;
-    /// @}
 
     /** @name PersistEventSink (memory-system events) */
     /// @{
@@ -266,13 +258,14 @@ class PersistencyChecker : public log::PersistEventSink
         std::set<Addr> loggedUndo;
         /** Its commit marker became durable (survives truncation). */
         bool marker = false;
-        /** Battery-backed (Silo) undo coverage. */
-        std::set<Addr> batteryUndo;
-        /** ADR-buffer (MorLog) undo coverage. */
-        std::set<Addr> adrUndo;
     };
 
     TxShadow *openTxOf(unsigned core);
+
+    /** The open transaction whose uncommitted value @p addr may hold,
+     *  or nullptr: data arenas are thread-private (sim/address_map.hh),
+     *  so only the arena owner's latest transaction writes the word. */
+    const TxShadow *pendingWriter(Addr addr) const;
 
     /**
      * @return @p core 's latest transaction if its txid is @p txid;
@@ -296,9 +289,13 @@ class PersistencyChecker : public log::PersistEventSink
     /**
      * @return true if an undo covering (tx, addr) is durable now: in
      * the log region, in an MC's ADR log path, or in battery/ADR
-     * scheme custody.
+     * scheme custody (inSchemeBuffer()).
      */
     bool undoCoverage(const TxShadow &tx, Addr addr) const;
+
+    /** Does Silo's log buffer or MorLog's merge buffer hold an entry,
+     *  old data included, of (tx, addr)? */
+    bool inSchemeBuffer(const TxShadow &tx, Addr addr) const;
 
     /**
      * Invariant 6: @return true if dropping this durable record cannot
@@ -329,8 +326,6 @@ class PersistencyChecker : public log::PersistEventSink
     /** Each core's latest (possibly open) transaction. */
     std::vector<TxShadow> _txs;
 
-    /** addr -> core whose open transaction's uncommitted value it holds. */
-    std::map<Addr, unsigned> _pendingWriter;
     /** First value ever observed for each stored word (initial image). */
     std::map<Addr, Word> _initialValue;
     /** Values of committed transactions, applied in commit order. */
@@ -346,20 +341,17 @@ class PersistencyChecker : public log::PersistEventSink
      */
     std::map<std::uint64_t, unsigned> _lsnCopies;
 
-    /** One held (LAD) WPQ line: durable but revocable by discard. */
+    /** The owner of a held (LAD) WPQ line, durable but revocable by
+     *  discard; by its release the core may run another transaction. */
     struct HeldLine
     {
         /** The owning transaction, if its core had one open. */
         bool owned = false;
         unsigned core = 0;
         std::uint16_t txid = 0;
-        /** Accepted word values, promoted to _adrValue at release. */
-        std::map<Addr, Word> words;
     };
 
-    /** Last value accepted into the ADR domain, per word. */
-    std::map<Addr, Word> _adrValue;
-    /** Held (LAD) lines -> owning tx + values. */
+    /** Held (LAD) lines -> owning tx. */
     std::map<Addr, HeldLine> _heldLines;
     /** Flush-bit claims: word -> new data the ADR supposedly carries. */
     std::map<Addr, Word> _flushBitDelivered;

@@ -321,8 +321,6 @@ crashDomain(PersistentDomain &domain, const SimConfig &cfg,
                                               cfg.mutation) +
         log::MorLogScheme::batteryFlush(domain.morlog, domain.logs) +
         log::SwEadrScheme::batteryFlush(domain.eadr, domain.media);
-    if (checker)
-        checker->onBatteryDead();
     // 3. ADR: the WPQs and the on-PM buffer drain to media; LAD's held
     //    (uncommitted) entries are discarded.
     for (mc::McState &mc : domain.mcs)

@@ -65,10 +65,11 @@ struct SchemeContext
      *  log content through the cache like ordinary data). */
     std::function<void(Addr, Word)> setValue;
     /** Persistency-event sink (the checker), or nullptr when
-     *  SimConfig::checker is off. Schemes report battery/ADR-structure
-     *  state through it (src/check invariant 1's on-chip coverage
-     *  sources); the abstract interface keeps the scheme layer below
-     *  src/check in the module DAG (DESIGN.md §4g). */
+     *  SimConfig::checker is off. Silo reports its flush-bit claims
+     *  through it; the checker reads the battery/ADR structures
+     *  themselves from the domain. The abstract interface keeps the
+     *  scheme layer below src/check in the module DAG (DESIGN.md
+     *  §4g). */
     PersistEventSink *checker = nullptr;
     /** Segmented-log lifecycle engine (DESIGN.md §4j), or nullptr when
      *  SimConfig::logSegmented is off. appendLog() reports appends to

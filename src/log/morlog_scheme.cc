@@ -76,8 +76,6 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
         }
     }
     buf.push_back(MorLogEntry{txid, addr, old_val, new_val});
-    if (_ctx.checker)
-        _ctx.checker->noteAdrUndo(core, txid, addr);
     done();
 }
 

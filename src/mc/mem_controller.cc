@@ -318,4 +318,31 @@ crashDrain(McState &mc, PersistentDomain &domain, Tick now,
     nvm::drainBuffer(domain, pm_stats);
 }
 
+std::optional<Word>
+adrValue(const PersistentDomain &domain, Addr word)
+{
+    const Addr pm_line = pmLineAlign(word);
+    const unsigned idx = unsigned((word - pm_line) / wordBytes);
+    const std::uint32_t bit = std::uint32_t(1) << idx;
+    // The drain applies the controllers in order, each WPQ front to
+    // back, so the last entry holding the word wins.
+    for (auto mc = domain.mcs.rbegin(); mc != domain.mcs.rend(); ++mc) {
+        for (auto e = mc->wpq.rbegin(); e != mc->wpq.rend(); ++e) {
+            if (!e->held && !e->logRegion && e->pmLine == pm_line &&
+                (e->wordMask & bit))
+                return e->values[idx];
+        }
+    }
+    // An evicting line is in the media already; a log line's values
+    // are placeholders.
+    for (const nvm::BufferLine &line : domain.pmBuffer) {
+        if (line.valid && !line.evicting && !line.logRegion &&
+            line.base == pm_line && (line.wordMask & bit))
+            return line.values[idx];
+    }
+    if (domain.media.contains(word))
+        return domain.media.load(word);
+    return std::nullopt;
+}
+
 } // namespace silo::mc

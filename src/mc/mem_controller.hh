@@ -35,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "nvm/pm_device.hh"
 #include "sim/config.hh"
@@ -63,6 +64,16 @@ void flushLogPath(McState &mc, log::LogRegionStore &logs);
  */
 void crashDrain(McState &mc, PersistentDomain &domain, Tick now,
                 log::PersistEventSink *sink, nvm::PmStats *pm_stats);
+
+/**
+ * The value the ADR drain (crashDrain() on every controller) would
+ * leave in @p domain 's media for the data word @p word: the newest
+ * non-held WPQ entry holding it, else the non-evicting on-PM buffer
+ * line holding it, else the media's, if the media ever held the word.
+ * Held entries do not count, since the drain discards them.
+ * @return nothing if no part of the ADR domain holds the word.
+ */
+std::optional<Word> adrValue(const PersistentDomain &domain, Addr word);
 
 /** Memory controller with an ADR write pending queue. */
 class MemController

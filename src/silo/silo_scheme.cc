@@ -154,8 +154,6 @@ SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
     entry.newData = new_val;
     b.buffer.push_back(entry);
     ++cs.txAppends;
-    if (_ctx.checker)
-        _ctx.checker->noteBatteryUndo(core, txid, addr);
 
     if (b.buffer.size() > _ctx.cfg.logBufferEntries)
         handleOverflow(core);

@@ -3,22 +3,23 @@
  * The persistency-event observer interface.
  *
  * The replay cores, memory controller, log region, log lifecycle and
- * logging schemes report durability-relevant events (transaction
- * boundaries, domain transitions, and the scheme-internal coverage
- * notes) through this interface so the persistency checker (src/check)
- * can shadow the whole machine without any of those components
- * depending on it. The interface lives in the sim layer — the bottom
- * of the module DAG (DESIGN.md §4g) — precisely so every producer
- * below src/check can include it. Every hook has an
- * empty default body and every producer guards its sink pointer, so a
- * disabled checker costs one null check per event.
+ * Silo report durability-relevant events (transaction boundaries,
+ * domain transitions, and Silo's flush-bit claims) through this
+ * interface so the persistency checker (src/check) can follow the
+ * whole machine without any of those components depending on it. The
+ * interface lives in the sim layer — the bottom of the module DAG
+ * (DESIGN.md §4g) — precisely so every producer below src/check can
+ * include it. Every hook has an empty default body and every producer
+ * guards its sink pointer, so a disabled checker costs one null check
+ * per event.
  *
  * Domain model (§II / §III of the paper): a word moves
  *   volatile cache -> ADR WPQ -> on-PM buffer -> media,
  * and becomes durable at WPQ acceptance (the ADR persist point). Log
  * records become durable earlier, when they enter the MC's ADR log
  * path (mc::MemController::writeLog()); they wait there while the WPQ
- * is full. No hook reports that wait: the log path is part of the
+ * is full. No hook reports that wait, nor what Silo's log buffer or
+ * MorLog's merge buffer holds: all of it is part of the
  * PersistentDomain, which the checker reads directly. No hook reports
  * media programming either, a delayed replay of writes the WPQ already
  * accepted, so the PM device has no sink.
@@ -149,33 +150,11 @@ class PersistEventSink
     }
     /// @}
 
-    /** @name Scheme-internal coverage (battery/ADR structures)
-     *
-     * Logging schemes report the on-chip state their durability
-     * arguments rest on (src/check invariant 1's coverage sources)
-     * through these hooks, so the scheme layer never has to name the
-     * concrete checker type.
-     */
+    /** @name Scheme claims */
     /// @{
 
-    /** Silo appended an undo entry to the battery-backed log buffer. */
-    virtual void noteBatteryUndo(unsigned core, std::uint16_t txid,
-                                 Addr addr)
-    {
-        (void)core;
-        (void)txid;
-        (void)addr;
-    }
-
-    /** MorLog appended an undo entry to its ADR-domain MC buffer. */
-    virtual void noteAdrUndo(unsigned core, std::uint16_t txid, Addr addr)
-    {
-        (void)core;
-        (void)txid;
-        (void)addr;
-    }
-
-    /** Silo set an entry's flush-bit (claims ADR has @p new_data). */
+    /** Silo set an entry's flush-bit (claims ADR has @p new_data);
+     *  the domain does not record the claim (src/check invariant 3). */
     virtual void noteFlushBit(unsigned core, std::uint16_t txid,
                               Addr addr, Word new_data)
     {

@@ -313,6 +313,20 @@ TEST(CheckerMutation, DoubleInPlaceFlagsDoublePersist)
         << reportOf(sys);
 }
 
+// --- Hand-driven checks: the checker reads the domain it is handed -------
+
+/** A WPQ entry carrying @p value for the data word @p word. */
+mc::WpqEntry
+wordEntry(Addr word, Word value)
+{
+    mc::WpqEntry entry{};
+    entry.key = lineAlign(word);
+    entry.pmLine = pmLineAlign(word);
+    entry.bytes = wordBytes;
+    entry.set(unsigned((word - entry.pmLine) / wordBytes), value);
+    return entry;
+}
+
 // --- Invariant 6: when a committed redo record is dead ------------------
 
 /**
@@ -355,6 +369,7 @@ reclaimedUnderOpenWriter(bool undo_durable)
     chk.onLogPersist(log_base + 64, record(Kind::Commit, 2, 0, 0));
     chk.onTxEndRequested(0);
     chk.onTxEndComplete(0);
+    domain.mcs[0].wpq.push_back(wordEntry(word, 2));
     chk.onWpqAcceptWord(word, 2);
     chk.onCheckpointWord(word, 2);
 
@@ -362,6 +377,8 @@ reclaimedUnderOpenWriter(bool undo_durable)
     chk.onStore(0, word, 2, 9);
     if (undo_durable)
         chk.onLogPersist(log_base + 128, record(Kind::Undo, 4, 2, 9));
+    // The newer entry is the one the ADR drain would leave.
+    domain.mcs[0].wpq.push_back(wordEntry(word, 9));
     chk.onWpqAcceptWord(word, 9);
     chk.onLogRecordDrop(log_base, redo, log::LogDropReason::Checkpointed);
     EXPECT_EQ(chk.clean(), undo_durable);
@@ -421,6 +438,121 @@ TEST(CheckerInFlightUndo, UndoWaitingInTheAdrLogPathCovers)
 TEST(CheckerInFlightUndo, WithoutTheUndoRecordItIsLogBeforeData)
 {
     EXPECT_EQ(acceptedWithUndoInLogPath(false), 1u);
+}
+
+// --- Invariant 1: undo coverage from the scheme's buffer -----------------
+
+/** A scheme whose battery- or ADR-backed buffer holds undo data. */
+struct BufferScheme
+{
+    SchemeKind scheme;
+};
+
+/** Print a case by name: ctest names carry the printed parameter. */
+void
+PrintTo(const BufferScheme &c, std::ostream *os)
+{
+    *os << schemeName(c.scheme);
+}
+
+/**
+ * An open transaction's uncommitted value reaches the WPQ in an evicted
+ * line while the store's entry, old data included, sits in Silo's
+ * battery-backed log buffer (§III-G) or MorLog's ADR-domain merge
+ * buffer. The scheme reports nothing: the checker reads the entry from
+ * the domain it observes. @return the log-before-data violations.
+ */
+std::size_t
+acceptedWithEntryInBuffer(SchemeKind scheme, bool entry_in_buffer)
+{
+    SimConfig cfg;
+    cfg.numCores = 1;
+    cfg.scheme = scheme;
+    cfg.checker = true;
+    EventQueue eq;
+    PersistentDomain domain(cfg);
+    PersistencyChecker chk(cfg, eq, domain);
+    const Addr word = addr_map::dataArenaBase(0);
+
+    chk.onTxBegin(0, 1);
+    chk.onStore(0, word, 5, 7);
+    if (entry_in_buffer && scheme == SchemeKind::Silo) {
+        silo_scheme::LogBufferEntry entry;
+        entry.txid = 1;
+        entry.addr = word;
+        entry.oldData = 5;
+        entry.newData = 7;
+        domain.silo[0].buffer.push_back(entry);
+    } else if (entry_in_buffer) {
+        domain.morlog[0].push_back(log::MorLogEntry{1, word, 5, 7});
+    }
+    std::array<Word, wordsPerLine> line{};
+    line[0] = 7;
+    chk.onWpqAcceptLine(word, line, false);
+    EXPECT_EQ(chk.clean(), entry_in_buffer);
+    return chk.countOf(ViolationKind::LogBeforeData);
+}
+
+class CheckerBufferUndo : public ::testing::TestWithParam<BufferScheme>
+{
+};
+
+TEST_P(CheckerBufferUndo, EntryInTheBufferCovers)
+{
+    EXPECT_EQ(acceptedWithEntryInBuffer(GetParam().scheme, true), 0u);
+}
+
+TEST_P(CheckerBufferUndo, WithoutTheEntryItIsLogBeforeData)
+{
+    EXPECT_EQ(acceptedWithEntryInBuffer(GetParam().scheme, false), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, CheckerBufferUndo,
+                         ::testing::Values(BufferScheme{SchemeKind::Silo},
+                                           BufferScheme{SchemeKind::MorLog}),
+                         [](const auto &info) {
+                             return std::string(
+                                 schemeName(info.param.scheme));
+                         });
+
+// --- Invariant 3: a flush-bit claim against the ADR domain ---------------
+
+/**
+ * Silo sets a flush-bit for an open transaction's word, claiming the ADR
+ * domain carries its new data 7, while the WPQ holds @p in_wpq for the
+ * word. @return the checker's violations.
+ */
+std::vector<Violation>
+flushBitClaimOver(Word in_wpq)
+{
+    SimConfig cfg;
+    cfg.numCores = 1;
+    cfg.scheme = SchemeKind::Silo;
+    cfg.checker = true;
+    EventQueue eq;
+    PersistentDomain domain(cfg);
+    PersistencyChecker chk(cfg, eq, domain);
+    const Addr word = addr_map::dataArenaBase(0);
+
+    chk.onTxBegin(0, 1);
+    chk.onStore(0, word, 5, 7);
+    domain.mcs[0].wpq.push_back(wordEntry(word, in_wpq));
+    chk.noteFlushBit(0, 1, word, 7);
+    return chk.violations();
+}
+
+TEST(CheckerFlushBit, ClaimOfTheValueInTheWpqIsClean)
+{
+    EXPECT_TRUE(flushBitClaimOver(7).empty());
+}
+
+TEST(CheckerFlushBit, ClaimOfAnotherValueIsFlagged)
+{
+    std::vector<Violation> found = flushBitClaimOver(6);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].kind, ViolationKind::FlushBitAccounting);
+    EXPECT_NE(found[0].detail.find("holds 6,"), std::string::npos)
+        << found[0].detail;
 }
 
 // --- Reporting ----------------------------------------------------------

@@ -92,8 +92,7 @@ observed(System &sys)
     const check::CheckerCounters &c = ck.counters();
     for (std::uint64_t n :
          {c.stores, c.wpqLineAccepts, c.wpqWordAccepts, c.logPersists,
-          c.commits, c.wordsCheckedAtRecovery, c.logRecordDrops,
-          c.checkpointWords})
+          c.commits, c.wordsCheckedAtRecovery, c.logRecordDrops})
         out.push_back(std::to_string(n));
     return out;
 }

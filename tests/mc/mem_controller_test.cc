@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "mc/mem_controller.hh"
 
 namespace silo::mc
@@ -17,10 +20,11 @@ struct Fixture
     std::unique_ptr<nvm::PmDevice> pm;
     std::unique_ptr<MemController> mc;
 
-    explicit Fixture(unsigned wpq_entries = 4)
+    explicit Fixture(unsigned wpq_entries = 4,
+                     unsigned pm_buffer_lines = 64)
     {
         cfg.wpqEntries = wpq_entries;
-        cfg.onPmBufferLines = 64;
+        cfg.onPmBufferLines = pm_buffer_lines;
         domain = std::make_unique<PersistentDomain>(cfg);
         pm = std::make_unique<nvm::PmDevice>(eq, cfg, *domain);
         mc = std::make_unique<MemController>(eq, cfg, *pm, *domain);
@@ -180,6 +184,81 @@ TEST(MemController, CrashDropsHeldAndDrainsRest)
                nullptr);
     EXPECT_EQ(f.pm->media().load(0x1000), 10u);   // ADR drained
     EXPECT_EQ(f.pm->media().load(0x2000), 0u);    // held discarded
+}
+
+/**
+ * adrValue() reads the ADR domain the way crashDrain() drains it. Random
+ * line and word writes, a third of the lines held and released later,
+ * run between bursts of drain events, and twice as many 256 B lines
+ * as the on-PM buffer holds, so WPQ entries coalesce, buffer lines
+ * evict (a newer line can then hold a word an evicting one holds too)
+ * and DCW skips words. At every step, for every word written so far,
+ * adrValue() must name what the drain of a copy of the domain leaves
+ * in the media.
+ */
+TEST(MemController, AdrValueIsWhatTheCrashDrainLeaves)
+{
+    constexpr Addr base = 0x10000;
+    constexpr unsigned lines = 32;   // 8 PM lines over 4 buffer lines
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Fixture f(8, 4);
+        std::mt19937_64 rng(seed);
+        std::set<Addr> written;
+        std::vector<Addr> held;
+        for (unsigned step = 0; step < 300; ++step) {
+            Addr line = base + Addr(rng() % lines) * lineBytes;
+            switch (rng() % 6) {
+              case 0:
+              case 1: {
+                // Values 0-3: repeats exercise DCW, and 0 a write the
+                // media never stores.
+                std::array<Word, wordsPerLine> values;
+                for (Word &v : values)
+                    v = rng() % 4;
+                bool is_held = rng() % 3 == 0;
+                if (f.mc->tryWriteLine(line, values, false, is_held)) {
+                    for (unsigned w = 0; w < wordsPerLine; ++w)
+                        written.insert(line + Addr(w) * wordBytes);
+                    if (is_held)
+                        held.push_back(line);
+                }
+                break;
+              }
+              case 2: {
+                Addr word = line + Addr(rng() % wordsPerLine) * wordBytes;
+                if (f.mc->tryWriteWord(word, rng() % 4))
+                    written.insert(word);
+                break;
+              }
+              case 3:
+                if (!held.empty()) {
+                    std::size_t i = rng() % held.size();
+                    f.mc->releaseHeld(held[i]);
+                    held.erase(held.begin() + std::ptrdiff_t(i));
+                }
+                break;
+              default:
+                f.eq.run(rng() % 8);
+                break;
+            }
+
+            PersistentDomain drained = *f.domain;
+            crashDrain(drained.mcs[0], drained, f.eq.now(), nullptr,
+                       nullptr);
+            for (Addr word : written) {
+                std::optional<Word> value = adrValue(*f.domain, word);
+                if (value) {
+                    EXPECT_EQ(drained.media.load(word), *value)
+                        << "seed " << seed << " step " << step
+                        << " word 0x" << std::hex << word;
+                } else {
+                    EXPECT_FALSE(drained.media.contains(word))
+                        << "seed " << seed << " step " << step
+                        << " word 0x" << std::hex << word;
+                }
+            }
+        }
+    }
 }
 
 TEST(MemController, ReadForwardsFromWpq)

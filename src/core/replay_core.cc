@@ -21,7 +21,7 @@ ReplayCore::ReplayCore(unsigned id, EventQueue &eq,
                        log::PersistEventSink *checker,
                        log::LogLifecycle *lifecycle, WordStore &values,
                        const workload::ThreadTrace &trace,
-                       std::function<void()> on_finished)
+                       Callback on_finished)
     : _id(id), _eq(eq), _hierarchy(hierarchy),
       _scheme(scheme), _checker(checker), _lifecycle(lifecycle),
       _values(values), _trace(trace),
@@ -94,28 +94,36 @@ ReplayCore::doLoad(const TxOp &op)
 void
 ReplayCore::doStore(const TxOp &op)
 {
-    Addr addr = op.addr;
-    Word new_val = op.value;
-    _hierarchy.access(_id, addr, true, [this, addr, new_val] {
-        // The store retires in L1D: the log generator captures the old
-        // data during tag match and the new data from the in-flight
-        // write (§III-B).
-        Word old_val = _values.load(addr);
-        _values.store(addr, new_val);
-        Tick hook_start = _eq.now();
-        if (_checker)
-            _checker->onStore(_id, addr, old_val, new_val);
-        _scheme.store(_id, addr, old_val, new_val,
-                      [this, hook_start] {
-            _storeStalls += _eq.now() - hook_start;
-            if (auto *tr = _eq.tracer()) {
-                if (_eq.now() > hook_start)
-                    tr->completeSpan(_track, "store-wait", hook_start,
-                                     _eq.now());
-            }
-            advanceAfter(0);
-        });
-    });
+    _hierarchy.access(_id, op.addr, true, [this] { storeRetired(); });
+}
+
+void
+ReplayCore::storeRetired()
+{
+    // One access is outstanding per core: the retiring store is the op
+    // step() issued last.
+    const TxOp &op = _trace.ops[_cursor - 1];
+    // The store retires in L1D: the log generator captures the old
+    // data during tag match and the new data from the in-flight write
+    // (§III-B).
+    Word old_val = _values.load(op.addr);
+    _values.store(op.addr, op.value);
+    _hookStart = _eq.now();
+    if (_checker)
+        _checker->onStore(_id, op.addr, old_val, op.value);
+    _scheme.store(_id, op.addr, old_val, op.value,
+                  [this] { storeAccepted(); });
+}
+
+void
+ReplayCore::storeAccepted()
+{
+    _storeStalls += _eq.now() - _hookStart;
+    if (auto *tr = _eq.tracer()) {
+        if (_eq.now() > _hookStart)
+            tr->completeSpan(_track, "store-wait", _hookStart, _eq.now());
+    }
+    advanceAfter(0);
 }
 
 void

@@ -17,10 +17,9 @@
 #ifndef SILO_CORE_REPLAY_CORE_HH
 #define SILO_CORE_REPLAY_CORE_HH
 
-#include <functional>
-
 #include "log/logging_scheme.hh"
 #include "mem/hierarchy.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/tracer.hh"
@@ -37,15 +36,15 @@ class ReplayCore
     /**
      * @p checker and @p lifecycle are nullable: the persistency
      * checker (SimConfig::checker) and the segmented-log lifecycle
-     * engine (SimConfig::logSegmented).
+     * engine (SimConfig::logSegmented). @p on_finished runs when the
+     * core has retired its whole trace.
      */
     ReplayCore(unsigned id, EventQueue &eq,
                mem::CacheHierarchy &hierarchy,
                log::LoggingScheme &scheme,
                log::PersistEventSink *checker,
                log::LogLifecycle *lifecycle, WordStore &values,
-               const workload::ThreadTrace &trace,
-               std::function<void()> on_finished);
+               const workload::ThreadTrace &trace, Callback on_finished);
 
     /** Begin executing the trace. */
     void start();
@@ -87,6 +86,10 @@ class ReplayCore
     void step();
     void doLoad(const workload::TxOp &op);
     void doStore(const workload::TxOp &op);
+    /** The store the core issued last retired in L1D. */
+    void storeRetired();
+    /** The scheme let the retired store proceed. */
+    void storeAccepted();
     void doTxEnd();
     void advanceAfter(Cycles delay);
 
@@ -98,7 +101,7 @@ class ReplayCore
     log::LogLifecycle *_lifecycle;
     WordStore &_values;
     const workload::ThreadTrace &_trace;
-    std::function<void()> _onFinished;
+    Callback _onFinished;
 
     std::size_t _cursor = 0;
     std::uint16_t _txid = 0;
@@ -109,6 +112,8 @@ class ReplayCore
 
     /** Start tick of the open transaction (tx/execute trace spans). */
     Tick _txStart = 0;
+    /** Start tick of the outstanding store's scheme hook. */
+    Tick _hookStart = 0;
 
     stats::StatGroup _statGroup;
     /** Cycles at Tx_end. */

@@ -36,13 +36,11 @@ System::System(const SimConfig &cfg,
     _pm = std::make_unique<nvm::PmDevice>(_eq, _cfg, _domain);
     _mc = std::make_unique<mc::McRouter>(_eq, _cfg, *_pm, _domain);
 
-    auto value_of = [this](Addr a) { return _values.load(a); };
     _hierarchy = std::make_unique<mem::CacheHierarchy>(_eq, _cfg, *_mc,
-                                                       value_of);
+                                                       _values);
 
-    auto set_value = [this](Addr a, Word v) { _values.store(a, v); };
     log::SchemeContext ctx{_eq, _cfg, *_mc, *_hierarchy, _domain,
-                           value_of, set_value};
+                           _values};
     if (_cfg.checker) {
         // Shadow the whole persist path: the checker observes log
         // persists, truncations and drops and WPQ accepts, releases and

@@ -10,7 +10,7 @@ BaseScheme::BaseScheme(SchemeContext ctx)
 
 void
 BaseScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
-                  std::function<void()> done)
+                  Callback done)
 {
     CoreState &cs = _cores[core];
     ++cs.outstanding;
@@ -60,8 +60,7 @@ BaseScheme::opFinished(unsigned core)
     CoreState &cs = _cores[core];
     --cs.outstanding;
     if (!cs.stalledStores.empty() && cs.outstanding < maxOutstanding) {
-        auto done = std::move(cs.stalledStores.front());
-        cs.stalledStores.pop_front();
+        Callback done = cs.stalledStores.take_front();
         done();
     }
     if (cs.outstanding == 0 && cs.pendingCommit)
@@ -72,25 +71,25 @@ void
 BaseScheme::finishCommit(unsigned core)
 {
     CoreState &cs = _cores[core];
-    auto done = std::move(cs.pendingCommit);
-    cs.pendingCommit = nullptr;
+    Callback done = std::move(cs.pendingCommit);
     if (_ctx.cfg.mutation == MutationKind::SkipCommitMarker) {
         // Seeded bug: Tx_end completes without a durable commit marker.
         _ctx.domain.logs.truncate(core);
         done();
         return;
     }
-    writeLogWithRetry(core, commitMarker(core), [this, core,
-                                                 done = std::move(done)] {
+    cs.committing = std::move(done);
+    writeLogWithRetry(core, commitMarker(core), [this, core] {
         // All data and logs are durable: the log can truncate (a
         // head-pointer update, no PM write).
         _ctx.domain.logs.truncate(core);
-        done();
+        Callback committed = std::move(_cores[core].committing);
+        committed();
     });
 }
 
 void
-BaseScheme::txEnd(unsigned core, std::function<void()> done)
+BaseScheme::txEnd(unsigned core, Callback done)
 {
     CoreState &cs = _cores[core];
     cs.pendingCommit = std::move(done);

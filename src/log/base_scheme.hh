@@ -9,10 +9,10 @@
 #ifndef SILO_LOG_BASE_SCHEME_HH
 #define SILO_LOG_BASE_SCHEME_HH
 
-#include <deque>
 #include <vector>
 
 #include "log/logging_scheme.hh"
+#include "sim/ring.hh"
 
 namespace silo::log
 {
@@ -26,8 +26,8 @@ class BaseScheme : public LoggingScheme
     const char *name() const override { return "Base"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
 
   private:
     /** Cap on in-flight log+flush pairs before stores stall. */
@@ -37,9 +37,11 @@ class BaseScheme : public LoggingScheme
     {
         unsigned outstanding = 0;
         /** Stores waiting because outstanding hit the cap. */
-        std::deque<std::function<void()>> stalledStores;
+        Ring<Callback> stalledStores;
         /** Commit completion waiting for outstanding == 0. */
-        std::function<void()> pendingCommit;
+        Callback pendingCommit;
+        /** Commit completion waiting for its marker's acceptance. */
+        Callback committing;
     };
 
     void opFinished(unsigned core);

@@ -1,8 +1,5 @@
 #include "log/fwb_scheme.hh"
 
-#include <memory>
-#include <vector>
-
 namespace silo::log
 {
 
@@ -18,28 +15,29 @@ FwbScheme::scheduleWalk()
     _ctx.eq.scheduleAfter(_ctx.cfg.fwbIntervalCycles, [this] {
         // Force-write-back every line dirty now. Undo data in the logs
         // keeps atomicity even when uncommitted lines reach PM.
-        walk(std::make_shared<const std::vector<Addr>>(
-                 _ctx.hierarchy.allDirtyLines()),
-             0);
+        walk(_walks.park(Walk{_ctx.hierarchy.allDirtyLines()}));
         scheduleWalk();
     }, EventQueue::prioDefault, prof::Tag::LogScheme);
 }
 
 void
-FwbScheme::walk(std::shared_ptr<const std::vector<Addr>> lines,
-                std::size_t next)
+FwbScheme::walk(std::uint32_t w)
 {
     // Paced one line at a time so the walker shares the WPQ with
     // demand traffic instead of flooding it in one burst.
-    if (next >= lines->size())
+    const Walk &pass = _walks[w];
+    if (pass.next >= pass.lines.size()) {
+        _walks.take(w);
         return;
-    Addr line = (*lines)[next];
+    }
+    Addr line = pass.lines[pass.next];
     ++_walkerWritebacks;
     unsigned owner = addr_map::inDataRegion(line)
                          ? addr_map::dataArenaOwner(line) : 0;
-    _ctx.hierarchy.flushLine(owner, line, false, [this, lines, next] {
-        _ctx.eq.scheduleAfter(4, [this, lines, next] {
-            walk(lines, next + 1);
+    _ctx.hierarchy.flushLine(owner, line, false, [this, w] {
+        _ctx.eq.scheduleAfter(4, [this, w] {
+            ++_walks[w].next;
+            walk(w);
         }, EventQueue::prioDefault, prof::Tag::LogScheme);
     });
 }
@@ -50,8 +48,7 @@ FwbScheme::logAccepted(unsigned core)
     CoreState &cs = _cores[core];
     --cs.postedLogs;
     if (!cs.stalledStores.empty() && cs.postedLogs < maxPostedLogs) {
-        auto done = std::move(cs.stalledStores.front());
-        cs.stalledStores.pop_front();
+        Callback done = cs.stalledStores.take_front();
         done();
     }
     if (cs.postedLogs == 0 && cs.pendingCommit)
@@ -60,7 +57,7 @@ FwbScheme::logAccepted(unsigned core)
 
 void
 FwbScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
-                 std::function<void()> done)
+                 Callback done)
 {
     CoreState &cs = _cores[core];
     LogRecord rec;
@@ -86,14 +83,12 @@ FwbScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
 void
 FwbScheme::finishCommit(unsigned core)
 {
-    CoreState &cs = _cores[core];
-    auto done = std::move(cs.pendingCommit);
-    cs.pendingCommit = nullptr;
+    Callback done = std::move(_cores[core].pendingCommit);
     writeLogWithRetry(core, commitMarker(core), std::move(done));
 }
 
 void
-FwbScheme::txEnd(unsigned core, std::function<void()> done)
+FwbScheme::txEnd(unsigned core, Callback done)
 {
     // Commit requires every posted log of the transaction to be
     // durable, then the marker.

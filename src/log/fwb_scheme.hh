@@ -13,11 +13,10 @@
 #ifndef SILO_LOG_FWB_SCHEME_HH
 #define SILO_LOG_FWB_SCHEME_HH
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "log/logging_scheme.hh"
+#include "sim/ring.hh"
 
 namespace silo::log
 {
@@ -31,8 +30,8 @@ class FwbScheme : public LoggingScheme
     const char *name() const override { return "FWB"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
 
     std::uint64_t walkerWritebacks() const
     {
@@ -52,20 +51,28 @@ class FwbScheme : public LoggingScheme
     {
         unsigned postedLogs = 0;
         /** Stores stalled on the posted-log queue being full. */
-        std::deque<std::function<void()>> stalledStores;
+        Ring<Callback> stalledStores;
         /** Commit waiting for postedLogs == 0. */
-        std::function<void()> pendingCommit;
+        Callback pendingCommit;
+    };
+
+    /** One pass of the walker: the lines dirty at its start. */
+    struct Walk
+    {
+        std::vector<Addr> lines;
+        std::size_t next = 0;
     };
 
     void logAccepted(unsigned core);
     void finishCommit(unsigned core);
 
     void scheduleWalk();
-    /** Write back @p lines from index @p next on, one line at a time. */
-    void walk(std::shared_ptr<const std::vector<Addr>> lines,
-              std::size_t next);
+    /** Write back the next line of the walk parked at @p w. */
+    void walk(std::uint32_t w);
 
     std::vector<CoreState> _cores;
+    /** Walks in progress (a slow walk may overlap the next one). */
+    SlotTable<Walk> _walks;
     stats::StatGroup _fwbStats{"fwb"};
     /** Dirty lines written back by the FWB walker. */
     stats::Scalar _walkerWritebacks{_fwbStats, "fwb_writebacks"};

@@ -60,13 +60,18 @@ LadScheme::beginTx(unsigned core)
 
 void
 LadScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
-                 std::function<void()> done)
+                 Callback done)
 {
     (void)new_val;
     CoreState &cs = _cores[core];
     Addr line = lineAlign(addr);
     cs.txLines.insert(line);
-    bool first = cs.undoImage.emplace(addr, old_val).second;
+    auto it = std::lower_bound(
+        cs.undoImage.begin(), cs.undoImage.end(), addr,
+        [](const auto &entry, Addr a) { return entry.first < a; });
+    bool first = it == cs.undoImage.end() || it->first != addr;
+    if (first)
+        cs.undoImage.emplace(it, addr, old_val);
 
     // A first store into a line that already went through slow mode
     // brings a word the relieve pass never logged: the line is
@@ -95,54 +100,64 @@ LadScheme::relieveLine(unsigned core, Addr line)
     cs.undoLogged.insert(line);
     cs.relieving.insert(line);
     ++_fallbacks;
-    Tick relieve_start = _ctx.eq.now();
 
     // Slow mode: read the line's old data from PM, then persist undo
     // records for the words this transaction modified, then let the
     // held entry drain. Until the records are handed to the MC's ADR
     // log path the line stays in `relieving`, so evictions racing with
     // the read are still buffered as held entries.
-    _ctx.mc.read(line, [this, core, line, relieve_start] {
-        CoreState &cs2 = _cores[core];
-        std::vector<std::pair<Addr, Word>> words;
-        for (const auto &[addr, old_val] : cs2.undoImage) {
-            if (lineAlign(addr) == line)
-                words.emplace_back(addr, old_val);
-        }
-        if (words.empty()) {
-            cs2.relieving.erase(line);
-            if (auto *tr = _ctx.eq.tracer()) {
-                tr->completeSpan(tr->track("scheme", "lad"), "relieve",
-                                 relieve_start, _ctx.eq.now());
-            }
-            _ctx.mc.releaseHeld(line);
-            return;
-        }
-        auto remaining = std::make_shared<unsigned>(
-            unsigned(words.size()));
-        for (const auto &[addr, old_val] : words) {
-            LogRecord rec;
-            rec.kind = LogRecord::Kind::Undo;
-            rec.tid = std::uint8_t(core);
-            rec.txid = txidOf(core);
-            rec.dataAddr = addr;
-            rec.oldData = old_val;
-            writeLogWithRetry(core, rec,
-                              [this, line, remaining, relieve_start] {
-                if (--*remaining == 0) {
-                    if (auto *tr = _ctx.eq.tracer()) {
-                        tr->completeSpan(tr->track("scheme", "lad"),
-                                         "relieve", relieve_start,
-                                         _ctx.eq.now());
-                    }
-                    _ctx.mc.releaseHeld(line);
-                }
-            });
-        }
-        // Records are in the ADR log path now (durable): evictions of
-        // the line may drain.
-        cs2.relieving.erase(line);
-    });
+    std::uint32_t r =
+        _reliefs.park(Relief{core, line, _ctx.eq.now(), 0});
+    _ctx.mc.read(line, [this, r] { relieveRead(r); });
+}
+
+void
+LadScheme::relieveRead(std::uint32_t r)
+{
+    const unsigned core = _reliefs[r].core;
+    const Addr line = _reliefs[r].line;
+    CoreState &cs = _cores[core];
+    _reliefWords.clear();
+    for (const auto &[addr, old_val] : cs.undoImage) {
+        if (lineAlign(addr) == line)
+            _reliefWords.emplace_back(addr, old_val);
+    }
+    if (_reliefWords.empty()) {
+        cs.relieving.erase(line);
+        finishRelief(r);
+        return;
+    }
+    _reliefs[r].remaining = unsigned(_reliefWords.size());
+    for (const auto &[addr, old_val] : _reliefWords) {
+        LogRecord rec;
+        rec.kind = LogRecord::Kind::Undo;
+        rec.tid = std::uint8_t(core);
+        rec.txid = txidOf(core);
+        rec.dataAddr = addr;
+        rec.oldData = old_val;
+        writeLogWithRetry(core, rec, [this, r] { relieveLogged(r); });
+    }
+    // Records are in the ADR log path now (durable): evictions of the
+    // line may drain.
+    cs.relieving.erase(line);
+}
+
+void
+LadScheme::relieveLogged(std::uint32_t r)
+{
+    if (--_reliefs[r].remaining == 0)
+        finishRelief(r);
+}
+
+void
+LadScheme::finishRelief(std::uint32_t r)
+{
+    Relief relief = _reliefs.take(r);
+    if (auto *tr = _ctx.eq.tracer()) {
+        tr->completeSpan(tr->track("scheme", "lad"), "relieve",
+                         relief.start, _ctx.eq.now());
+    }
+    _ctx.mc.releaseHeld(relief.line);
 }
 
 void
@@ -165,43 +180,36 @@ LadScheme::maybeRelieve()
 }
 
 void
-LadScheme::commitPhase1(unsigned core, std::vector<Addr> lines,
-                        std::size_t next, std::function<void()> done)
+LadScheme::commitPhase1(unsigned core)
 {
-    if (next >= lines.size()) {
+    CoreState &cs = _cores[core];
+    while (cs.commitNext < cs.commitLines.size() &&
+           !_ctx.hierarchy.isDirty(core, cs.commitLines[cs.commitNext]))
+        ++cs.commitNext;
+    if (cs.commitNext >= cs.commitLines.size()) {
         // On-chip pipeline delay for the last line to reach the MC.
         Cycles pipe = _ctx.cfg.l2.latency + _ctx.cfg.l3.latency;
-        _ctx.eq.scheduleAfter(pipe, [this, core,
-                                     done = std::move(done)]() mutable {
-            commitPhase2(core, std::move(done));
-        }, EventQueue::prioDefault, prof::Tag::LogScheme);
+        _ctx.eq.scheduleAfter(pipe, [this, core] { commitPhase2(core); },
+                              EventQueue::prioDefault,
+                              prof::Tag::LogScheme);
         return;
     }
-    Addr line = lines[next];
-    if (!_ctx.hierarchy.isDirty(core, line)) {
-        commitPhase1(core, std::move(lines), next + 1, std::move(done));
-        return;
-    }
+    Addr line = cs.commitLines[cs.commitNext];
     ++_phase1Lines;
     maybeRelieve();
-    bool held = !_cores[core].undoLogged.count(line) ||
-                _cores[core].relieving.count(line);
-    _ctx.hierarchy.flushLine(core, line, held,
-                             [this, core, lines = std::move(lines),
-                              next, done = std::move(done)]() mutable {
+    bool held = !cs.undoLogged.count(line) || cs.relieving.count(line);
+    _ctx.hierarchy.flushLine(core, line, held, [this, core] {
         // The L1 -> LLC -> MC pipeline issues one line per interval
         // (LAD's commit waits on this path, §V point 1).
-        _ctx.eq.scheduleAfter(ladFlushPerLineCycles,
-                              [this, core, lines = std::move(lines),
-                               next, done = std::move(done)]() mutable {
-            commitPhase1(core, std::move(lines), next + 1,
-                         std::move(done));
+        _ctx.eq.scheduleAfter(ladFlushPerLineCycles, [this, core] {
+            ++_cores[core].commitNext;
+            commitPhase1(core);
         }, EventQueue::prioDefault, prof::Tag::LogScheme);
     });
 }
 
 void
-LadScheme::commitPhase2(unsigned core, std::function<void()> done)
+LadScheme::commitPhase2(unsigned core)
 {
     CoreState &cs = _cores[core];
     if (_ctx.cfg.mutation != MutationKind::DropHeldRelease) {
@@ -215,15 +223,18 @@ LadScheme::commitPhase2(unsigned core, std::function<void()> done)
     cs.undoImage.clear();
     cs.undoLogged.clear();
     cs.relieving.clear();
+    Callback done = std::move(cs.commitDone);
     done();
 }
 
 void
-LadScheme::txEnd(unsigned core, std::function<void()> done)
+LadScheme::txEnd(unsigned core, Callback done)
 {
     CoreState &cs = _cores[core];
-    std::vector<Addr> lines(cs.txLines.begin(), cs.txLines.end());
-    commitPhase1(core, std::move(lines), 0, std::move(done));
+    cs.commitLines.assign(cs.txLines.begin(), cs.txLines.end());
+    cs.commitNext = 0;
+    cs.commitDone = std::move(done);
+    commitPhase1(core);
 }
 
 } // namespace silo::log

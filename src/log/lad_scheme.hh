@@ -18,8 +18,8 @@
 #ifndef SILO_LOG_LAD_SCHEME_HH
 #define SILO_LOG_LAD_SCHEME_HH
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "log/logging_scheme.hh"
@@ -43,8 +43,8 @@ class LadScheme : public LoggingScheme
     const char *name() const override { return "LAD"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
 
     /** An open transaction's lines are revocable only by discard. */
     bool dropAtShutdown(Addr line) const override
@@ -66,15 +66,55 @@ class LadScheme : public LoggingScheme
     void beginTx(unsigned core) override;
 
   private:
+    /**
+     * A set of addresses in one sorted vector: ascending iteration,
+     * and clearing keeps the capacity for the next transaction.
+     */
+    class AddrSet
+    {
+      public:
+        bool
+        count(Addr a) const
+        {
+            return std::binary_search(_v.begin(), _v.end(), a);
+        }
+
+        void
+        insert(Addr a)
+        {
+            auto it = std::lower_bound(_v.begin(), _v.end(), a);
+            if (it == _v.end() || *it != a)
+                _v.insert(it, a);
+        }
+
+        void
+        erase(Addr a)
+        {
+            auto it = std::lower_bound(_v.begin(), _v.end(), a);
+            if (it != _v.end() && *it == a)
+                _v.erase(it);
+        }
+
+        void clear() { _v.clear(); }
+        auto begin() const { return _v.begin(); }
+        auto end() const { return _v.end(); }
+
+      private:
+        std::vector<Addr> _v;
+    };
+
     struct CoreState
     {
         bool open = false;
         /** Dirty lines of the open transaction. */
-        std::set<Addr> txLines;
-        /** First-store old value per word (slow-mode undo data). */
-        std::map<Addr, Word> undoImage;
+        AddrSet txLines;
+        /**
+         * First-store old value per word (slow-mode undo data),
+         * ascending by address.
+         */
+        std::vector<std::pair<Addr, Word>> undoImage;
         /** Lines whose undo is already persisted (slow mode). */
-        std::set<Addr> undoLogged;
+        AddrSet undoLogged;
         /**
          * Lines mid-relieve: marked undoLogged but their undo records
          * not yet handed to the MC (the slow-mode PM read is still in
@@ -82,7 +122,22 @@ class LadScheme : public LoggingScheme
          * them would put uncommitted data on media with no durable
          * undo coverage.
          */
-        std::set<Addr> relieving;
+        AddrSet relieving;
+        /** Commit phase 1: the lines to flush and the next one. */
+        std::vector<Addr> commitLines;
+        std::size_t commitNext = 0;
+        /** The commit's completion, run by phase 2. */
+        Callback commitDone;
+    };
+
+    /** A line in slow mode: its PM read, then its undo records. */
+    struct Relief
+    {
+        unsigned core = 0;
+        Addr line = 0;
+        Tick start = 0;   //!< trace: start of the relieve span
+        /** Undo records not yet accepted into the WPQ. */
+        unsigned remaining = 0;
     };
 
     /** @return core owning @p line, or -1 if outside any data arena. */
@@ -97,14 +152,25 @@ class LadScheme : public LoggingScheme
      */
     void maybeRelieve();
     void relieveLine(unsigned core, Addr line);
+    /** The PM read of the relief parked at @p r completed. */
+    void relieveRead(std::uint32_t r);
+    /** One undo record of the relief parked at @p r was accepted. */
+    void relieveLogged(std::uint32_t r);
+    /** Close the relief @p r: its held entries may drain. */
+    void finishRelief(std::uint32_t r);
 
-    /** Phase 1 of commit: flush remaining dirty tx lines to the MC. */
-    void commitPhase1(unsigned core, std::vector<Addr> lines,
-                      std::size_t next, std::function<void()> done);
+    /**
+     * Phase 1 of commit: flush the remaining dirty tx lines to the MC,
+     * from commitLines[commitNext] on.
+     */
+    void commitPhase1(unsigned core);
     /** Phase 2: release held entries; the transaction is committed. */
-    void commitPhase2(unsigned core, std::function<void()> done);
+    void commitPhase2(unsigned core);
 
     std::vector<CoreState> _cores;
+    SlotTable<Relief> _reliefs;
+    /** relieveRead()'s words of the relieved line (reused). */
+    std::vector<std::pair<Addr, Word>> _reliefWords;
     stats::StatGroup _ladStats{"lad"};
     /** Lines pushed to slow mode (PM read + undo log). */
     stats::Scalar _fallbacks{_ladStats, "lad_fallbacks"};

@@ -44,7 +44,7 @@ LogLifecycle::noteAppend(unsigned tid, unsigned bytes)
 }
 
 void
-LogLifecycle::gate(unsigned tid, std::function<void()> done)
+LogLifecycle::gate(unsigned tid, Callback done)
 {
     if (!capacityLow(tid)) {
         done();
@@ -163,15 +163,20 @@ LogLifecycle::migrate(unsigned tid, Addr old_addr, const LogRecord &rec)
     // a crash while both copies are durable replays the record once.
     // It is durable from the hand-off to the MC's ADR log path on; the
     // original is dropped only once the WPQ accepted the copy.
-    Addr new_addr = _logs.allocate(tid, rec.sizeBytes());
-    _mc.writeLog(new_addr, rec, [this, tid, old_addr, new_addr] {
-        if (_logs.dropRecord(old_addr, LogDropReason::Migrated)) {
+    // One migration is in flight per thread: the cleaner's next step
+    // waits for this one's acceptance.
+    ThreadState &ts = _threads[tid];
+    ts.migrateFrom = old_addr;
+    ts.migrateTo = _logs.allocate(tid, rec.sizeBytes());
+    _mc.writeLog(ts.migrateTo, rec, [this, tid] {
+        const ThreadState &ts2 = _threads[tid];
+        if (_logs.dropRecord(ts2.migrateFrom, LogDropReason::Migrated)) {
             ++_stats.recordsMigrated;
         } else {
             // The original vanished mid-flight (scheme truncation at
             // commit): the copy itself is now dead — every truncating
             // scheme commits data durably before truncating.
-            _logs.dropRecord(new_addr, LogDropReason::Checkpointed);
+            _logs.dropRecord(ts2.migrateTo, LogDropReason::Checkpointed);
             ++_stats.recordsDropped;
         }
         _eq.scheduleAfter(_cfg.logCleanPerRecordCycles,
@@ -307,16 +312,14 @@ LogLifecycle::releaseGated(unsigned tid)
 {
     ThreadState &ts = _threads[tid];
     while (!ts.gated.empty()) {
-        GatedDone &front = ts.gated.front();
-        bool overrun = _eq.now() >= front.since + _overrunCycles;
+        const Tick since = ts.gated.front().since;
+        bool overrun = _eq.now() >= since + _overrunCycles;
         if (capacityLow(tid) && !overrun)
             break;
         if (capacityLow(tid) && overrun)
             ++_stats.ringOverruns;
-        _stats.admissionStallCycles.sample(
-            double(_eq.now() - front.since));
-        auto done = std::move(front.done);
-        ts.gated.pop_front();
+        _stats.admissionStallCycles.sample(double(_eq.now() - since));
+        Callback done = ts.gated.take_front().done;
         done();
     }
 }

@@ -41,14 +41,14 @@
 #define SILO_LOG_LOG_LIFECYCLE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "mc/mc_router.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/log_region.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace silo::log
@@ -98,7 +98,7 @@ class LogLifecycle
      * expires). Call AFTER the record is durable — this gates the
      * completion the scheme sees, never the durability of the record.
      */
-    void gate(unsigned tid, std::function<void()> done);
+    void gate(unsigned tid, Callback done);
 
     /** A transaction of @p core committed (its records became dead for
      *  the cleaner; redo data stays pinned until checkpointed). */
@@ -120,7 +120,7 @@ class LogLifecycle
     struct GatedDone
     {
         Tick since = 0;
-        std::function<void()> done;
+        Callback done;
     };
 
     /** One word the running checkpoint still has to flush. */
@@ -132,7 +132,8 @@ class LogLifecycle
 
     struct ThreadState
     {
-        std::deque<GatedDone> gated;
+        /** Deferred append completions, in arrival order. */
+        Ring<GatedDone> gated;
         std::uint64_t appendedSinceCkpt = 0;
         /** A cleaner pass or checkpoint is in progress. */
         bool busy = false;
@@ -140,6 +141,9 @@ class LogLifecycle
         std::vector<std::pair<Addr, LogRecord>> cleanRecords;
         std::size_t cleanIdx = 0;
         std::uint64_t cleanSegment = 0;
+        /** The record being migrated: its old and new addresses. */
+        Addr migrateFrom = 0;
+        Addr migrateTo = 0;
         Tick opStart = 0;
         /** Checkpoint work: words to flush, then records to drop. */
         std::vector<CkptWord> ckptWords;

@@ -30,7 +30,6 @@
 #ifndef SILO_LOG_LOGGING_SCHEME_HH
 #define SILO_LOG_LOGGING_SCHEME_HH
 
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "log/log_lifecycle.hh"
 #include "mc/mc_router.hh"
 #include "mem/hierarchy.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/log_region.hh"
@@ -59,11 +59,10 @@ struct SchemeContext
     /** The persistent domain: the log region, the commit markers and
      *  the scheme's battery-backed state. */
     PersistentDomain &domain;
-    /** Architectural value of a word (the replay engine's view). */
-    std::function<Word(Addr)> valueOf;
-    /** Write an architectural word (software-logging schemes store
-     *  log content through the cache like ordinary data). */
-    std::function<void(Addr, Word)> setValue;
+    /** The architectural value store (the replay engine's view);
+     *  software-logging schemes store log content through the cache
+     *  like ordinary data, so they write it too. */
+    WordStore &values;
     /** Persistency-event sink (the checker), or nullptr when
      *  SimConfig::checker is off. Silo reports its flush-bit claims
      *  through it; the checker reads the battery/ADR structures
@@ -133,7 +132,7 @@ class LoggingScheme
      */
     virtual void
     store(unsigned core, Addr addr, Word old_val, Word new_val,
-          std::function<void()> done)
+          Callback done)
     {
         (void)core;
         (void)addr;
@@ -146,7 +145,7 @@ class LoggingScheme
      * A core executed Tx_end. Call @p done when the scheme's commit
      * requirements hold (the transaction is then durable).
      */
-    virtual void txEnd(unsigned core, std::function<void()> done)
+    virtual void txEnd(unsigned core, Callback done)
     {
         (void)core;
         done();
@@ -265,16 +264,12 @@ class LoggingScheme
      * truncation and cleaner deadness both hinge on them), and the
      * already-durable marker has committed the transaction.
      */
-    std::function<void()>
-    admitted(unsigned tid, const LogRecord &record,
-             std::function<void()> done)
+    Callback
+    admitted(unsigned tid, const LogRecord &record, Callback done)
     {
         if (!_ctx.lifecycle || record.kind == LogRecord::Kind::Commit)
             return done;
-        return [lc = _ctx.lifecycle, tid,
-                inner = std::move(done)]() mutable {
-            lc->gate(tid, std::move(inner));
-        };
+        return park(ParkedDone{std::move(done), 0, tid, true});
     }
 
     /**
@@ -283,16 +278,11 @@ class LoggingScheme
      * (mc::MemController::writeLog()).
      */
     void
-    persistLog(Addr addr, const LogRecord &record,
-               std::function<void()> done)
+    persistLog(Addr addr, const LogRecord &record, Callback done)
     {
-        if (trace::Tracer *tr = _ctx.eq.tracer()) {
-            done = [this, tr, started = _ctx.eq.now(),
-                    inner = std::move(done)] {
-                tr->completeSpan(tr->track("scheme", name()),
-                                 "log-persist", started, _ctx.eq.now());
-                inner();
-            };
+        if (_ctx.eq.tracer()) {
+            done = park(
+                ParkedDone{std::move(done), _ctx.eq.now(), 0, false});
         }
         _ctx.mc.writeLog(addr, record, std::move(done));
     }
@@ -300,7 +290,7 @@ class LoggingScheme
     /** Append @p record and persist it via the MC, admission-gated. */
     void
     writeLogWithRetry(unsigned tid, const LogRecord &record,
-                      std::function<void()> done)
+                      Callback done)
     {
         Addr addr = appendLog(tid, record);
         persistLog(addr, record, admitted(tid, record, std::move(done)));
@@ -310,8 +300,46 @@ class LoggingScheme
     SchemeStats _stats;
 
   private:
+    /**
+     * A log write's completion, parked until the WPQ accepts the
+     * record: it then passes the lifecycle's admission gate
+     * (admitted()) or closes a log-persist trace span (persistLog()).
+     */
+    struct ParkedDone
+    {
+        Callback done;
+        Tick started = 0;   //!< trace: start of the log-persist span
+        unsigned tid = 0;
+        bool gated = false;
+    };
+
+    /** Park @p p ; @return the continuation that resumes it. */
+    Callback
+    park(ParkedDone p)
+    {
+        std::uint32_t idx = _parked.park(std::move(p));
+        return [this, idx] { resume(idx); };
+    }
+
+    /** The record of the completion parked at @p idx was accepted. */
+    void
+    resume(std::uint32_t idx)
+    {
+        ParkedDone p = _parked.take(idx);
+        if (p.gated) {
+            _ctx.lifecycle->gate(p.tid, std::move(p.done));
+            return;
+        }
+        if (trace::Tracer *tr = _ctx.eq.tracer()) {
+            tr->completeSpan(tr->track("scheme", name()), "log-persist",
+                             p.started, _ctx.eq.now());
+        }
+        p.done();
+    }
+
     /** Per core: the txid of its latest Tx_begin. */
     std::vector<std::uint16_t> _txids;
+    SlotTable<ParkedDone> _parked;
 };
 
 /** Instantiate the scheme selected by @p ctx.cfg.scheme. */

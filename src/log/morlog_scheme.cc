@@ -22,12 +22,11 @@ MorLogScheme::record(unsigned core, const MorLogEntry &entry)
 }
 
 void
-MorLogScheme::eraseEntry(unsigned core, const MorLogEntry &entry)
+MorLogScheme::eraseEntry(unsigned core, std::uint16_t txid, Addr addr)
 {
     auto &buf = buffer(core);
     for (auto it = buf.begin(); it != buf.end(); ++it) {
-        if (it->txid == entry.txid && it->addr == entry.addr &&
-            it->flushing) {
+        if (it->txid == txid && it->addr == addr && it->flushing) {
             buf.erase(it);
             return;
         }
@@ -36,7 +35,7 @@ MorLogScheme::eraseEntry(unsigned core, const MorLogEntry &entry)
 
 void
 MorLogScheme::store(unsigned core, Addr addr, Word old_val,
-                    Word new_val, std::function<void()> done)
+                    Word new_val, Callback done)
 {
     auto &buf = buffer(core);
     std::uint16_t txid = txidOf(core);
@@ -66,10 +65,10 @@ MorLogScheme::store(unsigned core, Addr addr, Word old_val,
         for (auto &e : buf) {
             if (!e.flushing) {
                 e.flushing = true;
-                MorLogEntry copy = e;
-                writeLogWithRetry(core, record(core, copy),
-                                  [this, core, copy] {
-                    eraseEntry(core, copy);
+                writeLogWithRetry(core, record(core, e),
+                                  [this, core, txid = e.txid,
+                                   addr = e.addr] {
+                    eraseEntry(core, txid, addr);
                 });
                 break;
             }
@@ -86,34 +85,35 @@ MorLogScheme::commitFlushFinished(unsigned core)
     if (--cs.commitOutstanding > 0)
         return;
 
-    auto done = std::move(cs.pendingCommit);
-    cs.pendingCommit = nullptr;
+    Callback done = std::move(cs.pendingCommit);
     writeLogWithRetry(core, commitMarker(core), std::move(done));
 }
 
 void
-MorLogScheme::txEnd(unsigned core, std::function<void()> done)
+MorLogScheme::txEnd(unsigned core, Callback done)
 {
     CoreState &cs = _cores[core];
     cs.pendingCommit = std::move(done);
 
     // MorLog's ordering constraint: all logs of the transaction must
     // be in the PM log region before the commit completes. Entries
-    // stay in the ADR buffer until each write is accepted.
-    std::vector<MorLogEntry> to_flush;
+    // stay in the ADR buffer until each write is accepted. The writes
+    // are issued from a snapshot: an accepted one erases its entry.
+    _toFlush.clear();
     std::uint16_t txid = txidOf(core);
     for (auto &e : buffer(core)) {
         if (e.txid == txid && !e.flushing) {
             e.flushing = true;
-            to_flush.push_back(e);
+            _toFlush.push_back(e);
         }
     }
 
-    cs.commitOutstanding = unsigned(to_flush.size()) + 1;
-    for (const auto &entry : to_flush) {
+    cs.commitOutstanding = unsigned(_toFlush.size()) + 1;
+    for (const auto &entry : _toFlush) {
         writeLogWithRetry(core, record(core, entry),
-                          [this, core, entry] {
-            eraseEntry(core, entry);
+                          [this, core, txid = entry.txid,
+                           addr = entry.addr] {
+            eraseEntry(core, txid, addr);
             commitFlushFinished(core);
         });
     }

@@ -33,8 +33,8 @@ class MorLogScheme : public LoggingScheme
     const char *name() const override { return "MorLog"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
 
     /**
      * The crash's ADR flush: every entry of the per-core merge buffers
@@ -59,7 +59,7 @@ class MorLogScheme : public LoggingScheme
     struct CoreState
     {
         unsigned commitOutstanding = 0;
-        std::function<void()> pendingCommit;
+        Callback pendingCommit;
     };
 
     /** The undo+redo log record of @p core 's buffer @p entry. */
@@ -69,11 +69,14 @@ class MorLogScheme : public LoggingScheme
     {
         return _ctx.domain.morlog[core];
     }
-    /** Remove a flushed entry from the ADR buffer (post-accept). */
-    void eraseEntry(unsigned core, const MorLogEntry &entry);
+    /** Remove the flushed entry of @p txid and @p addr from the ADR
+     *  buffer (post-accept). */
+    void eraseEntry(unsigned core, std::uint16_t txid, Addr addr);
     void commitFlushFinished(unsigned core);
 
     std::vector<CoreState> _cores;
+    /** txEnd()'s snapshot of the entries it flushes (reused). */
+    std::vector<MorLogEntry> _toFlush;
     stats::StatGroup _morlogStats{"morlog"};
     /** Log entries merged in the MC buffer. */
     stats::Scalar _merged{_morlogStats, "morlog_merged"};

@@ -12,7 +12,7 @@ SwEadrScheme::SwEadrScheme(SchemeContext ctx)
 void
 SwEadrScheme::writeLogThroughCache(unsigned core,
                                    const LogRecord &record,
-                                   std::function<void()> done)
+                                   Callback done)
 {
     Addr rec_addr = appendLog(core, record);
 
@@ -25,7 +25,7 @@ SwEadrScheme::writeLogThroughCache(unsigned core,
     Addr first = wordAlign(rec_addr);
     Addr last = wordAlign(rec_addr + record.sizeBytes() - 1);
     for (Addr a = first; a <= last; a += wordBytes)
-        _ctx.setValue(a, _contentStamp++);
+        _ctx.values.store(a, _contentStamp++);
 
     // One cache write per entry: this is the pollution the paper
     // describes — appended logs always land in fresh lines.
@@ -36,7 +36,7 @@ SwEadrScheme::writeLogThroughCache(unsigned core,
 
 void
 SwEadrScheme::store(unsigned core, Addr addr, Word old_val,
-                    Word new_val, std::function<void()> done)
+                    Word new_val, Callback done)
 {
     LogRecord rec;
     rec.kind = LogRecord::Kind::UndoRedo;
@@ -52,7 +52,7 @@ SwEadrScheme::store(unsigned core, Addr addr, Word old_val,
 }
 
 void
-SwEadrScheme::txEnd(unsigned core, std::function<void()> done)
+SwEadrScheme::txEnd(unsigned core, Callback done)
 {
     // Logs and data are already persistent in the eADR cache; the
     // commit record makes the transaction's outcome durable the moment
@@ -82,7 +82,7 @@ SwEadrScheme::captureAtCrash(PersistentDomain &domain) const
         EadrLine &data = caches.dataLines.emplace_back();
         data.line = line;
         for (unsigned w = 0; w < wordsPerLine; ++w)
-            data.values[w] = _ctx.valueOf(line + Addr(w) * wordBytes);
+            data.values[w] = _ctx.values.load(line + Addr(w) * wordBytes);
     });
 }
 

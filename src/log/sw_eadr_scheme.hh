@@ -36,8 +36,8 @@ class SwEadrScheme : public LoggingScheme
     const char *name() const override { return "SW-eADR"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
     void captureAtCrash(PersistentDomain &domain) const override;
 
     /**
@@ -60,7 +60,7 @@ class SwEadrScheme : public LoggingScheme
      * competes for cache capacity and later writes back to PM.
      */
     void writeLogThroughCache(unsigned core, const LogRecord &record,
-                              std::function<void()> done);
+                              Callback done);
 
     std::uint64_t _contentStamp = 1;
     stats::StatGroup _sweadrStats{"sweadr"};

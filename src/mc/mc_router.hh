@@ -54,7 +54,7 @@ class McRouter
     }
 
     void
-    writeWord(Addr word_addr, Word value, std::function<void()> done)
+    writeWord(Addr word_addr, Word value, Callback done)
     {
         controllerFor(word_addr)
             .writeWord(word_addr, value, std::move(done));
@@ -62,7 +62,7 @@ class McRouter
 
     void
     writeLog(Addr rec_addr, const log::LogRecord &record,
-             std::function<void()> done)
+             Callback done)
     {
         controllerFor(rec_addr).writeLog(rec_addr, record,
                                          std::move(done));
@@ -70,13 +70,13 @@ class McRouter
 
     /** Wait for a slot on the controller owning @p addr. */
     void
-    requestWriteSlot(Addr addr, std::function<void()> cb)
+    requestWriteSlot(Addr addr, Callback cb)
     {
         controllerFor(addr).requestWriteSlot(std::move(cb));
     }
 
     void
-    read(Addr line_addr, std::function<void()> done)
+    read(Addr line_addr, Callback done)
     {
         controllerFor(line_addr).read(line_addr, std::move(done));
     }

@@ -12,21 +12,6 @@ namespace
 /** WPQ forwarding / controller overhead for reads. */
 constexpr Cycles mcForwardCycles = 4;
 
-/** The dirty words of @p entry, ascending. */
-std::vector<nvm::WordWrite>
-wordsOf(const WpqEntry &entry)
-{
-    std::vector<nvm::WordWrite> words;
-    words.reserve(std::size_t(std::popcount(entry.wordMask)));
-    std::uint32_t bits = entry.wordMask;
-    while (bits) {
-        unsigned idx = unsigned(std::countr_zero(bits));
-        bits &= bits - 1;
-        words.push_back({idx, entry.values[idx]});
-    }
-    return words;
-}
-
 /** Channel transfer time for one drained entry. */
 Cycles
 transferCycles(unsigned bytes)
@@ -151,50 +136,67 @@ MemController::tryWriteLog(Addr rec_addr, const log::LogRecord &record)
 }
 
 void
-MemController::writeWord(Addr word_addr, Word value,
-                         std::function<void()> done)
+MemController::writeWord(Addr word_addr, Word value, Callback done)
 {
     if (tryWriteWord(word_addr, value)) {
         done();
         return;
     }
-    requestWriteSlot([this, word_addr, value,
-                      done = std::move(done)]() mutable {
-        writeWord(word_addr, value, std::move(done));
-    });
+    std::uint32_t idx =
+        _wordWaits.park(WordWait{word_addr, value, std::move(done)});
+    requestWriteSlot([this, idx] { retryWord(idx); });
+}
+
+void
+MemController::retryWord(std::uint32_t idx)
+{
+    const WordWait &wait = _wordWaits[idx];
+    if (!tryWriteWord(wait.addr, wait.value)) {
+        requestWriteSlot([this, idx] { retryWord(idx); });
+        return;
+    }
+    Callback done = _wordWaits.take(idx).done;
+    done();
 }
 
 void
 MemController::writeLog(Addr rec_addr, const log::LogRecord &record,
-                        std::function<void()> done)
+                        Callback done)
 {
-    // Try first: the common case never touches the log path's map.
+    // Try first: the common case never touches the log path.
     if (tryWriteLog(rec_addr, record)) {
         done();
         return;
     }
-    _st.logPath.emplace(rec_addr, record);
-    retryLog(rec_addr, std::move(done));
+    _st.logPath.emplace_back(rec_addr, record);
+    std::uint32_t idx = _logWaits.park(LogWait{rec_addr, std::move(done)});
+    requestWriteSlot([this, idx] { retryLog(idx); });
 }
 
 void
-MemController::retryLog(Addr rec_addr, std::function<void()> done)
+MemController::retryLog(std::uint32_t idx)
 {
-    requestWriteSlot([this, rec_addr, done = std::move(done)]() mutable {
-        auto it = _st.logPath.find(rec_addr);
-        if (it == _st.logPath.end())
-            return;   // a crash already persisted it (flushLogPath)
-        if (!tryWriteLog(rec_addr, it->second)) {
-            retryLog(rec_addr, std::move(done));
-            return;
-        }
-        _st.logPath.erase(it);
-        done();
-    });
+    const Addr rec_addr = _logWaits[idx].recAddr;
+    auto &path = _st.logPath;
+    auto it = std::find_if(path.begin(), path.end(),
+                           [rec_addr](const auto &waiting) {
+                               return waiting.first == rec_addr;
+                           });
+    if (it == path.end()) {
+        _logWaits.take(idx);   // a crash already persisted it
+        return;
+    }
+    if (!tryWriteLog(rec_addr, it->second)) {
+        requestWriteSlot([this, idx] { retryLog(idx); });
+        return;
+    }
+    path.erase(it);
+    Callback done = _logWaits.take(idx).done;
+    done();
 }
 
 void
-MemController::requestWriteSlot(std::function<void()> cb)
+MemController::requestWriteSlot(Callback cb)
 {
     _writeWaiters.push_back(std::move(cb));
 }
@@ -203,8 +205,7 @@ void
 MemController::notifyWaiters(unsigned count)
 {
     while (count-- && !_writeWaiters.empty()) {
-        auto cb = std::move(_writeWaiters.front());
-        _writeWaiters.pop_front();
+        Callback cb = _writeWaiters.take_front();
         cb();
     }
 }
@@ -242,32 +243,34 @@ void
 MemController::drainOne()
 {
     // Oldest drainable (non-held) entry first.
-    auto &wpq = _st.wpq;
-    auto it = std::find_if(wpq.begin(), wpq.end(),
-                           [](const WpqEntry &e) { return !e.held; });
-    if (it == wpq.end())
+    Ring<WpqEntry> &wpq = _st.wpq;
+    std::size_t i = 0;
+    while (i < wpq.size() && wpq[i].held)
+        ++i;
+    if (i == wpq.size())
         return;
 
-    if (!_pm.tryWrite(it->pmLine, wordsOf(*it), it->logRegion)) {
+    const WpqEntry &e = wpq[i];
+    if (!_pm.tryWrite(e.pmLine, e.wordMask, e.values, e.logRegion)) {
         // Device buffer is saturated; resume when a slot frees.
         _pm.registerSlotWaiter([this] { scheduleDrain(); });
         return;
     }
 
-    Cycles transfer = transferCycles(it->bytes);
+    Cycles transfer = transferCycles(e.bytes);
     if (auto *tr = _eq.tracer()) {
         tr->completeSpan(_track,
-                         it->logRegion ? "drain-log" : "drain-data",
+                         e.logRegion ? "drain-log" : "drain-data",
                          _eq.now(), _eq.now() + transfer);
     }
-    wpq.erase(it);
+    wpq.erase(i);
     notifyWaiters(1);
     if (!wpq.empty())
         scheduleDrain(transfer);
 }
 
 void
-MemController::read(Addr line_addr, std::function<void()> done)
+MemController::read(Addr line_addr, Callback done)
 {
     Addr key = lineAlign(line_addr);
     for (const auto &e : _st.wpq) {
@@ -295,6 +298,11 @@ MemController::drainAll()
 void
 flushLogPath(McState &mc, log::LogRegionStore &logs)
 {
+    // Addresses are unique: the order is the address order.
+    std::sort(mc.logPath.begin(), mc.logPath.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
     for (const auto &[addr, record] : mc.logPath)
         logs.persist(addr, record);
     mc.logPath.clear();
@@ -305,10 +313,10 @@ crashDrain(McState &mc, PersistentDomain &domain, Tick now,
            log::PersistEventSink *sink, nvm::PmStats *pm_stats)
 {
     // Held entries are revocable-uncommitted: discarded, not applied.
-    for (const auto &e : mc.wpq) {
+    for (const WpqEntry &e : mc.wpq) {
         if (!e.held) {
-            nvm::crashWrite(domain, e.pmLine, wordsOf(e), e.logRegion,
-                            now, pm_stats);
+            nvm::crashWrite(domain, e.pmLine, e.wordMask, e.values,
+                            e.logRegion, now, pm_stats);
         } else if (sink) {
             sink->onHeldDiscard(e.key);
         }
@@ -327,19 +335,19 @@ adrValue(const PersistentDomain &domain, Addr word)
     // The drain applies the controllers in order, each WPQ front to
     // back, so the last entry holding the word wins.
     for (auto mc = domain.mcs.rbegin(); mc != domain.mcs.rend(); ++mc) {
-        for (auto e = mc->wpq.rbegin(); e != mc->wpq.rend(); ++e) {
-            if (!e->held && !e->logRegion && e->pmLine == pm_line &&
-                (e->wordMask & bit))
-                return e->values[idx];
+        for (std::size_t k = mc->wpq.size(); k-- > 0;) {
+            const WpqEntry &e = mc->wpq[k];
+            if (!e.held && !e.logRegion && e.pmLine == pm_line &&
+                (e.wordMask & bit))
+                return e.values[idx];
         }
     }
     // An evicting line is in the media already; a log line's values
-    // are placeholders.
-    for (const nvm::BufferLine &line : domain.pmBuffer) {
-        if (line.valid && !line.evicting && !line.logRegion &&
-            line.base == pm_line && (line.wordMask & bit))
-            return line.values[idx];
-    }
+    // are placeholders. At most one valid, non-evicting line holds a
+    // pm line.
+    int line = domain.pmBuffer.find(pm_line, 0);
+    if (line >= 0 && (domain.pmBuffer.data[line].wordMask & bit))
+        return domain.pmBuffer.data[line].values[idx];
     if (domain.media.contains(word))
         return domain.media.load(word);
     return std::nullopt;

@@ -32,17 +32,17 @@
 #define SILO_MC_MEM_CONTROLLER_HH
 
 #include <array>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 
 #include "nvm/pm_device.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/log_region.hh"
 #include "sim/persist_event_sink.hh"
 #include "sim/persistent_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
 
@@ -110,7 +110,7 @@ class MemController
 
     /** Write an 8 B word, waiting FIFO while the WPQ is full; @p done
      *  runs at acceptance (Silo's in-place updates, checkpoints). */
-    void writeWord(Addr word_addr, Word value, std::function<void()> done);
+    void writeWord(Addr word_addr, Word value, Callback done);
 
     /**
      * Enter @p record at @p rec_addr into the ADR log path, durable
@@ -118,12 +118,12 @@ class MemController
      * the WPQ is full. @p done runs at acceptance.
      */
     void writeLog(Addr rec_addr, const log::LogRecord &record,
-                  std::function<void()> done);
+                  Callback done);
     /// @}
 
     /** FIFO wait for WPQ space; @p cb runs once when a slot frees (for
      *  writebacks, which re-read their line at each attempt). */
-    void requestWriteSlot(std::function<void()> cb);
+    void requestWriteSlot(Callback cb);
 
     /** @name LAD held-entry control */
     /// @{
@@ -137,7 +137,7 @@ class MemController
      * Issue a read of the 64 B line at @p line_addr; @p done runs at
      * completion (forwarded from the WPQ or read from media).
      */
-    void read(Addr line_addr, std::function<void()> done);
+    void read(Addr line_addr, Callback done);
 
     /** Observer invoked when an evicted data line is accepted. */
     void
@@ -182,8 +182,26 @@ class MemController
     /** Accept a log record into the WPQ; false when it is full. */
     bool tryWriteLog(Addr rec_addr, const log::LogRecord &record);
 
-    /** Wait for a slot, then retry the record parked at @p rec_addr. */
-    void retryLog(Addr rec_addr, std::function<void()> done);
+    /** A word write waiting for a WPQ slot (writeWord()). */
+    struct WordWait
+    {
+        Addr addr = 0;
+        Word value = 0;
+        Callback done;
+    };
+
+    /** A record waiting in the ADR log path (writeLog()). */
+    struct LogWait
+    {
+        Addr recAddr = 0;
+        Callback done;
+    };
+
+    /** Retry the word write parked at @p idx; waits again if full. */
+    void retryWord(std::uint32_t idx);
+
+    /** Retry the log record parked at @p idx; waits again if full. */
+    void retryLog(std::uint32_t idx);
 
     /** Drain the oldest drainable entry; reschedules itself. */
     void drainOne();
@@ -196,7 +214,10 @@ class MemController
     PersistentDomain &_domain;
     McState &_st;
 
-    std::deque<std::function<void()>> _writeWaiters;
+    /** Producers waiting for a WPQ slot, first come first served. */
+    Ring<Callback> _writeWaiters;
+    SlotTable<WordWait> _wordWaits;
+    SlotTable<LogWait> _logWaits;
     std::function<void(Addr)> _evictionObserver;
     log::PersistEventSink *_check = nullptr;
     bool _drainScheduled = false;

@@ -4,8 +4,8 @@ namespace silo::mem
 {
 
 CacheHierarchy::CacheHierarchy(EventQueue &eq, const SimConfig &cfg,
-                               mc::McRouter &mc, ValueSource values)
-    : _eq(eq), _cfg(cfg), _mc(mc), _values(std::move(values))
+                               mc::McRouter &mc, const WordStore &values)
+    : _eq(eq), _cfg(cfg), _mc(mc), _values(values)
 {
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         _l1.push_back(std::make_unique<Cache>(
@@ -23,40 +23,52 @@ CacheHierarchy::lineValues(Addr line_addr) const
 {
     std::array<Word, wordsPerLine> values;
     for (unsigned w = 0; w < wordsPerLine; ++w)
-        values[w] = _values(line_addr + Addr(w) * wordBytes);
+        values[w] = _values.load(line_addr + Addr(w) * wordBytes);
     return values;
 }
 
 void
-CacheHierarchy::writebackWithRetry(Addr line_addr, bool evicted,
-                                   bool held, std::function<void()> done)
+CacheHierarchy::writeback(Writeback wb)
 {
-    writebackAttempt(line_addr, evicted, held, _eq.now(),
-                     std::move(done));
+    if (_mc.tryWriteLine(wb.line, lineValues(wb.line), wb.evicted,
+                         wb.held)) {
+        finishWriteback(wb);
+        return;
+    }
+    const Addr line = wb.line;
+    std::uint32_t idx = _writebacks.park(std::move(wb));
+    _mc.requestWriteSlot(line, [this, idx] { retryWriteback(idx); });
 }
 
 void
-CacheHierarchy::writebackAttempt(Addr line_addr, bool evicted, bool held,
-                                 Tick first, std::function<void()> done)
+CacheHierarchy::retryWriteback(std::uint32_t idx)
 {
-    if (_mc.tryWriteLine(line_addr, lineValues(line_addr), evicted,
-                         held)) {
-        if (auto *tr = _eq.tracer())
-            tr->completeSpan(_track, "writeback", first, _eq.now());
-        done();
+    const Addr line = _writebacks[idx].line;
+    if (!_mc.tryWriteLine(line, lineValues(line), _writebacks[idx].evicted,
+                          _writebacks[idx].held)) {
+        _mc.requestWriteSlot(line, [this, idx] { retryWriteback(idx); });
         return;
     }
-    _mc.requestWriteSlot(line_addr,
-                         [this, line_addr, evicted, held, first,
-                          done = std::move(done)]() mutable {
-        writebackAttempt(line_addr, evicted, held, first,
-                         std::move(done));
-    });
+    Writeback wb = _writebacks.take(idx);
+    finishWriteback(wb);
+}
+
+void
+CacheHierarchy::finishWriteback(Writeback &wb)
+{
+    if (auto *tr = _eq.tracer())
+        tr->completeSpan(_track, "writeback", wb.first, _eq.now());
+    if (wb.fill) {
+        _eq.scheduleAfter(wb.delay, std::move(wb.done),
+                          EventQueue::prioCore, prof::Tag::Core);
+    } else {
+        wb.done();
+    }
 }
 
 void
 CacheHierarchy::fill(unsigned core, Addr line_addr, bool dirty,
-                     Cycles delay, std::function<void()> done)
+                     Cycles delay, Callback done)
 {
     auto v1 = _l1[core]->insert(line_addr, dirty);
     std::optional<Victim> v3;
@@ -70,11 +82,13 @@ CacheHierarchy::fill(unsigned core, Addr line_addr, bool dirty,
         // The dirty L3 victim must secure a WPQ slot before the access
         // retires — full WPQ means real back-pressure on the core.
         bool held = _evictionHeld && _evictionHeld(v3->lineAddr);
-        writebackWithRetry(v3->lineAddr, /*evicted=*/true, held,
-                           [this, delay, done = std::move(done)] {
-            _eq.scheduleAfter(delay, std::move(done),
-                              EventQueue::prioCore, prof::Tag::Core);
-        });
+        writeback(Writeback{.line = v3->lineAddr,
+                            .first = _eq.now(),
+                            .evicted = true,
+                            .held = held,
+                            .fill = true,
+                            .delay = delay,
+                            .done = std::move(done)});
         return;
     }
     _eq.scheduleAfter(delay, std::move(done), EventQueue::prioCore,
@@ -83,7 +97,7 @@ CacheHierarchy::fill(unsigned core, Addr line_addr, bool dirty,
 
 void
 CacheHierarchy::access(unsigned core, Addr addr, bool write,
-                       std::function<void()> done)
+                       Callback done)
 {
     Addr line = lineAlign(addr);
 
@@ -109,23 +123,27 @@ CacheHierarchy::access(unsigned core, Addr addr, bool write,
         return;
     }
 
-    // Miss to memory.
+    // Miss to memory: the fill waits for the read.
     base += _cfg.l3.latency;
-    _mc.read(line, [this, core, line, write, base,
-                    done = std::move(done)]() mutable {
-        fill(core, line, write, base, std::move(done));
+    std::uint32_t idx = _fills.park(
+        PendingFill{core, line, write, base, std::move(done)});
+    _mc.read(line, [this, idx] {
+        PendingFill f = _fills.take(idx);
+        fill(f.core, f.line, f.write, f.delay, std::move(f.done));
     });
 }
 
 void
 CacheHierarchy::flushLine(unsigned core, Addr line_addr, bool held,
-                          std::function<void()> done)
+                          Callback done)
 {
     _l1[core]->clean(line_addr);
     _l2[core]->clean(line_addr);
     _l3->clean(line_addr);
-    writebackWithRetry(line_addr, /*evicted=*/false, held,
-                       std::move(done));
+    writeback(Writeback{.line = line_addr,
+                        .first = _eq.now(),
+                        .held = held,
+                        .done = std::move(done)});
 }
 
 bool

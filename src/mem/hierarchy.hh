@@ -17,9 +17,11 @@
 
 #include "mc/mc_router.hh"
 #include "mem/cache.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/tracer.hh"
+#include "sim/word_store.hh"
 
 namespace silo::mem
 {
@@ -28,19 +30,19 @@ namespace silo::mem
 class CacheHierarchy
 {
   public:
-    /** Supplies the current architectural value of a word. */
-    using ValueSource = std::function<Word(Addr)>;
-
+    /**
+     * @p values is the architectural value store: a write-back sends
+     * its line's current words.
+     */
     CacheHierarchy(EventQueue &eq, const SimConfig &cfg,
-                   mc::McRouter &mc, ValueSource values);
+                   mc::McRouter &mc, const WordStore &values);
 
     /**
      * Perform one core access (load or store) to @p addr.
      * @p done runs when the access completes, including any
      * write-back back-pressure it incurred.
      */
-    void access(unsigned core, Addr addr, bool write,
-                std::function<void()> done);
+    void access(unsigned core, Addr addr, bool write, Callback done);
 
     /**
      * Write the line's current values to the memory controller and
@@ -48,7 +50,7 @@ class CacheHierarchy
      * @p done runs when the write is accepted into the WPQ.
      */
     void flushLine(unsigned core, Addr line_addr, bool held,
-                   std::function<void()> done);
+                   Callback done);
 
     /** @return true if the line is dirty in any level core can reach. */
     bool isDirty(unsigned core, Addr line_addr) const;
@@ -90,7 +92,33 @@ class CacheHierarchy
     Cache &l3() { return *_l3; }
 
   private:
-    /** Read the eight words of @p line_addr from the value source. */
+    /** A miss waiting for its memory read, then its fill. */
+    struct PendingFill
+    {
+        unsigned core = 0;
+        Addr line = 0;
+        bool write = false;
+        Cycles delay = 0;
+        Callback done;
+    };
+
+    /** A write-back, retried on each freed WPQ slot until accepted. */
+    struct Writeback
+    {
+        Addr line = 0;
+        Tick first = 0;   //!< first attempt (trace span start)
+        bool evicted = false;
+        bool held = false;
+        /**
+         * A fill's dirty L3 victim: the fill's @ref done runs @ref delay
+         * cycles after the acceptance, not at it.
+         */
+        bool fill = false;
+        Cycles delay = 0;
+        Callback done;
+    };
+
+    /** Read the eight words of @p line_addr from the value store. */
     std::array<Word, wordsPerLine> lineValues(Addr line_addr) const;
 
     /**
@@ -98,20 +126,23 @@ class CacheHierarchy
      * after @p delay once any dirty L3 victim has a WPQ slot.
      */
     void fill(unsigned core, Addr line_addr, bool dirty, Cycles delay,
-              std::function<void()> done);
+              Callback done);
 
-    /** Retry a write-back until the WPQ accepts it, then @p done. */
-    void writebackWithRetry(Addr line_addr, bool evicted, bool held,
-                            std::function<void()> done);
+    /** First attempt of @p wb; parks it to retry while the WPQ is full. */
+    void writeback(Writeback wb);
 
-    /** Retry loop body; @p first is the first attempt's tick. */
-    void writebackAttempt(Addr line_addr, bool evicted, bool held,
-                          Tick first, std::function<void()> done);
+    /** Retry the write-back parked at @p idx. */
+    void retryWriteback(std::uint32_t idx);
+
+    /** @p wb was accepted: trace it and complete its access. */
+    void finishWriteback(Writeback &wb);
 
     EventQueue &_eq;
     const SimConfig &_cfg;
     mc::McRouter &_mc;
-    ValueSource _values;
+    const WordStore &_values;
+    SlotTable<PendingFill> _fills;
+    SlotTable<Writeback> _writebacks;
 
     std::vector<std::unique_ptr<Cache>> _l1;
     std::vector<std::unique_ptr<Cache>> _l2;

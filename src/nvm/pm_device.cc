@@ -9,73 +9,73 @@ namespace silo::nvm
 namespace
 {
 
-/** The valid, non-evicting buffer line holding @p pm_line; -1 if none. */
-int
-findLine(const std::vector<BufferLine> &lines, Addr pm_line)
+/**
+ * Where a write to @p pm_line goes: the resident line (valid, not
+ * evicting, holding pm_line) if any; otherwise the first free line;
+ * otherwise the LRU non-evicting line (smallest lastUse; the strict <
+ * keeps the lowest index on ties), or none if every line is evicting.
+ * Each is one pass over the compact tags (and the LRU stamps).
+ */
+struct Placement
 {
-    for (unsigned i = 0; i < lines.size(); ++i) {
-        if (lines[i].valid && !lines[i].evicting &&
-            lines[i].base == pm_line) {
-            return int(i);
+    int hit = -1;
+    int free = -1;
+    int lru = -1;
+};
+
+Placement
+place(const PmBuffer &buf, Addr pm_line)
+{
+    Placement p;
+    p.hit = buf.find(pm_line, PmBuffer::logBit);
+    if (p.hit >= 0)
+        return p;
+    const unsigned n = buf.size();
+    for (unsigned i = 0; i < n; ++i) {
+        if (!buf.valid(i)) {
+            p.free = int(i);
+            return p;
         }
     }
-    return -1;
+    for (unsigned i = 0; i < n; ++i) {
+        if (!buf.evicting(i) &&
+            (p.lru < 0 || buf.lastUse[i] < buf.lastUse[unsigned(p.lru)]))
+            p.lru = int(i);
+    }
+    return p;
 }
 
-/**
- * Absorb @p words into the resident line for @p pm_line (§III-E cases
- * 1-3). @return false if no line holds it.
- */
-bool
-coalesce(std::vector<BufferLine> &lines, Addr pm_line,
-         const std::vector<WordWrite> &words, Tick now, PmStats *stats)
+/** Absorb the words into resident line @p i (§III-E cases 1-3). */
+void
+coalesce(PmBuffer &buf, unsigned i, std::uint32_t word_mask,
+         const LineValues &values, Tick now, PmStats *stats)
 {
-    int idx = findLine(lines, pm_line);
-    if (idx < 0)
-        return false;
-    BufferLine &line = lines[idx];
-    for (const auto &w : words)
-        line.set(w.wordIdx, w.value);
-    line.lastUse = now;
+    buf.data[i].merge(word_mask, values);
+    buf.lastUse[i] = now;
     if (stats)
         ++stats->coalesced;
-    return true;
-}
-
-/** First free slot, or -1; @p lru is then the LRU non-evicting line. */
-int
-freeSlot(const std::vector<BufferLine> &lines, int &lru)
-{
-    lru = -1;
-    for (unsigned i = 0; i < lines.size(); ++i) {
-        if (!lines[i].valid)
-            return int(i);
-        if (!lines[i].evicting &&
-            (lru < 0 || lines[i].lastUse < lines[lru].lastUse)) {
-            lru = int(i);
-        }
-    }
-    return -1;
 }
 
 void
-fillLine(BufferLine &line, Addr pm_line,
-         const std::vector<WordWrite> &words, bool log_region, Tick now)
+fillLine(PmBuffer &buf, unsigned i, Addr pm_line,
+         std::uint32_t word_mask, const LineValues &values,
+         bool log_region, Tick now)
 {
-    line.valid = true;
-    line.base = pm_line;
-    line.logRegion = log_region;
-    line.lastUse = now;
-    line.wordMask = 0;
-    for (const auto &w : words)
-        line.set(w.wordIdx, w.value);
-    line.evicting = false;
+    buf.tags[i] = pm_line | PmBuffer::validBit |
+                  (log_region ? PmBuffer::logBit : 0);
+    buf.lastUse[i] = now;
+    buf.data[i].wordMask = 0;
+    buf.data[i].merge(word_mask, values);
 }
 
-/** Apply one line's content to media and count DCW'd word writes. */
+/** Apply line @p i 's content to media and count DCW'd word writes. */
 unsigned
-applyToMedia(WordStore &media, const BufferLine &line, PmStats *stats)
+applyToMedia(WordStore &media, const PmBuffer &buf, unsigned i,
+             PmStats *stats)
 {
+    const BufferLine &line = buf.data[i];
+    const bool log_region = buf.logRegion(i);
+    const Addr base = buf.base(i);
     unsigned changed = 0;
     unsigned suppressed = 0;
     std::uint32_t bits = line.wordMask;
@@ -83,8 +83,8 @@ applyToMedia(WordStore &media, const BufferLine &line, PmStats *stats)
         unsigned idx = unsigned(std::countr_zero(bits));
         bits &= bits - 1;
         Word value = line.values[idx];
-        Addr word_addr = line.base + Addr(idx) * wordBytes;
-        if (line.logRegion) {
+        Addr word_addr = base + Addr(idx) * wordBytes;
+        if (log_region) {
             // Log appends are fresh content; every dirty word writes.
             // Counted only: log::LogRegionStore keeps the log's contents.
             ++changed;
@@ -97,7 +97,7 @@ applyToMedia(WordStore &media, const BufferLine &line, PmStats *stats)
     }
     if (stats) {
         stats->wordWrites += changed;
-        (line.logRegion ? stats->logWordWrites : stats->dataWordWrites) +=
+        (log_region ? stats->logWordWrites : stats->dataWordWrites) +=
             changed;
         stats->dcwSuppressed += suppressed;
     }
@@ -105,20 +105,20 @@ applyToMedia(WordStore &media, const BufferLine &line, PmStats *stats)
 }
 
 /**
- * Begin evicting @p line: its content reaches the media now. A line
+ * Begin evicting line @p i: its content reaches the media now. A line
  * DCW reduced to nothing frees at once; otherwise it stays, marked
  * evicting, until its media write ends.
  * @return the words programmed.
  */
 unsigned
-evictLine(WordStore &media, BufferLine &line, PmStats *stats)
+evictLine(WordStore &media, PmBuffer &buf, unsigned i, PmStats *stats)
 {
-    line.evicting = true;
-    unsigned changed = applyToMedia(media, line, stats);
+    buf.tags[i] |= PmBuffer::evictingBit;
+    unsigned changed = applyToMedia(media, buf, i, stats);
     if (stats)
         stats->evictionWords.sample(changed);
     if (changed == 0)
-        line = BufferLine{};
+        buf.release(i);
     else if (stats)
         ++stats->lineWrites;
     return changed;
@@ -128,20 +128,25 @@ evictLine(WordStore &media, BufferLine &line, PmStats *stats)
 
 void
 crashWrite(PersistentDomain &domain, Addr pm_line,
-           const std::vector<WordWrite> &words, bool log_region,
-           Tick now, PmStats *stats)
+           std::uint32_t word_mask, const LineValues &values,
+           bool log_region, Tick now, PmStats *stats)
 {
-    std::vector<BufferLine> &lines = domain.pmBuffer;
-    while (!coalesce(lines, pm_line, words, now, stats)) {
-        int lru;
-        int idx = freeSlot(lines, lru);
-        if (idx < 0 && lru >= 0) {
-            evictLine(domain.media, lines[lru], stats);
-            if (!lines[lru].valid)
-                idx = lru;   // DCW freed the slot
+    PmBuffer &buf = domain.pmBuffer;
+    for (;;) {
+        Placement p = place(buf, pm_line);
+        if (p.hit >= 0) {
+            coalesce(buf, unsigned(p.hit), word_mask, values, now, stats);
+            return;
+        }
+        int idx = p.free;
+        if (idx < 0 && p.lru >= 0) {
+            evictLine(domain.media, buf, unsigned(p.lru), stats);
+            if (!buf.valid(unsigned(p.lru)))
+                idx = p.lru;   // DCW freed the slot
         }
         if (idx >= 0) {
-            fillLine(lines[idx], pm_line, words, log_region, now);
+            fillLine(buf, unsigned(idx), pm_line, word_mask, values,
+                     log_region, now);
             return;
         }
         // Every line is busy evicting: the ADR flush empties the
@@ -153,10 +158,11 @@ crashWrite(PersistentDomain &domain, Addr pm_line,
 void
 drainBuffer(PersistentDomain &domain, PmStats *stats)
 {
-    for (auto &line : domain.pmBuffer) {
-        if (line.valid && !line.evicting)
-            applyToMedia(domain.media, line, stats);
-        line = BufferLine{};
+    PmBuffer &buf = domain.pmBuffer;
+    for (unsigned i = 0; i < buf.size(); ++i) {
+        if (buf.valid(i) && !buf.evicting(i))
+            applyToMedia(domain.media, buf, i, stats);
+        buf.release(i);
     }
 }
 
@@ -178,9 +184,10 @@ PmDevice::busyBanks() const
 unsigned
 PmDevice::bufferOccupancy() const
 {
+    const PmBuffer &buf = _domain.pmBuffer;
     unsigned occupied = 0;
-    for (const auto &line : _domain.pmBuffer)
-        occupied += line.valid;
+    for (unsigned i = 0; i < buf.size(); ++i)
+        occupied += buf.valid(i);
     return occupied;
 }
 
@@ -195,9 +202,9 @@ PmDevice::occupyBank(unsigned bank, Cycles busy)
 void
 PmDevice::startEviction(unsigned idx)
 {
-    BufferLine &line = _domain.pmBuffer[idx];
-    Addr base = line.base;
-    unsigned changed = evictLine(_domain.media, line, &_stats);
+    Addr base = _domain.pmBuffer.base(idx);
+    unsigned changed =
+        evictLine(_domain.media, _domain.pmBuffer, idx, &_stats);
     if (changed == 0) {
         // DCW removed every word: no media write happens at all; the
         // slot frees immediately.
@@ -217,39 +224,43 @@ PmDevice::startEviction(unsigned idx)
             "program", done - busy, done);
     }
     _eq.schedule(done, [this, idx] {
-        _domain.pmBuffer[idx] = BufferLine{};
+        _domain.pmBuffer.release(idx);
         notifyOneWaiter();
     }, EventQueue::prioDevice, prof::Tag::Nvm);
 }
 
 bool
-PmDevice::tryWrite(Addr pm_line, const std::vector<WordWrite> &words,
-                   bool log_region)
+PmDevice::tryWrite(Addr pm_line, std::uint32_t word_mask,
+                   const LineValues &values, bool log_region)
 {
-    std::vector<BufferLine> &lines = _domain.pmBuffer;
-    if (coalesce(lines, pm_line, words, _eq.now(), &_stats))
+    PmBuffer &buf = _domain.pmBuffer;
+    Placement p = place(buf, pm_line);
+    if (p.hit >= 0) {
+        coalesce(buf, unsigned(p.hit), word_mask, values, _eq.now(),
+                 &_stats);
         return true;
+    }
 
     // Allocate a free slot, or evict the LRU non-evicting line.
-    int lru;
-    int free_idx = freeSlot(lines, lru);
+    int free_idx = p.free;
     if (free_idx < 0) {
-        if (lru < 0)
+        if (p.lru < 0)
             return false;   // everything is mid-eviction: back-pressure
-        startEviction(unsigned(lru));
-        if (!lines[lru].valid) {
+        startEviction(unsigned(p.lru));
+        if (!buf.valid(unsigned(p.lru))) {
             // DCW freed the slot synchronously.
-            free_idx = lru;
+            free_idx = p.lru;
         } else {
             return false;   // retry once the eviction completes
         }
     }
-    fillLine(lines[free_idx], pm_line, words, log_region, _eq.now());
+    fillLine(buf, unsigned(free_idx), pm_line, word_mask, values,
+             log_region, _eq.now());
     return true;
 }
 
 void
-PmDevice::registerSlotWaiter(std::function<void()> cb)
+PmDevice::registerSlotWaiter(Callback cb)
 {
     _slotWaiters.push_back(std::move(cb));
 }
@@ -259,8 +270,7 @@ PmDevice::notifyOneWaiter()
 {
     if (_slotWaiters.empty())
         return;
-    auto cb = std::move(_slotWaiters.front());
-    _slotWaiters.pop_front();
+    Callback cb = _slotWaiters.take_front();
     cb();
 }
 
@@ -268,12 +278,12 @@ Tick
 PmDevice::read(Addr line_addr)
 {
     Addr pm_line = pmLineAlign(line_addr);
-    for (const auto &line : _domain.pmBuffer) {
-        if (line.valid && line.base == pm_line) {
-            ++_stats.bufferHits;
-            // Buffer reads are much faster than media reads.
-            return _eq.now() + 8;
-        }
+    // Any valid line holding it serves the read, evicting or not.
+    if (_domain.pmBuffer.find(pm_line, PmBuffer::evictingBit |
+                                           PmBuffer::logBit) >= 0) {
+        ++_stats.bufferHits;
+        // Buffer reads are much faster than media reads.
+        return _eq.now() + 8;
     }
     ++_stats.reads;
     unsigned bank = bankOf(pm_line);

@@ -23,13 +23,13 @@
 #define SILO_NVM_PM_DEVICE_HH
 
 #include <array>
-#include <deque>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/persistent_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
 #include "sim/word_store.hh"
@@ -59,13 +59,6 @@ constexpr Cycles pmReadOccupancyCycles = 8;
 constexpr Cycles pmWriteBaseCycles = 20;
 constexpr Cycles pmWritePerWordCycles = 360;
 
-/** One word of an incoming PM write: index within the 256 B line. */
-struct WordWrite
-{
-    unsigned wordIdx;
-    Word value;
-};
-
 /** The device's statistics; a crash's ADR drain adds to them too. */
 struct PmStats
 {
@@ -92,8 +85,8 @@ struct PmStats
  * the banks. @p stats (nullable) counts the media writes.
  */
 void crashWrite(PersistentDomain &domain, Addr pm_line,
-                const std::vector<WordWrite> &words, bool log_region,
-                Tick now, PmStats *stats);
+                std::uint32_t word_mask, const LineValues &values,
+                bool log_region, Tick now, PmStats *stats);
 
 /**
  * Write every buffered line of @p domain to its media and empty the
@@ -113,17 +106,18 @@ class PmDevice
      * Absorb a write into the on-PM buffer.
      *
      * @param pm_line 256 B-aligned base address.
-     * @param words Dirty words within the line.
+     * @param word_mask The dirty words within the line: bit i gates
+     *        @p values [i].
      * @param log_region True for log-region traffic (no DCW compare;
      *        log appends always change the media).
      * @return false when every buffer line is busy evicting — the
      *         caller must retry after registerSlotWaiter().
      */
-    bool tryWrite(Addr pm_line, const std::vector<WordWrite> &words,
-                  bool log_region);
+    bool tryWrite(Addr pm_line, std::uint32_t word_mask,
+                  const LineValues &values, bool log_region);
 
     /** Call @p cb once, the next time a buffer slot frees up. */
-    void registerSlotWaiter(std::function<void()> cb);
+    void registerSlotWaiter(Callback cb);
 
     /**
      * Issue a media read covering @p line_addr (64 B line).
@@ -198,7 +192,8 @@ class PmDevice
     EventQueue &_eq;
     PersistentDomain &_domain;
     std::vector<Tick> _banks;
-    std::deque<std::function<void()>> _slotWaiters;
+    /** Writers waiting for a buffer slot, first come first served. */
+    Ring<Callback> _slotWaiters;
 
     PmStats _stats;
 };

@@ -114,7 +114,7 @@ SiloScheme::handleOverflow(unsigned core)
 
 void
 SiloScheme::store(unsigned core, Addr addr, Word old_val, Word new_val,
-                  std::function<void()> done)
+                  Callback done)
 {
     CoreState &cs = _cores[core];
     CoreBattery &b = battery(core);
@@ -235,32 +235,38 @@ SiloScheme::issueInPlace(unsigned core, Addr addr)
     if (it == staged.end())
         return;   // a crash cleared the stage
     Word value = it->newData;
-    _ctx.mc.writeWord(addr, value, [this, core, addr, value] {
-        auto &staged2 = battery(core).staged;
-        auto it2 = std::find_if(staged2.begin(), staged2.end(),
-                                [addr](const PendingUpdate &p) {
-                                    return p.addr == addr;
-                                });
-        if (it2 == staged2.end())
-            return;
-        if (it2->newData == value) {
-            // The in-place update left the battery domain for the ADR
-            // queue: the committed word is now durably persisted.
-            if (auto *tr = _ctx.eq.tracer()) {
-                tr->completeSpan(coreTrack(core), "persist",
-                                 it2->stagedAt, _ctx.eq.now());
-            }
-            staged2.erase(it2);
-            return;
-        }
-        // Superseded while the write was in flight: the word on the
-        // ADR queue is stale, issue the newer value after it.
-        issueInPlace(core, addr);
-    });
+    std::uint32_t w = _inPlaceWrites.park(InPlaceWrite{core, addr, value});
+    _ctx.mc.writeWord(addr, value, [this, w] { inPlaceAccepted(w); });
 }
 
 void
-SiloScheme::txEnd(unsigned core, std::function<void()> done)
+SiloScheme::inPlaceAccepted(std::uint32_t w)
+{
+    const InPlaceWrite write = _inPlaceWrites.take(w);
+    auto &staged = battery(write.core).staged;
+    auto it = std::find_if(staged.begin(), staged.end(),
+                           [&write](const PendingUpdate &p) {
+                               return p.addr == write.addr;
+                           });
+    if (it == staged.end())
+        return;
+    if (it->newData == write.value) {
+        // The in-place update left the battery domain for the ADR
+        // queue: the committed word is now durably persisted.
+        if (auto *tr = _ctx.eq.tracer()) {
+            tr->completeSpan(coreTrack(write.core), "persist",
+                             it->stagedAt, _ctx.eq.now());
+        }
+        staged.erase(it);
+        return;
+    }
+    // Superseded while the write was in flight: the word on the ADR
+    // queue is stale, issue the newer value after it.
+    issueInPlace(write.core, write.addr);
+}
+
+void
+SiloScheme::txEnd(unsigned core, Callback done)
 {
     CoreState &cs = _cores[core];
 
@@ -275,37 +281,44 @@ SiloScheme::txEnd(unsigned core, std::function<void()> done)
         tr->completeSpan(coreTrack(core), "speculate", cs.txStart,
                          _ctx.eq.now());
     }
-    Tick commit_request = _ctx.eq.now();
+    cs.commitRequest = _ctx.eq.now();
+    cs.commitDone = std::move(done);
 
     // Commit: the log generator notifies the log controller; once the
     // ACK returns, Tx_end completes — no PM write is on this path
     // (§III-D). The commit state change is atomic with the ACK.
     _ctx.eq.scheduleAfter(commitAckCycles,
-                          [this, core, commit_request,
-                           done = std::move(done)] {
-        if (auto *tr = _ctx.eq.tracer()) {
-            tr->completeSpan(coreTrack(core), "validate",
-                             commit_request, _ctx.eq.now());
-        }
-        std::uint16_t txid = txidOf(core);
-        CoreBattery &b = battery(core);
-        for (auto &e : b.buffer) {
-            if (e.txid == txid)
-                e.committed = true;
-        }
-        // Words this transaction staged on overflow are committed too:
-        // the bit, not a txid comparison, tells the crash flush so,
-        // which stays right once the 16-bit txid wraps.
-        for (auto &p : b.staged) {
-            if (p.txid == txid)
-                p.committed = true;
-        }
-        // Overflowed undo logs of this transaction are obsolete: the
-        // log truncates via the on-chip head register (no PM write).
-        _ctx.domain.logs.truncate(core);
-        drainCommitted(core);
-        done();
-    }, EventQueue::prioDefault, prof::Tag::LogScheme);
+                          [this, core] { commitAcked(core); },
+                          EventQueue::prioDefault, prof::Tag::LogScheme);
+}
+
+void
+SiloScheme::commitAcked(unsigned core)
+{
+    CoreState &cs = _cores[core];
+    if (auto *tr = _ctx.eq.tracer()) {
+        tr->completeSpan(coreTrack(core), "validate", cs.commitRequest,
+                         _ctx.eq.now());
+    }
+    std::uint16_t txid = txidOf(core);
+    CoreBattery &b = battery(core);
+    for (auto &e : b.buffer) {
+        if (e.txid == txid)
+            e.committed = true;
+    }
+    // Words this transaction staged on overflow are committed too: the
+    // bit, not a txid comparison, tells the crash flush so, which stays
+    // right once the 16-bit txid wraps.
+    for (auto &p : b.staged) {
+        if (p.txid == txid)
+            p.committed = true;
+    }
+    // Overflowed undo logs of this transaction are obsolete: the log
+    // truncates via the on-chip head register (no PM write).
+    _ctx.domain.logs.truncate(core);
+    drainCommitted(core);
+    Callback done = std::move(cs.commitDone);
+    done();
 }
 
 std::uint64_t

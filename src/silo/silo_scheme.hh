@@ -71,8 +71,8 @@ class SiloScheme : public log::LoggingScheme
     const char *name() const override { return "Silo"; }
 
     void store(unsigned core, Addr addr, Word old_val, Word new_val,
-               std::function<void()> done) override;
-    void txEnd(unsigned core, std::function<void()> done) override;
+               Callback done) override;
+    void txEnd(unsigned core, Callback done) override;
 
     /**
      * The battery-backed selective flush at a crash (§III-G), over the
@@ -128,6 +128,17 @@ class SiloScheme : public log::LoggingScheme
         /** Fig. 13 per-transaction counters. */
         std::uint64_t txTotalLogs = 0;
         std::uint64_t txAppends = 0;
+        /** Tx_end's completion, waiting for the commit ACK. */
+        Callback commitDone;
+        Tick commitRequest = 0;   //!< trace: start of the validate span
+    };
+
+    /** An in-place update on its way into the WPQ. */
+    struct InPlaceWrite
+    {
+        unsigned core = 0;
+        Addr addr = 0;
+        Word value = 0;   //!< the value issued
     };
 
     /**
@@ -180,6 +191,12 @@ class SiloScheme : public log::LoggingScheme
     /** Issue (or reissue) the staged update for @p addr, if any. */
     void issueInPlace(unsigned core, Addr addr);
 
+    /** The WPQ accepted the in-place update parked at @p w. */
+    void inPlaceAccepted(std::uint32_t w);
+
+    /** The commit ACK of @p core 's transaction returned. */
+    void commitAcked(unsigned core);
+
     /** The MC eviction hook: set flush-bits of matching entries. */
     void onCachelineEvicted(Addr line);
 
@@ -187,6 +204,7 @@ class SiloScheme : public log::LoggingScheme
     trace::Tracer::TrackId coreTrack(unsigned core);
 
     std::vector<CoreState> _cores;
+    SlotTable<InPlaceWrite> _inPlaceWrites;
     LogReductionStats _reduction;
 };
 

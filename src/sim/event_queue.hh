@@ -45,6 +45,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/profiler.hh"
 #include "sim/types.hh"
 
@@ -62,7 +63,12 @@ namespace trace { class Tracer; }
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * A scheduled event: an inline, move-only callable (sim/callback.hh)
+     * whose capture fits Callback::captureBytes, so scheduling and
+     * dispatching allocate nothing.
+     */
+    using Callback = silo::Callback;
 
     /**
      * User-provided so that value-initialization (`EventQueue{}`,
@@ -96,7 +102,7 @@ class EventQueue
      * @pre when >= now()
      */
     void
-    schedule(Tick when, Callback cb, int priority = prioDefault,
+    schedule(Tick when, Callback &&cb, int priority = prioDefault,
              prof::Tag domain = prof::Tag::Other)
     {
         if (when < _now)
@@ -113,11 +119,18 @@ class EventQueue
         }
         ++_size;
         if (when < _cursor + wheelSize) {
-            placeInWheel(Scheduled{when, priority, _nextSeq++, domain,
-                                   std::move(cb)});
+            // Built in its slab slot: the callback moves once.
+            std::uint32_t slot = allocSlot();
+            Scheduled &ev = _slab[slot];
+            ev.when = when;
+            ev.seq = _nextSeq++;
+            ev.priority = priority;
+            ev.domain = domain;
+            ev.callback = std::move(cb);
+            linkInWheel(slot);
         } else {
             _overflowMin = std::min(_overflowMin, when);
-            _overflow.push_back(Scheduled{when, priority, _nextSeq++,
+            _overflow.push_back(Scheduled{when, _nextSeq++, priority,
                                           domain, std::move(cb)});
             _overflowSorted = false;
         }
@@ -125,7 +138,7 @@ class EventQueue
 
     /** Schedule @p cb @p delta ticks from now. */
     void
-    scheduleAfter(Cycles delta, Callback cb, int priority = prioDefault,
+    scheduleAfter(Cycles delta, Callback &&cb, int priority = prioDefault,
                   prof::Tag domain = prof::Tag::Other)
     {
         schedule(_now + delta, std::move(cb), priority, domain);
@@ -150,6 +163,7 @@ class EventQueue
     std::uint64_t
     runUntil(Tick limit)
     {
+        prof::TimedScope loop(_prof, prof::Tag::Queue);
         std::uint64_t n = 0;
         while (!_stopRequested && findNext() && _peekWhen <= limit &&
                runNext()) {
@@ -183,7 +197,9 @@ class EventQueue
         }
         // Move out before the callback runs: it may schedule, which can
         // reuse the slot or grow the slab.
-        Scheduled ev = std::move(_slab[slot]);
+        const Tick when = _slab[slot].when;
+        const prof::Tag domain = _slab[slot].domain;
+        Callback callback = std::move(_slab[slot].callback);
         freeSlot(slot);
         --_wheelCount;
         --_size;
@@ -192,16 +208,16 @@ class EventQueue
         // outgoing tick just before time advances. Driving them from
         // here instead of from their own scheduled events keeps a
         // traced run's event stream identical to an untraced one.
-        if (_advanceHook && ev.when > _now)
-            _advanceHook(ev.when);
-        _now = ev.when;
+        if (_advanceHook && when > _now)
+            _advanceHook(when);
+        _now = when;
         ++_executed;
         {
             // The profiling choke point: every dispatch is timed
             // under its domain tag. Unprofiled runs pay one branch on
             // the null pointer inside TimedScope.
-            prof::TimedScope dispatch(_prof, ev.domain);
-            ev.callback();
+            prof::TimedScope dispatch(_prof, domain);
+            callback();
         }
         return true;
     }
@@ -227,6 +243,10 @@ class EventQueue
     std::uint64_t
     run(std::uint64_t max_events = ~std::uint64_t(0))
     {
+        // The loop's own work (finding and unlinking the next event,
+        // moving it out) runs between dispatch scopes: it is charged
+        // to the queue's domain, the self time of this scope.
+        prof::TimedScope loop(_prof, prof::Tag::Queue);
         std::uint64_t n = 0;
         while (n < max_events && !_stopRequested && runNext())
             ++n;
@@ -281,8 +301,8 @@ class EventQueue
     struct Scheduled
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
+        int priority;
         /** Profiling domain the dispatch is attributed to. */
         prof::Tag domain;
         Callback callback;
@@ -301,17 +321,16 @@ class EventQueue
     /** Slab index terminating a bucket list or the free list. */
     static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
 
-    /** Store @p ev in a free slab slot (reused first). */
+    /** A free slab slot (reused first); its callback is empty. */
     std::uint32_t
-    allocSlot(Scheduled &&ev)
+    allocSlot()
     {
         if (_freeHead != noSlot) {
             std::uint32_t slot = _freeHead;
             _freeHead = _next[slot];
-            _slab[slot] = std::move(ev);
             return slot;
         }
-        _slab.push_back(std::move(ev));
+        _slab.emplace_back();
         _next.push_back(noSlot);
         return std::uint32_t(_slab.size() - 1);
     }
@@ -331,10 +350,18 @@ class EventQueue
     }
 
     void
-    placeInWheel(Scheduled ev)
+    placeInWheel(Scheduled &&ev)
     {
-        auto b = std::size_t(ev.when & wheelMask);
-        std::uint32_t slot = allocSlot(std::move(ev));
+        std::uint32_t slot = allocSlot();
+        _slab[slot] = std::move(ev);
+        linkInWheel(slot);
+    }
+
+    /** Link the filled @p slot into its tick's bucket. */
+    void
+    linkInWheel(std::uint32_t slot)
+    {
+        auto b = std::size_t(_slab[slot].when & wheelMask);
         if (isOccupied(b)) {
             // Push at the head; a peeked old head gains a predecessor.
             _next[slot] = _head[b];

@@ -32,15 +32,17 @@
 #define SILO_SIM_PERSISTENT_DOMAIN_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/log_region.hh"
+#include "sim/ring.hh"
 #include "sim/word_store.hh"
 
 namespace silo
@@ -54,28 +56,91 @@ static_assert(pmBufferLineBytes / wordBytes ==
                   std::numeric_limits<std::uint32_t>::digits,
               "wordMask needs exactly one bit per word of a buffer line");
 
+/** The words of one 256 B line; a wordMask says which are present. */
+using LineValues = std::array<Word, pmBufferLineBytes / wordBytes>;
+
 namespace nvm
 {
 
-/** One 256 B line of the on-PM write-coalescing buffer (§III-E). */
+/** The dirty words of one 256 B on-PM buffer line (§III-E). */
 struct BufferLine
 {
-    Addr base = 0;   //!< 256 B-aligned address
-    /** Dirty words of the line: bit i of wordMask gates values[i]. */
+    /** Bit i of wordMask gates values[i]. */
     std::uint32_t wordMask = 0;
-    std::array<Word, pmBufferLineBytes / wordBytes> values{};
-    bool logRegion = false;
-    Tick lastUse = 0;
-    /** Its media write is in flight (already applied to the media). */
-    bool evicting = false;
-    bool valid = false;
+    LineValues values{};
 
+    /** Take the words of @p from that @p mask selects. */
     void
-    set(unsigned idx, Word value)
+    merge(std::uint32_t mask, const LineValues &from)
     {
-        wordMask |= std::uint32_t(1) << idx;
-        values[idx] = value;
+        wordMask |= mask;
+        for (std::uint32_t bits = mask; bits; bits &= bits - 1) {
+            unsigned idx = unsigned(std::countr_zero(bits));
+            values[idx] = from[idx];
+        }
     }
+};
+
+/**
+ * The on-PM write-coalescing buffer (§III-E): its lines and the
+ * compact index every lookup scans instead of them. A line's tag is
+ * its 256 B-aligned base with its state in the bits below, so each
+ * lookup is one masked compare per 8 B tag (find()); the LRU stamps
+ * sit in their own array, read only to pick a victim.
+ */
+struct PmBuffer
+{
+    /** @name Tag state bits */
+    /// @{
+    static constexpr Addr validBit = 1;
+    /** Its media write is in flight (already applied to the media). */
+    static constexpr Addr evictingBit = 2;
+    /** A log-region line: its values are placeholders. */
+    static constexpr Addr logBit = 4;
+    /// @}
+
+    PmBuffer() = default;
+    explicit PmBuffer(unsigned lines)
+        : tags(lines, 0), lastUse(lines, 0), data(lines)
+    {
+    }
+
+    unsigned size() const { return unsigned(tags.size()); }
+
+    bool valid(unsigned i) const { return tags[i] & validBit; }
+    bool evicting(unsigned i) const { return tags[i] & evictingBit; }
+    bool logRegion(unsigned i) const { return tags[i] & logBit; }
+    Addr base(unsigned i) const { return tags[i] & ~Addr(0xff); }
+
+    /**
+     * The first valid line holding @p pm_line whose state bits, apart
+     * from those in @p ignore, are clear. @return its index, or -1.
+     */
+    int
+    find(Addr pm_line, Addr ignore) const
+    {
+        const Addr want = pm_line | validBit;
+        for (unsigned i = 0; i < tags.size(); ++i) {
+            if ((tags[i] & ~ignore) == want)
+                return int(i);
+        }
+        return -1;
+    }
+
+    /** Empty line @p i. */
+    void
+    release(unsigned i)
+    {
+        tags[i] = 0;
+        lastUse[i] = 0;
+        data[i].wordMask = 0;
+    }
+
+    /** Per line: base | state bits; 0 for a free line. */
+    std::vector<Addr> tags;
+    /** Per line: tick of its last fill or coalesce (the LRU stamp). */
+    std::vector<Tick> lastUse;
+    std::vector<BufferLine> data;
 };
 
 } // namespace nvm
@@ -96,7 +161,7 @@ struct WpqEntry
      * gates values[i]. Drain paths iterate the mask ascending.
      */
     std::uint32_t wordMask = 0;
-    std::array<Word, pmBufferLineBytes / wordBytes> values;
+    LineValues values;
     unsigned bytes = 0;
 
     void
@@ -110,9 +175,14 @@ struct WpqEntry
 /** One memory controller's share of the ADR domain. */
 struct McState
 {
-    std::deque<WpqEntry> wpq;
-    /** ADR log path: records waiting for a WPQ slot, already durable. */
-    std::map<Addr, log::LogRecord> logPath;
+    /** The WPQ, oldest entry first (sim/ring.hh). */
+    Ring<WpqEntry> wpq;
+    /**
+     * ADR log path: records waiting for a WPQ slot, already durable,
+     * in arrival order, each at its own log address. A crash persists
+     * them in address order (mc::flushLogPath()).
+     */
+    std::vector<std::pair<Addr, log::LogRecord>> logPath;
     /** Held (LAD) entries in wpq. */
     unsigned heldCount = 0;
 };
@@ -217,7 +287,7 @@ struct PersistentDomain
     /** The data-region words programmed into the PM media. */
     WordStore media;
     /** The on-PM buffer (ADR domain). */
-    std::vector<nvm::BufferLine> pmBuffer;
+    nvm::PmBuffer pmBuffer;
     /** Per memory controller: its WPQ and ADR log path. */
     std::vector<mc::McState> mcs;
     /** The per-thread PM log areas. */

@@ -27,6 +27,7 @@ tagName(Tag t)
       case Tag::LogScheme: return "log_scheme";
       case Tag::Checker: return "checker";
       case Tag::Stats: return "stats";
+      case Tag::Queue: return "queue";
       case Tag::Other: return "other";
       case Tag::TraceCompile: return "trace_compile";
       case Tag::Simulate: return "simulate";

@@ -55,12 +55,16 @@ namespace silo::prof
  * Static attribution tag carried by every scope. The first numDomains
  * values are *event domains* — a scheduled event is stamped with the
  * domain of the component scheduling it and timed under that tag at
- * dispatch. The rest are *host phases* bracketing the non-event parts
- * of a run. Checker and Stats currently have no event sources (the
- * checker shadows the persist path inline; the sampler rides the
- * queue's advance hook), so their dispatch counts are zero in today's
- * tree — they exist so those components can schedule work without a
- * schema change, and the completeness test pins the expectation.
+ * dispatch. Queue is the event loop's own domain: EventQueue::run()
+ * and runUntil() open one Queue scope around their loop, so its self
+ * time is the loop's work between dispatches (finding, unlinking and
+ * moving out the next event), counted once per loop. The rest are
+ * *host phases* bracketing the non-event parts of a run. Checker and
+ * Stats currently have no event sources (the checker shadows the
+ * persist path inline; the sampler rides the queue's advance hook),
+ * so their dispatch counts are zero in today's tree — they exist so
+ * those components can schedule work without a schema change, and
+ * the completeness test pins the expectation.
  */
 enum class Tag : std::uint8_t
 {
@@ -70,6 +74,7 @@ enum class Tag : std::uint8_t
     LogScheme,      //!< logging schemes: persists, walkers, drains
     Checker,        //!< persistency checker (no event sources today)
     Stats,          //!< stats machinery (no event sources today)
+    Queue,          //!< the event loop between dispatches
     Other,          //!< untagged events; the completeness test pins 0
     TraceCompile,   //!< phase: workload trace generation
     Simulate,       //!< phase: one cell's run/settle/drain
@@ -77,8 +82,8 @@ enum class Tag : std::uint8_t
     JsonEmit,       //!< phase: sweep results/*.json serialization
 };
 
-constexpr std::size_t numDomains = 7;
-constexpr std::size_t numTags = 11;
+constexpr std::size_t numDomains = 8;
+constexpr std::size_t numTags = 12;
 
 /** Stable snake_case name used in silo-prof-v1 JSON and tests. */
 const char *tagName(Tag t);

@@ -423,7 +423,7 @@ acceptedWithUndoInLogPath(bool undo_in_log_path)
         undo.txid = 1;
         undo.dataAddr = word;
         undo.oldData = 5;
-        domain.mcs[0].logPath.emplace(addr_map::logAreaBase(0), undo);
+        domain.mcs[0].logPath.emplace_back(addr_map::logAreaBase(0), undo);
     }
     chk.onWpqAcceptWord(word, 7);
     EXPECT_EQ(chk.clean(), undo_in_log_path);

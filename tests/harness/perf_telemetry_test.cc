@@ -200,6 +200,9 @@ TEST(PerfTelemetry, MergedCountsAreIdenticalAcrossJobCounts)
     EXPECT_GT(a[std::size_t(prof::Tag::LogScheme)].count, 0u);
     EXPECT_EQ(a[std::size_t(prof::Tag::Checker)].count, 0u);
     EXPECT_EQ(a[std::size_t(prof::Tag::Stats)].count, 0u);
+    // The event loop runs under its own domain, so its work between
+    // dispatches is attributed too.
+    EXPECT_GT(a[std::size_t(prof::Tag::Queue)].count, 0u);
 
     // Phase scopes: one simulate per cell, one trace compile per
     // unique TraceGenConfig (3 workloads), one stats export per cell.

@@ -116,8 +116,7 @@ struct HierFixture
         domain = std::make_unique<PersistentDomain>(cfg);
         pm = std::make_unique<nvm::PmDevice>(eq, cfg, *domain);
         mc = std::make_unique<mc::McRouter>(eq, cfg, *pm, *domain);
-        hier = std::make_unique<CacheHierarchy>(
-            eq, cfg, *mc, [this](Addr a) { return values.load(a); });
+        hier = std::make_unique<CacheHierarchy>(eq, cfg, *mc, values);
     }
 
     /** Run one access to completion and return its latency. */

@@ -2,12 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+
 #include "nvm/pm_device.hh"
 
 namespace silo::nvm
 {
 namespace
 {
+
+/**
+ * PmDevice::tryWrite() of the (word index, value) pairs @p words to
+ * @p pm_line.
+ */
+bool
+write(PmDevice &pm, Addr pm_line,
+      std::initializer_list<std::pair<unsigned, Word>> words,
+      bool log_region)
+{
+    std::uint32_t mask = 0;
+    LineValues values{};
+    for (const auto &[idx, value] : words) {
+        mask |= std::uint32_t(1) << idx;
+        values[idx] = value;
+    }
+    return pm.tryWrite(pm_line, mask, values, log_region);
+}
 
 SimConfig
 tinyConfig()
@@ -25,7 +46,7 @@ TEST(PmDevice, WriteReachesMediaAfterDrain)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 42}, {3, 7}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 42}, {3, 7}}, false));
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 42u);
     EXPECT_EQ(pm.media().load(0x1018), 7u);
@@ -39,9 +60,9 @@ TEST(PmDevice, CoalescesIntoResidentLine)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{1, 2}}, false));
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 3}}, false));   // overwrite
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 1}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{1, 2}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 3}}, false));   // overwrite
     EXPECT_EQ(pm.bufferCoalescedWrites(), 2u);
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.media().load(0x1000), 3u);
@@ -57,12 +78,12 @@ TEST(PmDevice, DcwSuppressesUnchangedWords)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 5}, {1, 6}}, false));
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
 
     // Rewrite the same values plus one changed word.
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 5}, {1, 6}, {2, 7}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 5}, {1, 6}, {2, 7}}, false));
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 3u);
     EXPECT_EQ(pm.dcwSuppressedWords(), 2u);
@@ -75,7 +96,7 @@ TEST(PmDevice, LogRegionWordsAlwaysWrite)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x2000, {{0, 0}, {1, 0}}, true));
+    ASSERT_TRUE(write(pm, 0x2000, {{0, 0}, {1, 0}}, true));
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.logRegionWordWrites(), 2u);
     EXPECT_EQ(pm.mediaWordWrites(), 2u);
@@ -89,15 +110,15 @@ TEST(PmDevice, EvictionFreesSlotAfterBankBusy)
     PmDevice pm(eq, cfg, domain);
 
     // Fill both lines, then a third distinct line forces an eviction.
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
-    ASSERT_TRUE(pm.tryWrite(0x2000, {{0, 2}}, false));
-    EXPECT_FALSE(pm.tryWrite(0x3000, {{0, 3}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 1}}, false));
+    ASSERT_TRUE(write(pm, 0x2000, {{0, 2}}, false));
+    EXPECT_FALSE(write(pm, 0x3000, {{0, 3}}, false));
 
     bool notified = false;
     pm.registerSlotWaiter([&] { notified = true; });
     eq.run();
     EXPECT_TRUE(notified);
-    EXPECT_TRUE(pm.tryWrite(0x3000, {{0, 3}}, false));
+    EXPECT_TRUE(write(pm, 0x3000, {{0, 3}}, false));
     EXPECT_GE(pm.mediaWordWrites(), 1u);
 }
 
@@ -110,7 +131,7 @@ TEST(PmDevice, AllZeroChangeEvictionIsFree)
     pm.media().store(0x1000, 9);
 
     // Writing the value already in media: DCW cancels the media write.
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 9}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 9}}, false));
     drainBuffer(domain, &pm.pmStats());
     EXPECT_EQ(pm.mediaWordWrites(), 0u);
     EXPECT_EQ(pm.mediaLineWrites(), 0u);
@@ -124,7 +145,7 @@ TEST(PmDevice, ReadHitsBufferFast)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 1}}, false));
     Tick hit = pm.read(0x1000);
     EXPECT_LE(hit, eq.now() + 10);
     EXPECT_EQ(pm.bufferReadHits(), 1u);
@@ -161,9 +182,9 @@ TEST(PmDevice, WriteBusyScalesWithWordCount)
     PersistentDomain domain(cfg);
     PmDevice pm(eq, cfg, domain);
 
-    ASSERT_TRUE(pm.tryWrite(0x1000, {{0, 1}}, false));
+    ASSERT_TRUE(write(pm, 0x1000, {{0, 1}}, false));
     // Force eviction by writing another line.
-    EXPECT_FALSE(pm.tryWrite(0x2000, {{0, 2}, {1, 3}, {2, 4}}, false));
+    EXPECT_FALSE(write(pm, 0x2000, {{0, 2}, {1, 3}, {2, 4}}, false));
     // One word: base + 1*perWord.
     eq.run();
     Tick one_word_done = eq.now();

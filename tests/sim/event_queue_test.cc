@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -50,9 +55,9 @@ TEST(EventQueue, EventsCanReschedule)
     int fired = 0;
     std::function<void()> tick = [&] {
         if (++fired < 5)
-            eq.scheduleAfter(10, tick);
+            eq.scheduleAfter(10, [&tick] { tick(); });
     };
-    eq.schedule(0, tick);
+    eq.schedule(0, [&tick] { tick(); });
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -175,6 +180,123 @@ TEST(EventQueue, DeterministicAcrossRuns)
         return ticks;
     };
     EXPECT_EQ(trace(), trace());
+}
+
+// --- The inline callback ----------------------------------------------
+
+// The capture budget is enforced where a callable is converted: one
+// that fits is a Callback, one a word larger is not, whatever it is.
+inline auto fitsBudget = [a = std::array<std::uint64_t, 3>{}] { (void)a; };
+inline auto overBudget = [a = std::array<std::uint64_t, 4>{}] { (void)a; };
+static_assert(sizeof(fitsBudget) == EventQueue::Callback::captureBytes);
+static_assert(
+    std::is_constructible_v<EventQueue::Callback, decltype(fitsBudget)>);
+static_assert(
+    !std::is_constructible_v<EventQueue::Callback, decltype(overBudget)>);
+// A std::function (or any Callback) nested in a capture does not fit.
+static_assert(!std::is_constructible_v<EventQueue::Callback,
+                                       std::function<void()>>);
+// Move-only, both ways: the Callback cannot be copied, and it takes
+// callables that cannot be copied.
+static_assert(!std::is_copy_constructible_v<EventQueue::Callback>);
+static_assert(!std::is_copy_assignable_v<EventQueue::Callback>);
+static_assert(std::is_nothrow_move_constructible_v<EventQueue::Callback>);
+static_assert(std::is_constructible_v<
+              EventQueue::Callback,
+              decltype([p = std::unique_ptr<int>()] { (void)p; })>);
+
+/** Counts its destruction, once: a moved-from shell does not count. */
+class DestroyCounter
+{
+  public:
+    explicit DestroyCounter(int *destroyed) : _destroyed(destroyed) {}
+    DestroyCounter(DestroyCounter &&other) noexcept
+        : _destroyed(std::exchange(other._destroyed, nullptr))
+    {
+    }
+    DestroyCounter &operator=(DestroyCounter &&) = delete;
+    ~DestroyCounter()
+    {
+        if (_destroyed)
+            ++*_destroyed;
+    }
+
+  private:
+    int *_destroyed;
+};
+
+TEST(EventQueueCallback, MovesTransferTheCallable)
+{
+    int ran = 0;
+    int destroyed = 0;
+    EventQueue::Callback a = [&ran, c = DestroyCounter(&destroyed)] {
+        ++ran;
+    };
+    EventQueue::Callback b = std::move(a);
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    EventQueue::Callback c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    c();
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(destroyed, 0);
+    // Assigning over a stored callable destroys it.
+    c = [&ran] { ran += 10; };
+    EXPECT_EQ(destroyed, 1);
+    c();
+    EXPECT_EQ(ran, 12);
+    c = EventQueue::Callback();
+    EXPECT_FALSE(c);
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventQueueCallback, CapturedStateIsDestroyedExactlyOnce)
+{
+    int destroyed = 0;
+    int ran = 0;
+    {
+        EventQueue eq;
+        eq.schedule(5, [&ran, c = DestroyCounter(&destroyed)] { ++ran; });
+        // Enough residents to grow the slab: each move of a pending
+        // callback must hand its state on, not copy or drop it.
+        for (int i = 0; i < 100; ++i)
+            eq.schedule(6 + i, [c = DestroyCounter(&destroyed)] {});
+        // An overflow resident, never run.
+        eq.schedule(Tick(1) << 20, [c = DestroyCounter(&destroyed)] {});
+        EXPECT_EQ(destroyed, 0);
+        ASSERT_TRUE(eq.runNext());
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(destroyed, 1) << "a run callback is released at once";
+        EXPECT_EQ(eq.run(100), 100u);
+        EXPECT_EQ(destroyed, 101);
+    }
+    EXPECT_EQ(destroyed, 102) << "the queue releases what never ran";
+}
+
+/** Schedule a chain of events, each scheduling the next. */
+void
+chain(EventQueue &eq, std::vector<std::uint64_t> &seen,
+      std::uint64_t value)
+{
+    eq.scheduleAfter(1, [&eq, &seen, value] {
+        // The only pending event is this one, so the next link takes
+        // the slab slot this callback was just moved out of.
+        if (value < 5)
+            chain(eq, seen, value + 1);
+        seen.push_back(value);   // still this callback's own capture
+    });
+}
+
+TEST(EventQueueCallback, ACallbackCanScheduleIntoItsOwnFreedSlot)
+{
+    EventQueue eq;
+    std::vector<std::uint64_t> seen;
+    chain(eq, seen, 1);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(eq.now(), 5u);
 }
 
 } // namespace

@@ -104,6 +104,7 @@ TEST(TagTest, NamesAreCompleteUniqueAndStable)
     // a format change and must be deliberate.
     EXPECT_EQ(tagName(Tag::Core), std::string("core"));
     EXPECT_EQ(tagName(Tag::LogScheme), std::string("log_scheme"));
+    EXPECT_EQ(tagName(Tag::Queue), std::string("queue"));
     EXPECT_EQ(tagName(Tag::Other), std::string("other"));
     EXPECT_EQ(tagName(Tag::TraceCompile),
               std::string("trace_compile"));
@@ -114,6 +115,7 @@ TEST(TagTest, DomainPhaseSplitMatchesEnumLayout)
 {
     EXPECT_TRUE(isDomain(Tag::Core));
     EXPECT_TRUE(isDomain(Tag::Stats));
+    EXPECT_TRUE(isDomain(Tag::Queue));
     EXPECT_TRUE(isDomain(Tag::Other));
     EXPECT_FALSE(isDomain(Tag::TraceCompile));
     EXPECT_FALSE(isDomain(Tag::JsonEmit));
@@ -147,6 +149,29 @@ TEST(EventQueueProfiling, DispatchesAreTimedUnderTheirDomainTag)
     EXPECT_EQ(tags[std::size_t(Tag::LogScheme)].count, 2u);
     EXPECT_EQ(tags[std::size_t(Tag::Other)].count, 1u);
     EXPECT_EQ(tags[std::size_t(Tag::Mc)].count, 0u);
+    EXPECT_EQ(profile.depth(), 0u);
+}
+
+TEST(EventQueueProfiling, TheLoopIsChargedToTheQueueDomain)
+{
+    ThreadProfile profile;
+    EventQueue q;
+    q.setProfiler(&profile);
+    for (Tick t = 1; t <= 50; ++t)
+        q.schedule(t, [] {}, EventQueue::prioCore, Tag::Core);
+    q.runUntil(20);
+    q.run();
+
+    // One queue scope per loop; every dispatch nests in one, so the
+    // domains' self times sum to the loops' total, exactly.
+    const auto &tags = profile.counters();
+    const TagCounters &queue = tags[std::size_t(Tag::Queue)];
+    EXPECT_EQ(queue.count, 2u);
+    EXPECT_EQ(tags[std::size_t(Tag::Core)].count, 50u);
+    std::uint64_t domain_self = 0;
+    for (std::size_t d = 0; d < numDomains; ++d)
+        domain_self += tags[d].selfNanos;
+    EXPECT_EQ(domain_self, queue.totalNanos);
     EXPECT_EQ(profile.depth(), 0u);
 }
 
